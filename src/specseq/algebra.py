@@ -20,8 +20,6 @@ from .linalg import (
     Matrix,
     Q0,
     Q1,
-    Subquotient,
-    Subspace,
     scalar,
     scalar_str,
     vec,
@@ -323,9 +321,10 @@ class BigradedAlgebra:
 class Derivation:
     """Linear map of fixed bidegree given on every basis element.
 
-    values[i] is the image of basis element i. The Leibniz rule
-    D(xy) = D(x)y + (-1)^{|D||x|} x D(y) (signs on total degrees) is verified
-    on all basis pairs unless check=False.
+    values[i] is the image of basis element i; values is a tuple, fixed at
+    construction. The Leibniz rule D(xy) = D(x)y + (-1)^{|D||x|} x D(y)
+    (signs on total degrees) is verified on all basis pairs unless
+    check=False; leibniz_checked records whether it was.
     """
 
     def __init__(
@@ -339,7 +338,8 @@ class Derivation:
             raise InvariantError("derivation needs one image per basis element")
         self.alg = alg
         self.bidegree = (int(bidegree[0]), int(bidegree[1]))
-        self.values = values
+        self.values = tuple(values)
+        self.leibniz_checked = check
         a, b = self.bidegree
         for i, v in enumerate(values):
             for k in v.coeffs:
@@ -351,13 +351,9 @@ class Derivation:
                         witness=alg.basis[k][0],
                     )
         if check:
-            bad = self.leibniz_violations(stop_at_first=True)
-            if bad:
-                i, j = bad[0]
-                raise InvariantError(
-                    "Leibniz rule fails",
-                    witness=[alg.basis[i][0], alg.basis[j][0]],
-                )
+            ok, witness = verify_leibniz(alg, self)
+            if not ok:
+                raise InvariantError("Leibniz rule fails", witness=witness)
 
     def total_degree(self) -> int:
         return self.bidegree[0] + self.bidegree[1]

@@ -133,8 +133,9 @@ def cmd_decalage(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    model = VarietyModel.from_json(_load_json(cfg.algebra))
-    data = _load_json(cfg.derivation) if cfg.derivation else _load_json(cfg.algebra).get("derivation")
+    blob = _load_json(cfg.algebra)
+    model = VarietyModel.from_json(blob)
+    data = _load_json(cfg.derivation) if cfg.derivation else blob.get("derivation")
     if data is None:
         raise ParseError("no derivation given", location="derivation")
     d = Derivation.from_json(model.pa.A, data)
@@ -332,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    threads = int(os.environ.get("SS_THREADS", "1") or "1")
+    raw = os.environ.get("SS_THREADS", "1") or "1"
+    try:
+        threads = int(raw)
+    except ValueError as exc:
+        raise ParseError(f"not an integer: {raw!r}", location="SS_THREADS") from exc
     return RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
@@ -367,9 +372,11 @@ _DISPATCH = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch one configured command; exit codes as documented."""
+def main(argv: list[str] | None = None) -> int:
+    """Configure and dispatch one command; exit codes as documented."""
+    args = build_parser().parse_args(argv)
     try:
+        cfg = config_from_args(args)
         return _DISPATCH[cfg.command](cfg)
     except ParseError as exc:
         _emit({"error": "parse", "message": str(exc), "location": exc.location}, None)
@@ -380,10 +387,6 @@ def run(cfg: RunConfig) -> int:
     except InvariantError as exc:
         _emit({"error": "invariant", "message": str(exc), "witness": exc.witness}, None)
         return 4
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(config_from_args(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,6 @@ returned in explicit bases so downstream code never sees abstract quotients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvariantError, ParseError
 from .linalg import (
     Matrix,
@@ -21,7 +19,6 @@ from .linalg import (
     kernel,
     preimage,
     scalar_str,
-    vec,
 )
 
 
@@ -139,10 +136,7 @@ class CochainComplex:
             rows = dims.get(n + 1, 0)
             cols = dims.get(n, 0)
             d[n] = Matrix.from_json(matdata, rows=rows, cols=cols)
-        try:
-            return CochainComplex(lo, hi, dims, d)
-        except InvariantError:
-            raise
+        return CochainComplex(lo, hi, dims, d)
 
     def __eq__(self, other) -> bool:
         return (
@@ -229,6 +223,7 @@ class FilteredComplex:
         self.cx = cx
         self.filtration = filtration
         self._pre_cache: dict[tuple[int, int], Subspace] = {}
+        self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
         self._validate()
 
     def _validate(self):

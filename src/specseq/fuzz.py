@@ -114,10 +114,6 @@ def random_filtered_complex(
     return FilteredComplex(cx, Filtration(p_lo, p_top, table))
 
 
-def random_filtered_json(rng: random.Random, **kwargs) -> dict:
-    return random_filtered_complex(rng, **kwargs).to_json()
-
-
 _CONSTRAINT_CACHE: dict[str, tuple] = {}
 
 

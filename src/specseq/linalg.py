@@ -13,7 +13,7 @@ column vectors of length cols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -53,10 +53,6 @@ def vzero(n: int) -> Vector:
 
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c: Fraction, u: Vector) -> Vector:
@@ -182,9 +178,6 @@ class Matrix:
     def scaled(self, c) -> "Matrix":
         c = scalar(c)
         return Matrix(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
@@ -363,16 +356,6 @@ class Subspace:
         return self.basis().to_json()
 
 
-def canonical_basis(vectors: Sequence[Sequence], ambient_dim: int | None = None) -> Subspace:
-    """Canonical echelon basis of the span of the given ambient vectors."""
-    vs = [vec(v) for v in vectors]
-    if ambient_dim is None:
-        if not vs:
-            raise InvariantError("cannot infer ambient dimension from an empty family")
-        ambient_dim = len(vs[0])
-    return Subspace.span(ambient_dim, vs)
-
-
 def kernel(f: Matrix) -> Subspace:
     return Subspace.span(f.cols, f.nullspace())
 
@@ -409,6 +392,8 @@ class Subquotient:
     Z: Subspace
     B: Subspace
     complement: tuple[Vector, ...]
+    # leading column -> (complement index, or -1 for a row of B; the row)
+    by_pivot: dict[int, tuple[int, Vector]] = field(compare=False, repr=False)
 
     @staticmethod
     def of(Z: Subspace, B: Subspace) -> "Subquotient":
@@ -416,14 +401,18 @@ class Subquotient:
             raise InvariantError("subquotient numerator and denominator ambient mismatch")
         if not Z.contains(B):
             raise ContainmentError("denominator is not contained in numerator")
-        bp = set(B.pivots)
-        comp = tuple(row for row, p in zip(Z.basis_rows, Z.pivots) if p not in bp)
-        return Subquotient(Z, B, comp)
+        by_pivot = {p: (-1, row) for row, p in zip(B.basis_rows, B.pivots)}
+        comp = []
+        for row, p in zip(Z.basis_rows, Z.pivots):
+            if p not in by_pivot:
+                by_pivot[p] = (len(comp), row)
+                comp.append(row)
+        return Subquotient(Z, B, tuple(comp), by_pivot)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subquotient":
         z = Subspace.zero(ambient_dim)
-        return Subquotient(z, z, ())
+        return Subquotient(z, z, (), {})
 
     @staticmethod
     def whole(ambient_dim: int) -> "Subquotient":
@@ -445,14 +434,6 @@ class Subquotient:
         w = list(vec(v))
         if len(w) != self.ambient_dim:
             raise InvariantError("coset vector has wrong length")
-        by_pivot: dict[int, tuple[str, int, Vector]] = {}
-        for row, p in zip(self.B.basis_rows, self.B.pivots):
-            by_pivot[p] = ("b", 0, row)
-        comp_pivot = []
-        for idx, row in enumerate(self.complement):
-            p = next(i for i, a in enumerate(row) if a != 0)
-            by_pivot[p] = ("c", idx, row)
-            comp_pivot.append(p)
         coords = [Q0] * len(self.complement)
         pos = 0
         while True:
@@ -463,15 +444,15 @@ class Subquotient:
                     break
             if lead is None:
                 break
-            hit = by_pivot.get(lead)
+            hit = self.by_pivot.get(lead)
             if hit is None:
                 raise ContainmentError(
                     "vector outside the subquotient numerator",
                     witness=[scalar_str(a) for a in vec(v)],
                 )
-            kind, idx, row = hit
+            idx, row = hit
             c = w[lead]
-            if kind == "c":
+            if idx >= 0:
                 coords[idx] += c
             for i, a in enumerate(row):
                 if a != 0:

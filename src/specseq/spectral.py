@@ -175,11 +175,15 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
 
 
 class SpectralSequence:
-    """Lazily extended chain of pages of a filtered complex."""
+    """Lazily extended chain of pages of a filtered complex.
+
+    The pages live on fk, so every SpectralSequence of one complex shares
+    them and each page is built once.
+    """
 
     def __init__(self, fk: FilteredComplex):
         self.fk = fk
-        self._pages: list[Page] = []
+        self._pages: list[Page] = fk.pages
 
     def page(self, r: int) -> Page:
         if r < 1:

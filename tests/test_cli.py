@@ -257,6 +257,23 @@ class TestErrors:
         with pytest.raises(InvariantError):
             RunConfig("fuzz", threads=0)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "--input", "x", "--pages", "0"], ["fuzz", "--cases", "0"]],
+    )
+    def test_bad_count_exits_4(self, capsys, argv):
+        code, out = run_json(capsys, argv)
+        assert code == 4
+        assert out["error"] == "invariant"
+        assert out["message"].endswith("must be positive")
+
+    def test_non_integer_threads_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("SS_THREADS", "x")
+        code, out = run_json(capsys, ["fuzz", "--cases", "1"])
+        assert code == 3
+        assert out["error"] == "parse"
+        assert out["location"] == "SS_THREADS"
+
 
 class TestFuzz:
     def test_small_run_is_clean_and_deterministic(self, capsys):

@@ -1,0 +1,89 @@
+"""Each object is computed once: one spectral sequence per filtered complex,
+one Leibniz check per derivation."""
+
+import json
+
+import pytest
+
+import specseq.spectral as sp
+from specseq import Derivation, ObstructionDatum, SpectralSequence, d2_from_alpha
+from specseq.cli import _fuzz_complex_case, main
+
+from conftest import acyclic_two_term
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that appends one entry per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_pages_are_kept_on_the_complex():
+    fk = acyclic_two_term()
+    page = SpectralSequence(fk).page(2)
+    assert SpectralSequence(fk).page(2) is page
+    assert SpectralSequence(acyclic_two_term()).page(2) is not page
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_fuzz_complex_case_builds_two_first_pages(monkeypatch, index):
+    firsts = count_calls(monkeypatch, sp, "first_page")
+    result = _fuzz_complex_case(0, index)
+    assert result["ok"], result
+    # the original complex and its decalage
+    assert len(firsts) == 2
+
+
+def test_compute_builds_each_page_once(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "acyclic.json"
+    path.write_text(json.dumps(acyclic_two_term().to_json()))
+    firsts = count_calls(monkeypatch, sp, "first_page")
+    turns = count_calls(monkeypatch, sp, "turn_page")
+    assert main(["compute", "--input", str(path), "--pages", "6"]) == 0
+    capsys.readouterr()
+    assert len(firsts) == 1
+    assert len(turns) == 5
+
+
+def test_reports_share_the_pages(monkeypatch):
+    fk = acyclic_two_term()
+    firsts = count_calls(monkeypatch, sp, "first_page")
+    sp.oracle_report(fk)
+    sp.e_infinity_compare(fk)
+    sp.compare_differentials(fk, 2)
+    sp.decalage_renumbering_report(fk)
+    assert firsts[0][0] is fk
+    assert len(firsts) == 2
+
+
+@pytest.mark.parametrize("datum", [{"images": {}}, {"images": {"xi1": {"eta1eta2": "1"}}}])
+def test_certify_runs_one_leibniz_check(monkeypatch, capsys, tmp_path, torus2, datum):
+    d = d2_from_alpha(ObstructionDatum.from_json(torus2, datum))
+    apath = tmp_path / "torus2.json"
+    apath.write_text(json.dumps(torus2.to_json()))
+    dpath = tmp_path / "d.json"
+    dpath.write_text(json.dumps(d.to_json()))
+    checks = count_calls(monkeypatch, Derivation, "leibniz_violations")
+    code = main(["certify", "--algebra", str(apath), "--derivation", str(dpath)])
+    capsys.readouterr()
+    assert code in (0, 2)
+    assert len(checks) == 1
+
+
+def test_unchecked_derivation_is_checked_by_the_certifier(monkeypatch, torus2):
+    from specseq import degeneration_certify
+
+    alg = torus2.pa.A
+    d = Derivation(alg, (2, -1), [alg.zero()] * alg.dim(), check=False)
+    assert not d.leibniz_checked
+    assert isinstance(d.values, tuple)
+    checks = count_calls(monkeypatch, Derivation, "leibniz_violations")
+    assert degeneration_certify(torus2.pa, d).certified()
+    assert len(checks) == 1
