@@ -13,6 +13,7 @@ well-definedness checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import ContainmentError, InvariantError, ParseError
 from .filtered import FilteredComplex
@@ -199,18 +200,21 @@ class BigradedAlgebra:
             raise InvariantError(f"cell {(p, q)} has dimension {len(idx)}, got {len(coords)}")
         return Element(self, {i: c for i, c in zip(idx, coords)})
 
-    def cell_vector(self, x: Element, p: int, q: int) -> tuple[Fraction, ...]:
-        """Coordinates of x in the cell (p, q) basis; errors if x lies elsewhere."""
-        idx = self.cell_indices(p, q)
+    def coordinates(self, x: Element, idx: list[int]) -> tuple[Fraction, ...]:
+        """Coordinates of x in the basis elements idx; errors if x has support elsewhere."""
         pos = {k: t for t, k in enumerate(idx)}
         out = [Q0] * len(idx)
         for i, c in x.coeffs.items():
             if i not in pos:
                 raise InvariantError(
-                    f"element has support outside cell {(p, q)}: {self.basis[i][0]}"
+                    f"element has support outside the expected basis: {self.basis[i][0]}"
                 )
             out[pos[i]] = c
         return tuple(out)
+
+    def cell_vector(self, x: Element, p: int, q: int) -> tuple[Fraction, ...]:
+        """Coordinates of x in the cell (p, q) basis; errors if x lies elsewhere."""
+        return self.coordinates(x, self.cell_indices(p, q))
 
     # -- validation
 
@@ -321,10 +325,11 @@ class BigradedAlgebra:
 class Derivation:
     """Linear map of fixed bidegree given on every basis element.
 
-    values[i] is the image of basis element i; values is a tuple, fixed at
-    construction. The Leibniz rule D(xy) = D(x)y + (-1)^{|D||x|} x D(y)
-    (signs on total degrees) is verified on all basis pairs unless
-    check=False; leibniz_checked records whether it was.
+    values[i] is the image of basis element i; values is a tuple of private
+    copies with read-only coefficients, fixed at construction, so a checked
+    derivation stays checked. The Leibniz rule
+    D(xy) = D(x)y + (-1)^{|D||x|} x D(y) (signs on total degrees) is verified
+    on all basis pairs unless check=False; leibniz_checked records whether it was.
     """
 
     def __init__(
@@ -338,7 +343,7 @@ class Derivation:
             raise InvariantError("derivation needs one image per basis element")
         self.alg = alg
         self.bidegree = (int(bidegree[0]), int(bidegree[1]))
-        self.values = tuple(values)
+        self.values = tuple(_frozen(v) for v in values)
         self.leibniz_checked = check
         a, b = self.bidegree
         for i, v in enumerate(values):
@@ -470,6 +475,13 @@ class Derivation:
         return Derivation(alg, (int(bid_raw[0]), int(bid_raw[1])), values, check=check)
 
 
+def _frozen(x: Element) -> Element:
+    """A copy of x whose coefficient mapping is read-only."""
+    out = Element(x.alg, x.coeffs)
+    out.coeffs = MappingProxyType(out.coeffs)
+    return out
+
+
 def verify_leibniz(alg: BigradedAlgebra, d: Derivation) -> tuple[bool, list[str] | None]:
     """True iff Leibniz holds on all basis pairs, else a witness pair of names."""
     bad = d.leibniz_violations(stop_at_first=True)
@@ -531,21 +543,26 @@ def derivation_extend(
                 col[pos[k]] = c
             cols.append(vec(col))
         mult = Matrix.from_cols(cols, rows=len(targets))
-        sols = mult.solve_many(
-            [Matrix.identity(len(targets)).col(t) for t in range(len(targets))]
-        )
-        # relations: any kernel combination of products must map to zero
-        for kv in mult.nullspace():
+        sols = mult.solve_many(Matrix.identity(len(targets)).column_vectors())
+        terms: dict[int, Element] = {}
+
+        def image(combo) -> Element:
+            """Leibniz image of the combination sum_t combo[t] * g_t y_t of pairs."""
             acc = alg.zero()
-            for t, (g, y) in enumerate(pairs):
-                c = kv[t]
+            for t, c in enumerate(combo):
                 if c == 0:
                     continue
-                term = values[g] * alg.basis_element(y) + (
-                    alg.basis_element(g) * values[y]
-                ).scaled(sign)
-                acc = acc + term.scaled(c)
-            if not acc.is_zero():
+                if t not in terms:
+                    g, y = pairs[t]
+                    terms[t] = values[g] * alg.basis_element(y) + (
+                        alg.basis_element(g) * values[y]
+                    ).scaled(sign)
+                acc = acc + terms[t].scaled(c)
+            return acc
+
+        # relations: any kernel combination of products must map to zero
+        for kv in mult.nullspace():
+            if not image(kv).is_zero():
                 rel = {
                     f"{alg.basis[g][0]}*{alg.basis[y][0]}": scalar_str(kv[t])
                     for t, (g, y) in enumerate(pairs)
@@ -561,16 +578,7 @@ def derivation_extend(
                 raise InvariantError(
                     f"basis element {alg.basis[w][0]} is not generated in degree one"
                 )
-            acc = alg.zero()
-            for s, (g, y) in enumerate(pairs):
-                c = x[s]
-                if c == 0:
-                    continue
-                term = values[g] * alg.basis_element(y) + (
-                    alg.basis_element(g) * values[y]
-                ).scaled(sign)
-                acc = acc + term.scaled(c)
-            values[w] = acc
+            values[w] = image(x)
     return Derivation(alg, (a, b), values, check=True)
 
 
@@ -622,13 +630,13 @@ class ComplexPairing:
                 if (mat.rows, mat.cols) != (cx3.dim(m + n), cx2.dim(n)):
                     raise InvariantError(f"tensor at {(m, n)} has the wrong shape")
         for m in cx1.degrees():
+            xs = Matrix.identity(cx1.dim(m)).column_vectors()
             for n in cx2.degrees():
                 d1, d2, d3 = cx1.diff(m), cx2.diff(n), cx3.diff(m + n)
                 s = -1 if m % 2 else 1
-                for i in range(cx1.dim(m)):
-                    x = Matrix.identity(cx1.dim(m)).col(i)
-                    for j in range(cx2.dim(n)):
-                        y = Matrix.identity(cx2.dim(n)).col(j)
+                ys = Matrix.identity(cx2.dim(n)).column_vectors()
+                for i, x in enumerate(xs):
+                    for j, y in enumerate(ys):
                         lhs = d3.apply(self.mu(m, x, n, y))
                         t1 = self.mu(m + 1, d1.apply(x), n, y)
                         t2 = self.mu(m, x, n + 1, d2.apply(y))
@@ -737,9 +745,9 @@ class SSPairing:
             d2 = pg2.diff(*c2)
             d3 = pg3.diff(p1 + p2, q1 + q2)
             tgt = pg3.cell(p1 + p2 + r, q1 + q2 - r + 1)
+            ycols = Matrix.identity(cell2.dim).column_vectors()
             for i in range(cell1.dim):
-                for j in range(cell2.dim):
-                    ycol = Matrix.identity(cell2.dim).col(j)
+                for j, ycol in enumerate(ycols):
                     lhs = d3.apply(cup[i].col(j))
                     t1 = [Q0] * tgt.dim
                     for k, c in enumerate(d1.col(i)):

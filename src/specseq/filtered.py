@@ -22,6 +22,14 @@ from .linalg import (
 )
 
 
+def _matrix_at(location: str, data, rows: int, cols: int | None = None) -> Matrix:
+    """Matrix.from_json, with a parse error reported at the given input key."""
+    try:
+        return Matrix.from_json(data, rows=rows, cols=cols)
+    except ParseError as exc:
+        raise ParseError(str(exc), location=location) from exc
+
+
 class CochainComplex:
     """Spaces K^n for lo <= n <= hi with differentials d^n : K^n -> K^{n+1}."""
 
@@ -133,9 +141,7 @@ class CochainComplex:
                 n = int(k)
             except ValueError as exc:
                 raise ParseError(f"bad degree key {k!r}", location="d") from exc
-            rows = dims.get(n + 1, 0)
-            cols = dims.get(n, 0)
-            d[n] = Matrix.from_json(matdata, rows=rows, cols=cols)
+            d[n] = _matrix_at(f"d.{k}", matdata, dims.get(n + 1, 0), dims.get(n, 0))
         return CochainComplex(lo, hi, dims, d)
 
     def __eq__(self, other) -> bool:
@@ -347,7 +353,7 @@ class FilteredComplex:
                 if basis == []:
                     levels[p][n] = Subspace.zero(amb)
                     continue
-                mat = Matrix.from_json(basis, rows=amb)
+                mat = _matrix_at(f"filtration.{pk}.{nk}", basis, amb)
                 levels[p][n] = Subspace.span(amb, mat.column_vectors())
         filtration = Filtration.from_sparse(cx, levels)
         return FilteredComplex(cx, filtration)

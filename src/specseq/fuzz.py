@@ -95,7 +95,7 @@ def random_filtered_complex(
     base_change = {n: _random_invertible(rng, dims[n]) for n in range(lo, hi + 1)}
     inv = {}
     for n, m in base_change.items():
-        cols = m.solve_many([Matrix.identity(m.rows).col(j) for j in range(m.rows)])
+        cols = m.solve_many(Matrix.identity(m.rows).column_vectors())
         inv[n] = Matrix.from_cols([vec(c) for c in cols], rows=m.rows)
     d_new = {n: base_change[n + 1] @ cx_split.d[n] @ inv[n] for n in range(lo, hi)}
     cx = CochainComplex(lo, hi, dims, d_new)

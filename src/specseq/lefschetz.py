@@ -27,6 +27,9 @@ from .linalg import (
     vec,
 )
 
+# per primitive cell (p, q), the lists (d0(alpha_t), d'(alpha_t)) of d = d0 + L d'
+Split = dict[tuple[int, int], tuple[list[Element], list[Element]]]
+
 
 class LefschetzStructure:
     """Graded space H^0..H^{2n} with a degree-+2 operator L.
@@ -128,25 +131,16 @@ class PolarizedAlgebra:
     def betti(self, m: int) -> int:
         return len(self.degree_indices(m))
 
-    def _degree_vector(self, x: Element, m: int) -> tuple[Fraction, ...]:
-        idx = self.degree_indices(m)
-        pos = {k: t for t, k in enumerate(idx)}
-        out = [Q0] * len(idx)
-        for i, c in x.coeffs.items():
-            if i not in pos:
-                raise InvariantError("element has support outside the expected degree")
-            out[pos[i]] = c
-        return tuple(out)
-
     def lefschetz_structure(self) -> LefschetzStructure:
         dims = {m: self.betti(m) for m in range(0, 2 * self.n + 1)}
         L = {}
         for m in range(0, 2 * self.n + 1):
+            image = self.degree_indices(m + 2)
             cols = [
-                self._degree_vector(self.L(self.A.basis_element(i)), m + 2)
+                self.A.coordinates(self.L(self.A.basis_element(i)), image)
                 for i in self.degree_indices(m)
             ]
-            L[m] = Matrix.from_cols(cols, rows=dims.get(m + 2, 0))
+            L[m] = Matrix.from_cols(cols, rows=len(image))
         return LefschetzStructure(self.n, dims, L, check=False)
 
     # -- primitive pieces
@@ -232,12 +226,8 @@ class PolarizedAlgebra:
         gammas = self.primitive_elements(a, b)
         betas = self.primitive_elements(b, a)
         w = self.omega_power(self.n - a - b)
-        rows = [
-            [self.integral_of(w * g * bb) for bb in betas] for g in gammas
-        ]
-        if not gammas:
-            return Matrix.zeros(0, len(betas))
-        return Matrix.from_rows(rows)
+        rows = [[self.integral_of(w * g * bb) for bb in betas] for g in gammas]
+        return Matrix.from_rows(rows, cols=len(betas))
 
 
 def verify_hard_lefschetz(pa: PolarizedAlgebra) -> tuple[bool, int | None]:
@@ -253,10 +243,7 @@ def primitive_subspaces(pa: PolarizedAlgebra) -> dict[tuple[int, int], Subspace]
     sum_j dim L^j H0^{m-2j} = b_m for every m.
     """
     n = pa.n
-    out = {}
-    for (p, q) in sorted(pa.A.cells):
-        if p + q <= n:
-            out[(p, q)] = pa.primitive_cell(p, q)
+    out = {(p, q): pa.primitive_cell(p, q) for (p, q) in sorted(pa.A.cells) if p + q <= n}
     for m in range(0, n + 1):
         got = sum(sub.dim for (p, q), sub in out.items() if p + q == m)
         want = pa.betti(m) - pa.betti(m - 2)
@@ -265,12 +252,12 @@ def primitive_subspaces(pa: PolarizedAlgebra) -> dict[tuple[int, int], Subspace]
                 f"primitive dimension bookkeeping fails in degree {m}: {got} != {want}"
             )
     for m in range(0, 2 * n + 1):
-        total = 0
-        j = 0
-        while m - 2 * j >= 0:
-            if m - 2 * j <= n and n - (m - 2 * j) >= j:
-                total += pa.primitive_degree_dim(m - 2 * j)
-            j += 1
+        # L^j H0^{m-2j} is nonzero only while m - 2j <= n and j <= n - (m - 2j)
+        total = sum(
+            pa.primitive_degree_dim(m - 2 * j)
+            for j in range(m // 2 + 1)
+            if m - 2 * j <= n and n - (m - 2 * j) >= j
+        )
         if total != pa.betti(m):
             raise EngineError(
                 f"Lefschetz decomposition fails in degree {m}: {total} != {pa.betti(m)}"
@@ -279,7 +266,7 @@ def primitive_subspaces(pa: PolarizedAlgebra) -> dict[tuple[int, int], Subspace]
 
 
 def _commutator_violation(pa: PolarizedAlgebra, d: Derivation) -> str | None:
-    """First basis element where d(omega*x) != omega*d(x) + d(omega)*x fails to vanish as [d,L]."""
+    """First basis element x with d(omega*x) != omega*d(x), else None."""
     for i in range(pa.A.dim()):
         x = pa.A.basis_element(i)
         if not (d.apply(pa.L(x)) - pa.L(d.apply(x))).is_zero():
@@ -287,24 +274,27 @@ def _commutator_violation(pa: PolarizedAlgebra, d: Derivation) -> str | None:
     return None
 
 
-def split_differential(
-    pa: PolarizedAlgebra, d: Derivation
-) -> dict[tuple[int, int], tuple[list[Element], list[Element]]]:
+def split_differential(pa: PolarizedAlgebra, d: Derivation) -> Split:
     """Decompose d on each primitive cell as d = d0 + L d'.
 
     For alpha primitive in (p, q) with shift (A, B) = d.bidegree, d(alpha)
     must lie in H0^{p+A,q+B} + omega*H0^{p+A-1,q+B-1}; returns per cell the
-    lists (d0(alpha_t), d'(alpha_t)) over the primitive basis. Requires
-    [d, L_omega] = 0; containment failure raises with a witness.
+    lists (d0(alpha_t), d'(alpha_t)) over the primitive basis. Requires d to
+    commute with L_omega; containment failure raises with a witness.
     """
     bad = _commutator_violation(pa, d)
     if bad is not None:
         raise InvariantError(
             "d does not commute with the Lefschetz operator", witness=bad
         )
+    return _primitive_split(pa, d)
+
+
+def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
+    """split_differential for a d already known to commute with L_omega."""
     A, B = d.bidegree
     n = pa.n
-    out: dict[tuple[int, int], tuple[list[Element], list[Element]]] = {}
+    out: Split = {}
     for (p, q) in sorted(pa.A.cells):
         if p + q > n:
             continue
@@ -327,14 +317,8 @@ def split_differential(
                     "d(alpha) escapes the primitive-plus-L-primitive kernel",
                     witness=str(alpha),
                 )
-            d0 = pa.A.zero()
-            for c, g in zip(x[: len(prim_t)], prim_t):
-                d0 = d0 + g.scaled(c)
-            d1 = pa.A.zero()
-            for c, g in zip(x[len(prim_t):], prim_s):
-                d1 = d1 + g.scaled(c)
-            d0s.append(d0)
-            d1s.append(d1)
+            d0s.append(sum((g.scaled(c) for c, g in zip(x, prim_t)), pa.A.zero()))
+            d1s.append(sum((g.scaled(c) for c, g in zip(x[len(prim_t):], prim_s)), pa.A.zero()))
         out[(p, q)] = (d0s, d1s)
     return out
 
@@ -367,9 +351,8 @@ def deligne_vanishing(pa: PolarizedAlgebra, k: int = -1) -> int:
                 for s in range(dims.get(m + 2, 0)):
                     coeff = lm.entries[s][c]
                     if coeff != 0:
-                        row[unknown_id[(m + 2, r, s)]] = (
-                            row.get(unknown_id[(m + 2, r, s)], Q0) + coeff
-                        )
+                        key = unknown_id[(m + 2, r, s)]
+                        row[key] = row.get(key, Q0) + coeff
                 # -(L_{m+k} f_m)[r,c]
                 for i in range(dims.get(m + k, 0)):
                     coeff = lmk.entries[r][i]
@@ -447,17 +430,22 @@ def _element_witness(x: Element) -> dict:
     return {x.alg.basis[i][0]: scalar_str(c) for i, c in sorted(x.coeffs.items())}
 
 
+# what a passing step adds to its statement
+_CONCLUSIONS = {"twisted-pairing-induction": ", forcing d = 0 on primitives"}
+
+
 def degeneration_certify(
     pa: PolarizedAlgebra, d: Derivation, require_square_zero: bool = False
 ) -> Certificate:
     """Replay the Lefschetz-induction degeneration argument, step by step.
 
-    Steps, stopping at the first failure with a witness:
-      square-zero (optional): d o d = 0;
-      omega-killed: d(omega) = 0;
-      lefschetz-commutes: [d, L_omega] = 0;
+    Runs the table of steps below in order; each check returns a witness on
+    failure, and the certificate stops at the first failing step:
+      square-zero (only with require_square_zero): d o d = 0;
+      omega-killed: d kills omega;
+      lefschetz-commutes: d commutes with L_omega = omega * (-);
       primitive-containment: d(H0^{p,q}) inside H0 + L*H0 of the target;
-      primitive-component-only: the L-component d' vanishes on every primitive cell;
+      primitive-component-only: d = d0 + L d' with d' = 0 on every primitive cell;
       middle-degree-vanishing: d = 0 in total degree n;
       twisted-pairing-induction: downward from degree n-1, pairing d(alpha)
         against complementary primitives integrates to zero, forcing d(alpha) = 0;
@@ -473,122 +461,88 @@ def degeneration_certify(
         raise InvariantError(
             f"certifier expects a bidegree of the form (r, 1-r) with r >= 2, got {d.bidegree}"
         )
-    cert = Certificate()
     n = pa.n
+    split: Split = {}
 
-    def fail(step: CertStep) -> Certificate:
-        cert.steps.append(step)
-        cert.verdict = f"failed({step.step_id})"
-        cert.failed_step = step.step_id
-        return cert
+    def containment():
+        # the lefschetz-commutes step has already checked the commutator
+        try:
+            split.update(_primitive_split(pa, d))
+        except ContainmentError as exc:
+            return exc.witness
+        return None
 
-    if require_square_zero:
-        sq, witness = d.squares_to_zero()
-        step = CertStep("square-zero", "d composed with itself vanishes", sq,
-                        None if sq else witness)
-        if not sq:
-            return fail(step)
-        cert.steps.append(step)
+    def component_only():
+        for (p, q) in sorted(split):
+            for alpha, d1 in zip(pa.primitive_elements(p, q), split[(p, q)][1]):
+                if not d1.is_zero():
+                    return {"alpha": _element_witness(alpha), "d_prime": _element_witness(d1)}
+        return None
 
-    domega = d.apply(pa.omega)
-    step = CertStep("omega-killed", "d(omega) = 0", domega.is_zero(),
-                    None if domega.is_zero() else _element_witness(domega))
-    if not step.passed:
-        return fail(step)
-    cert.steps.append(step)
+    def nonzero_image(indices):
+        for i in indices:
+            if not d.values[i].is_zero():
+                return {"x": pa.A.basis[i][0], "d(x)": _element_witness(d.values[i])}
+        return None
 
-    bad = _commutator_violation(pa, d)
-    step = CertStep("lefschetz-commutes", "[d, L_omega] = 0", bad is None, bad)
-    if not step.passed:
-        return fail(step)
-    cert.steps.append(step)
-
-    try:
-        split = split_differential(pa, d)
-    except ContainmentError as exc:
-        return fail(CertStep(
-            "primitive-containment",
-            "d maps primitives into primitive + L*primitive",
-            False,
-            exc.witness,
-        ))
-    cert.steps.append(CertStep(
-        "primitive-containment",
-        "d maps primitives into primitive + L*primitive",
-        True,
-    ))
-
-    for (p, q) in sorted(split):
-        prim = pa.primitive_elements(p, q)
-        _, d1s = split[(p, q)]
-        for alpha, d1 in zip(prim, d1s):
-            if not d1.is_zero():
-                return fail(CertStep(
-                    "primitive-component-only",
-                    "the L-component d' vanishes on every primitive cell",
-                    False,
-                    {"alpha": _element_witness(alpha), "d_prime": _element_witness(d1)},
-                ))
-    cert.steps.append(CertStep(
-        "primitive-component-only",
-        "the L-component d' vanishes on every primitive cell",
-        True,
-    ))
-
-    for i in pa.A.degree_indices(n):
-        if not d.values[i].is_zero():
-            return fail(CertStep(
-                "middle-degree-vanishing",
-                "d vanishes in total degree n",
-                False,
-                {"x": pa.A.basis[i][0], "d(x)": _element_witness(d.values[i])},
-            ))
-    cert.steps.append(CertStep(
-        "middle-degree-vanishing", "d vanishes in total degree n", True
-    ))
-
-    for k in range(n - 1, -1, -1):
-        for (p, q) in sorted(pa.A.cells):
-            if p + q != k:
-                continue
-            prim = pa.primitive_elements(p, q)
-            if not prim:
-                continue
-            tp, tq = p + A, q + B
-            betas = pa.primitive_elements(tq, tp)
+    def twisted_pairings():
+        for k in range(n - 1, -1, -1):
             w = pa.omega_power(n - k - 1)
-            for alpha in prim:
-                dalpha = d.apply(alpha)
-                for beta in betas:
-                    val = pa.integral_of(w * dalpha * beta)
-                    if val != 0:
-                        return fail(CertStep(
-                            "twisted-pairing-induction",
-                            "twisted pairings of d(alpha) against primitives vanish",
-                            False,
-                            {
+            for (p, q) in sorted(pa.A.cells):
+                if p + q != k:
+                    continue
+                prim = pa.primitive_elements(p, q)
+                if not prim:
+                    continue
+                betas = pa.primitive_elements(q + B, p + A)
+                for alpha in prim:
+                    dalpha = d.apply(alpha)
+                    for beta in betas:
+                        val = pa.integral_of(w * dalpha * beta)
+                        if val != 0:
+                            return {
                                 "alpha": _element_witness(alpha),
                                 "beta": _element_witness(beta),
                                 "pairing": scalar_str(val),
-                            },
-                        ))
-                if not dalpha.is_zero():
-                    raise EngineError(
-                        "twisted pairing vanished but d(alpha) != 0 despite validated non-degeneracy"
-                    )
-    cert.steps.append(CertStep(
-        "twisted-pairing-induction",
-        "twisted pairings of d(alpha) against primitives vanish, forcing d = 0 on primitives",
-        True,
-    ))
+                            }
+                    if not dalpha.is_zero():
+                        raise EngineError(
+                            "twisted pairing vanished but d(alpha) != 0 despite validated non-degeneracy"
+                        )
+        return None
 
-    for i in range(pa.A.dim()):
-        if not d.values[i].is_zero():
-            return fail(CertStep(
-                "zero-map",
-                "d is the zero map",
-                False,
-                {"x": pa.A.basis[i][0], "d(x)": _element_witness(d.values[i])},
-            ))
-    cert.steps.append(CertStep("zero-map", "d is the zero map", True))
+    steps = [
+        ("square-zero", "d composed with itself vanishes", lambda: d.squares_to_zero()[1]),
+        # the witness of a zero element is empty
+        ("omega-killed", "d(omega) = 0", lambda: _element_witness(d.apply(pa.omega)) or None),
+        ("lefschetz-commutes", "[d, L_omega] = 0", lambda: _commutator_violation(pa, d)),
+        ("primitive-containment", "d maps primitives into primitive + L*primitive", containment),
+        (
+            "primitive-component-only",
+            "the L-component d' vanishes on every primitive cell",
+            component_only,
+        ),
+        (
+            "middle-degree-vanishing",
+            "d vanishes in total degree n",
+            lambda: nonzero_image(pa.A.degree_indices(n)),
+        ),
+        (
+            "twisted-pairing-induction",
+            "twisted pairings of d(alpha) against primitives vanish",
+            twisted_pairings,
+        ),
+        ("zero-map", "d is the zero map", lambda: nonzero_image(range(pa.A.dim()))),
+    ]
+    cert = Certificate()
+    for step_id, statement, check in steps if require_square_zero else steps[1:]:
+        witness = check()
+        passed = witness is None
+        if passed:
+            statement += _CONCLUSIONS.get(step_id, "")
+        cert.steps.append(CertStep(step_id, statement, passed, witness))
+        if not passed:
+            cert.verdict = f"failed({step_id})"
+            cert.failed_step = step_id
+            break
     return cert

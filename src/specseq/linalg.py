@@ -241,12 +241,13 @@ class Matrix:
     def from_json(data, rows: int | None = None, cols: int | None = None) -> "Matrix":
         if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
             raise ParseError("matrix must be a list of rows")
-        m = Matrix.from_rows(data, cols=cols)
-        if rows is not None and m.rows != rows:
-            raise ParseError(f"expected {rows} rows, found {m.rows}")
-        if cols is not None and m.cols != cols:
-            raise ParseError(f"expected {cols} columns, found {m.cols}")
-        return m
+        if rows is not None and len(data) != rows:
+            raise ParseError(f"expected {rows} rows, found {len(data)}")
+        width = len(data[0]) if cols is None and data else cols
+        for r in data:
+            if len(r) != width:
+                raise ParseError(f"expected {width} columns, found {len(r)}")
+        return Matrix.from_rows(data, cols=cols)
 
 
 @dataclass(frozen=True)

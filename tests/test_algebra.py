@@ -362,3 +362,64 @@ def test_pairing_zero_tensors_always_valid(acyclic_fk):
     for (c1, c2) in ssp.support_pairs(2):
         for mat in ssp.pairing_at(2, c1, c2):
             assert mat.is_zero()
+
+
+def unit_products(dim):
+    """Structure constants of the unit law for a basis whose element 0 is the unit."""
+    out = {(0, i): {i: 1} for i in range(dim)}
+    out.update({(i, 0): {i: 1} for i in range(dim)})
+    return out
+
+
+class TestValidateRejects:
+    def test_unit_outside_cell_00(self):
+        basis = [("a", 0, 0), ("u", 1, 0)]
+        with pytest.raises(InvariantError, match=r"unit 'u' must sit in cell \(0, 0\)") as exc:
+            BigradedAlgebra(1, basis, 1, {})
+        assert exc.value.witness is None
+
+    def test_non_homogeneous_product(self):
+        basis = [("1", 0, 0), ("x", 0, 1), ("y", 1, 0)]
+        products = {**unit_products(3), (1, 1): {2: 1}}
+        with pytest.raises(InvariantError, match="not bidegree-homogeneous") as exc:
+            BigradedAlgebra(1, basis, 0, products)
+        assert exc.value.witness == ["x", "x", "y"]
+
+    def test_unit_law(self):
+        basis = [("1", 0, 0), ("x", 0, 1)]
+        with pytest.raises(InvariantError, match="unit law fails") as exc:
+            BigradedAlgebra(1, basis, 0, {(0, 0): {0: 1}})
+        assert exc.value.witness == "x"
+
+    def test_graded_commutativity(self):
+        # x and y are odd, so x*y = y*x breaks the Koszul sign
+        basis = [("1", 0, 0), ("x", 0, 1), ("y", 1, 0), ("xy", 1, 1)]
+        products = {**unit_products(4), (1, 2): {3: 1}, (2, 1): {3: 1}}
+        with pytest.raises(InvariantError, match="graded commutativity fails") as exc:
+            BigradedAlgebra(1, basis, 0, products)
+        assert exc.value.witness == ["x", "y"]
+
+    def test_associativity(self):
+        # (a a) e = b e = c but a (a e) = 0
+        basis = [("1", 0, 0), ("a", 1, 1), ("e", 1, 1), ("b", 2, 2), ("c", 3, 3)]
+        products = {**unit_products(5), (1, 1): {3: 1}, (3, 2): {4: 1}, (2, 3): {4: 1}}
+        with pytest.raises(InvariantError, match="associativity fails") as exc:
+            BigradedAlgebra(3, basis, 0, products)
+        assert exc.value.witness == ["a", "a", "e"]
+
+
+def test_derivation_images_are_private_and_read_only(torus2):
+    from specseq import degeneration_certify
+
+    alg = torus2.pa.A
+    xi1, eta12 = alg.index("xi1"), alg.index("eta1eta2")
+    values = [alg.zero()] * alg.dim()  # one Element aliased at every index
+    d = Derivation(alg, (2, -1), values)
+    assert d.leibniz_checked
+    with pytest.raises(TypeError):
+        d.values[xi1].coeffs[eta12] = Q1
+    assert len({id(v) for v in d.values}) == alg.dim()
+    # changing the caller's elements afterwards leaves the checked images alone
+    values[xi1].coeffs[eta12] = Q1
+    assert d.is_zero()
+    assert degeneration_certify(torus2.pa, d).certified()

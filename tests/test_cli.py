@@ -305,3 +305,36 @@ class TestFuzz:
         )
         assert code == 0
         assert sum(out["verdicts"].values()) == 4
+
+
+def square_complex(**patch):
+    """Two-term complex Q^2 -> Q^2 with a two-level filtration, keys replaced by patch."""
+    blob = {
+        "degrees": [0, 1],
+        "dims": {"0": 2, "1": 2},
+        "d": {"0": [["1", "0"], ["0", "1"]]},
+        "filtration": {"0": {"0": [["1", "0"], ["0", "1"]]}, "1": {"0": [], "1": []}},
+    }
+    blob.update(patch)
+    return blob
+
+
+@pytest.mark.parametrize(
+    "patch, location",
+    [
+        ({"d": {"0": [["1", "0"], ["0"]]}}, "d.0"),
+        ({"d": {"0": [["1", "0", "0"], ["0", "1", "0"]]}}, "d.0"),
+        ({"d": {"0": [["1", "0"]]}}, "d.0"),
+        ({"d": {"0": [["x/0", "0"], ["0", "1"]]}}, "d.0"),
+        ({"filtration": {"0": {"0": [["1", "0"], ["0"]]}, "1": {"0": []}}}, "filtration.0.0"),
+        ({"filtration": {"1": {"0": [["1"]]}, "2": {"0": []}}}, "filtration.1.0"),
+    ],
+    ids=["ragged", "columns", "rows", "literal", "filtration-ragged", "filtration-rows"],
+)
+def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(square_complex(**patch)))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out["error"] == "parse"
+    assert out["location"] == location

@@ -87,3 +87,20 @@ def test_unchecked_derivation_is_checked_by_the_certifier(monkeypatch, torus2):
     checks = count_calls(monkeypatch, Derivation, "leibniz_violations")
     assert degeneration_certify(torus2.pa, d).certified()
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize("datum", [{"images": {}}, {"images": {"xi1": {"eta1eta2": "1"}}}])
+def test_certify_checks_the_commutator_once(monkeypatch, torus2, datum):
+    import specseq.lefschetz as lz
+
+    d = d2_from_alpha(ObstructionDatum.from_json(torus2, datum))
+    checks = count_calls(monkeypatch, lz, "_commutator_violation")
+    cert = lz.degeneration_certify(torus2.pa, d)
+    # both certificates get past primitive-containment, which splits d
+    assert [s.step_id for s in cert.steps][:3] == [
+        "omega-killed", "lefschetz-commutes", "primitive-containment"
+    ]
+    assert len(checks) == 1
+    # the public split still checks [d, L_omega] on its own
+    lz.split_differential(torus2.pa, d)
+    assert len(checks) == 2

@@ -1,8 +1,15 @@
-"""CLI stdout is byte-identical to digests recorded at commit 00a016d."""
+"""CLI stdout and certificate JSON are byte-identical to recorded digests.
+
+The compute and fuzz digests were recorded at commit 00a016d, the certificate
+and d2 digests at commit 01b8d75.
+"""
 
 import hashlib
 import json
 
+import pytest
+
+from specseq import Derivation, ObstructionDatum, d2_from_alpha, degeneration_certify
 from specseq.cli import main
 
 from conftest import acyclic_two_term
@@ -10,12 +17,23 @@ from conftest import acyclic_two_term
 GOLDEN = {
     "compute-with-maps-acyclic": "2da02396eda004c9c80a3e9176dc98fef82b11f74c5bda635ce1ba3ee8edcd4f",
     "fuzz-20-seed-0": "1baf095a06887c61e0b638e5d9b0ee8db134b7bdcd6b91828392b86254db9ae3",
+    "certify-zero-torus2": "fc55d8c145f1d57b3fd78dcd01ce3c911aedf10f8275fcc5332dea2703750d07",
+    "certify-xi1-torus2": "19198d287cb75b20e2317348f62fee5402054bee39c65f34ba5c81c0d11824c9",
+    "certify-xi1-torus2-square-zero": "e060a3f88e749a816fecb197543fcfdbf045fbe8760744577da8e2ac77326c39",
+    "certify-xi1-torus3": "64c4a742476f7e9325d6255806a4bc4ad8618f1e58edc8ec3bbb4425a98eda10",
+    "d2-xi1-torus2": "4cb1d7f9c65d903661b5780582bf21ef2092dc8d204546b7e5325189109796c5",
+    "certificate-twisted-pairing-torus2": "1bfde01879e527d1f4399d8aa40443f70ab3c0c18fc50bdf133dd8e18a72a72c",
 }
 
 
-def stdout_digest(capsys, argv) -> str:
-    assert main(argv) == 0
+def stdout_digest(capsys, argv, code=0) -> str:
+    assert main(argv) == code
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def write_json(path, blob) -> str:
+    path.write_text(json.dumps(blob))
+    return str(path)
 
 
 def test_compute_with_maps_on_the_acyclic_fixture(capsys, tmp_path):
@@ -28,3 +46,54 @@ def test_compute_with_maps_on_the_acyclic_fixture(capsys, tmp_path):
 def test_fuzz_20_cases_seed_0(capsys):
     argv = ["fuzz", "--cases", "20", "--seed", "0"]
     assert stdout_digest(capsys, argv) == GOLDEN["fuzz-20-seed-0"]
+
+
+XI1_TORUS2 = {"images": {"xi1": {"eta1eta2": "1"}}}
+XI1_TORUS3 = {"images": {"xi1": {"eta2eta3": "1"}}}
+
+
+@pytest.mark.parametrize(
+    "key, model, datum, flags, code",
+    [
+        # every step passes
+        ("certify-zero-torus2", "torus2", {"images": {}}, [], 0),
+        ("certify-xi1-torus2", "torus2", XI1_TORUS2, [], 2),
+        ("certify-xi1-torus2-square-zero", "torus2", XI1_TORUS2, ["--require-square-zero"], 2),
+        # fails at omega-killed
+        ("certify-xi1-torus3", "torus3", XI1_TORUS3, [], 2),
+    ],
+)
+def test_certify_stdout(request, capsys, tmp_path, key, model, datum, flags, code):
+    model = request.getfixturevalue(model)
+    d = d2_from_alpha(ObstructionDatum.from_json(model, datum))
+    argv = [
+        "certify",
+        "--algebra", write_json(tmp_path / "model.json", model.to_json()),
+        "--derivation", write_json(tmp_path / "d.json", d.to_json()),
+    ] + flags
+    assert stdout_digest(capsys, argv, code) == GOLDEN[key]
+
+
+def test_d2_stdout(capsys, tmp_path, torus2):
+    argv = [
+        "d2",
+        "--model", write_json(tmp_path / "model.json", torus2.to_json()),
+        "--alpha", write_json(tmp_path / "alpha.json", XI1_TORUS2),
+        "--scale", "2/3",
+    ]
+    assert stdout_digest(capsys, argv) == GOLDEN["d2-xi1-torus2"]
+
+
+def test_twisted_pairing_failure_certificate(torus2):
+    # xi1 -> eta1eta2 and zero elsewhere is not Leibniz; marking it checked
+    # lets every step before twisted-pairing-induction pass
+    alg = torus2.pa.A
+    values = [alg.zero() for _ in range(alg.dim())]
+    values[alg.index("xi1")] = alg.el("eta1") * alg.el("eta2")
+    d = Derivation(alg, (2, -1), values, check=False)
+    d.leibniz_checked = True
+    cert = degeneration_certify(torus2.pa, d)
+    assert cert.failed_step == "twisted-pairing-induction"
+    blob = json.dumps(cert.to_json(), sort_keys=True, indent=2)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == GOLDEN["certificate-twisted-pairing-torus2"]
