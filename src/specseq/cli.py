@@ -255,8 +255,10 @@ def cmd_fuzz(cfg: RunConfig) -> int:
     if kind not in ("all", "complexes", "derivations"):
         raise ParseError(f"unknown fuzz kind {kind!r}", location="kind")
     jobs = [(cfg.seed, i, kind) for i in range(cfg.cases)]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    # the pool starts all its workers up front, so never ask for more than can run
+    workers = min(cfg.threads, cfg.cases, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_case, jobs))
     else:
         results = [_fuzz_case(j) for j in jobs]

@@ -141,6 +141,8 @@ class CochainComplex:
                 n = int(k)
             except ValueError as exc:
                 raise ParseError(f"bad degree key {k!r}", location="d") from exc
+            if not lo <= n < hi:
+                raise ParseError(f"degree outside [{lo}, {hi})", location=f"d.{k}")
             d[n] = _matrix_at(f"d.{k}", matdata, dims.get(n + 1, 0), dims.get(n, 0))
         return CochainComplex(lo, hi, dims, d)
 
@@ -349,11 +351,14 @@ class FilteredComplex:
                     n = int(nk)
                 except ValueError as exc:
                     raise ParseError(f"bad degree key {nk!r}", location="filtration") from exc
+                where = f"filtration.{pk}.{nk}"
+                if not cx.lo <= n <= cx.hi:
+                    raise ParseError(f"degree outside [{cx.lo}, {cx.hi}]", location=where)
                 amb = cx.dim(n)
                 if basis == []:
                     levels[p][n] = Subspace.zero(amb)
                     continue
-                mat = _matrix_at(f"filtration.{pk}.{nk}", basis, amb)
+                mat = _matrix_at(where, basis, amb)
                 levels[p][n] = Subspace.span(amb, mat.column_vectors())
         filtration = Filtration.from_sparse(cx, levels)
         return FilteredComplex(cx, filtration)

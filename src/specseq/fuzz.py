@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .filtered import CochainComplex, FilteredComplex, Filtration
-from .linalg import Matrix, Q0, Q1, Subspace, scalar, vec
+from .linalg import Matrix, Q0, Q1, Subspace, scalar
 
 
 def _random_invertible(rng: random.Random, n: int, ops: int = 3) -> Matrix:
@@ -96,7 +96,7 @@ def random_filtered_complex(
     inv = {}
     for n, m in base_change.items():
         cols = m.solve_many(Matrix.identity(m.rows).column_vectors())
-        inv[n] = Matrix.from_cols([vec(c) for c in cols], rows=m.rows)
+        inv[n] = Matrix.from_cols(cols, rows=m.rows)
     d_new = {n: base_change[n + 1] @ cx_split.d[n] @ inv[n] for n in range(lo, hi)}
     cx = CochainComplex(lo, hi, dims, d_new)
 
@@ -139,8 +139,7 @@ def _omega_constraint(model) -> tuple:
         d = d2_from_alpha(od)
         cols.append(alg.cell_vector(d.apply(model.pa.omega), tgt_p, tgt_q))
     system = Matrix.from_cols(cols, rows=alg.cell_dim(tgt_p, tgt_q))
-    null = [vec(v) for v in system.nullspace()]
-    out = (unknowns, null)
+    out = (unknowns, system.nullspace())
     _CONSTRAINT_CACHE[model.name] = out
     return out
 

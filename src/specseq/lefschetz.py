@@ -20,11 +20,11 @@ from .linalg import (
     Matrix,
     Q0,
     Subspace,
+    kernel,
     pairing_rank,
     scalar,
     scalar_str,
     sparse_rank,
-    vec,
 )
 
 # per primitive cell (p, q), the lists (d0(alpha_t), d'(alpha_t)) of d = d0 + L d'
@@ -160,8 +160,7 @@ class PolarizedAlgebra:
                 x = self.L(x)
             cols.append(self.A.cell_vector(x, p + i, q + i))
         mat = Matrix.from_cols(cols, rows=self.A.cell_dim(p + i, q + i))
-        rows = [vec(v) for v in mat.nullspace()]
-        out = Subspace.span(self.A.cell_dim(p, q), rows)
+        out = kernel(mat)
         self._prim_cache[key] = out
         return out
 

@@ -51,20 +51,17 @@ def vzero(n: int) -> Vector:
     return (Q0,) * n
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def vis_zero(u: Vector) -> bool:
     return all(a == 0 for a in u)
 
 
 def _echelon(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce rows in place to reduced row echelon form; return pivot columns."""
+    """Reduce rows in place to reduced row echelon form; return pivot columns.
+
+    The package's one pivoting loop. Each pivot row is normalised and
+    subtracted through its nonzero entries only, which leaves the (unique)
+    reduced form as it was and skips the zeros of sparse rows.
+    """
     pivots: list[int] = []
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -74,20 +71,24 @@ def _echelon(rows: list[list[Fraction]]) -> list[int]:
             break
         piv = None
         for i in range(r, m):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
         pr = rows[r]
+        lead = pr[c]
+        nz = [j for j in range(c, n) if pr[j]]
+        if lead != 1:
+            for j in nz:
+                pr[j] /= lead
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] -= f * pr[j]
         pivots.append(c)
         r += 1
     return pivots
@@ -281,10 +282,8 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        rows = tuple(
-            tuple(Q1 if i == j else Q0 for j in range(ambient_dim)) for i in range(ambient_dim)
-        )
-        return Subspace(ambient_dim, rows, tuple(range(ambient_dim)))
+        identity = Matrix.identity(ambient_dim).entries
+        return Subspace(ambient_dim, identity, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -339,19 +338,10 @@ class Subspace:
             return other
         if other.is_full():
             return self
-        stacked = Matrix.from_cols(
-            list(self.basis_rows) + [vscale(Fraction(-1), r) for r in other.basis_rows],
-            rows=self.ambient_dim,
-        )
-        vecs = []
-        for nv in stacked.nullspace():
-            coeffs = nv[: self.dim]
-            w = vzero(self.ambient_dim)
-            for c, row in zip(coeffs, self.basis_rows):
-                if c != 0:
-                    w = vadd(w, vscale(c, row))
-            vecs.append(w)
-        return Subspace.span(self.ambient_dim, vecs)
+        pad = [Q0] * self.ambient_dim
+        rows = [list(u) + list(u) for u in self.basis_rows]
+        rows += [list(v) + pad for v in other.basis_rows]
+        return _zassenhaus(rows, self.ambient_dim, self.ambient_dim)
 
     def to_json(self) -> list[list[str]]:
         return self.basis().to_json()
@@ -375,10 +365,26 @@ def preimage(f: Matrix, target: Subspace) -> Subspace:
         raise InvariantError("preimage target lives in the wrong ambient space")
     if target.is_full():
         return Subspace.full(f.cols)
-    cols = f.column_vectors() + [vscale(Fraction(-1), r) for r in target.basis_rows]
-    stacked = Matrix.from_cols(cols, rows=f.rows)
-    vecs = [nv[: f.cols] for nv in stacked.nullspace()]
-    return Subspace.span(f.cols, vecs)
+    unit = Matrix.identity(f.cols).entries
+    rows = [list(col) + list(e) for col, e in zip(f.column_vectors(), unit)]
+    rows += [list(t) + [Q0] * f.cols for t in target.basis_rows]
+    return _zassenhaus(rows, f.rows, f.cols)
+
+
+def _zassenhaus(rows: list[list[Fraction]], split: int, ambient_dim: int) -> Subspace:
+    """{x : (0, x) in the row span}, for rows of length split + ambient_dim.
+
+    This is the Zassenhaus construction: the reduced echelon rows whose
+    pivots lie past split have a zero left block, and their right blocks are
+    already the canonical basis of that subspace.
+    """
+    pivots = _echelon(rows)
+    low = [k for k, c in enumerate(pivots) if c >= split]
+    return Subspace(
+        ambient_dim,
+        tuple(tuple(rows[k][split:]) for k in low),
+        tuple(pivots[k] - split for k in low),
+    )
 
 
 @dataclass(frozen=True)
@@ -465,11 +471,13 @@ class Subquotient:
         cs = vec(coords)
         if len(cs) != self.dim:
             raise InvariantError("coset coordinates have wrong length")
-        out = vzero(self.ambient_dim)
+        out = [Q0] * self.ambient_dim
         for c, row in zip(cs, self.complement):
-            if c != 0:
-                out = vadd(out, vscale(c, row))
-        return out
+            if c:
+                for i, a in enumerate(row):
+                    if a:
+                        out[i] += c * a
+        return tuple(out)
 
 
 def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
@@ -506,29 +514,11 @@ def pairing_rank(gram: Matrix) -> tuple[int, bool]:
 
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     """Rank of a sparse system given as {column: coefficient} rows."""
-    live = [dict(r) for r in rows if r]
-    rank = 0
-    while live:
-        best = min(range(len(live)), key=lambda i: (len(live[i]), min(live[i])))
-        row = live.pop(best)
-        col = min(row)
-        inv = row[col]
-        row = {c: a / inv for c, a in row.items()}
-        nxt = []
-        for other in live:
-            c = other.get(col)
-            if c:
-                merged = dict(other)
-                for k, a in row.items():
-                    val = merged.get(k, Q0) - c * a
-                    if val == 0:
-                        merged.pop(k, None)
-                    else:
-                        merged[k] = val
-                if merged:
-                    nxt.append(merged)
-            else:
-                nxt.append(other)
-        live = nxt
-        rank += 1
-    return rank
+    where = {c: j for j, c in enumerate(sorted({c for r in rows for c in r}))}
+    dense = []
+    for r in rows:
+        row = [Q0] * len(where)
+        for c, a in r.items():
+            row[where[c]] = a
+        dense.append(row)
+    return len(_echelon(dense))

@@ -294,6 +294,42 @@ class TestFuzz:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "threads, cases, cpus, workers",
+        [(64, 2, 8, 2), (64, 6, 3, 3), (3, 6, 8, 3), (64, 1, 8, None), (4, 6, None, None)],
+    )
+    def test_pool_never_outgrows_the_cases_or_cpus(
+        self, capsys, monkeypatch, threads, cases, cpus, workers
+    ):
+        import os
+
+        import specseq.cli as cli
+
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        argv = ["fuzz", "--cases", str(cases), "--seed", "2", "--kind", "complexes"]
+        code1, out1 = run_cli(capsys, argv)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("SS_THREADS", str(threads))
+        code2, out2 = run_cli(capsys, argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert made == ([] if workers is None else [workers])
+
     def test_kind_filters(self, capsys):
         code, out = run_json(
             capsys, ["fuzz", "--cases", "4", "--seed", "5", "--kind", "complexes"]
@@ -328,8 +364,16 @@ def square_complex(**patch):
         ({"d": {"0": [["x/0", "0"], ["0", "1"]]}}, "d.0"),
         ({"filtration": {"0": {"0": [["1", "0"], ["0"]]}, "1": {"0": []}}}, "filtration.0.0"),
         ({"filtration": {"1": {"0": [["1"]]}, "2": {"0": []}}}, "filtration.1.0"),
+        ({"d": {"5": [["1"]]}}, "d.5"),
+        ({"d": {"-3": []}}, "d.-3"),
+        ({"d": {"1": []}}, "d.1"),
+        ({"filtration": {"0": {"4": [["1"]]}, "1": {"0": []}}}, "filtration.0.4"),
+        ({"filtration": {"0": {"-1": []}, "1": {"0": []}}}, "filtration.0.-1"),
     ],
-    ids=["ragged", "columns", "rows", "literal", "filtration-ragged", "filtration-rows"],
+    ids=[
+        "ragged", "columns", "rows", "literal", "filtration-ragged", "filtration-rows",
+        "d-above", "d-below", "d-top", "filtration-above", "filtration-below",
+    ],
 )
 def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location):
     path = tmp_path / "complex.json"
@@ -338,3 +382,19 @@ def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location):
     assert code == 3
     assert out["error"] == "parse"
     assert out["location"] == location
+
+
+@pytest.mark.parametrize(
+    "patch, range_text",
+    [
+        ({"d": {"5": [["1"]]}}, "[0, 1)"),
+        ({"filtration": {"0": {"4": [["1"]]}, "1": {"0": []}}}, "[0, 1]"),
+    ],
+)
+def test_degree_outside_the_complex_names_the_range(capsys, tmp_path, patch, range_text):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(square_complex(**patch)))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert range_text in out["message"]
+    assert "rows" not in out["message"]

@@ -1,7 +1,8 @@
 """Each object is computed once: one spectral sequence per filtered complex,
-one Leibniz check per derivation."""
+one Leibniz check per derivation, one elimination per subspace operation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -104,3 +105,21 @@ def test_certify_checks_the_commutator_once(monkeypatch, torus2, datum):
     # the public split still checks [d, L_omega] on its own
     lz.split_differential(torus2.pa, d)
     assert len(checks) == 2
+
+
+def test_each_subspace_operation_reduces_once(monkeypatch):
+    import specseq.linalg as la
+    from specseq import Matrix, Subspace
+
+    u = Subspace.span(3, [la.vec([1, 0, 0]), la.vec([0, 1, 1])])
+    v = Subspace.span(3, [la.vec([1, 1, 1]), la.vec([0, 0, 1])])
+    target = Subspace.span(2, [la.vec([1, 1])])
+    f = Matrix.from_rows([[1, 0, 2], [0, 1, 0]])
+    eqs = [{0: Fraction(1), 4: Fraction(-1)}, {}, {4: Fraction(2), 9: Fraction(1)}]
+    calls = count_calls(monkeypatch, la, "_echelon")
+    meet = u.intersect(v)
+    assert len(calls) == 1 and meet.dim == 1
+    pre = la.preimage(f, target)
+    assert len(calls) == 2 and pre.dim == 2
+    assert la.sparse_rank(eqs) == 2
+    assert len(calls) == 3

@@ -12,10 +12,11 @@ from oracles import (
     naive_rank,
     naive_rref,
     naive_solve,
+    preimage_basis,
     spans_equal,
 )
 from specseq import InvariantError, Matrix, Subquotient, Subspace, pairing_rank
-from specseq.linalg import induced_map, kernel, image, preimage, vec
+from specseq.linalg import induced_map, kernel, image, preimage, sparse_rank, vec
 
 entries = st.integers(min_value=-6, max_value=6).map(Fraction)
 
@@ -169,3 +170,47 @@ def test_pairing_rank_symplectic_and_degenerate():
 def test_matrix_json_round_trip():
     m = Matrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
     assert Matrix.from_json(m.to_json()) == m
+
+
+def meet_spanning_set(u, v, ncols: int) -> list[list[Fraction]]:
+    """Spanning set of span(u) & span(v): sum c_i u_i over the kernel of [u^T | -v^T]."""
+    block = [[Fraction(x[i]) for x in u] + [-Fraction(y[i]) for y in v] for i in range(ncols)]
+    return [
+        [sum((c * Fraction(x[i]) for c, x in zip(kv, u)), Fraction(0)) for i in range(ncols)]
+        for kv in naive_nullspace(block, len(u) + len(v))
+    ]
+
+
+@given(
+    u=st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=4),
+    v=st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_intersection_basis_matches_oracle(u, v):
+    meet = Subspace.span(4, [vec(x) for x in u]).intersect(Subspace.span(4, [vec(x) for x in v]))
+    assert [list(r) for r in meet.basis_rows] == naive_rref(meet_spanning_set(u, v, 4))
+
+
+@given(
+    rows=matrices(max_rows=4, max_cols=5),
+    target=st.lists(st.lists(entries, min_size=4, max_size=4), min_size=0, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_preimage_basis_matches_oracle(rows, target):
+    f = Matrix.from_rows(rows)
+    target = [t[: f.rows] for t in target]
+    pre = preimage(f, Subspace.span(f.rows, [vec(t) for t in target]))
+    assert [list(r) for r in pre.basis_rows] == naive_rref(preimage_basis(rows, target, f.cols))
+
+
+@given(
+    rows=st.lists(
+        st.dictionaries(st.sampled_from([0, 2, 3, 7, 11, 40]), entries, max_size=4),
+        max_size=6,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_matches_oracle(rows):
+    cols = [0, 2, 3, 7, 11, 40]
+    dense = [[r.get(c, Fraction(0)) for c in cols] for r in rows]
+    assert sparse_rank(rows) == naive_rank(dense)
