@@ -218,7 +218,26 @@ class BigradedAlgebra:
 
     # -- validation
 
+    def _factor_index(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """(right, left): right[a] lists the b and left[b] the a with (a, b) in products."""
+        right: dict[int, list[int]] = {}
+        left: dict[int, list[int]] = {}
+        for (a, b) in self.products:
+            right.setdefault(a, []).append(b)
+            left.setdefault(b, []).append(a)
+        return right, left
+
     def validate(self):
+        """Check homogeneity, the unit law, graded commutativity, associativity.
+
+        Works on the structure constants alone and visits only the cases
+        whose products can be nonzero: commutativity on the pairs in
+        products and their transposes, associativity on the triples (i, j, k)
+        with some l in e_i e_j and (l, k) in products, or some m in e_j e_k
+        and (i, m) in products. Both sides vanish on every other pair and
+        triple, so the first failure, read in lexicographic order, and its
+        witness are those of the check over all of them.
+        """
         un, up, uq = self.basis[self.unit]
         if (up, uq) != (0, 0):
             raise InvariantError(f"unit {un!r} must sit in cell (0, 0)")
@@ -232,43 +251,34 @@ class BigradedAlgebra:
                         "product is not bidegree-homogeneous",
                         witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
                     )
-        dim = self.dim()
-        for i in range(dim):
-            e = self.basis_element(i)
-            if self.one() * e != e or e * self.one() != e:
+        prods = self.products
+        for i in range(self.dim()):
+            if prods.get((self.unit, i)) != {i: 1} or prods.get((i, self.unit)) != {i: 1}:
                 raise InvariantError("unit law fails", witness=self.basis[i][0])
-        for i in range(dim):
-            for j in range(dim):
-                sign = -1 if (self.total_degree_of(i) * self.total_degree_of(j)) % 2 else 1
-                lhs = self.basis_element(i) * self.basis_element(j)
-                rhs = self.basis_element(j) * self.basis_element(i)
-                if lhs != rhs.scaled(sign):
-                    raise InvariantError(
-                        "graded commutativity fails",
-                        witness=[self.basis[i][0], self.basis[j][0]],
-                    )
-        for i in range(dim):
-            ei = self.basis_element(i)
-            for j in range(dim):
-                ij = self.basis_element(i) * self.basis_element(j)
-                if ij.is_zero():
-                    ej = self.basis_element(j)
-                    for k in range(dim):
-                        rhs = ei * (ej * self.basis_element(k))
-                        if not rhs.is_zero():
-                            raise InvariantError(
-                                "associativity fails",
-                                witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
-                            )
-                    continue
-                for k in range(dim):
-                    lhs = ij * self.basis_element(k)
-                    rhs = ei * (self.basis_element(j) * self.basis_element(k))
-                    if lhs != rhs:
-                        raise InvariantError(
-                            "associativity fails",
-                            witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
-                        )
+        for (i, j) in sorted({*prods, *((j, i) for (i, j) in prods)}):
+            sign = -1 if (self.total_degree_of(i) * self.total_degree_of(j)) % 2 else 1
+            if prods.get((i, j), {}) != {k: sign * c for k, c in prods.get((j, i), {}).items()}:
+                raise InvariantError(
+                    "graded commutativity fails",
+                    witness=[self.basis[i][0], self.basis[j][0]],
+                )
+        right, left = self._factor_index()
+        triples = set()
+        for (a, b), tab in prods.items():
+            for c in tab:
+                triples.update((a, b, k) for k in right.get(c, ()))
+                triples.update((i, a, b) for i in left.get(c, ()))
+        for (i, j, k) in sorted(triples):
+            diff: dict[int, Fraction] = {}
+            for l, c in prods.get((i, j), {}).items():
+                _accumulate(diff, c, prods.get((l, k), {}))
+            for m, c in prods.get((j, k), {}).items():
+                _accumulate(diff, -c, prods.get((i, m), {}))
+            if any(diff.values()):
+                raise InvariantError(
+                    "associativity fails",
+                    witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
+                )
 
     # -- serialization
 
@@ -301,24 +311,21 @@ class BigradedAlgebra:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad basis entry at index {t}", location="basis") from exc
         unit = data.get("unit")
-        if not isinstance(unit, int) or not (0 <= unit < len(basis)):
+        if isinstance(unit, bool) or not isinstance(unit, int) or not (0 <= unit < len(basis)):
             raise ParseError("unit must be a basis index", location="unit")
         products: dict[tuple[int, int], dict[int, Fraction]] = {}
         prod_raw = data.get("products", {})
         if not isinstance(prod_raw, dict):
             raise ParseError("products must be an object", location="products")
         for key, tab in prod_raw.items():
-            try:
-                si, sj = key.split(",")
-                i, j = int(si), int(sj)
-            except ValueError as exc:
-                raise ParseError(f"bad product key {key!r}", location="products") from exc
+            what = f"product {key!r}"
+            parts = key.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"bad product key {key!r}", location="products")
             if not isinstance(tab, dict):
-                raise ParseError(f"product {key!r} must be an object", location="products")
-            try:
-                products[(i, j)] = {int(k): scalar(v) for k, v in tab.items()}
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad coefficients in product {key!r}", location="products") from exc
+                raise ParseError(f"{what} must be an object", location="products")
+            i, j = (_basis_index(s, len(basis), what, "products") for s in parts)
+            products[(i, j)] = coeffs_from_json(tab, len(basis), what, "products")
         return BigradedAlgebra(n, basis, unit, products, check=check)
 
 
@@ -373,22 +380,36 @@ class Derivation:
         return self.apply(x)
 
     def leibniz_violations(self, stop_at_first: bool = False) -> list[tuple[int, int]]:
-        """Basis pairs (i, j) where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j)."""
+        """Basis pairs (i, j) where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), sorted.
+
+        Visits only the pairs where a side can be nonzero: (i, j) in
+        products, some l in D(e_i) with (l, j) in products, or some m in
+        D(e_j) with (i, m) in products. On every other pair e_i e_j,
+        D(e_i) e_j and e_i D(e_j) all vanish.
+        """
         alg = self.alg
+        prods = alg.products
+        right, left = alg._factor_index()
+        pairs = set(prods)
+        for i, v in enumerate(self.values):
+            for l in v.coeffs:
+                pairs.update((i, j) for j in right.get(l, ()))
+                pairs.update((h, i) for h in left.get(l, ()))
         sign_d = self.total_degree() % 2
         bad = []
-        for i in range(alg.dim()):
-            ei = alg.basis_element(i)
-            di = self.values[i]
+        for (i, j) in sorted(pairs):
             s = -1 if (sign_d * alg.total_degree_of(i)) % 2 else 1
-            for j in range(alg.dim()):
-                ej = alg.basis_element(j)
-                lhs = self.apply(ei * ej)
-                rhs = di * ej + (ei * self.values[j]).scaled(s)
-                if lhs != rhs:
-                    bad.append((i, j))
-                    if stop_at_first:
-                        return bad
+            diff: dict[int, Fraction] = {}
+            for t, c in prods.get((i, j), {}).items():
+                _accumulate(diff, c, self.values[t].coeffs)
+            for l, c in self.values[i].coeffs.items():
+                _accumulate(diff, -c, prods.get((l, j), {}))
+            for m, c in self.values[j].coeffs.items():
+                _accumulate(diff, -s * c, prods.get((i, m), {}))
+            if any(diff.values()):
+                bad.append((i, j))
+                if stop_at_first:
+                    return bad
         return bad
 
     def is_zero(self) -> bool:
@@ -453,26 +474,52 @@ class Derivation:
     @staticmethod
     def from_json(alg: BigradedAlgebra, data: dict, check: bool = True) -> "Derivation":
         bid_raw = data.get("bidegree")
-        if not (isinstance(bid_raw, list) and len(bid_raw) == 2):
+        if not (
+            isinstance(bid_raw, list)
+            and len(bid_raw) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in bid_raw)
+        ):
             raise ParseError("derivation needs a [a, b] bidegree", location="bidegree")
         values = [alg.zero() for _ in range(alg.dim())]
         vals_raw = data.get("values", {})
         if not isinstance(vals_raw, dict):
             raise ParseError("values must be an object", location="values")
         for key, tab in vals_raw.items():
-            try:
-                i = int(key)
-            except ValueError as exc:
-                raise ParseError(f"bad basis index {key!r}", location="values") from exc
-            if not (0 <= i < alg.dim()):
-                raise ParseError(f"basis index {i} out of range", location="values")
+            what = f"value of {key!r}"
+            i = _basis_index(key, alg.dim(), "values", "values")
             if not isinstance(tab, dict):
-                raise ParseError(f"value of {key!r} must be an object", location="values")
-            try:
-                values[i] = alg.from_coeffs({int(k): scalar(v) for k, v in tab.items()})
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad coefficients at {key!r}", location="values") from exc
+                raise ParseError(f"{what} must be an object", location="values")
+            values[i] = alg.from_coeffs(coeffs_from_json(tab, alg.dim(), what, "values"))
         return Derivation(alg, (int(bid_raw[0]), int(bid_raw[1])), values, check=check)
+
+
+def _basis_index(key: str, dim: int, what: str, location: str) -> int:
+    """A basis index read from a JSON key, checked to lie in [0, dim)."""
+    try:
+        i = int(key)
+    except ValueError as exc:
+        raise ParseError(f"bad basis index {key!r} in {what}", location=location) from exc
+    if not 0 <= i < dim:
+        raise ParseError(f"basis index {i} in {what} is outside [0, {dim})", location=location)
+    return i
+
+
+def coeffs_from_json(tab: dict, dim: int, what: str, location: str) -> dict[int, Fraction]:
+    """{basis index: rational} read from a JSON object, every index in [0, dim)."""
+    out = {}
+    for key, value in tab.items():
+        k = _basis_index(key, dim, what, location)
+        try:
+            out[k] = scalar(value)
+        except ParseError as exc:
+            raise ParseError(f"bad coefficients in {what}", location=location) from exc
+    return out
+
+
+def _accumulate(acc: dict[int, Fraction], c: Fraction, tab) -> None:
+    """acc += c * tab, for coefficient mappings {basis index: coefficient}."""
+    for k, a in tab.items():
+        acc[k] = acc[k] + c * a if k in acc else c * a
 
 
 def _frozen(x: Element) -> Element:

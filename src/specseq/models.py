@@ -13,7 +13,13 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BigradedAlgebra, Derivation, Element, derivation_extend
+from .algebra import (
+    BigradedAlgebra,
+    Derivation,
+    Element,
+    coeffs_from_json,
+    derivation_extend,
+)
 from .errors import InvariantError, ParseError
 from .lefschetz import PolarizedAlgebra
 from .linalg import Q0, Q1, scalar, scalar_str
@@ -112,21 +118,17 @@ class VarietyModel:
         omega_raw = data.get("omega")
         if not isinstance(omega_raw, dict):
             raise ParseError("model needs an omega element", location="omega")
-        try:
-            omega = alg.from_coeffs({int(k): scalar(v) for k, v in omega_raw.items()})
-        except (TypeError, ValueError, ParseError) as exc:
-            raise ParseError("bad omega coefficients", location="omega") from exc
+        omega = alg.from_coeffs(coeffs_from_json(omega_raw, alg.dim(), "omega", "omega"))
         integral_raw = data.get("integral")
         if not isinstance(integral_raw, dict):
             raise ParseError("model needs an integral", location="integral")
-        try:
-            integral = {int(k): scalar(v) for k, v in integral_raw.items()}
-        except (TypeError, ValueError, ParseError) as exc:
-            raise ParseError("bad integral coefficients", location="integral") from exc
+        integral = coeffs_from_json(integral_raw, alg.dim(), "integral", "integral")
         pa = PolarizedAlgebra(alg, omega, integral, check=check)
         roles_raw = data.get("roles", {})
         if not isinstance(roles_raw, dict):
             raise ParseError("roles must be an object", location="roles")
+        if not all(isinstance(v, list) for v in roles_raw.values()):
+            raise ParseError("each role must be a list of basis names", location="roles")
         roles = {str(k): [str(x) for x in v] for k, v in roles_raw.items()}
         return VarietyModel(name, pa, roles)
 

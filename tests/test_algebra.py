@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import el_add, el_mul, el_scale, monomial_derivative, sort_monomial
+from specseq import algebra as algebra_module
 from specseq import (
     BigradedAlgebra,
     ComplexPairing,
@@ -16,6 +17,7 @@ from specseq import (
     InvariantError,
     ObstructionDatum,
     SSPairing,
+    build_model,
     d2_from_alpha,
     derivation_extend,
     induced_pairing,
@@ -423,3 +425,201 @@ def test_derivation_images_are_private_and_read_only(torus2):
     values[xi1].coeffs[eta12] = Q1
     assert d.is_zero()
     assert degeneration_certify(torus2.pa, d).certified()
+
+
+def dense_validate(alg):
+    """The algebra check over every basis pair and triple, with Element products.
+
+    The route BigradedAlgebra.validate took before it visited only the cases
+    whose products can be nonzero; kept here as its oracle.
+    """
+    un, up, uq = alg.basis[alg.unit]
+    if (up, uq) != (0, 0):
+        raise InvariantError(f"unit {un!r} must sit in cell (0, 0)")
+    for (i, j), tab in alg.products.items():
+        for k in tab:
+            if alg.bidegree_of(k) != tuple(map(sum, zip(alg.bidegree_of(i), alg.bidegree_of(j)))):
+                raise InvariantError(
+                    "product is not bidegree-homogeneous",
+                    witness=[alg.basis[i][0], alg.basis[j][0], alg.basis[k][0]],
+                )
+    dim, e = alg.dim(), alg.basis_element
+    for i in range(dim):
+        if alg.one() * e(i) != e(i) or e(i) * alg.one() != e(i):
+            raise InvariantError("unit law fails", witness=alg.basis[i][0])
+    for i in range(dim):
+        for j in range(dim):
+            sign = -1 if (alg.total_degree_of(i) * alg.total_degree_of(j)) % 2 else 1
+            if e(i) * e(j) != (e(j) * e(i)).scaled(sign):
+                raise InvariantError(
+                    "graded commutativity fails", witness=[alg.basis[i][0], alg.basis[j][0]]
+                )
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if (e(i) * e(j)) * e(k) != e(i) * (e(j) * e(k)):
+                    raise InvariantError(
+                        "associativity fails",
+                        witness=[alg.basis[i][0], alg.basis[j][0], alg.basis[k][0]],
+                    )
+
+
+def dense_leibniz_violations(d):
+    """Every basis pair where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), by Element products."""
+    alg, e = d.alg, d.alg.basis_element
+    bad = []
+    for i in range(alg.dim()):
+        s = -1 if (d.total_degree() * alg.total_degree_of(i)) % 2 else 1
+        for j in range(alg.dim()):
+            if d.apply(e(i) * e(j)) != d.values[i] * e(j) + (e(i) * d.values[j]).scaled(s):
+                bad.append((i, j))
+    return bad
+
+
+def outcome(check):
+    """None if check() passes, else the message and witness of its InvariantError."""
+    try:
+        check()
+    except InvariantError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+@pytest.fixture(scope="module")
+def small_models(torus1, torus2, pn2):
+    return {
+        "torus1": torus1,
+        "torus2": torus2,
+        "pn2": pn2,
+        "torus1xpn2": build_model("product", a=torus1, b=pn2),
+    }
+
+
+nonzero_coeff = st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3)])
+
+
+def koszul(alg, i, j):
+    return -1 if (alg.total_degree_of(i) * alg.total_degree_of(j)) % 2 else 1
+
+
+def mutated_products(alg, data):
+    """alg's structure constants with at most one random change.
+
+    A changed coefficient or an entry added in the right cell is made on a
+    pair and its transpose alike, as is a "drop-pair", so that graded
+    commutativity can hold and associativity is reached.
+    """
+    prods = {ij: dict(tab) for ij, tab in alg.products.items()}
+    kind = data.draw(
+        st.sampled_from(
+            ["none", "coefficient", "drop", "drop-pair", "add-right", "add-wrong", "transpose"]
+        )
+    )
+    c = data.draw(nonzero_coeff)
+    dim = alg.dim()
+    if kind == "coefficient":
+        i, j = data.draw(st.sampled_from(sorted(prods)))
+        k = data.draw(st.sampled_from(sorted(prods[(i, j)])))
+        prods[(i, j)][k] *= c
+        prods[(j, i)][k] = koszul(alg, i, j) * prods[(i, j)][k]
+    elif kind in ("drop", "drop-pair"):
+        i, j = data.draw(st.sampled_from(sorted(prods)))
+        del prods[(i, j)]
+        if kind == "drop-pair":
+            prods.pop((j, i), None)
+    elif kind == "add-right":
+        def target(i, j):
+            (p1, q1), (p2, q2) = alg.bidegree_of(i), alg.bidegree_of(j)
+            return alg.cell_indices(p1 + p2, q1 + q2)
+
+        pairs = [(i, j) for i in range(dim) for j in range(dim) if target(i, j)]
+        i, j = data.draw(st.sampled_from(pairs))
+        k = data.draw(st.sampled_from(target(i, j)))
+        for (a, b), s in (((i, j), 1), ((j, i), koszul(alg, i, j))):
+            tab = prods.setdefault((a, b), {})
+            tab[k] = tab.get(k, 0) + s * c
+    elif kind == "add-wrong":
+        i, j, k = (data.draw(st.integers(0, dim - 1)) for _ in range(3))
+        (p1, q1), (p2, q2) = alg.bidegree_of(i), alg.bidegree_of(j)
+        if alg.bidegree_of(k) != (p1 + p2, q1 + q2):
+            prods.setdefault((i, j), {})[k] = c
+    elif kind == "transpose":
+        i, j = data.draw(st.sampled_from([ij for ij in sorted(prods) if ij[0] != ij[1]]))
+        prods[(j, i)] = {k: -v for k, v in prods[(j, i)].items()}
+    return prods
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_validate_matches_dense_oracle(small_models, data):
+    alg = small_models[data.draw(st.sampled_from(sorted(small_models)))].pa.A
+    mutated = BigradedAlgebra(
+        alg.n, alg.basis, alg.unit, mutated_products(alg, data), check=False
+    )
+    assert outcome(mutated.validate) == outcome(lambda: dense_validate(mutated))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sparse_leibniz_matches_dense_oracle(small_models, data):
+    alg = small_models[data.draw(st.sampled_from(sorted(small_models)))].pa.A
+    a, b = data.draw(st.sampled_from([(2, -1), (1, -1), (1, 0), (0, 1)]))
+    coeff = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
+    images = [
+        alg.from_coeffs({k: data.draw(coeff) for k in alg.cell_indices(p + a, q + b)})
+        for (_, p, q) in alg.basis
+    ]
+    if data.draw(st.booleans()):
+        # a Leibniz map where the extension exists, so passing cases are drawn too
+        gens = {i: images[i] for i in range(alg.dim()) if alg.total_degree_of(i) == 1}
+        try:
+            images = list(derivation_extend(alg, (a, b), gens).values)
+        except InvariantError:
+            pass
+    d = Derivation(alg, (a, b), images, check=False)
+    dense = dense_leibniz_violations(d)
+    assert d.leibniz_violations() == dense
+    assert d.leibniz_violations(stop_at_first=True) == dense[:1]
+    ok, witness = verify_leibniz(alg, d)
+    assert (ok, witness) == (
+        (True, None) if not dense else (False, [alg.basis[i][0] for i in dense[0]])
+    )
+
+
+def exterior_algebra_unchecked(n):
+    """torus(n)'s algebra from the monomial oracle, built with check=False.
+
+    Generators xi1..xin sit in (0, 1) and eta1..etan in (1, 0); the basis is
+    the sorted words, ordered by (length, word).
+    """
+    names, degree_of, word_name = torus_words(n)
+    g = len(names)
+    words = sorted(
+        (tuple(t for t in range(g) if mask >> t & 1) for mask in range(1 << g)),
+        key=lambda w: (len(w), w),
+    )
+    index = {w: t for t, w in enumerate(words)}
+    basis = [(word_name(w), sum(t >= n for t in w), sum(t < n for t in w)) for w in words]
+    products = {}
+    for u in words:
+        for v in words:
+            if set(u).isdisjoint(v):
+                prod = el_mul({u: Q1}, {v: Q1}, degree_of)
+                products[(index[u], index[v])] = {index[w]: c for w, c in prod.items()}
+    return BigradedAlgebra(n, basis, index[()], products, check=False)
+
+
+def test_torus4_validates_on_the_candidate_triples_only(monkeypatch):
+    alg = exterior_algebra_unchecked(4)
+    assert alg.dim() == 256
+    calls = [0]
+    accumulate = algebra_module._accumulate
+
+    def counting(*args):
+        calls[0] += 1
+        accumulate(*args)
+
+    monkeypatch.setattr(algebra_module, "_accumulate", counting)
+    alg.validate()
+    # 4^8 pairwise disjoint triples with one product term per side, not 256^3
+    assert calls[0] <= 2 * 4 ** 8

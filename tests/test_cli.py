@@ -398,3 +398,43 @@ def test_degree_outside_the_complex_names_the_range(capsys, tmp_path, patch, ran
     assert code == 3
     assert range_text in out["message"]
     assert "rows" not in out["message"]
+
+
+def _rekey(tab, old, new):
+    tab[new] = tab.pop(old)
+
+
+def _first_coeff_key(blob):
+    return next(iter(blob["products"]["1,2"]))
+
+
+@pytest.mark.parametrize(
+    "mutate, location",
+    [
+        (lambda b: _rekey(b["products"], "1,2", "1,99"), "products"),
+        (lambda b: _rekey(b["products"]["1,2"], _first_coeff_key(b), "99"), "products"),
+        (lambda b: _rekey(b["products"], "1,2", "-1,2"), "products"),
+        (lambda b: b["products"]["1,2"].update({_first_coeff_key(b): {"x": 1}}), "products"),
+        (lambda b: b.update(unit=True), "unit"),
+        (lambda b: b["omega"].update({"99": "1"}), "omega"),
+        (lambda b: b["integral"].update({"99": "1"}), "integral"),
+        (lambda b: b.update(roles={"a": 5}), "roles"),
+        (lambda b: b["derivation"].update(values={"1": {"99": "1"}}), "values"),
+        (lambda b: b["derivation"].update(bidegree=["a", 1]), "bidegree"),
+    ],
+    ids=[
+        "product-index", "coefficient-index", "negative-index", "coefficient-object",
+        "bool-unit", "omega-index", "integral-index", "roles-not-list",
+        "derivation-index", "bidegree-not-int",
+    ],
+)
+def test_malformed_model_exits_3_at_its_key(capsys, tmp_path, torus2, mutate, location):
+    blob = torus2.to_json()
+    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
+    mutate(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_json(capsys, ["certify", "--algebra", str(path)])
+    assert code == 3
+    assert out["error"] == "parse"
+    assert out["location"] == location
