@@ -7,14 +7,22 @@ Subquotient Z/B carries a canonical complement basis (the echelon completion
 of B inside Z), and induced maps are always written in those complement
 coordinates, so nothing downstream depends on an arbitrary basis choice.
 
-Vectors are tuples of Fraction. A Matrix with shape (rows, cols) acts on
-column vectors of length cols.
+Vectors are dense tuples of Fraction. A Matrix with shape (rows, cols) acts
+on column vectors of length cols. Alongside the dense entries, each object
+keeps an index of its nonzero entries, built once at construction: a Matrix
+the (row, entry) pairs of each column (`nonzeros`), a Subspace and a
+Subquotient the pivot and the nonzero entries past it of each basis or
+complement row (`tails`; the pivot entry is 1). Products,
+reductions, coset coordinates and lifts read only these pairs, and the one
+elimination routine, _echelon, works on sparse {column: entry} rows, so the
+cost of every operation follows the nonzero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import ContainmentError, InvariantError, ParseError
@@ -44,67 +52,109 @@ def scalar_str(value: Fraction) -> str:
 
 
 def vec(values: Iterable) -> Vector:
-    return tuple(scalar(v) for v in values)
+    return tuple(map(scalar, values))
 
 
 def vzero(n: int) -> Vector:
     return (Q0,) * n
 
 
-def vis_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+# A sparse row or column: (index, entry) pairs of its nonzero entries.
+Pairs = tuple[tuple[int, Fraction], ...]
+# A row in reduced echelon form: its pivot, whose entry is 1, and the
+# (column, entry) pairs of its nonzero entries past the pivot.
+Row = tuple[int, Pairs]
 
 
-def _echelon(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce rows in place to reduced row echelon form; return pivot columns.
+def _pairs(v: Sequence[Fraction]) -> Pairs:
+    return tuple(compress(enumerate(v), v))
 
-    The package's one pivoting loop. Each pivot row is normalised and
-    subtracted through its nonzero entries only, which leaves the (unique)
-    reduced form as it was and skips the zeros of sparse rows.
+
+def _eliminate(w: list[Fraction], rows: Iterable[Row]) -> list[Fraction]:
+    """Subtract from w, in place, w[p] times each row (p, tail); return those multiples.
+
+    The rows are zero at each other's pivots, so the order does not matter.
     """
-    pivots: list[int] = []
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+    multiples = []
+    for p, tail in rows:
+        c = w[p]
+        if c:
+            w[p] = Q0
+            for i, a in tail:
+                w[i] -= c * a
+        multiples.append(c)
+    return multiples
+
+
+def _axpy(row: dict[int, Fraction], f: Fraction, tail: dict[int, Fraction]) -> None:
+    """row += f * tail, in place, for sparse rows; entries that cancel are dropped."""
+    for j, a in tail.items():
+        b = row.get(j)
+        if b is None:
+            row[j] = f * a
+        else:
+            b += f * a
+            if b:
+                row[j] = b
+            else:
+                del row[j]
+
+
+def _echelon(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """Reduced row echelon form of sparse rows: (pivot, tail) pairs, by pivot.
+
+    The package's one elimination routine. A row maps columns to nonzero
+    entries (a missing column is zero); the input dicts are consumed. The
+    tail of a reduced row holds its entries past the pivot, whose entry is 1.
+    Each row is reduced by the pivot rows kept so far, normalised at its
+    leading column, and then cancelled from the kept rows that are nonzero
+    in that column, which `touching` finds without scanning the other kept
+    rows; no step does arithmetic on a zero entry. The reduced form is
+    unique, so the order of the rows changes nothing.
+    """
+    kept: dict[int, dict[int, Fraction]] = {}  # pivot -> tail
+    # column -> pivots of the kept rows nonzero there (or that were, before a cancellation)
+    touching: dict[int, set[int]] = {}
+    for row in rows:
+        for p in [c for c in row if c in kept]:
+            _axpy(row, -row.pop(p), kept[p])
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        lead = pr[c]
-        nz = [j for j in range(c, n) if pr[j]]
+        c = min(row)
+        lead = row.pop(c)
         if lead != 1:
-            for j in nz:
-                pr[j] /= lead
-        for i in range(m):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                for j in nz:
-                    row[j] -= f * pr[j]
-        pivots.append(c)
-        r += 1
-    return pivots
+            for j in row:
+                row[j] /= lead
+        for k in touching.pop(c, ()):
+            other = kept[k]
+            if c in other:
+                _axpy(other, -other.pop(c), row)
+                for j in row:
+                    touching.setdefault(j, set()).add(k)
+        kept[c] = row
+        for j in row:
+            touching.setdefault(j, set()).add(c)
+    return sorted(kept.items())
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rational matrix acting on column vectors."""
+    """Immutable rational matrix acting on column vectors.
+
+    `nonzeros` holds, per column, the (row, entry) pairs of its nonzero
+    entries; it is built once, at construction, and every product reads it.
+    """
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
+    nonzeros: tuple[Pairs, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InvariantError("matrix entries inconsistent with declared shape")
+        columns = zip(*self.entries) if self.rows else [()] * self.cols
+        object.__setattr__(self, "nonzeros", tuple(_pairs(c) for c in columns))
 
     @staticmethod
     def from_rows(rows_data: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -149,57 +199,55 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise InvariantError(f"matrix of {self.cols} columns applied to length-{len(v)} vector")
-        return tuple(sum((a * b for a, b in zip(row, v)), Q0) for row in self.entries)
+        return self._apply(v)
+
+    def _apply(self, v: Vector) -> Vector:
+        """Matrix times v, summed over the products of two nonzero entries."""
+        out = [Q0] * self.rows
+        for col, b in zip(self.nonzeros, v):
+            if b:
+                for i, a in col:
+                    s = out[i]
+                    # the first term of a sum needs no addition
+                    out[i] = a * b if s is Q0 else s + a * b
+        return tuple(out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InvariantError("matrix product shape mismatch")
-        ot = tuple(other.col(j) for j in range(other.cols))
-        return Matrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), Q0) for col in ot)
-                for row in self.entries
-            ),
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InvariantError("matrix sum shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scaled(Fraction(-1))
-
-    def scaled(self, c) -> "Matrix":
-        c = scalar(c)
-        return Matrix(self.rows, self.cols, tuple(tuple(c * a for a in r) for r in self.entries))
+        cols = [self._apply(c) for c in other.column_vectors()]
+        return Matrix(self.rows, other.cols, tuple(zip(*cols)) if cols else ((),) * self.rows)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return not any(self.nonzeros)
+
+    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.nonzeros):
+            for i, a in col:
+                rows[i][j] = a
+        return rows
 
     def rank(self) -> int:
-        work = [list(r) for r in self.entries]
-        return len(_echelon(work))
+        return len(_echelon(self._sparse_rows()))
+
+    def _null_rows(self) -> list[dict[int, Fraction]]:
+        """Canonical kernel basis, one sparse vector per free column."""
+        reduced = _echelon(self._sparse_rows())
+        pivots = {c for c, _ in reduced}
+        free = {j: {j: Q1} for j in range(self.cols) if j not in pivots}
+        for c, tail in reduced:
+            for j, a in tail.items():
+                free[j][c] = -a
+        return list(free.values())
 
     def nullspace(self) -> list[Vector]:
         """Canonical basis of the kernel, one vector per free column."""
-        work = [list(r) for r in self.entries]
-        pivots = _echelon(work)
-        pivot_set = set(pivots)
         out = []
-        for j in range(self.cols):
-            if j in pivot_set:
-                continue
+        for row in self._null_rows():
             v = [Q0] * self.cols
-            v[j] = Q1
-            for k, c in enumerate(pivots):
-                v[c] = -work[k][j]
+            for j, a in row.items():
+                v[j] = a
             out.append(tuple(v))
         return out
 
@@ -217,18 +265,21 @@ class Matrix:
                 raise InvariantError("solve target has wrong length")
         if self.rows == 0:
             return [vzero(self.cols) for _ in targets]
-        work = [list(r) + [b[i] for b in targets] for i, r in enumerate(self.entries)]
-        pivots = _echelon(work)
+        rows = self._sparse_rows()
+        for t, b in enumerate(targets):
+            for i, a in _pairs(b):
+                rows[i][self.cols + t] = a
+        reduced = _echelon(rows)
+        solved = [(c, tail) for c, tail in reduced if c < self.cols]
+        vanished = [(c, tail) for c, tail in reduced if c >= self.cols]
         out: list[Vector | None] = []
-        for t in range(len(targets)):
-            col = self.cols + t
-            if any(c >= self.cols and work[k][col] != 0 for k, c in enumerate(pivots)):
+        for col in range(self.cols, self.cols + len(targets)):
+            if any(c == col or col in tail for c, tail in vanished):
                 out.append(None)
                 continue
             x = [Q0] * self.cols
-            for k, c in enumerate(pivots):
-                if c < self.cols:
-                    x[c] = work[k][col]
+            for c, tail in solved:
+                x[c] = tail.get(col, Q0)
             out.append(tuple(x))
         return out
 
@@ -253,11 +304,40 @@ class Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim in its canonical reduced echelon basis."""
+    """A subspace of Q^ambient_dim in its canonical reduced echelon basis.
+
+    `tails` holds each basis row as a sparse Row; reduction and containment
+    read only these.
+    """
 
     ambient_dim: int
     basis_rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
+    tails: tuple[Row, ...] = field(compare=False, repr=False)
+
+    @staticmethod
+    def _of(ambient_dim: int, reduced: list[tuple[int, dict]], shift: int = 0) -> "Subspace":
+        """The subspace with these _echelon rows, their columns moved down by shift."""
+        rows, pivots, tails = [], [], []
+        for c, tail in reduced:
+            dense = [Q0] * ambient_dim
+            dense[c - shift] = Q1
+            pairs = tuple((j - shift, a) for j, a in tail.items())
+            for j, a in pairs:
+                dense[j] = a
+            rows.append(tuple(dense))
+            pivots.append(c - shift)
+            tails.append((c - shift, pairs))
+        return Subspace(ambient_dim, tuple(rows), tuple(pivots), tuple(tails))
+
+    def _rows(self) -> list[dict[int, Fraction]]:
+        """The basis rows as fresh sparse rows for _echelon."""
+        rows = []
+        for p, tail in self.tails:
+            row = dict(tail)
+            row[p] = Q1
+            rows.append(row)
+        return rows
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -268,22 +348,18 @@ class Subspace:
                 raise InvariantError(
                     f"vector of length {len(w)} in ambient dimension {ambient_dim}"
                 )
-            if not vis_zero(w):
-                rows.append(list(w))
-        if not rows:
-            return Subspace(ambient_dim, (), ())
-        pivots = _echelon(rows)
-        keep = tuple(tuple(rows[i]) for i in range(len(pivots)))
-        return Subspace(ambient_dim, keep, tuple(pivots))
+            rows.append(dict(_pairs(w)))
+        return Subspace._of(ambient_dim, _echelon(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
+        return Subspace(ambient_dim, (), (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         identity = Matrix.identity(ambient_dim).entries
-        return Subspace(ambient_dim, identity, tuple(range(ambient_dim)))
+        pivots = tuple(range(ambient_dim))
+        return Subspace(ambient_dim, identity, pivots, tuple((p, ()) for p in pivots))
 
     @property
     def dim(self) -> int:
@@ -299,35 +375,34 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def _reduce(self, w: list[Fraction]) -> list[Fraction]:
+        """Subtract from w, in place, its projection onto the span."""
+        _eliminate(w, self.tails)
+        return w
+
     def reduce(self, v: Sequence) -> Vector:
         """Residual of v after subtracting its projection onto the span."""
-        w = list(vec(v))
-        for row, p in zip(self.basis_rows, self.pivots):
-            c = w[p]
-            if c != 0:
-                for i, a in enumerate(row):
-                    if a != 0:
-                        w[i] -= c * a
-        return tuple(w)
+        return tuple(self._reduce(list(vec(v))))
 
     def contains_vector(self, v: Sequence) -> bool:
-        return vis_zero(self.reduce(v))
+        return not any(self._reduce(list(vec(v))))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.basis_rows)
+        return not any(any(self._reduce(list(r))) for r in other.basis_rows)
 
     def coords(self, v: Sequence) -> Vector:
         """Coefficients of v over the canonical basis; errors if v is outside."""
         w = vec(v)
-        cs = tuple(w[p] for p in self.pivots)
-        if not vis_zero(self.reduce(w)):
+        rest = list(w)
+        cs = _eliminate(rest, self.tails)
+        if any(rest):
             raise ContainmentError("vector outside subspace", witness=list(map(str, w)))
-        return cs
+        return tuple(cs)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise InvariantError("subspace sum across different ambient spaces")
-        return Subspace.span(self.ambient_dim, list(self.basis_rows) + list(other.basis_rows))
+        return Subspace._of(self.ambient_dim, _echelon(self._rows() + other._rows()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -338,25 +413,26 @@ class Subspace:
             return other
         if other.is_full():
             return self
-        pad = [Q0] * self.ambient_dim
-        rows = [list(u) + list(u) for u in self.basis_rows]
-        rows += [list(v) + pad for v in other.basis_rows]
-        return _zassenhaus(rows, self.ambient_dim, self.ambient_dim)
+        n = self.ambient_dim
+        rows = other._rows()
+        for u in self._rows():
+            rows.append({**u, **{n + j: a for j, a in u.items()}})
+        return _zassenhaus(rows, n, n)
 
     def to_json(self) -> list[list[str]]:
         return self.basis().to_json()
 
 
 def kernel(f: Matrix) -> Subspace:
-    return Subspace.span(f.cols, f.nullspace())
+    return Subspace._of(f.cols, _echelon(f._null_rows()))
 
 
 def image(f: Matrix, source: Subspace | None = None) -> Subspace:
     if source is None:
-        return Subspace.span(f.rows, f.column_vectors())
+        return Subspace._of(f.rows, _echelon(dict(c) for c in f.nonzeros))
     if source.ambient_dim != f.cols:
         raise InvariantError("image source lives in the wrong ambient space")
-    return Subspace.span(f.rows, [f.apply(r) for r in source.basis_rows])
+    return Subspace._of(f.rows, _echelon(dict(_pairs(f.apply(r))) for r in source.basis_rows))
 
 
 def preimage(f: Matrix, target: Subspace) -> Subspace:
@@ -365,26 +441,20 @@ def preimage(f: Matrix, target: Subspace) -> Subspace:
         raise InvariantError("preimage target lives in the wrong ambient space")
     if target.is_full():
         return Subspace.full(f.cols)
-    unit = Matrix.identity(f.cols).entries
-    rows = [list(col) + list(e) for col, e in zip(f.column_vectors(), unit)]
-    rows += [list(t) + [Q0] * f.cols for t in target.basis_rows]
+    rows = target._rows()
+    rows += [dict(col + ((f.rows + j, Q1),)) for j, col in enumerate(f.nonzeros)]
     return _zassenhaus(rows, f.rows, f.cols)
 
 
-def _zassenhaus(rows: list[list[Fraction]], split: int, ambient_dim: int) -> Subspace:
-    """{x : (0, x) in the row span}, for rows of length split + ambient_dim.
+def _zassenhaus(rows: list[dict[int, Fraction]], split: int, ambient_dim: int) -> Subspace:
+    """{x : (0, x) in the row span}, for sparse rows over split + ambient_dim columns.
 
     This is the Zassenhaus construction: the reduced echelon rows whose
     pivots lie past split have a zero left block, and their right blocks are
     already the canonical basis of that subspace.
     """
-    pivots = _echelon(rows)
-    low = [k for k, c in enumerate(pivots) if c >= split]
-    return Subspace(
-        ambient_dim,
-        tuple(tuple(rows[k][split:]) for k in low),
-        tuple(pivots[k] - split for k in low),
-    )
+    low = [(c, row) for c, row in _echelon(rows) if c >= split]
+    return Subspace._of(ambient_dim, low, shift=split)
 
 
 @dataclass(frozen=True)
@@ -393,14 +463,15 @@ class Subquotient:
 
     The complement is the subset of Z's echelon basis whose pivots are not
     pivots of B; together with B it spans Z, and its classes form the
-    canonical basis of Z/B used for all induced maps.
+    canonical basis of Z/B used for all induced maps. Each complement row
+    is zero at every pivot of B and at the other pivots of Z.
     """
 
     Z: Subspace
     B: Subspace
     complement: tuple[Vector, ...]
-    # leading column -> (complement index, or -1 for a row of B; the row)
-    by_pivot: dict[int, tuple[int, Vector]] = field(compare=False, repr=False)
+    # the complement rows as sparse Rows
+    tails: tuple[Row, ...] = field(compare=False, repr=False)
 
     @staticmethod
     def of(Z: Subspace, B: Subspace) -> "Subquotient":
@@ -408,18 +479,18 @@ class Subquotient:
             raise InvariantError("subquotient numerator and denominator ambient mismatch")
         if not Z.contains(B):
             raise ContainmentError("denominator is not contained in numerator")
-        by_pivot = {p: (-1, row) for row, p in zip(B.basis_rows, B.pivots)}
-        comp = []
-        for row, p in zip(Z.basis_rows, Z.pivots):
-            if p not in by_pivot:
-                by_pivot[p] = (len(comp), row)
+        in_b = set(B.pivots)
+        comp, tails = [], []
+        for row, tail in zip(Z.basis_rows, Z.tails):
+            if tail[0] not in in_b:
                 comp.append(row)
-        return Subquotient(Z, B, tuple(comp), by_pivot)
+                tails.append(tail)
+        return Subquotient(Z, B, tuple(comp), tuple(tails))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subquotient":
         z = Subspace.zero(ambient_dim)
-        return Subquotient(z, z, (), {})
+        return Subquotient(z, z, (), ())
 
     @staticmethod
     def whole(ambient_dim: int) -> "Subquotient":
@@ -433,50 +504,43 @@ class Subquotient:
     def dim(self) -> int:
         return len(self.complement)
 
+    def _coords(self, w: list[Fraction]) -> Vector | None:
+        """Coset coordinates of w, consumed in place; None if w is outside Z.
+
+        w minus its B-part has, at each complement pivot, its coordinate on
+        that complement row; the rest of w is then zero exactly when w lies in Z.
+        """
+        self.B._reduce(w)
+        cs = _eliminate(w, self.tails)
+        return None if any(w) else tuple(cs)
+
     def coset_coords(self, v: Sequence) -> Vector:
         """Coordinates of [v] over the canonical complement basis.
 
         Errors if v does not lie in Z.
         """
-        w = list(vec(v))
+        w = vec(v)
         if len(w) != self.ambient_dim:
             raise InvariantError("coset vector has wrong length")
-        coords = [Q0] * len(self.complement)
-        pos = 0
-        while True:
-            lead = None
-            for i in range(pos, len(w)):
-                if w[i] != 0:
-                    lead = i
-                    break
-            if lead is None:
-                break
-            hit = self.by_pivot.get(lead)
-            if hit is None:
-                raise ContainmentError(
-                    "vector outside the subquotient numerator",
-                    witness=[scalar_str(a) for a in vec(v)],
-                )
-            idx, row = hit
-            c = w[lead]
-            if idx >= 0:
-                coords[idx] += c
-            for i, a in enumerate(row):
-                if a != 0:
-                    w[i] -= c * a
-            pos = lead
-        return tuple(coords)
+        cs = self._coords(list(w))
+        if cs is None:
+            raise ContainmentError(
+                "vector outside the subquotient numerator",
+                witness=[scalar_str(a) for a in w],
+            )
+        return cs
 
     def lift(self, coords: Sequence) -> Vector:
         cs = vec(coords)
         if len(cs) != self.dim:
             raise InvariantError("coset coordinates have wrong length")
         out = [Q0] * self.ambient_dim
-        for c, row in zip(cs, self.complement):
+        # no complement row is nonzero at the pivot of another
+        for c, (p, tail) in zip(cs, self.tails):
             if c:
-                for i, a in enumerate(row):
-                    if a:
-                        out[i] += c * a
+                out[p] = c
+                for i, a in tail:
+                    out[i] += c * a
         return tuple(out)
 
 
@@ -484,24 +548,27 @@ def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
     """Matrix of the map Z/B -> Z'/B' induced by f, in complement coordinates.
 
     Checks f(Z) <= Z' and f(B) <= B'; a violation raises ContainmentError
-    naming the offending basis vector.
+    naming the offending basis vector. f is applied once per basis vector of
+    Z and of B: the complement rows are rows of Z, so the coset coordinates
+    of their images come out of the numerator check.
     """
     if f.cols != source.ambient_dim or f.rows != target.ambient_dim:
         raise InvariantError("induced map shape mismatch")
-    for i, z in enumerate(source.Z.basis_rows):
-        if not target.Z.contains_vector(f.apply(z)):
+    coords = {}
+    for i, (z, p) in enumerate(zip(source.Z.basis_rows, source.Z.pivots)):
+        coords[p] = target._coords(list(f.apply(z)))
+        if coords[p] is None:
             raise ContainmentError(
                 f"image of numerator basis vector {i} leaves the target numerator",
                 witness=[scalar_str(a) for a in z],
             )
     for i, b in enumerate(source.B.basis_rows):
-        if not target.B.contains_vector(f.apply(b)):
+        if any(target.B._reduce(list(f.apply(b)))):
             raise ContainmentError(
                 f"image of denominator basis vector {i} leaves the target denominator",
                 witness=[scalar_str(a) for a in b],
             )
-    cols = [target.coset_coords(f.apply(w)) for w in source.complement]
-    return Matrix.from_cols(cols, rows=target.dim)
+    return Matrix.from_cols([coords[p] for p, _ in source.tails], rows=target.dim)
 
 
 def pairing_rank(gram: Matrix) -> tuple[int, bool]:
@@ -514,11 +581,4 @@ def pairing_rank(gram: Matrix) -> tuple[int, bool]:
 
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     """Rank of a sparse system given as {column: coefficient} rows."""
-    where = {c: j for j, c in enumerate(sorted({c for r in rows for c in r}))}
-    dense = []
-    for r in rows:
-        row = [Q0] * len(where)
-        for c, a in r.items():
-            row[where[c]] = a
-        dense.append(row)
-    return len(_echelon(dense))
+    return len(_echelon({c: a for c, a in r.items() if a} for r in rows))

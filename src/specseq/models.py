@@ -327,12 +327,23 @@ class ObstructionDatum:
         for gname, tab in images_raw.items():
             if not isinstance(tab, dict):
                 raise ParseError(f"image of {gname!r} must be an object", location="images")
+            where = f"images.{gname}"
+            i = _name_index(alg, gname, where)
+            keys = {k: _name_index(alg, str(k), f"{where}.{k}") for k in tab}
             try:
-                coeffs = {alg.index(str(k)): scalar(v) for k, v in tab.items()}
+                coeffs = {keys[k]: scalar(v) for k, v in tab.items()}
             except (TypeError, ValueError, ParseError) as exc:
                 raise ParseError(f"bad coefficients for {gname!r}", location="images") from exc
-            alpha[alg.index(gname)] = alg.from_coeffs(coeffs)
+            alpha[i] = alg.from_coeffs(coeffs)
         return ObstructionDatum(model, alpha, scale)
+
+
+def _name_index(alg: BigradedAlgebra, name: str, location: str) -> int:
+    """alg.index(name), with an unknown name reported at the given input key."""
+    try:
+        return alg.index(name)
+    except InvariantError as exc:
+        raise ParseError(str(exc), location=location) from exc
 
 
 def d2_from_alpha(od: ObstructionDatum) -> Derivation:

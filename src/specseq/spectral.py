@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import EngineError, InvariantError
 from .filtered import CochainComplex, FilteredComplex, Filtration
-from .linalg import Matrix, Subquotient, Subspace, image, induced_map
+from .linalg import Q0, Matrix, Subquotient, Subspace, image, induced_map
 
 
 class Page:
@@ -141,17 +141,14 @@ def turn_page(page: Page) -> Page:
         targets = [d.apply(w) for w in src.complement]
         sols = system.solve_many(targets)
         cols = []
-        for dw, x in zip(targets, sols):
+        drop_b = (Q0,) * len(bimages)
+        for x in sols:
             if x is None:
                 raise EngineError(
                     f"representative lift failed at cell {(p, q)} on page {page.r}"
                 )
-            v = list(dw)
-            for i, c in enumerate(x[: len(bimages)]):
-                if c != 0:
-                    for k, a in enumerate(bimages[i]):
-                        v[k] -= c * a
-            cols.append(tgt.coset_coords(tuple(v)))
+            # system x = d w, so d(w - sum x_i b_i) is the Z' part of system x
+            cols.append(tgt.coset_coords(system.apply(drop_b + x[len(bimages):])))
         diffs[(p, q)] = Matrix.from_cols(cols, rows=tgt.dim)
     return Page(r2, cx, page.support, cells, diffs)
 

@@ -119,6 +119,20 @@ def naive_solve(rows, b) -> Row | None:
     return x
 
 
+def naive_matvec(rows, v) -> Row:
+    """A v by the textbook sum over every entry of each row, zeros included."""
+    return [sum((Fraction(a) * Fraction(b) for a, b in zip(r, v)), Fraction(0)) for r in rows]
+
+
+def naive_matmul(a_rows, b_rows, ncols: int) -> list[Row]:
+    """A B as rows, one dense dot product per entry; ncols is the width of B."""
+    return [
+        [sum((Fraction(x) * Fraction(b_rows[k][j]) for k, x in enumerate(r)), Fraction(0))
+         for j in range(ncols)]
+        for r in a_rows
+    ]
+
+
 def spans_equal(u, v, ncols: int) -> bool:
     ur = naive_rref([list(r) + [Fraction(0)] * (ncols - len(r)) for r in u] or [[Fraction(0)] * ncols])
     vr = naive_rref([list(r) + [Fraction(0)] * (ncols - len(r)) for r in v] or [[Fraction(0)] * ncols])

@@ -155,6 +155,25 @@ class TestD2:
         assert code == 0
         assert out["is_zero"] is True
 
+    @pytest.mark.parametrize(
+        "images, location",
+        [
+            ({"nope": {"eta1eta2": "1"}}, "images.nope"),
+            ({"xi1": {"nope": "1"}}, "images.xi1.nope"),
+        ],
+        ids=["generator", "coefficient"],
+    )
+    def test_unknown_basis_name_exits_3_at_its_key(
+        self, capsys, tmp_path, torus2_path, images, location
+    ):
+        alpha = tmp_path / "alpha.json"
+        alpha.write_text(json.dumps({"scale": "1", "images": images}))
+        code, out = run_json(capsys, ["d2", "--model", torus2_path, "--alpha", str(alpha)])
+        assert code == 3
+        assert out["error"] == "parse"
+        assert out["location"] == location
+        assert "nope" in out["message"]
+
 
 class TestCertify:
     def test_zero_derivation_certifies(self, capsys, tmp_path, torus2, torus2_path):

@@ -1,5 +1,6 @@
 """Each object is computed once: one spectral sequence per filtered complex,
-one Leibniz check per derivation, one elimination per subspace operation."""
+one Leibniz check per derivation, one elimination per subspace operation,
+one application of a map per basis vector of an induced map's source."""
 
 import json
 from fractions import Fraction
@@ -123,3 +124,24 @@ def test_each_subspace_operation_reduces_once(monkeypatch):
     assert len(calls) == 2 and pre.dim == 2
     assert la.sparse_rank(eqs) == 2
     assert len(calls) == 3
+
+
+def test_induced_map_applies_f_once_per_basis_vector(monkeypatch):
+    import random
+
+    from specseq import Matrix
+    from specseq.fuzz import random_filtered_complex
+    from specseq.linalg import induced_map
+
+    fk = random_filtered_complex(random.Random(0))
+    page = SpectralSequence(fk).page(1)
+    calls = count_calls(monkeypatch, Matrix, "apply")
+    seen = 0
+    for (p, q), src in page.cells.items():
+        tgt = page.cell(p + 1, q)
+        before = len(calls)
+        assert induced_map(fk.cx.diff(p + q), src, tgt) == page.diff(p, q)
+        assert len(calls) - before == src.Z.dim + src.B.dim
+        seen += src.dim
+    # the complement vectors are applied only as rows of Z
+    assert seen > 0

@@ -1,16 +1,19 @@
 """CLI stdout and certificate JSON are byte-identical to recorded digests.
 
 The compute and fuzz digests were recorded at commit 00a016d, the certificate
-and d2 digests at commit 01b8d75.
+and d2 digests at commit 01b8d75, and the page-route digests of the seeded
+random complex at commit 64fa149.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from specseq import Derivation, ObstructionDatum, d2_from_alpha, degeneration_certify
 from specseq.cli import main
+from specseq.fuzz import random_filtered_complex
 
 from conftest import acyclic_two_term
 
@@ -23,6 +26,9 @@ GOLDEN = {
     "certify-xi1-torus3": "64c4a742476f7e9325d6255806a4bc4ad8618f1e58edc8ec3bbb4425a98eda10",
     "d2-xi1-torus2": "4cb1d7f9c65d903661b5780582bf21ef2092dc8d204546b7e5325189109796c5",
     "certificate-twisted-pairing-torus2": "1bfde01879e527d1f4399d8aa40443f70ab3c0c18fc50bdf133dd8e18a72a72c",
+    "oracle-random-0": "8f23b987ec1eae756ffe6b233e7f11672be8d1f994573e211e6a0a53fb5d7b16",
+    "decalage-random-0": "cfced08e111f1f1e13210dad1d21cca6c8bc62f047fa2a0e731b66bc4cbaf841",
+    "compute-with-maps-random-0": "eeb453e4ff264f48c4ccd8606047e46d221dbd39f79a44afed3461d60a4cf93f",
 }
 
 
@@ -46,6 +52,21 @@ def test_compute_with_maps_on_the_acyclic_fixture(capsys, tmp_path):
 def test_fuzz_20_cases_seed_0(capsys):
     argv = ["fuzz", "--cases", "20", "--seed", "0"]
     assert stdout_digest(capsys, argv) == GOLDEN["fuzz-20-seed-0"]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("oracle-random-0", ["oracle"]),
+        ("decalage-random-0", ["decalage"]),
+        ("compute-with-maps-random-0", ["compute", "--with-maps"]),
+    ],
+)
+def test_page_routes_on_a_random_complex(capsys, tmp_path, key, argv):
+    # total dim 15 over degrees 2..4, with a nonzero d_2
+    fk = random_filtered_complex(random.Random(0))
+    path = write_json(tmp_path / "fk.json", fk.to_json())
+    assert stdout_digest(capsys, argv + ["--input", path]) == GOLDEN[key]
 
 
 XI1_TORUS2 = {"images": {"xi1": {"eta1eta2": "1"}}}

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     intersection_dim,
+    naive_matmul,
+    naive_matvec,
     naive_nullspace,
     naive_rank,
     naive_rref,
@@ -214,3 +216,109 @@ def test_sparse_rank_matches_oracle(rows):
     cols = [0, 2, 3, 7, 11, 40]
     dense = [[r.get(c, Fraction(0)) for c in cols] for r in rows]
     assert sparse_rank(rows) == naive_rank(dense)
+
+
+# The sparse routes against dense oracles. About half the drawn entries are
+# zero, so zero rows, zero columns and all-zero vectors are common; shapes
+# include 0 x n and n x 0, and nonzero entries come as int or Fraction.
+mixed = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+)
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+def blocks(rows, cols):
+    return st.lists(st.lists(mixed, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def exact(v) -> bool:
+    return all(type(a) is Fraction for a in v)
+
+
+def combination(coeffs, vectors, n) -> list[Fraction]:
+    return [sum((Fraction(c) * Fraction(u[i]) for c, u in zip(coeffs, vectors)), Fraction(0))
+            for i in range(n)]
+
+
+def test_sparse_routes_on_empty_shapes():
+    wide = Matrix.from_rows([], cols=3)
+    tall = Matrix.from_rows([[], []])
+    assert (wide.rows, wide.cols, tall.rows, tall.cols) == (0, 3, 2, 0)
+    assert wide.apply(vec([1, 2, 3])) == ()
+    assert tall.apply(()) == vec([0, 0])
+    assert (tall @ wide).entries == (vec([0, 0, 0]), vec([0, 0, 0]))
+    assert (wide @ Matrix.from_rows([[1], [2], [3]])).entries == ()
+    assert Matrix.from_rows([[0, 2], [0, 0]]).apply(vec([0, 0])) == vec([0, 0])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_apply_matches_dense_oracle(data):
+    r, c = data.draw(shapes)
+    rows = data.draw(blocks(r, c))
+    v = data.draw(st.lists(mixed, min_size=c, max_size=c))
+    m = Matrix.from_rows(rows, cols=c)
+    out = m.apply(tuple(v))
+    assert list(out) == naive_matvec(rows, v)
+    assert exact(out)
+    assert m.is_zero() == (not any(x for row in rows for x in row))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_matmul_matches_dense_oracle(data):
+    (r, k), c = data.draw(shapes), data.draw(st.integers(0, 4))
+    a, b = data.draw(blocks(r, k)), data.draw(blocks(k, c))
+    prod = Matrix.from_rows(a, cols=k) @ Matrix.from_rows(b, cols=c)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert [list(row) for row in prod.entries] == naive_matmul(a, b, c)
+    assert all(exact(row) for row in prod.entries)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_reduce_matches_dense_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    vectors = data.draw(blocks(data.draw(st.integers(0, 4)), n))
+    v = combination(data.draw(st.lists(mixed, min_size=len(vectors), max_size=len(vectors))),
+                    vectors, n)
+    if data.draw(st.booleans()):
+        v = [a + Fraction(b) for a, b in zip(v, data.draw(blocks(1, n))[0])]
+    s = Subspace.span(n, vectors)
+    res = s.reduce(v)
+    assert exact(res)
+    # the residual is the one vector that is zero at every pivot and differs
+    # from v by an element of the span
+    assert all(res[p] == 0 for p in s.pivots)
+    assert naive_rank(vectors + [[a - b for a, b in zip(v, res)]]) == naive_rank(vectors)
+    inside = naive_rank(vectors + [v]) == naive_rank(vectors)
+    assert s.contains_vector(v) == inside == (not any(res))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_coset_coords_and_lift_match_dense_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    bvecs = data.draw(blocks(data.draw(st.integers(0, 3)), n))
+    zvecs = bvecs + data.draw(blocks(data.draw(st.integers(0, 3)), n))
+    sq = Subquotient.of(Subspace.span(n, zvecs), Subspace.span(n, bvecs))
+    coeffs = data.draw(st.lists(mixed, min_size=sq.dim, max_size=sq.dim))
+    w = sq.lift(coeffs)
+    assert list(w) == combination(coeffs, sq.complement, n)
+    assert exact(w)
+    # every vector of the coset [w] has the drawn coordinates
+    shift = combination(data.draw(st.lists(mixed, min_size=len(bvecs), max_size=len(bvecs))),
+                        bvecs, n)
+    coords = sq.coset_coords([a + b for a, b in zip(w, shift)])
+    assert coords == tuple(Fraction(c) for c in coeffs)
+    assert exact(coords)
+    x = data.draw(blocks(1, n))[0]
+    if naive_rank(zvecs + [x]) == naive_rank(zvecs):
+        back = sq.lift(sq.coset_coords(x))
+        assert naive_rank(bvecs + [[Fraction(a) - b for a, b in zip(x, back)]]) == naive_rank(bvecs)
+    else:
+        with pytest.raises(InvariantError):
+            sq.coset_coords(x)
