@@ -214,14 +214,15 @@ class Filtration:
                 table[(p, n)] = current
         return Filtration(p_lo, p_top, table)
 
+    def clamp(self, p: int) -> int:
+        """The stored level equal to F^p: p clamped to [p_lo, p_top]."""
+        return min(max(p, self.p_lo), self.p_top)
+
     def at(self, p: int, n: int, cx: CochainComplex) -> Subspace:
+        """F^p K^n; below p_lo the stored full level, above p_top the stored zero one."""
         if n < cx.lo or n > cx.hi:
             return Subspace.zero(0)
-        if p < self.p_lo:
-            return Subspace.full(cx.dim(n))
-        if p > self.p_top:
-            return Subspace.zero(cx.dim(n))
-        return self.table[(p, n)]
+        return self.table[(self.clamp(p), n)]
 
 
 class FilteredComplex:
@@ -231,29 +232,50 @@ class FilteredComplex:
         self.cx = cx
         self.filtration = filtration
         self._pre_cache: dict[tuple[int, int], Subspace] = {}
+        self._cycles: dict[tuple[int, int, int], Subspace] = {}
         self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
+        # page_direct cells, keyed by the clamped levels they read
+        self.direct_cells: dict[tuple[int, int, int, int], Subquotient] = {}
         self._validate()
 
     def _validate(self):
         f = self.filtration
         for n in self.cx.degrees():
             top = f.table.get((f.p_lo, n))
+            at_lo = {"level": f.p_lo, "degree": n}
             if top is None:
-                raise InvariantError(f"filtration table missing level {f.p_lo} at degree {n}")
+                raise InvariantError(
+                    f"filtration table missing level {f.p_lo} at degree {n}", witness=at_lo
+                )
             if not top.is_full():
-                raise InvariantError(f"lowest filtration level is not the whole space at degree {n}")
+                raise InvariantError(
+                    f"lowest filtration level is not the whole space at degree {n}",
+                    witness=at_lo,
+                )
             bottom = f.table.get((f.p_top, n))
             if bottom is None or not bottom.is_zero():
-                raise InvariantError(f"highest filtration level is not zero at degree {n}")
+                raise InvariantError(
+                    f"highest filtration level is not zero at degree {n}",
+                    witness={"level": f.p_top, "degree": n},
+                )
             for p in range(f.p_lo, f.p_top + 1):
                 sub = f.table.get((p, n))
+                at = {"level": p, "degree": n}
                 if sub is None:
-                    raise InvariantError(f"filtration table missing level {p} at degree {n}")
-                if sub.ambient_dim != self.cx.dim(n):
-                    raise InvariantError(f"filtration level {p} has wrong ambient at degree {n}")
-                if p > f.p_lo and not f.table[(p - 1, n)].contains(sub):
                     raise InvariantError(
-                        f"filtration is not decreasing at level {p}, degree {n}"
+                        f"filtration table missing level {p} at degree {n}", witness=at
+                    )
+                if sub.ambient_dim != self.cx.dim(n):
+                    raise InvariantError(
+                        f"filtration level {p} has wrong ambient at degree {n}", witness=at
+                    )
+                if p > f.p_lo and not f.table[(p - 1, n)].contains(sub):
+                    above = f.table[(p - 1, n)]
+                    # the first basis vector of F^p outside F^{p-1}
+                    v = next(v for v in sub.basis_rows if not above.contains_vector(v))
+                    at["vector"] = [scalar_str(a) for a in v]
+                    raise InvariantError(
+                        f"filtration is not decreasing at level {p}, degree {n}", witness=at
                     )
         for n in range(self.cx.lo, self.cx.hi):
             d = self.cx.diff(n)
@@ -284,13 +306,33 @@ class FilteredComplex:
     def F(self, p: int, n: int) -> Subspace:
         return self.filtration.at(p, n, self.cx)
 
+    def clamp(self, p: int) -> int:
+        return self.filtration.clamp(p)
+
     def d_preimage(self, p: int, n: int) -> Subspace:
-        """Cached {x in K^n : d(x) in F^p K^{n+1}}."""
-        key = (p, n)
+        """{x in K^n : d(x) in F^p K^{n+1}}, computed once per clamped level.
+
+        Where F^p K^{n+1} is the whole space, it is the stored full level
+        F^{p_lo} K^n.
+        """
+        key = (self.clamp(p), n)
         hit = self._pre_cache.get(key)
         if hit is None:
-            hit = preimage(self.cx.diff(n), self.F(p, n + 1))
+            target = self.F(p, n + 1)
+            if target.is_full():
+                hit = self.F(self.p_lo, n)
+            else:
+                hit = preimage(self.cx.diff(n), target)
             self._pre_cache[key] = hit
+        return hit
+
+    def cycles(self, a: int, b: int, n: int) -> Subspace:
+        """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per clamped (a, b)."""
+        key = (self.clamp(a), self.clamp(b), n)
+        hit = self._cycles.get(key)
+        if hit is None:
+            hit = self.F(a, n).intersect(self.d_preimage(b, n))
+            self._cycles[key] = hit
         return hit
 
     def graded_piece(self, p: int) -> CochainComplex:

@@ -12,6 +12,12 @@ never as a quotient of quotients. Two independent routes compute the pages:
 
 The two must agree cellwise in dimension; the fuzz suites and the oracle
 command enforce exactly that.
+
+Nothing is computed twice. A turn carries the cells d_r leaves alone: when
+the d_r into and out of a cell are both zero, page r+1 holds the same
+Subquotient object. The filtered complex computes each F^a cap d^{-1}F^b
+and each page_direct cell once per clamped level, and a page keeps one zero
+matrix per shape for the differentials it does not store.
 """
 
 from __future__ import annotations
@@ -39,12 +45,16 @@ class Page:
         self.support = support
         self.cells = cells
         self.diffs = diffs
+        self._zeros: dict[tuple[int, int], Matrix] = {}
         for (p, q) in support:
             out = self.diff(p, q)
             tgt = (p + r, q - r + 1)
             nxt = self.diff(*tgt)
             if nxt.cols != out.rows:
                 raise InvariantError(f"differential shapes disagree at cell {(p, q)}")
+            # a zero factor makes the product zero
+            if out.is_zero() or nxt.is_zero():
+                continue
             if not (nxt @ out).is_zero():
                 raise InvariantError(f"d_r o d_r != 0 at cell {(p, q)}", witness=(p, q))
 
@@ -58,8 +68,11 @@ class Page:
         hit = self.diffs.get((p, q))
         if hit is not None:
             return hit
-        tgt = self.cell(p + self.r, q - self.r + 1)
-        return Matrix.zeros(tgt.dim, self.cell(p, q).dim)
+        shape = (self.cell(p + self.r, q - self.r + 1).dim, self.cell(p, q).dim)
+        hit = self._zeros.get(shape)
+        if hit is None:
+            hit = self._zeros[shape] = Matrix.zeros(*shape)
+        return hit
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Dimensions of the nonzero cells."""
@@ -84,7 +97,7 @@ def first_page(fk: FilteredComplex) -> Page:
     support = _support(fk)
     for (p, q) in support:
         n = p + q
-        z = fk.F(p, n).intersect(fk.d_preimage(p + 1, n))
+        z = fk.cycles(p, p + 1, n)
         brows = list(fk.F(p + 1, n).basis_rows)
         dprev = fk.cx.diff(n - 1)
         for v in fk.F(p, n - 1).basis_rows:
@@ -104,19 +117,26 @@ def turn_page(page: Page) -> Page:
     """Compute page r+1 from page r without consulting the filtration.
 
     New cells are ker d_r / im d_r, re-expressed as subquotients of the
-    original spaces through the canonical complement bases. The next
-    differential is induced by d on representative lifts: for a class [w]
-    the representative w - b, b in the new denominator, is chosen so that
-    d(w - b) lands in the new numerator of the target cell.
+    original spaces through the canonical complement bases. A cell with
+    zero d_r in and out is carried as the same object: ker d_r is all of it,
+    im d_r is zero, and reduced bases are unique, so recomputing it would
+    give an equal cell. The next differential is induced by d on
+    representative lifts: for a class [w] the representative w - b, b in
+    the new denominator, is chosen so that d(w - b) lands in the new
+    numerator of the target cell.
     """
-    r2 = page.r + 1
+    r = page.r
+    r2 = r + 1
     cx = page.cx
     cells: dict[tuple[int, int], Subquotient] = {}
     for (p, q) in page.support:
         cell = page.cell(p, q)
         amb = cell.ambient_dim
         dout = page.diff(p, q)
-        din = page.diff(p - page.r, q + page.r - 1)
+        din = page.diff(p - r, q + r - 1)
+        if dout.is_zero() and din.is_zero():
+            cells[(p, q)] = cell
+            continue
         zrows = list(cell.B.basis_rows)
         for kv in dout.nullspace():
             zrows.append(cell.lift(kv))
@@ -158,17 +178,24 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
 
     Z_r = F^p K^{p+q} cap d^{-1}(F^{p+r} K^{p+q+1})
     B_r = (F^{p+1} cap Z_r) + d(F^{p-r+1} K^{p+q-1} cap d^{-1} F^p)
+
+    Both read F only at clamped levels, so the cell is computed once per
+    (clamped p+r, clamped p-r+1, p, n) and kept on fk. F^{p+1} cap Z_r is
+    F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p.
     """
     if r < 1:
         raise InvariantError("pages are indexed from r = 1")
     n = p + q
     if n < fk.cx.lo or n > fk.cx.hi:
         return Subquotient.zero(0)
-    zr = fk.F(p, n).intersect(fk.d_preimage(p + r, n))
-    aa = fk.F(p + 1, n).intersect(zr)
-    src = fk.F(p - r + 1, n - 1).intersect(fk.d_preimage(p, n - 1))
-    br = aa.sum_with(image(fk.cx.diff(n - 1), src))
-    return Subquotient.of(zr, br)
+    key = (fk.clamp(p + r), fk.clamp(p - r + 1), p, n)
+    hit = fk.direct_cells.get(key)
+    if hit is None:
+        zr = fk.cycles(p, p + r, n)
+        src = fk.cycles(p - r + 1, p, n - 1)
+        br = fk.cycles(p + 1, p + r, n).sum_with(image(fk.cx.diff(n - 1), src))
+        hit = fk.direct_cells[key] = Subquotient.of(zr, br)
+    return hit
 
 
 class SpectralSequence:
@@ -237,7 +264,7 @@ def decalage(fk: FilteredComplex) -> FilteredComplex:
     table: dict[tuple[int, int], Subspace] = {}
     for n in cx.degrees():
         for p in range(p_lo, p_top + 1):
-            table[(p, n)] = fk.F(p + n, n).intersect(fk.d_preimage(p + n + 1, n))
+            table[(p, n)] = fk.cycles(p + n, p + n + 1, n)
     return FilteredComplex(cx, Filtration(p_lo, p_top, table))
 
 

@@ -165,6 +165,44 @@ def preimage_basis(d_rows, target, ncols: int) -> list[Row]:
     return [v[:ncols] for v in kern]
 
 
+def _pivot(row) -> int:
+    return next(j for j, a in enumerate(row) if a != 0)
+
+
+def naive_turn_cells(page) -> dict:
+    """Cells of the page after `page`, by the rule ker d_r / im d_r on every cell.
+
+    `page` is read only through its support, cells (B basis rows, complement
+    rows, ambient dimension) and differentials (dense entries), so the rule
+    runs on plain lists: new Z = B + lifts of ker d_out, new B = B + lifts of
+    the columns of d_in, a lift being the combination of the complement rows.
+    Returns, per cell, the rrefs of Z and B and the rows of Z's rref whose
+    pivots are not pivots of B.
+    """
+    r = page.r
+    out = {}
+    for (p, q) in page.support:
+        cell = page.cell(p, q)
+        amb = cell.ambient_dim
+        comp = [list(c) for c in cell.complement]
+        base = [list(b) for b in cell.B.basis_rows]
+
+        def lift(coords):
+            v = [Fraction(0)] * amb
+            for c, row in zip(coords, comp):
+                v = [a + c * b for a, b in zip(v, row)]
+            return v
+
+        dout = page.diff(p, q)
+        din = page.diff(p - r, q + r - 1)
+        kernel = naive_nullspace([list(row) for row in dout.entries], dout.cols)
+        z = naive_rref(base + [lift(k) for k in kernel])
+        b = naive_rref(base + [lift([row[j] for row in din.entries]) for j in range(din.cols)])
+        in_b = {_pivot(row) for row in b}
+        out[(p, q)] = (z, b, [row for row in z if _pivot(row) not in in_b])
+    return out
+
+
 # brute-force graded-commutative monomial calculus
 
 

@@ -419,6 +419,36 @@ def test_degree_outside_the_complex_names_the_range(capsys, tmp_path, patch, ran
     assert "rows" not in out["message"]
 
 
+TWO_BY_ONE = {"degrees": [0, 1], "dims": {"0": 2, "1": 1}, "d": {"0": [["0", "0"]]}}
+
+
+@pytest.mark.parametrize(
+    "filtration, message, witness",
+    [
+        (
+            {"1": {"0": [["1"], ["0"]]}, "2": {"0": [["0"], ["1"]]}},
+            "lowest filtration level is not the whole space at degree 0",
+            {"level": 1, "degree": 0},
+        ),
+        (
+            {"0": {"0": [["1", "0"], ["0", "1"]]}, "1": {"0": [["1"], ["0"]]},
+             "2": {"0": [["0"], ["1"]]}},
+            "filtration is not decreasing at level 2, degree 0",
+            {"level": 2, "degree": 0, "vector": ["0", "1"]},
+        ),
+    ],
+    ids=["lowest-level-not-full", "not-decreasing"],
+)
+def test_filtration_shape_errors_exit_4_with_a_witness(
+    capsys, tmp_path, filtration, message, witness
+):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**TWO_BY_ONE, "filtration": filtration}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 4
+    assert out == {"error": "invariant", "message": message, "witness": witness}
+
+
 def _rekey(tab, old, new):
     tab[new] = tab.pop(old)
 

@@ -1,6 +1,8 @@
 """Each object is computed once: one spectral sequence per filtered complex,
 one Leibniz check per derivation, one elimination per subspace operation,
-one application of a map per basis vector of an induced map's source."""
+one application of a map per basis vector of an induced map's source, one
+preimage per clamped filtration level, and no recomputation of a page cell
+that d_r leaves alone."""
 
 import json
 from fractions import Fraction
@@ -145,3 +147,62 @@ def test_induced_map_applies_f_once_per_basis_vector(monkeypatch):
         seen += src.dim
     # the complement vectors are applied only as rows of Z
     assert seen > 0
+
+
+def test_a_turn_carries_the_cells_d_r_leaves_alone():
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    ss = SpectralSequence(random_filtered_complex(random.Random(0)))
+    carried = 0
+    for r in range(1, 6):
+        page, nxt = ss.page(r), ss.page(r + 1)
+        for (p, q) in page.support:
+            if page.diff(p, q).is_zero() and page.diff(p - r, q + r - 1).is_zero():
+                assert nxt.cell(p, q) is page.cell(p, q)
+                carried += 1
+    assert carried > 0
+
+
+def test_oracle_runs_one_preimage_per_clamped_level_and_degree(monkeypatch):
+    import random
+    from collections import Counter
+
+    import specseq.filtered as filtered
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(0))
+    # each preimage is charged to the (clamped level, degree) of the open d_preimage
+    open_keys, keys = [], []
+    real_d_preimage = filtered.FilteredComplex.d_preimage
+    real_preimage = filtered.preimage
+
+    def d_preimage(self, p, n):
+        open_keys.append((min(max(p, self.p_lo), self.p_top), n))
+        try:
+            return real_d_preimage(self, p, n)
+        finally:
+            open_keys.pop()
+
+    def preimage(f, target):
+        keys.append(open_keys[-1])
+        return real_preimage(f, target)
+
+    monkeypatch.setattr(filtered.FilteredComplex, "d_preimage", d_preimage)
+    monkeypatch.setattr(filtered, "preimage", preimage)
+    assert sp.oracle_report(fk)["ok"]
+    assert keys
+    assert max(Counter(keys).values()) == 1
+
+
+def test_filtration_outside_its_range_is_the_stored_level():
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(0))
+    table = fk.filtration.table
+    for n in fk.cx.degrees():
+        assert fk.F(fk.p_lo - 2, n) is table[(fk.p_lo, n)]
+        assert fk.F(fk.p_top + 2, n) is table[(fk.p_top, n)]

@@ -1,8 +1,9 @@
 """CLI stdout and certificate JSON are byte-identical to recorded digests.
 
 The compute and fuzz digests were recorded at commit 00a016d, the certificate
-and d2 digests at commit 01b8d75, and the page-route digests of the seeded
-random complex at commit 64fa149.
+and d2 digests at commit 01b8d75, the page-route digests of the seeded
+random complex at commit 64fa149, and the eight-page digests at commit
+3674f0b.
 """
 
 import hashlib
@@ -29,6 +30,8 @@ GOLDEN = {
     "oracle-random-0": "8f23b987ec1eae756ffe6b233e7f11672be8d1f994573e211e6a0a53fb5d7b16",
     "decalage-random-0": "cfced08e111f1f1e13210dad1d21cca6c8bc62f047fa2a0e731b66bc4cbaf841",
     "compute-with-maps-random-0": "eeb453e4ff264f48c4ccd8606047e46d221dbd39f79a44afed3461d60a4cf93f",
+    "oracle-pages-8-random-33": "4c10caa0341d4bf5781932671a37e7d67cde444b4426c6a2a1db27449df657c1",
+    "compute-with-maps-pages-8-random-33": "213d308d10065a23f0d8cba381f22789cacd5db8fbd2a88dc778335942d84fa0",
 }
 
 
@@ -67,6 +70,23 @@ def test_page_routes_on_a_random_complex(capsys, tmp_path, key, argv):
     fk = random_filtered_complex(random.Random(0))
     path = write_json(tmp_path / "fk.json", fk.to_json())
     assert stdout_digest(capsys, argv + ["--input", path]) == GOLDEN[key]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("oracle-pages-8-random-33", ["oracle"]),
+        ("compute-with-maps-pages-8-random-33", ["compute", "--with-maps"]),
+    ],
+)
+def test_pages_past_stabilization(capsys, tmp_path, key, argv):
+    # total dim 16 over degrees -2..1, levels -1..3 and a nonzero d_3; r* = 4,
+    # so pages 5-8 read F past both ends of the filtration
+    fk = random_filtered_complex(random.Random(33))
+    assert (fk.p_lo, fk.p_top) == (-1, 3)
+    path = write_json(tmp_path / "fk.json", fk.to_json())
+    argv = argv + ["--pages", "8", "--input", path]
+    assert stdout_digest(capsys, argv) == GOLDEN[key]
 
 
 XI1_TORUS2 = {"images": {"xi1": {"eta1eta2": "1"}}}

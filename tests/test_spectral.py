@@ -20,6 +20,7 @@ from specseq.linalg import Matrix
 from specseq.spectral import compare_differentials
 
 from conftest import acyclic_two_term, seeded
+from oracles import naive_turn_cells
 
 
 class TestAcyclicMicroExample:
@@ -149,6 +150,20 @@ def test_fuzzed_differentials_agree_with_direct_route(seed):
         compare_differentials(fk, r)
 
 
+@pytest.mark.parametrize("seed", range(50))
+def test_turned_cells_match_the_naive_rule(seed):
+    # the naive rule recomputes every cell, the carried ones included
+    ss = SpectralSequence(random_filtered_complex(seeded("turn", seed)))
+    for r in range(1, 7):
+        naive = naive_turn_cells(ss.page(r))
+        nxt = ss.page(r + 1)
+        for pq, (z, b, comp) in naive.items():
+            cell = nxt.cell(*pq)
+            assert [list(v) for v in cell.Z.basis_rows] == z, (r, pq)
+            assert [list(v) for v in cell.B.basis_rows] == b, (r, pq)
+            assert [list(v) for v in cell.complement] == comp, (r, pq)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_fuzzed_decalage_renumbering(seed):
     fk = random_filtered_complex(seeded("dec", seed))
@@ -199,6 +214,16 @@ def test_page_rejects_non_composing_differentials(acyclic_fk):
     diffs = {(0, 0): one, (1, 0): one}
     with pytest.raises(InvariantError):
         Page(1, cx, tuple(cells), cells, diffs)
+
+
+def test_page_checks_shapes_when_a_differential_is_zero(acyclic_fk):
+    from specseq import InvariantError, Page, Subquotient
+
+    cells = {(0, 0): Subquotient.whole(1), (1, 0): Subquotient.whole(1)}
+    # d_1 into (1, 0) is zero, but the map out of it takes two columns
+    diffs = {(0, 0): Matrix.zeros(1, 1), (1, 0): Matrix.zeros(0, 2)}
+    with pytest.raises(InvariantError, match="shapes disagree"):
+        Page(1, acyclic_fk.cx, tuple(cells), cells, diffs)
 
 
 def test_abutment_mismatch_is_an_engine_error(acyclic_fk, monkeypatch):
