@@ -20,8 +20,7 @@ from .filtered import FilteredComplex
 from .linalg import (
     Matrix,
     Q0,
-    Q1,
-    scalar,
+    coefficient,
     scalar_str,
     vec,
 )
@@ -29,11 +28,14 @@ from .spectral import SpectralSequence
 
 
 class Element:
-    """Sparse algebra element: {basis index: coefficient}."""
+    """Sparse algebra element: {basis index: coefficient}.
+
+    Coefficients are exact rationals, kept as ints while they are integral.
+    """
 
     __slots__ = ("alg", "coeffs")
 
-    def __init__(self, alg: "BigradedAlgebra", coeffs: dict[int, Fraction]):
+    def __init__(self, alg: "BigradedAlgebra", coeffs: dict[int, int | Fraction]):
         self.alg = alg
         self.coeffs = {i: c for i, c in coeffs.items() if c != 0}
 
@@ -50,20 +52,20 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = out.get(i, Q0) + c
+            out[i] = out.get(i, 0) + c
         return Element(self.alg, out)
 
     def __sub__(self, other: "Element") -> "Element":
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = out.get(i, Q0) - c
+            out[i] = out.get(i, 0) - c
         return Element(self.alg, out)
 
     def __neg__(self) -> "Element":
         return Element(self.alg, {i: -c for i, c in self.coeffs.items()})
 
     def scaled(self, c) -> "Element":
-        c = scalar(c)
+        c = coefficient(c)
         return Element(self.alg, {i: c * a for i, a in self.coeffs.items()})
 
     def __rmul__(self, c) -> "Element":
@@ -74,11 +76,10 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             return self.scaled(other)
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
-                for k, s in self.alg.product_indices(i, j).items():
-                    out[k] = out.get(k, Q0) + a * b * s
+                _accumulate(out, a * b, self.alg.product_indices(i, j))
         return Element(self.alg, out)
 
     def __eq__(self, other) -> bool:
@@ -106,7 +107,8 @@ class BigradedAlgebra:
     """Finite bigraded graded-commutative unital algebra over Q.
 
     basis: list of (name, p, q); products: sparse structure constants
-    (i, j) -> {k: coefficient}, absent pairs multiply to zero.
+    (i, j) -> {k: coefficient}, absent pairs multiply to zero. Integral
+    structure constants are stored as ints.
     """
 
     def __init__(
@@ -121,7 +123,7 @@ class BigradedAlgebra:
         self.basis = [(str(nm), int(p), int(q)) for (nm, p, q) in basis]
         self.unit = unit
         self.products = {
-            ij: {k: scalar(c) for k, c in tab.items() if c != 0}
+            ij: {k: coefficient(c) for k, c in tab.items() if c != 0}
             for ij, tab in products.items()
         }
         self.products = {ij: tab for ij, tab in self.products.items() if tab}
@@ -178,27 +180,27 @@ class BigradedAlgebra:
         return self._by_name[name]
 
     def el(self, name: str) -> Element:
-        return Element(self, {self.index(name): Q1})
+        return Element(self, {self.index(name): 1})
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, {i: Q1})
+        return Element(self, {i: 1})
 
     def zero(self) -> Element:
         return Element(self, {})
 
     def one(self) -> Element:
-        return Element(self, {self.unit: Q1})
+        return Element(self, {self.unit: 1})
 
-    def from_coeffs(self, coeffs: dict[int, Fraction]) -> Element:
-        return Element(self, dict(coeffs))
+    def from_coeffs(self, coeffs: dict[int, int | Fraction]) -> Element:
+        return Element(self, {i: coefficient(c) for i, c in coeffs.items()})
 
     def element_from_cell(self, p: int, q: int, coords) -> Element:
         """Element with the given coordinates in the cell (p, q) basis."""
         idx = self.cell_indices(p, q)
-        coords = vec(coords)
+        coords = [coefficient(c) for c in coords]
         if len(coords) != len(idx):
             raise InvariantError(f"cell {(p, q)} has dimension {len(idx)}, got {len(coords)}")
-        return Element(self, {i: c for i, c in zip(idx, coords)})
+        return Element(self, dict(zip(idx, coords)))
 
     def coordinates(self, x: Element, idx: list[int]) -> tuple[Fraction, ...]:
         """Coordinates of x in the basis elements idx; errors if x has support elsewhere."""
@@ -371,10 +373,10 @@ class Derivation:
         return self.bidegree[0] + self.bidegree[1]
 
     def apply(self, x: Element) -> Element:
-        out = self.alg.zero()
+        out: dict[int, int | Fraction] = {}
         for i, c in x.coeffs.items():
-            out = out + self.values[i].scaled(c)
-        return out
+            _accumulate(out, c, self.values[i].coeffs)
+        return Element(self.alg, out)
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -416,7 +418,7 @@ class Derivation:
         return all(v.is_zero() for v in self.values)
 
     def scaled(self, c) -> "Derivation":
-        c = scalar(c)
+        c = coefficient(c)
         return Derivation(
             self.alg, self.bidegree, [v.scaled(c) for v in self.values], check=False
         )
@@ -504,19 +506,24 @@ def _basis_index(key: str, dim: int, what: str, location: str) -> int:
     return i
 
 
-def coeffs_from_json(tab: dict, dim: int, what: str, location: str) -> dict[int, Fraction]:
-    """{basis index: rational} read from a JSON object, every index in [0, dim)."""
+def coeffs_from_json(
+    tab: dict, dim: int, what: str, location: str
+) -> dict[int, int | Fraction]:
+    """{basis index: rational} read from a JSON object, every index in [0, dim).
+
+    Integral values come back as ints, as the algebra layer keeps them.
+    """
     out = {}
     for key, value in tab.items():
         k = _basis_index(key, dim, what, location)
         try:
-            out[k] = scalar(value)
+            out[k] = coefficient(value)
         except ParseError as exc:
             raise ParseError(f"bad coefficients in {what}", location=location) from exc
     return out
 
 
-def _accumulate(acc: dict[int, Fraction], c: Fraction, tab) -> None:
+def _accumulate(acc: dict[int, int | Fraction], c: int | Fraction, tab) -> None:
     """acc += c * tab, for coefficient mappings {basis index: coefficient}."""
     for k, a in tab.items():
         acc[k] = acc[k] + c * a if k in acc else c * a

@@ -10,6 +10,7 @@ byte-identical output. SS_THREADS bounds fuzz parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -65,13 +66,18 @@ class RunConfig:
 
     def __post_init__(self):
         if self.pages < 1:
-            raise InvariantError("page bound must be positive")
+            raise InvariantError("page bound must be positive", witness={"pages": self.pages})
         if self.cases < 1:
-            raise InvariantError("case count must be positive")
+            raise InvariantError("case count must be positive", witness={"cases": self.cases})
         if self.max_dim < 1 or self.max_width < 1:
-            raise InvariantError("bounds must be positive")
+            raise InvariantError(
+                "bounds must be positive",
+                witness={"max_dim": self.max_dim, "max_width": self.max_width},
+            )
         if self.threads < 1:
-            raise InvariantError("SS_THREADS must be positive")
+            raise InvariantError(
+                "SS_THREADS must be positive", witness={"SS_THREADS": self.threads}
+            )
 
 
 def _load_json(path: str) -> dict:
@@ -334,6 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     raw = os.environ.get("SS_THREADS", "1") or "1"
     try:
@@ -376,7 +388,7 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     """Configure and dispatch one command; exit codes as documented."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         return _DISPATCH[cfg.command](cfg)

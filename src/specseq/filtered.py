@@ -49,6 +49,8 @@ class CochainComplex:
             if (mat.rows, mat.cols) != (self.dims[n + 1], self.dims[n]):
                 raise InvariantError(f"differential at degree {n} has the wrong shape")
             self.d[n] = mat
+        # one zero matrix per shape for the degrees outside [lo, hi)
+        self._zeros: dict[tuple[int, int], Matrix] = {}
         for n in range(lo, hi - 1):
             if not (self.d[n + 1] @ self.d[n]).is_zero():
                 raise InvariantError(f"d o d != 0 between degrees {n} and {n + 2}", witness=n)
@@ -61,9 +63,14 @@ class CochainComplex:
 
     def diff(self, n: int) -> Matrix:
         """d^n with zero fallback outside the stored range."""
-        if n in self.d:
-            return self.d[n]
-        return Matrix.zeros(self.dim(n + 1), self.dim(n))
+        hit = self.d.get(n)
+        if hit is not None:
+            return hit
+        shape = (self.dim(n + 1), self.dim(n))
+        hit = self._zeros.get(shape)
+        if hit is None:
+            hit = self._zeros[shape] = Matrix.zeros(*shape)
+        return hit
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

@@ -14,15 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BigradedAlgebra, Derivation, Element, verify_leibniz
+from .algebra import BigradedAlgebra, Derivation, Element, _accumulate, verify_leibniz
 from .errors import ContainmentError, EngineError, InvariantError
 from .linalg import (
     Matrix,
-    Q0,
     Subspace,
+    coefficient,
     kernel,
     pairing_rank,
-    scalar,
     scalar_str,
     sparse_rank,
 )
@@ -54,21 +53,21 @@ class LefschetzStructure:
             if bad is not None:
                 raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
 
-    def power(self, m: int, i: int) -> Matrix:
-        """Matrix of L^i starting at degree m."""
-        out = Matrix.identity(self.dims.get(m, 0))
-        for t in range(i):
-            out = self.L.get(m + 2 * t, Matrix.zeros(0, out.rows)) @ out
-        return out
-
     def hard_lefschetz_failure(self) -> int | None:
-        """Smallest i >= 1 with L^i : H^{n-i} -> H^{n+i} not bijective, else None."""
+        """Smallest i >= 1 with L^i : H^{n-i} -> H^{n+i} not bijective, else None.
+
+        L is applied i times to the basis of H^{n-i}, one sparse step at a
+        time, and the images are ranked once.
+        """
         for i in range(1, self.n + 1):
-            src = self.dims.get(self.n - i, 0)
-            tgt = self.dims.get(self.n + i, 0)
+            m = self.n - i
+            src, tgt = self.dims[m], self.dims[self.n + i]
             if src != tgt:
                 return i
-            if self.power(self.n - i, i).rank() != src:
+            images = Matrix.identity(src).column_vectors()
+            for t in range(i):
+                images = [self.L[m + 2 * t].apply(v) for v in images]
+            if Matrix.from_cols(images, rows=tgt).rank() != src:
                 return i
         return None
 
@@ -76,24 +75,26 @@ class LefschetzStructure:
 class PolarizedAlgebra:
     """Bigraded algebra with omega in (1,1) and an integral on the top cell.
 
-    check=True validates hard Lefschetz for L = omega * (-), Poincare duality
-    in complementary bidegrees, and the twisted primitive pairings
-    (gamma, beta) -> integral(omega^{n-a-b} gamma beta) on H0^{a,b} x H0^{b,a}
-    for all a+b <= n.
+    The Lefschetz operator L = omega * (-) is built once, at construction,
+    as the sparse images omega * e_i of the basis elements; every use of L
+    and of powers of omega reads them. check=True validates hard Lefschetz
+    for L, Poincare duality in complementary bidegrees, and the twisted
+    primitive pairings (gamma, beta) -> integral(omega^{n-a-b} gamma beta)
+    on H0^{a,b} x H0^{b,a} for all a+b <= n.
     """
 
     def __init__(
         self,
         A: BigradedAlgebra,
         omega: Element,
-        integral: dict[int, Fraction],
+        integral: dict[int, int | Fraction],
         check: bool = True,
     ):
         self.A = A
         self.omega = omega
         self.n = A.n
         top = set(A.cell_indices(self.n, self.n))
-        self.integral = {int(i): scalar(c) for i, c in integral.items() if c != 0}
+        self.integral = {int(i): coefficient(c) for i, c in integral.items() if c != 0}
         for i in self.integral:
             if i not in top:
                 raise InvariantError(
@@ -103,27 +104,33 @@ class PolarizedAlgebra:
             omega.bidegree() is None and not omega.is_zero()
         ):
             raise InvariantError("omega must be homogeneous of bidegree (1, 1)")
+        # _lefschetz[i] holds the coefficients of omega * e_i
+        self._lefschetz = tuple((omega * A.basis_element(i)).coeffs for i in range(A.dim()))
         self._prim_cache: dict[tuple[int, int], Subspace] = {}
+        self._prim_elements: dict[tuple[int, int], tuple[Element, ...]] = {}
         if check:
             self.validate()
 
     # -- basic pairings and operators
 
-    def integral_of(self, x: Element) -> Fraction:
+    def integral_of(self, x: Element) -> int | Fraction:
         """The functional on A^{n,n}, extended by zero off the top cell."""
-        total = Q0
+        total = 0
         for i, c in x.coeffs.items():
-            total += c * self.integral.get(i, Q0)
+            total += c * self.integral.get(i, 0)
         return total
 
-    def L(self, x: Element) -> Element:
-        return self.omega * x
+    def L(self, x: Element, k: int = 1) -> Element:
+        """omega^k * x, through the sparse images of the basis elements."""
+        for _ in range(k):
+            out: dict[int, int | Fraction] = {}
+            for i, c in x.coeffs.items():
+                _accumulate(out, c, self._lefschetz[i])
+            x = Element(self.A, out)
+        return x
 
     def omega_power(self, k: int) -> Element:
-        out = self.A.one()
-        for _ in range(k):
-            out = self.omega * out
-        return out
+        return self.L(self.A.one(), k)
 
     def degree_indices(self, m: int) -> list[int]:
         return self.A.degree_indices(m)
@@ -137,7 +144,7 @@ class PolarizedAlgebra:
         for m in range(0, 2 * self.n + 1):
             image = self.degree_indices(m + 2)
             cols = [
-                self.A.coordinates(self.L(self.A.basis_element(i)), image)
+                self.A.coordinates(Element(self.A, self._lefschetz[i]), image)
                 for i in self.degree_indices(m)
             ]
             L[m] = Matrix.from_cols(cols, rows=len(image))
@@ -153,22 +160,24 @@ class PolarizedAlgebra:
             return hit
         k = p + q
         i = self.n - k + 1
-        cols = []
-        for idx in self.A.cell_indices(p, q):
-            x = self.A.basis_element(idx)
-            for _ in range(i):
-                x = self.L(x)
-            cols.append(self.A.cell_vector(x, p + i, q + i))
+        cols = [
+            self.A.cell_vector(self.L(self.A.basis_element(idx), i), p + i, q + i)
+            for idx in self.A.cell_indices(p, q)
+        ]
         mat = Matrix.from_cols(cols, rows=self.A.cell_dim(p + i, q + i))
         out = kernel(mat)
         self._prim_cache[key] = out
         return out
 
-    def primitive_elements(self, p: int, q: int) -> list[Element]:
-        return [
-            self.A.element_from_cell(p, q, v)
-            for v in self.primitive_cell(p, q).basis_rows
-        ]
+    def primitive_elements(self, p: int, q: int) -> tuple[Element, ...]:
+        """The basis of H0^{p,q} as elements, built once per cell."""
+        hit = self._prim_elements.get((p, q))
+        if hit is None:
+            hit = self._prim_elements[(p, q)] = tuple(
+                self.A.element_from_cell(p, q, v)
+                for v in self.primitive_cell(p, q).basis_rows
+            )
+        return hit
 
     def primitive_degree_dim(self, m: int) -> int:
         return sum(
@@ -186,21 +195,11 @@ class PolarizedAlgebra:
             raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
         n = self.n
         for (p, q), idx in self.A.cells.items():
-            jdx = self.A.cell_indices(n - p, n - q)
-            if len(jdx) != len(idx):
+            if len(self.A.cell_indices(n - p, n - q)) != len(idx):
                 raise InvariantError(
                     f"complementary cells {(p, q)} and {(n - p, n - q)} have different dimensions"
                 )
-            gram = Matrix.from_rows(
-                [
-                    [
-                        self.integral_of(self.A.basis_element(i) * self.A.basis_element(j))
-                        for j in jdx
-                    ]
-                    for i in idx
-                ]
-            ) if idx else Matrix.zeros(0, 0)
-            _, nondeg = pairing_rank(gram)
+            _, nondeg = pairing_rank(self.poincare_gram(p, q))
             if not nondeg:
                 raise InvariantError(
                     f"Poincare pairing degenerates on cell {(p, q)}", witness=[p, q]
@@ -220,12 +219,28 @@ class PolarizedAlgebra:
                         witness=[a, b],
                     )
 
+    def poincare_gram(self, p: int, q: int) -> Matrix:
+        """Gram of (e_i, e_j) -> integral(e_i e_j) on the cells (p, q) x (n-p, n-q).
+
+        Each entry is read from the products row (i, j) and the integral.
+        """
+        jdx = self.A.cell_indices(self.n - p, self.n - q)
+        rows = [
+            [
+                sum(c * self.integral.get(k, 0) for k, c in self.A.product_indices(i, j).items())
+                for j in jdx
+            ]
+            for i in self.A.cell_indices(p, q)
+        ]
+        return Matrix.from_rows(rows, cols=len(jdx))
+
     def twisted_primitive_gram(self, a: int, b: int) -> Matrix:
         """Gram of (gamma, beta) -> integral(omega^{n-a-b} gamma beta) on H0^{a,b} x H0^{b,a}."""
-        gammas = self.primitive_elements(a, b)
         betas = self.primitive_elements(b, a)
-        w = self.omega_power(self.n - a - b)
-        rows = [[self.integral_of(w * g * bb) for bb in betas] for g in gammas]
+        rows = []
+        for g in self.primitive_elements(a, b):
+            wg = self.L(g, self.n - a - b)
+            rows.append([self.integral_of(wg * bb) for bb in betas])
         return Matrix.from_rows(rows, cols=len(betas))
 
 
@@ -267,8 +282,7 @@ def primitive_subspaces(pa: PolarizedAlgebra) -> dict[tuple[int, int], Subspace]
 def _commutator_violation(pa: PolarizedAlgebra, d: Derivation) -> str | None:
     """First basis element x with d(omega*x) != omega*d(x), else None."""
     for i in range(pa.A.dim()):
-        x = pa.A.basis_element(i)
-        if not (d.apply(pa.L(x)) - pa.L(d.apply(x))).is_zero():
+        if not (d.apply(pa.L(pa.A.basis_element(i))) - pa.L(d.values[i])).is_zero():
             return pa.A.basis[i][0]
     return None
 
@@ -326,41 +340,36 @@ def deligne_vanishing(pa: PolarizedAlgebra, k: int = -1) -> int:
     """Dimension of the space of degree-k linear maps commuting with L_omega.
 
     Solves [f, L] = 0 over all graded maps f : H^m -> H^{m+k}; hard Lefschetz
-    forces 0 for k = -1.
+    forces 0 for k = -1. The entry (r, c) of the equation in degree m,
+    (f_{m+2} L_m - L_{m+k} f_m)[r, c] = 0, is assembled from the sparse
+    images of L: L_m's column c gives the first term and each column i of
+    L_{m+k} adds to the rows r where it is nonzero.
     """
-    ls = pa.lefschetz_structure()
-    dims = ls.dims
+    top = 2 * pa.n
+    degree = {m: pa.degree_indices(m) for m in range(-abs(k), top + abs(k) + 3)}
+    pos = {i: t for idx in degree.values() for t, i in enumerate(idx)}
     unknown_id: dict[tuple[int, int, int], int] = {}
-    for m in range(0, 2 * pa.n + 1):
-        rows_f = dims.get(m + k, 0)
-        for i in range(rows_f):
-            for j in range(dims[m]):
+    for m in range(0, top + 1):
+        for i in range(len(degree[m + k])):
+            for j in range(len(degree[m])):
                 unknown_id[(m, i, j)] = len(unknown_id)
     if not unknown_id:
         return 0
-    eqs: list[dict[int, Fraction]] = []
-    for m in range(0, 2 * pa.n + 1):
-        lm = ls.L[m]
-        lmk = ls.L.get(m + k, Matrix.zeros(dims.get(m + k + 2, 0), dims.get(m + k, 0)))
-        rows_out = dims.get(m + 2 + k, 0)
-        for r in range(rows_out):
-            for c in range(dims[m]):
-                row: dict[int, Fraction] = {}
-                # (f_{m+2} L_m)[r,c]
-                for s in range(dims.get(m + 2, 0)):
-                    coeff = lm.entries[s][c]
-                    if coeff != 0:
-                        key = unknown_id[(m + 2, r, s)]
-                        row[key] = row.get(key, Q0) + coeff
-                # -(L_{m+k} f_m)[r,c]
-                for i in range(dims.get(m + k, 0)):
-                    coeff = lmk.entries[r][i]
-                    if coeff != 0:
-                        key = unknown_id[(m, i, c)]
-                        row[key] = row.get(key, Q0) - coeff
-                if row:
-                    eqs.append(row)
-    return len(unknown_id) - sparse_rank(eqs)
+    eqs: dict[tuple[int, int, int], dict[int, int | Fraction]] = {}
+    for m in range(0, top + 1):
+        rows_out = len(degree[m + 2 + k])
+        for c, x in enumerate(degree[m]):
+            # (f_{m+2} L_m)[r, c]
+            for y, coeff in pa._lefschetz[x].items():
+                s = pos[y]
+                for r in range(rows_out):
+                    eqs.setdefault((m, r, c), {})[unknown_id[(m + 2, r, s)]] = coeff
+            # -(L_{m+k} f_m)[r, c]
+            for i, y in enumerate(degree[m + k]):
+                key = unknown_id[(m, i, c)]
+                for z, coeff in pa._lefschetz[y].items():
+                    eqs.setdefault((m, pos[z], c), {})[key] = -coeff
+    return len(unknown_id) - sparse_rank(list(eqs.values()))
 
 
 def hom_space_dimension(pa: PolarizedAlgebra, k: int = -1) -> int:
@@ -387,9 +396,8 @@ def serre_sign_check(pa: PolarizedAlgebra, d: Derivation) -> tuple[bool, list | 
         x = pa.A.basis_element(i)
         s = -1 if (p + q) % 2 == 0 else 1  # -(-1)^{|x|}
         for j in jdx:
-            y = pa.A.basis_element(j)
-            lhs = pa.integral_of(d.apply(x) * y)
-            rhs = s * pa.integral_of(x * d.apply(y))
+            lhs = pa.integral_of(d.values[i] * pa.A.basis_element(j))
+            rhs = s * pa.integral_of(x * d.values[j])
             if lhs != rhs:
                 return False, [pa.A.basis[i][0], pa.A.basis[j][0]]
     return True, None
@@ -486,7 +494,6 @@ def degeneration_certify(
 
     def twisted_pairings():
         for k in range(n - 1, -1, -1):
-            w = pa.omega_power(n - k - 1)
             for (p, q) in sorted(pa.A.cells):
                 if p + q != k:
                     continue
@@ -496,8 +503,9 @@ def degeneration_certify(
                 betas = pa.primitive_elements(q + B, p + A)
                 for alpha in prim:
                     dalpha = d.apply(alpha)
+                    wdalpha = pa.L(dalpha, n - k - 1)
                     for beta in betas:
-                        val = pa.integral_of(w * dalpha * beta)
+                        val = pa.integral_of(wdalpha * beta)
                         if val != 0:
                             return {
                                 "alpha": _element_witness(alpha),

@@ -47,6 +47,19 @@ def scalar(value) -> Fraction:
     raise ParseError(f"cannot interpret {value!r} as a rational")
 
 
+def coefficient(value) -> int | Fraction:
+    """scalar(value), as an int when it is integral.
+
+    The algebra layer stores its coefficients this way: it only adds,
+    subtracts and multiplies them, which is exact on ints, and an int
+    equals, hashes and prints like the Fraction it stands for.
+    """
+    if type(value) is int:
+        return value
+    c = scalar(value)
+    return c.numerator if c.denominator == 1 else c
+
+
 def scalar_str(value: Fraction) -> str:
     return str(value)
 
@@ -580,5 +593,8 @@ def pairing_rank(gram: Matrix) -> tuple[int, bool]:
 
 
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse system given as {column: coefficient} rows."""
-    return len(_echelon({c: a for c, a in r.items() if a} for r in rows))
+    """Rank of a sparse system given as {column: coefficient} rows.
+
+    Coefficients are coerced to Fraction, since elimination divides.
+    """
+    return len(_echelon({c: scalar(a) for c, a in r.items() if a} for r in rows))

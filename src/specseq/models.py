@@ -22,7 +22,7 @@ from .algebra import (
 )
 from .errors import InvariantError, ParseError
 from .lefschetz import PolarizedAlgebra
-from .linalg import Q0, Q1, scalar, scalar_str
+from .linalg import coefficient, scalar, scalar_str
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,13 @@ def _exterior_algebra(n: int, gens: list[tuple[str, int, int]]) -> BigradedAlgeb
         p = sum(gens[i][1] for i in sub)
         q = sum(gens[i][2] for i in sub)
         basis.append((nm, p, q))
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+    products: dict[tuple[int, int], dict[int, int]] = {}
     for si, s in enumerate(subsets):
         for ti, t in enumerate(subsets):
             if set(s) & set(t):
                 continue
             inversions = sum(1 for a in s for b in t if a > b)
-            sign = Q1 if inversions % 2 == 0 else -Q1
+            sign = 1 if inversions % 2 == 0 else -1
             merged = tuple(sorted(s + t))
             products[(si, ti)] = {index[merged]: sign}
     return BigradedAlgebra(n, basis, index[()], products)
@@ -169,7 +169,7 @@ def _exterior_algebra(n: int, gens: list[tuple[str, int, int]]) -> BigradedAlgeb
 @functools.lru_cache(maxsize=None)
 def _torus_model(n: int) -> VarietyModel:
     if n < 1:
-        raise InvariantError("torus model needs n >= 1")
+        raise InvariantError("torus model needs n >= 1", witness={"n": n})
     gens = [(f"xi{i}", 0, 1) for i in range(1, n + 1)]
     gens += [(f"eta{i}", 1, 0) for i in range(1, n + 1)]
     alg = _exterior_algebra(n, gens)
@@ -180,7 +180,7 @@ def _torus_model(n: int) -> VarietyModel:
         f"eta{i}" for i in range(1, n + 1)
     )
     # the interleaved volume xi1 eta1 ... xin etan integrates to 1
-    sign = Q1 if (n * (n - 1) // 2) % 2 == 0 else -Q1
+    sign = 1 if (n * (n - 1) // 2) % 2 == 0 else -1
     integral = {alg.index(top_name): sign}
     pa = PolarizedAlgebra(alg, omega, integral)
     return VarietyModel(f"torus{n}", pa)
@@ -189,16 +189,16 @@ def _torus_model(n: int) -> VarietyModel:
 @functools.lru_cache(maxsize=None)
 def _projective_space_model(n: int) -> VarietyModel:
     if n < 1:
-        raise InvariantError("projective-space model needs n >= 1")
+        raise InvariantError("projective-space model needs n >= 1", witness={"n": n})
     basis = [("1", 0, 0), ("w", 1, 1)]
     basis += [(f"w^{k}", k, k) for k in range(2, n + 1)]
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+    products: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(n + 1):
         for b in range(n + 1):
             if a + b <= n:
-                products[(a, b)] = {a + b: Q1}
+                products[(a, b)] = {a + b: 1}
     alg = BigradedAlgebra(n, basis, 0, products)
-    pa = PolarizedAlgebra(alg, alg.el("w"), {n: Q1})
+    pa = PolarizedAlgebra(alg, alg.el("w"), {n: 1})
     return VarietyModel(f"pn{n}", pa)
 
 
@@ -213,20 +213,20 @@ def tensor_model(m1: VarietyModel, m2: VarietyModel, name: str | None = None) ->
         n1, p1, q1 = a1.basis[i]
         n2, p2, q2 = a2.basis[j]
         basis.append((f"{n1}|{n2}", p1 + p2, q1 + q2))
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
+    products: dict[tuple[int, int], dict[int, int | Fraction]] = {}
     for s, (i1, i2) in enumerate(pairs):
         deg_i2 = a2.total_degree_of(i2)
         for t, (j1, j2) in enumerate(pairs):
             deg_j1 = a1.total_degree_of(j1)
-            sign = -Q1 if (deg_i2 * deg_j1) % 2 else Q1
+            sign = -1 if (deg_i2 * deg_j1) % 2 else 1
             left = a1.product_indices(i1, j1)
             right = a2.product_indices(i2, j2)
             if not left or not right:
                 continue
-            tab: dict[int, Fraction] = {}
+            tab: dict[int, int | Fraction] = {}
             for k1, c1 in left.items():
                 for k2, c2 in right.items():
-                    tab[index[(k1, k2)]] = tab.get(index[(k1, k2)], Q0) + sign * c1 * c2
+                    tab[index[(k1, k2)]] = tab.get(index[(k1, k2)], 0) + sign * c1 * c2
             products[(s, t)] = tab
     alg = BigradedAlgebra(n, basis, index[(a1.unit, a2.unit)], products)
     omega = alg.zero()
@@ -279,10 +279,10 @@ class ObstructionDatum:
 
     model: VarietyModel
     alpha: dict[int, Element]
-    scale: Fraction = Fraction(1)
+    scale: int | Fraction = 1
 
     def __post_init__(self):
-        self.scale = scalar(self.scale)
+        self.scale = _scale(self.scale)
         alg = self.model.pa.A
         gen01 = set(alg.cell_indices(0, 1))
         for i, img in self.alpha.items():
@@ -315,11 +315,7 @@ class ObstructionDatum:
     @staticmethod
     def from_json(model: VarietyModel, data: dict) -> "ObstructionDatum":
         alg = model.pa.A
-        scale = data.get("scale", "1")
-        try:
-            scale = scalar(scale)
-        except (TypeError, ValueError, ParseError) as exc:
-            raise ParseError("bad scale", location="scale") from exc
+        scale = _scale(data.get("scale", "1"))
         images_raw = data.get("images", {})
         if not isinstance(images_raw, dict):
             raise ParseError("images must be an object", location="images")
@@ -336,6 +332,14 @@ class ObstructionDatum:
                 raise ParseError(f"bad coefficients for {gname!r}", location="images") from exc
             alpha[i] = alg.from_coeffs(coeffs)
         return ObstructionDatum(model, alpha, scale)
+
+
+def _scale(value) -> int | Fraction:
+    """A datum's scale as an exact rational; a bad literal is reported at "scale"."""
+    try:
+        return coefficient(value)
+    except ParseError as exc:
+        raise ParseError("bad scale", location="scale") from exc
 
 
 def _name_index(alg: BigradedAlgebra, name: str, location: str) -> int:

@@ -68,7 +68,10 @@ class Page:
         hit = self.diffs.get((p, q))
         if hit is not None:
             return hit
-        shape = (self.cell(p + self.r, q - self.r + 1).dim, self.cell(p, q).dim)
+        # a missing cell has dimension 0; no zero cell is built to say so
+        tgt = self.cells.get((p + self.r, q - self.r + 1))
+        src = self.cells.get((p, q))
+        shape = (0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
         hit = self._zeros.get(shape)
         if hit is None:
             hit = self._zeros[shape] = Matrix.zeros(*shape)
@@ -107,9 +110,10 @@ def first_page(fk: FilteredComplex) -> Page:
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in support:
         n = p + q
-        src = cells[(p, q)]
-        tgt = cells.get((p + 1, q), Subquotient.zero(fk.cx.dim(n + 1)))
-        diffs[(p, q)] = induced_map(fk.cx.diff(n), src, tgt)
+        tgt = cells.get((p + 1, q))
+        if tgt is None:
+            tgt = Subquotient.zero(fk.cx.dim(n + 1))
+        diffs[(p, q)] = induced_map(fk.cx.diff(n), cells[(p, q)], tgt)
     return Page(1, fk.cx, support, cells, diffs)
 
 
@@ -149,12 +153,14 @@ def turn_page(page: Page) -> Page:
         cells[(p, q)] = Subquotient.of(znew, bnew)
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in page.support:
-        n = p + q
         src = cells[(p, q)]
-        tgt = cells.get((p + r2, q - r2 + 1), Subquotient.zero(cx.dim(n + 1)))
         if src.dim == 0:
-            diffs[(p, q)] = Matrix.zeros(tgt.dim, 0)
+            # the new page's diff() reads its one zero matrix of this shape
             continue
+        n = p + q
+        tgt = cells.get((p + r2, q - r2 + 1))
+        if tgt is None:
+            tgt = Subquotient.zero(cx.dim(n + 1))
         d = cx.diff(n)
         bimages = [d.apply(b) for b in src.B.basis_rows]
         system = Matrix.from_cols(bimages + list(tgt.Z.basis_rows), rows=cx.dim(n + 1))

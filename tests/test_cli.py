@@ -120,6 +120,15 @@ class TestModel:
         code, out = run_json(capsys, ["model", "torus"])
         assert code == 3
 
+    @pytest.mark.parametrize("kind", ["torus", "pn"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_exits_4_with_its_value(self, capsys, kind, n):
+        code, out = run_json(capsys, ["model", kind, "--n", str(n)])
+        assert code == 4
+        assert out["error"] == "invariant"
+        assert out["message"].endswith("needs n >= 1")
+        assert out["witness"] == {"n": n}
+
 
 class TestExtDims:
     def test_torus2(self, capsys, torus2_path):
@@ -149,6 +158,13 @@ class TestD2:
         )
         assert code == 0
         assert out["is_zero"] is True
+
+    @pytest.mark.parametrize("scale", ["abc", "1/0"])
+    def test_bad_scale_exits_3_at_scale(self, capsys, torus2_path, scale):
+        code, out = run_json(capsys, ["d2", "--model", torus2_path, "--scale", scale])
+        assert code == 3
+        assert out["error"] == "parse"
+        assert out["location"] == "scale"
 
     def test_default_datum_is_zero(self, capsys, torus2_path):
         code, out = run_json(capsys, ["d2", "--model", torus2_path])
@@ -278,13 +294,26 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["compute", "--input", "x", "--pages", "0"], ["fuzz", "--cases", "0"]],
+        [
+            ["compute", "--input", "x", "--pages", "0"],
+            ["fuzz", "--cases", "0"],
+            ["oracle", "--input", "x", "--pages", "-2"],
+        ],
     )
     def test_bad_count_exits_4(self, capsys, argv):
         code, out = run_json(capsys, argv)
         assert code == 4
         assert out["error"] == "invariant"
         assert out["message"].endswith("must be positive")
+        flag, value = argv[-2:]
+        assert out["witness"] == {flag.lstrip("-"): int(value)}
+
+    def test_zero_threads_exits_4_with_its_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("SS_THREADS", "0")
+        code, out = run_json(capsys, ["fuzz", "--cases", "1"])
+        assert code == 4
+        assert out["error"] == "invariant"
+        assert out["witness"] == {"SS_THREADS": 0}
 
     def test_non_integer_threads_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("SS_THREADS", "x")

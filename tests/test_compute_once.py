@@ -1,8 +1,9 @@
 """Each object is computed once: one spectral sequence per filtered complex,
 one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
-preimage per clamped filtration level, and no recomputation of a page cell
-that d_r leaves alone."""
+preimage per clamped filtration level, no recomputation of a page cell
+that d_r leaves alone, and one product omega * e_i per basis element of a
+polarized algebra."""
 
 import json
 from fractions import Fraction
@@ -206,3 +207,26 @@ def test_filtration_outside_its_range_is_the_stored_level():
     for n in fk.cx.degrees():
         assert fk.F(fk.p_lo - 2, n) is table[(fk.p_lo, n)]
         assert fk.F(fk.p_top + 2, n) is table[(fk.p_top, n)]
+
+
+def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
+    from specseq import (
+        Element,
+        Matrix,
+        PolarizedAlgebra,
+        degeneration_certify,
+        deligne_vanishing,
+        primitive_subspaces,
+    )
+
+    alg, omega = torus3.pa.A, torus3.pa.omega
+    d = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
+    matmuls = count_calls(monkeypatch, Matrix, "__matmul__")
+    products = count_calls(monkeypatch, Element, "__mul__")
+    pa = PolarizedAlgebra(alg, omega, torus3.pa.integral)
+    # hard Lefschetz applies L one sparse step at a time
+    assert matmuls == []
+    primitive_subspaces(pa)
+    assert deligne_vanishing(pa) == 0
+    assert degeneration_certify(pa, d).certified()
+    assert 0 < len([args for args in products if args[0] is omega]) <= alg.dim()

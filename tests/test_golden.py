@@ -2,8 +2,8 @@
 
 The compute and fuzz digests were recorded at commit 00a016d, the certificate
 and d2 digests at commit 01b8d75, the page-route digests of the seeded
-random complex at commit 64fa149, and the eight-page digests at commit
-3674f0b.
+random complex at commit 64fa149, the eight-page digests at commit
+3674f0b, and the model and ext-dims digests at commit 8fda67e.
 """
 
 import hashlib
@@ -12,7 +12,14 @@ import random
 
 import pytest
 
-from specseq import Derivation, ObstructionDatum, d2_from_alpha, degeneration_certify
+from specseq import (
+    Derivation,
+    ObstructionDatum,
+    build_model,
+    d2_from_alpha,
+    degeneration_certify,
+    tensor_model,
+)
 from specseq.cli import main
 from specseq.fuzz import random_filtered_complex
 
@@ -32,6 +39,9 @@ GOLDEN = {
     "compute-with-maps-random-0": "eeb453e4ff264f48c4ccd8606047e46d221dbd39f79a44afed3461d60a4cf93f",
     "oracle-pages-8-random-33": "4c10caa0341d4bf5781932671a37e7d67cde444b4426c6a2a1db27449df657c1",
     "compute-with-maps-pages-8-random-33": "213d308d10065a23f0d8cba381f22789cacd5db8fbd2a88dc778335942d84fa0",
+    "model-torus-3": "5276044996186cebf1bc50355371077a18588b0b213def36f158a26438c91b15",
+    "model-product-torus1-pn4": "a58d13182513d958b1b946a2a4fbbff346d5b8a64412ef77fa8aab0cd9ecf597",
+    "ext-dims-torus1xpn2": "03287041266ed2cfd9871f2378c89d9f2735cf6b4ca4ffa7fcb526bc29f00172",
 }
 
 
@@ -87,6 +97,25 @@ def test_pages_past_stabilization(capsys, tmp_path, key, argv):
     path = write_json(tmp_path / "fk.json", fk.to_json())
     argv = argv + ["--pages", "8", "--input", path]
     assert stdout_digest(capsys, argv) == GOLDEN[key]
+
+
+def test_model_torus_3(capsys):
+    assert stdout_digest(capsys, ["model", "torus", "--n", "3"]) == GOLDEN["model-torus-3"]
+
+
+def test_model_product_of_files(capsys, tmp_path):
+    argv = [
+        "model", "product",
+        "--a", write_json(tmp_path / "a.json", build_model("torus", 1).to_json()),
+        "--b", write_json(tmp_path / "b.json", build_model("pn", 4).to_json()),
+    ]
+    assert stdout_digest(capsys, argv) == GOLDEN["model-product-torus1-pn4"]
+
+
+def test_ext_dims_of_a_product(capsys, tmp_path):
+    model = tensor_model(build_model("torus", 1), build_model("pn", 2))
+    argv = ["ext-dims", "--model", write_json(tmp_path / "m.json", model.to_json())]
+    assert stdout_digest(capsys, argv) == GOLDEN["ext-dims-torus1xpn2"]
 
 
 XI1_TORUS2 = {"images": {"xi1": {"eta1eta2": "1"}}}

@@ -1,5 +1,7 @@
 """Model builders, Hodge tables, obstruction data, lci shapes."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from specseq import (
     lci_e2_table,
     tensor_model,
 )
+from specseq.fuzz import random_obstruction_datum
 
 from oracles import binomial
 
@@ -205,3 +208,71 @@ class TestD2FromAlpha:
     def test_canonical_power_needs_a_denominator(self, torus2):
         with pytest.raises(InvariantError, match="denominator"):
             canonical_power_datum(torus2, 1, 0)
+
+
+EXACT_MODELS = {
+    **{f"torus{n}": ("torus", n) for n in (1, 2, 3)},
+    **{f"pn{n}": ("pn", n) for n in (2, 4, 8)},
+}
+
+
+def exact_model(name):
+    if name == "torus1xpn2":
+        return tensor_model(build_model("torus", 1), build_model("pn", 2))
+    return build_model(*EXACT_MODELS[name])
+
+
+def assert_exact(values):
+    for c in values:
+        assert type(c) in (int, Fraction), c
+
+
+def assert_emitted_as_strings(table):
+    """Every leaf of a nested JSON coefficient table is a string."""
+    for v in table.values():
+        if isinstance(v, dict):
+            assert_emitted_as_strings(v)
+        else:
+            assert isinstance(v, str), v
+
+
+class TestExactness:
+    """Scalars in the algebra layer are ints or Fractions, never floats, and
+    every scalar in the emitted JSON is a string."""
+
+    @pytest.mark.parametrize("name", [*EXACT_MODELS, "torus1xpn2"])
+    def test_model_scalars(self, name):
+        model = exact_model(name)
+        blob = model.to_json()
+        loaded = VarietyModel.from_json(json.loads(json.dumps(blob)))
+        for pa in (model.pa, loaded.pa):
+            for tab in pa.A.products.values():
+                assert_exact(tab.values())
+            assert_exact(pa.omega.coeffs.values())
+            assert_exact(pa.integral.values())
+            for (p, q) in pa.A.cells:
+                assert_exact(c for row in pa.poincare_gram(p, q).entries for c in row)
+            for a in range(pa.n + 1):
+                for b in range(pa.n + 1 - a):
+                    gram = pa.twisted_primitive_gram(a, b)
+                    assert_exact(c for row in gram.entries for c in row)
+        for key in ("products", "omega", "integral"):
+            assert_emitted_as_strings(blob[key])
+
+    @pytest.mark.parametrize("name", ["torus2", "torus3"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_datum_and_derivation_scalars(self, name, seed):
+        model = exact_model(name)
+        rng = random.Random(f"exact:{name}:{seed}")
+        od = random_obstruction_datum(rng, model, constrained=seed % 2 == 0)
+        assert not od.is_zero()
+        d = d2_from_alpha(od)
+        assert_exact([od.scale])
+        for img in od.alpha.values():
+            assert_exact(img.coeffs.values())
+        for v in d.values:
+            assert_exact(v.coeffs.values())
+        blob = od.to_json()
+        assert isinstance(blob["scale"], str)
+        assert_emitted_as_strings(blob["images"])
+        assert_emitted_as_strings(d.to_json()["values"])
