@@ -27,7 +27,6 @@ from .filtered import CochainComplex, FilteredComplex, Filtration
 from .lefschetz import (
     Certificate,
     CertStep,
-    LefschetzStructure,
     PolarizedAlgebra,
     degeneration_certify,
     deligne_vanishing,
@@ -80,7 +79,6 @@ __all__ = [
     "HodgeDiamond",
     "InvariantError",
     "LciTable",
-    "LefschetzStructure",
     "Matrix",
     "ObstructionDatum",
     "Page",

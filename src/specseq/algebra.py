@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Q0,
     coefficient,
+    json_int,
     scalar_str,
     vec,
 )
@@ -300,8 +301,8 @@ class BigradedAlgebra:
     @staticmethod
     def from_json(data: dict, check: bool = True) -> "BigradedAlgebra":
         try:
-            n = int(data["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n = json_int(data["n"])
+        except (KeyError, TypeError) as exc:
             raise ParseError("algebra needs an integer top half-degree n", location="n") from exc
         basis_raw = data.get("basis")
         if not isinstance(basis_raw, list) or not basis_raw:
@@ -309,8 +310,8 @@ class BigradedAlgebra:
         basis = []
         for t, entry in enumerate(basis_raw):
             try:
-                basis.append((str(entry["name"]), int(entry["p"]), int(entry["q"])))
-            except (KeyError, TypeError, ValueError) as exc:
+                basis.append((str(entry["name"]), json_int(entry["p"]), json_int(entry["q"])))
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad basis entry at index {t}", location="basis") from exc
         unit = data.get("unit")
         if isinstance(unit, bool) or not isinstance(unit, int) or not (0 <= unit < len(basis)):
@@ -602,7 +603,7 @@ def derivation_extend(
 
         def image(combo) -> Element:
             """Leibniz image of the combination sum_t combo[t] * g_t y_t of pairs."""
-            acc = alg.zero()
+            acc: dict[int, int | Fraction] = {}
             for t, c in enumerate(combo):
                 if c == 0:
                     continue
@@ -611,8 +612,8 @@ def derivation_extend(
                     terms[t] = values[g] * alg.basis_element(y) + (
                         alg.basis_element(g) * values[y]
                     ).scaled(sign)
-                acc = acc + terms[t].scaled(c)
-            return acc
+                _accumulate(acc, coefficient(c), terms[t].coeffs)
+            return Element(alg, acc)
 
         # relations: any kernel combination of products must map to zero
         for kv in mult.nullspace():

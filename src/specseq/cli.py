@@ -1,10 +1,13 @@
 """Command-line entry point: JSON in, JSON out, deterministic.
 
 Commands: compute, oracle, decalage, certify, model, ext-dims, d2, fuzz.
-Exit codes: 0 success / certified; 2 certificate failed; 3 parse error
-(with location); 4 invariant violation in the input (with witness);
-5 internal oracle mismatch or engine bug. Identical inputs and seeds give
-byte-identical output. SS_THREADS bounds fuzz parallelism.
+Each cmd_* function reads the parsed argparse namespace, the one copy of
+the flags. Before dispatch, main reads SS_THREADS (the bound on fuzz
+parallelism) into it and rejects a non-positive --pages, --cases or
+SS_THREADS, whatever the command. Exit codes: 0 success / certified;
+2 certificate failed; 3 parse error (with location); 4 invariant violation
+in the input (with witness); 5 internal oracle mismatch or engine bug.
+Identical inputs and seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .algebra import Derivation
 from .errors import EngineError, InvariantError, ParseError, SpecSeqError
@@ -37,47 +39,6 @@ from .spectral import (
     e_infinity_compare,
     oracle_report,
 )
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation: command, inputs, seed, bounds, output path."""
-
-    command: str
-    input: str | None = None
-    algebra: str | None = None
-    derivation: str | None = None
-    model: str | None = None
-    alpha: str | None = None
-    factor_a: str | None = None
-    factor_b: str | None = None
-    out: str | None = None
-    kind: str | None = None
-    n: int | None = None
-    scale: str | None = None
-    seed: int = 0
-    cases: int = 100
-    pages: int = 6
-    max_dim: int = 8
-    max_width: int = 4
-    with_maps: bool = False
-    require_square_zero: bool = False
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.pages < 1:
-            raise InvariantError("page bound must be positive", witness={"pages": self.pages})
-        if self.cases < 1:
-            raise InvariantError("case count must be positive", witness={"cases": self.cases})
-        if self.max_dim < 1 or self.max_width < 1:
-            raise InvariantError(
-                "bounds must be positive",
-                witness={"max_dim": self.max_dim, "max_width": self.max_width},
-            )
-        if self.threads < 1:
-            raise InvariantError(
-                "SS_THREADS must be positive", witness={"SS_THREADS": self.threads}
-            )
 
 
 def _load_json(path: str) -> dict:
@@ -102,15 +63,15 @@ def _cell_key(p: int, q: int) -> str:
     return f"{p},{q}"
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    fk = FilteredComplex.from_json(_load_json(cfg.input))
+def cmd_compute(args: argparse.Namespace) -> int:
+    fk = FilteredComplex.from_json(_load_json(args.input))
     ss = SpectralSequence(fk)
     pages = {}
     maps = {}
-    for r in range(1, cfg.pages + 1):
+    for r in range(1, args.pages + 1):
         pg = ss.page(r)
         pages[str(r)] = {_cell_key(p, q): d for (p, q), d in sorted(pg.dims().items())}
-        if cfg.with_maps:
+        if args.with_maps:
             maps[str(r)] = {
                 _cell_key(p, q): pg.diff(p, q).to_json()
                 for (p, q) in sorted(pg.support)
@@ -118,69 +79,69 @@ def cmd_compute(cfg: RunConfig) -> int:
             }
     report = e_infinity_compare(fk)
     out = {"pages": pages, "abutment": report}
-    if cfg.with_maps:
+    if args.with_maps:
         out["maps"] = maps
-    _emit(out, cfg.out)
+    _emit(out, args.out)
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    fk = FilteredComplex.from_json(_load_json(cfg.input))
-    report = oracle_report(fk, max_page=cfg.pages)
-    _emit(report, cfg.out)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    fk = FilteredComplex.from_json(_load_json(args.input))
+    report = oracle_report(fk, max_page=args.pages)
+    _emit(report, args.out)
     return 0 if report["ok"] else 5
 
 
-def cmd_decalage(cfg: RunConfig) -> int:
-    fk = FilteredComplex.from_json(_load_json(cfg.input))
-    report = decalage_renumbering_report(fk, max_page=min(cfg.pages, 3))
-    _emit(report, cfg.out)
+def cmd_decalage(args: argparse.Namespace) -> int:
+    fk = FilteredComplex.from_json(_load_json(args.input))
+    report = decalage_renumbering_report(fk, max_page=min(args.pages, 3))
+    _emit(report, args.out)
     return 0 if report["ok"] else 5
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    blob = _load_json(cfg.algebra)
+def cmd_certify(args: argparse.Namespace) -> int:
+    blob = _load_json(args.algebra)
     model = VarietyModel.from_json(blob)
-    data = _load_json(cfg.derivation) if cfg.derivation else blob.get("derivation")
+    data = _load_json(args.derivation) if args.derivation else blob.get("derivation")
     if data is None:
         raise ParseError("no derivation given", location="derivation")
     d = Derivation.from_json(model.pa.A, data)
-    cert = degeneration_certify(model.pa, d, require_square_zero=cfg.require_square_zero)
-    _emit(cert.to_json(), cfg.out)
+    cert = degeneration_certify(model.pa, d, require_square_zero=args.require_square_zero)
+    _emit(cert.to_json(), args.out)
     return 0 if cert.certified() else 2
 
 
-def cmd_model(cfg: RunConfig) -> int:
-    if cfg.kind == "product":
-        if not cfg.factor_a or not cfg.factor_b:
+def cmd_model(args: argparse.Namespace) -> int:
+    if args.kind == "product":
+        if not args.a or not args.b:
             raise ParseError("product model needs --a and --b", location="model")
-        a = VarietyModel.from_json(_load_json(cfg.factor_a))
-        b = VarietyModel.from_json(_load_json(cfg.factor_b))
+        a = VarietyModel.from_json(_load_json(args.a))
+        b = VarietyModel.from_json(_load_json(args.b))
         model = build_model("product", a=a, b=b)
     else:
-        if cfg.n is None:
-            raise ParseError(f"model kind {cfg.kind!r} needs --n", location="model")
-        model = build_model(cfg.kind, n=cfg.n)
+        if args.n is None:
+            raise ParseError(f"model kind {args.kind!r} needs --n", location="model")
+        model = build_model(args.kind, n=args.n)
     out = model.to_json()
     out["e2_table"] = {
         _cell_key(p, q): v for (p, q), v in lagrangian_e2_table(model).items()
     }
-    _emit(out, cfg.out)
+    _emit(out, args.out)
     return 0
 
 
-def cmd_ext_dims(cfg: RunConfig) -> int:
-    model = VarietyModel.from_json(_load_json(cfg.model))
-    _emit({"model": model.name, "ext_dimensions": ext_dimensions(model)}, cfg.out)
+def cmd_ext_dims(args: argparse.Namespace) -> int:
+    model = VarietyModel.from_json(_load_json(args.model))
+    _emit({"model": model.name, "ext_dimensions": ext_dimensions(model)}, args.out)
     return 0
 
 
-def cmd_d2(cfg: RunConfig) -> int:
-    model = VarietyModel.from_json(_load_json(cfg.model))
-    data = _load_json(cfg.alpha) if cfg.alpha else {"images": {}}
+def cmd_d2(args: argparse.Namespace) -> int:
+    model = VarietyModel.from_json(_load_json(args.model))
+    data = _load_json(args.alpha) if args.alpha else {"images": {}}
     od = ObstructionDatum.from_json(model, data)
-    if cfg.scale is not None:
-        od = ObstructionDatum(model, od.alpha, cfg.scale)
+    if args.scale is not None:
+        od = ObstructionDatum(model, od.alpha, args.scale)
     d = d2_from_alpha(od)
     ok, witness = serre_sign_check(model.pa, d)
     out = {
@@ -190,7 +151,7 @@ def cmd_d2(cfg: RunConfig) -> int:
         "serre_sign": {"ok": ok, "witness": witness},
         "is_zero": d.is_zero(),
     }
-    _emit(out, cfg.out)
+    _emit(out, args.out)
     return 0
 
 
@@ -256,13 +217,10 @@ def _fuzz_case(args: tuple[int, int, str]) -> dict:
     return _fuzz_derivation_case(seed, index)
 
 
-def cmd_fuzz(cfg: RunConfig) -> int:
-    kind = cfg.kind or "all"
-    if kind not in ("all", "complexes", "derivations"):
-        raise ParseError(f"unknown fuzz kind {kind!r}", location="kind")
-    jobs = [(cfg.seed, i, kind) for i in range(cfg.cases)]
+def cmd_fuzz(args: argparse.Namespace) -> int:
+    jobs = [(args.seed, i, args.kind) for i in range(args.cases)]
     # the pool starts all its workers up front, so never ask for more than can run
-    workers = min(cfg.threads, cfg.cases, os.cpu_count() or 1)
+    workers = min(args.threads, args.cases, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_case, jobs))
@@ -275,18 +233,20 @@ def cmd_fuzz(cfg: RunConfig) -> int:
         if "verdict" in r:
             verdicts[r["verdict"]] = verdicts.get(r["verdict"], 0) + 1
     out = {
-        "seed": cfg.seed,
-        "cases": cfg.cases,
-        "kind": kind,
+        "seed": args.seed,
+        "cases": args.cases,
+        "kind": args.kind,
         "counterexamples": len(bad),
         "verdicts": verdicts,
         "failures": bad,
     }
-    _emit(out, cfg.out)
+    _emit(out, args.out)
     return 0 if not bad else 5
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="ss",
         description="Spectral sequences of filtered complexes over Q, exactly.",
@@ -335,43 +295,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="randomized invariant suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--kind", choices=["all", "complexes", "derivations"])
+    p.add_argument("--kind", choices=["all", "complexes", "derivations"], default="all")
     p.add_argument("--out")
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call; parsing leaves it unchanged."""
-    return build_parser()
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def _read_threads() -> int:
+    """SS_THREADS, the bound on fuzz workers; every command reads it."""
     raw = os.environ.get("SS_THREADS", "1") or "1"
     try:
-        threads = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ParseError(f"not an integer: {raw!r}", location="SS_THREADS") from exc
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        algebra=getattr(args, "algebra", None),
-        derivation=getattr(args, "derivation", None),
-        model=getattr(args, "model", None),
-        alpha=getattr(args, "alpha", None),
-        factor_a=getattr(args, "a", None),
-        factor_b=getattr(args, "b", None),
-        out=getattr(args, "out", None),
-        kind=getattr(args, "kind", None),
-        n=getattr(args, "n", None),
-        scale=getattr(args, "scale", None),
-        seed=getattr(args, "seed", 0),
-        cases=getattr(args, "cases", 100),
-        pages=getattr(args, "pages", 6),
-        with_maps=getattr(args, "with_maps", False),
-        require_square_zero=getattr(args, "require_square_zero", False),
-        threads=threads,
-    )
+
+
+# bounds that must be positive: namespace attribute, message, witness key
+_POSITIVE = (
+    ("pages", "page bound must be positive", "pages"),
+    ("cases", "case count must be positive", "cases"),
+    ("threads", "SS_THREADS must be positive", "SS_THREADS"),
+)
+
+
+def _check_positive(args: argparse.Namespace) -> None:
+    for attr, message, key in _POSITIVE:
+        value = getattr(args, attr, 1)
+        if value < 1:
+            raise InvariantError(message, witness={key: value})
 
 
 _DISPATCH = {
@@ -387,11 +337,12 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Configure and dispatch one command; exit codes as documented."""
-    args = _parser().parse_args(argv)
+    """Parse, check the bounds and dispatch one command; exit codes as documented."""
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        args.threads = _read_threads()
+        _check_positive(args)
+        return _DISPATCH[args.command](args)
     except ParseError as exc:
         _emit({"error": "parse", "message": str(exc), "location": exc.location}, None)
         return 3

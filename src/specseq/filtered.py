@@ -16,6 +16,7 @@ from .linalg import (
     Subspace,
     image,
     induced_map,
+    json_int,
     kernel,
     preimage,
     scalar_str,
@@ -49,8 +50,6 @@ class CochainComplex:
             if (mat.rows, mat.cols) != (self.dims[n + 1], self.dims[n]):
                 raise InvariantError(f"differential at degree {n} has the wrong shape")
             self.d[n] = mat
-        # one zero matrix per shape for the degrees outside [lo, hi)
-        self._zeros: dict[tuple[int, int], Matrix] = {}
         for n in range(lo, hi - 1):
             if not (self.d[n + 1] @ self.d[n]).is_zero():
                 raise InvariantError(f"d o d != 0 between degrees {n} and {n + 2}", witness=n)
@@ -66,11 +65,7 @@ class CochainComplex:
         hit = self.d.get(n)
         if hit is not None:
             return hit
-        shape = (self.dim(n + 1), self.dim(n))
-        hit = self._zeros.get(shape)
-        if hit is None:
-            hit = self._zeros[shape] = Matrix.zeros(*shape)
-        return hit
+        return Matrix.zeros(self.dim(n + 1), self.dim(n))
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -129,14 +124,14 @@ class CochainComplex:
     @staticmethod
     def from_json(data: dict) -> "CochainComplex":
         try:
-            lo, hi = (int(x) for x in data["degrees"])
+            lo, hi = (json_int(x) for x in data["degrees"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("degrees must be a [lo, hi] pair", location="degrees") from exc
         dims_raw = data.get("dims", {})
         if not isinstance(dims_raw, dict):
             raise ParseError("dims must be an object", location="dims")
         try:
-            dims = {int(k): int(v) for k, v in dims_raw.items()}
+            dims = {int(k): json_int(v) for k, v in dims_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ParseError("dims keys and values must be integers", location="dims") from exc
         d = {}

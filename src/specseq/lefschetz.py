@@ -1,4 +1,4 @@
-"""Graded Lefschetz structures, primitive decomposition, and the degeneration certifier.
+"""Polarized algebras, hard Lefschetz, primitive decomposition, and the degeneration certifier.
 
 A PolarizedAlgebra is a bigraded algebra with a distinguished (1,1) class
 omega and an integral on the top cell. Construction verifies hard Lefschetz,
@@ -28,48 +28,6 @@ from .linalg import (
 
 # per primitive cell (p, q), the lists (d0(alpha_t), d'(alpha_t)) of d = d0 + L d'
 Split = dict[tuple[int, int], tuple[list[Element], list[Element]]]
-
-
-class LefschetzStructure:
-    """Graded space H^0..H^{2n} with a degree-+2 operator L.
-
-    Valid iff L^i : H^{n-i} -> H^{n+i} is an isomorphism for every i
-    (nilpotence is automatic from the bounded grading).
-    """
-
-    def __init__(self, n: int, dims: dict[int, int], L: dict[int, Matrix], check: bool = True):
-        self.n = n
-        self.dims = {m: int(dims.get(m, 0)) for m in range(0, 2 * n + 1)}
-        self.L = {}
-        for m in range(0, 2 * n + 1):
-            mat = L.get(m)
-            if mat is None:
-                mat = Matrix.zeros(self.dims.get(m + 2, 0), self.dims[m])
-            if (mat.rows, mat.cols) != (self.dims.get(m + 2, 0), self.dims[m]):
-                raise InvariantError(f"L at degree {m} has the wrong shape")
-            self.L[m] = mat
-        if check:
-            bad = self.hard_lefschetz_failure()
-            if bad is not None:
-                raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
-
-    def hard_lefschetz_failure(self) -> int | None:
-        """Smallest i >= 1 with L^i : H^{n-i} -> H^{n+i} not bijective, else None.
-
-        L is applied i times to the basis of H^{n-i}, one sparse step at a
-        time, and the images are ranked once.
-        """
-        for i in range(1, self.n + 1):
-            m = self.n - i
-            src, tgt = self.dims[m], self.dims[self.n + i]
-            if src != tgt:
-                return i
-            images = Matrix.identity(src).column_vectors()
-            for t in range(i):
-                images = [self.L[m + 2 * t].apply(v) for v in images]
-            if Matrix.from_cols(images, rows=tgt).rank() != src:
-                return i
-        return None
 
 
 class PolarizedAlgebra:
@@ -138,17 +96,20 @@ class PolarizedAlgebra:
     def betti(self, m: int) -> int:
         return len(self.degree_indices(m))
 
-    def lefschetz_structure(self) -> LefschetzStructure:
-        dims = {m: self.betti(m) for m in range(0, 2 * self.n + 1)}
-        L = {}
-        for m in range(0, 2 * self.n + 1):
-            image = self.degree_indices(m + 2)
-            cols = [
-                self.A.coordinates(Element(self.A, self._lefschetz[i]), image)
-                for i in self.degree_indices(m)
-            ]
-            L[m] = Matrix.from_cols(cols, rows=len(image))
-        return LefschetzStructure(self.n, dims, L, check=False)
+    def hard_lefschetz_failure(self) -> int | None:
+        """Smallest i >= 1 with L^i : H^{n-i} -> H^{n+i} not bijective, else None.
+
+        L^i is applied to each basis element of H^{n-i} through the sparse
+        images of L, and the coefficient maps of the images are ranked once.
+        """
+        for i in range(1, self.n + 1):
+            src = self.degree_indices(self.n - i)
+            if len(src) != self.betti(self.n + i):
+                return i
+            images = [self.L(self.A.basis_element(k), i).coeffs for k in src]
+            if sparse_rank(images) != len(src):
+                return i
+        return None
 
     # -- primitive pieces
 
@@ -189,8 +150,7 @@ class PolarizedAlgebra:
     # -- validation
 
     def validate(self):
-        ls = self.lefschetz_structure()
-        bad = ls.hard_lefschetz_failure()
+        bad = self.hard_lefschetz_failure()
         if bad is not None:
             raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
         n = self.n
@@ -246,7 +206,7 @@ class PolarizedAlgebra:
 
 def verify_hard_lefschetz(pa: PolarizedAlgebra) -> tuple[bool, int | None]:
     """True iff every L^i : H^{n-i} -> H^{n+i} is bijective; else first failing i."""
-    bad = pa.lefschetz_structure().hard_lefschetz_failure()
+    bad = pa.hard_lefschetz_failure()
     return bad is None, bad
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -58,6 +59,13 @@ def coefficient(value) -> int | Fraction:
         return value
     c = scalar(value)
     return c.numerator if c.denominator == 1 else c
+
+
+def json_int(value) -> int:
+    """A JSON integer read as itself: an int that is not a bool, else a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not a JSON integer: {value!r}")
+    return value
 
 
 def scalar_str(value: Fraction) -> str:
@@ -196,7 +204,9 @@ class Matrix:
         return Matrix(height, len(data), tuple(tuple(c[i] for c in data) for i in range(height)))
 
     @staticmethod
+    @cache
     def zeros(rows: int, cols: int) -> "Matrix":
+        """The zero matrix of a shape, one per shape: matrices are immutable."""
         return Matrix(rows, cols, tuple((Q0,) * cols for _ in range(rows)))
 
     @staticmethod

@@ -380,13 +380,12 @@ def canonical_power_datum(model: VarietyModel, s: int = 1, t: int = 1) -> Obstru
     return ObstructionDatum(model, {}, Fraction(s, t))
 
 
-def ext_dimensions(model: VarietyModel, degenerate: bool = True) -> list[int]:
-    """dim Ext^k = sum over p+q = k of the E2 cell dimensions, k = 0..2n."""
-    if not degenerate:
-        raise InvariantError(
-            "only the degenerate branch is implemented: "
-            "Ext dimensions of a non-degenerate page are not determined by the table"
-        )
+def ext_dimensions(model: VarietyModel) -> list[int]:
+    """dim Ext^k = sum over p+q = k of the E2 cell dimensions, k = 0..2n.
+
+    The sum is the Ext dimension because the sequence degenerates at E2,
+    which is the paper's theorem.
+    """
     n = model.n
     out = [0] * (2 * n + 1)
     for (p, q), idx in model.pa.A.cells.items():

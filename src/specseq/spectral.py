@@ -45,7 +45,6 @@ class Page:
         self.support = support
         self.cells = cells
         self.diffs = diffs
-        self._zeros: dict[tuple[int, int], Matrix] = {}
         for (p, q) in support:
             out = self.diff(p, q)
             tgt = (p + r, q - r + 1)
@@ -71,11 +70,7 @@ class Page:
         # a missing cell has dimension 0; no zero cell is built to say so
         tgt = self.cells.get((p + self.r, q - self.r + 1))
         src = self.cells.get((p, q))
-        shape = (0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
-        hit = self._zeros.get(shape)
-        if hit is None:
-            hit = self._zeros[shape] = Matrix.zeros(*shape)
-        return hit
+        return Matrix.zeros(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Dimensions of the nonzero cells."""

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from specseq import InvariantError, build_model
-from specseq.cli import RunConfig, main
+from specseq import build_model
+from specseq.cli import main
 
 
 def run_cli(capsys, argv):
@@ -284,13 +284,12 @@ class TestErrors:
         assert code == 3
         assert "invalid JSON" in out["message"]
 
-    def test_config_validation(self):
-        with pytest.raises(InvariantError):
-            RunConfig("fuzz", cases=0)
-        with pytest.raises(InvariantError):
-            RunConfig("compute", pages=0)
-        with pytest.raises(InvariantError):
-            RunConfig("fuzz", threads=0)
+    def test_zero_threads_is_rejected_by_compute(self, capsys, monkeypatch):
+        monkeypatch.setenv("SS_THREADS", "0")
+        code, out = run_json(capsys, ["compute", "--input", "x"])
+        assert code == 4
+        assert out["message"] == "SS_THREADS must be positive"
+        assert out["witness"] == {"SS_THREADS": 0}
 
     @pytest.mark.parametrize(
         "argv",
@@ -430,6 +429,57 @@ def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location):
     assert code == 3
     assert out["error"] == "parse"
     assert out["location"] == location
+
+
+ONE_BY_ONE = {
+    "degrees": [0, 1],
+    "dims": {"0": 1, "1": 1},
+    "d": {"0": [["1"]]},
+    "filtration": {"0": {"0": [["1"]], "1": [["1"]]}, "1": {"0": [], "1": []}},
+}
+
+
+@pytest.mark.parametrize(
+    "patch, location, message",
+    [
+        ({"dims": {"0": 1.9, "1": 1}}, "dims", "dims keys and values must be integers"),
+        ({"dims": {"0": True, "1": 1}}, "dims", "dims keys and values must be integers"),
+        ({"degrees": [0.7, 1]}, "degrees", "degrees must be a [lo, hi] pair"),
+    ],
+    ids=["dims-float", "dims-bool", "degrees-float"],
+)
+def test_non_integer_complex_field_exits_3(capsys, tmp_path, patch, location, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(ONE_BY_ONE))
+    assert run_json(capsys, ["compute", "--input", str(path)])[0] == 0
+    # int() would read each value as the integer of the valid complex
+    path.write_text(json.dumps({**ONE_BY_ONE, **patch}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out["location"] == location
+    assert out["message"] == f"{location}: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, location, message",
+    [
+        ("n", "n", "algebra needs an integer top half-degree n"),
+        ("p", "basis", "bad basis entry at index 0"),
+    ],
+    ids=["n-float", "basis-p-float"],
+)
+def test_non_integer_model_field_exits_3(capsys, tmp_path, torus1, field, location, message):
+    blob = torus1.to_json()
+    if field == "n":
+        blob["n"] = 1.6
+    else:
+        blob["basis"][0]["p"] = 0.4
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_json(capsys, ["ext-dims", "--model", str(path)])
+    assert code == 3
+    assert out["location"] == location
+    assert out["message"] == f"{location}: {message}"
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,26 @@ def test_filtration_outside_its_range_is_the_stored_level():
         assert fk.F(fk.p_top + 2, n) is table[(fk.p_top, n)]
 
 
+def test_one_zero_matrix_per_shape():
+    import random
+
+    from specseq import Matrix
+    from specseq.fuzz import random_filtered_complex
+
+    assert Matrix.zeros(2, 3) is Matrix.zeros(2, 3)
+    fk = random_filtered_complex(random.Random(0))
+    cx = fk.cx
+    # outside [lo, hi) the complex stores no differential
+    for n in (cx.lo - 1, cx.hi):
+        assert cx.diff(n) is Matrix.zeros(cx.dim(n + 1), cx.dim(n))
+    page = SpectralSequence(fk).page(1)
+    # the sources of d_1 into stored cells that the page does not store
+    missing = [(p - 1, q) for (p, q) in page.cells if (p - 1, q) not in page.diffs]
+    assert missing
+    for (p, q) in missing:
+        assert page.diff(p, q) is Matrix.zeros(page.cell(p + 1, q).dim, page.cell(p, q).dim)
+
+
 def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
     from specseq import (
         Element,

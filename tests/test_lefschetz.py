@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from specseq import (
+    BigradedAlgebra,
     Derivation,
     EngineError,
     InvariantError,
-    LefschetzStructure,
     ObstructionDatum,
     PolarizedAlgebra,
     d2_from_alpha,
@@ -20,7 +20,7 @@ from specseq import (
     split_differential,
     verify_hard_lefschetz,
 )
-from specseq.linalg import Matrix, Q1
+from specseq.linalg import Q1
 
 
 def alpha_derivation(model, images, scale=Q1):
@@ -68,12 +68,14 @@ class TestHardLefschetz:
                 alg, torus2.pa.omega, {alg.index("xi1"): Q1}, check=False
             )
 
-    def test_structure_shape_validation(self):
-        with pytest.raises(InvariantError):
-            LefschetzStructure(1, {0: 1, 1: 0, 2: 1}, {0: Matrix.zeros(2, 1)})
-        # 0 -> 0 map cannot be an isomorphism onto a 1-dim space
-        with pytest.raises(InvariantError):
-            LefschetzStructure(1, {0: 0, 1: 0, 2: 1}, {})
+    def test_unequal_betti_numbers_fail_at_the_first_power(self):
+        # n = 1 with only the unit: b_0 = 1 but b_2 = 0, so L : H^0 -> H^2 is not bijective
+        alg = BigradedAlgebra(1, [("1", 0, 0)], 0, {(0, 0): {0: Q1}})
+        pa = PolarizedAlgebra(alg, alg.zero(), {}, check=False)
+        assert verify_hard_lefschetz(pa) == (False, 1)
+        with pytest.raises(InvariantError) as info:
+            PolarizedAlgebra(alg, alg.zero(), {})
+        assert info.value.witness == 1
 
 
 class TestPrimitive:

@@ -109,10 +109,6 @@ class TestExtDimensions:
     def test_total_dimension_is_preserved(self, torus3):
         assert sum(ext_dimensions(torus3)) == torus3.pa.A.dim()
 
-    def test_non_degenerate_branch_is_refused(self, torus2):
-        with pytest.raises(InvariantError, match="degenerate"):
-            ext_dimensions(torus2, degenerate=False)
-
 
 class TestLciTable:
     def test_lagrangian_specialization_is_the_model_table(self, torus2):
