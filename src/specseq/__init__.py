@@ -51,8 +51,10 @@ from .models import (
     tensor_model,
 )
 from .spectral import (
+    Barcode,
     Page,
     SpectralSequence,
+    barcode,
     decalage,
     decalage_renumbering_report,
     e_infinity_compare,
@@ -65,6 +67,7 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Barcode",
     "BigradedAlgebra",
     "CertStep",
     "Certificate",
@@ -90,6 +93,7 @@ __all__ = [
     "Subquotient",
     "Subspace",
     "VarietyModel",
+    "barcode",
     "build_model",
     "canonical_power_datum",
     "d2_from_alpha",

@@ -238,8 +238,9 @@ class BigradedAlgebra:
         products and their transposes, associativity on the triples (i, j, k)
         with some l in e_i e_j and (l, k) in products, or some m in e_j e_k
         and (i, m) in products. Both sides vanish on every other pair and
-        triple, so the first failure, read in lexicographic order, and its
-        witness are those of the check over all of them.
+        triple. The cases are checked in no order; only on a failure is the
+        lexicographically least failing pair or triple taken, so the witness
+        is that of the check over all of them in order.
         """
         un, up, uq = self.basis[self.unit]
         if (up, uq) != (0, 0):
@@ -258,30 +259,40 @@ class BigradedAlgebra:
         for i in range(self.dim()):
             if prods.get((self.unit, i)) != {i: 1} or prods.get((i, self.unit)) != {i: 1}:
                 raise InvariantError("unit law fails", witness=self.basis[i][0])
-        for (i, j) in sorted({*prods, *((j, i) for (i, j) in prods)}):
+
+        def anticommutes(ij: tuple[int, int]) -> bool:
+            i, j = ij
             sign = -1 if (self.total_degree_of(i) * self.total_degree_of(j)) % 2 else 1
-            if prods.get((i, j), {}) != {k: sign * c for k, c in prods.get((j, i), {}).items()}:
-                raise InvariantError(
-                    "graded commutativity fails",
-                    witness=[self.basis[i][0], self.basis[j][0]],
-                )
+            return prods.get((i, j), {}) == {k: sign * c for k, c in prods.get((j, i), {}).items()}
+
+        pairs = {*prods, *((j, i) for (i, j) in prods)}
+        if not all(map(anticommutes, pairs)):
+            i, j = min(ij for ij in pairs if not anticommutes(ij))
+            raise InvariantError(
+                "graded commutativity fails", witness=[self.basis[i][0], self.basis[j][0]]
+            )
+
+        def associates(ijk: tuple[int, int, int]) -> bool:
+            i, j, k = ijk
+            diff: dict[int, Fraction] = {}
+            for l, c in prods.get((i, j), {}).items():
+                _accumulate(diff, c, prods.get((l, k), {}))
+            for m, c in prods.get((j, k), {}).items():
+                _accumulate(diff, -c, prods.get((i, m), {}))
+            return not any(diff.values())
+
         right, left = self._factor_index()
         triples = set()
         for (a, b), tab in prods.items():
             for c in tab:
                 triples.update((a, b, k) for k in right.get(c, ()))
                 triples.update((i, a, b) for i in left.get(c, ()))
-        for (i, j, k) in sorted(triples):
-            diff: dict[int, Fraction] = {}
-            for l, c in prods.get((i, j), {}).items():
-                _accumulate(diff, c, prods.get((l, k), {}))
-            for m, c in prods.get((j, k), {}).items():
-                _accumulate(diff, -c, prods.get((i, m), {}))
-            if any(diff.values()):
-                raise InvariantError(
-                    "associativity fails",
-                    witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
-                )
+        if not all(map(associates, triples)):
+            i, j, k = min(ijk for ijk in triples if not associates(ijk))
+            raise InvariantError(
+                "associativity fails",
+                witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
+            )
 
     # -- serialization
 

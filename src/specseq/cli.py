@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .algebra import Derivation
 from .errors import EngineError, InvariantError, ParseError, SpecSeqError
 from .filtered import FilteredComplex
-from .fuzz import random_filtered_complex, random_obstruction_datum
+from .fuzz import planted_filtered_complex, random_obstruction_datum
 from .lefschetz import degeneration_certify, serre_sign_check
 from .models import (
     ObstructionDatum,
@@ -35,6 +35,8 @@ from .models import (
 )
 from .spectral import (
     SpectralSequence,
+    abutment_report,
+    barcode,
     decalage_renumbering_report,
     e_infinity_compare,
     oracle_report,
@@ -63,24 +65,36 @@ def _cell_key(p: int, q: int) -> str:
     return f"{p},{q}"
 
 
+def _page_json(dims: dict[tuple[int, int], int]) -> dict[str, int]:
+    return {_cell_key(p, q): d for (p, q), d in sorted(dims.items())}
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
+    """Page dimensions and the abutment check; with --with-maps, the differentials too.
+
+    Dimensions alone are read off the barcode and build no page; the maps
+    need the turned pages. Either way the E_infinity totals are checked
+    against the cohomology of K.
+    """
     fk = FilteredComplex.from_json(_load_json(args.input))
-    ss = SpectralSequence(fk)
     pages = {}
-    maps = {}
-    for r in range(1, args.pages + 1):
-        pg = ss.page(r)
-        pages[str(r)] = {_cell_key(p, q): d for (p, q), d in sorted(pg.dims().items())}
-        if args.with_maps:
+    if args.with_maps:
+        ss = SpectralSequence(fk)
+        maps = {}
+        for r in range(1, args.pages + 1):
+            pg = ss.page(r)
+            pages[str(r)] = _page_json(pg.dims())
             maps[str(r)] = {
                 _cell_key(p, q): pg.diff(p, q).to_json()
                 for (p, q) in sorted(pg.support)
                 if not pg.diff(p, q).is_zero()
             }
-    report = e_infinity_compare(fk)
-    out = {"pages": pages, "abutment": report}
-    if args.with_maps:
-        out["maps"] = maps
+        out = {"pages": pages, "abutment": e_infinity_compare(fk), "maps": maps}
+    else:
+        bars = barcode(fk)
+        for r in range(1, args.pages + 1):
+            pages[str(r)] = _page_json(bars.dims(r))
+        out = {"pages": pages, "abutment": abutment_report(fk, bars.e_infinity())}
     _emit(out, args.out)
     return 0
 
@@ -158,12 +172,14 @@ def cmd_d2(args: argparse.Namespace) -> int:
 def _fuzz_complex_case(seed: int, index: int) -> dict:
     # str seeds go through sha512, so workers agree across processes
     rng = random.Random(f"{seed}:complex:{index}")
-    fk = random_filtered_complex(rng)
+    fk, planted = planted_filtered_complex(rng)
     result = {"case": index, "kind": "complex", "ok": True}
     try:
         rep = oracle_report(fk, max_page=6)
         if not rep["ok"]:
             raise EngineError(f"oracle mismatch: {rep['mismatches']}")
+        if barcode(fk) != planted:
+            raise EngineError(f"barcode {barcode(fk)} != planted bars {planted}")
         ss = SpectralSequence(fk)
         for r in range(1, ss.stabilization_page() + 1):
             for (p, q) in ss.page(r).support:

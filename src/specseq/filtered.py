@@ -236,6 +236,7 @@ class FilteredComplex:
         self._pre_cache: dict[tuple[int, int], Subspace] = {}
         self._cycles: dict[tuple[int, int, int], Subspace] = {}
         self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
+        self.bars = None  # the spectral.Barcode, once barcode(self) has run
         # page_direct cells, keyed by the clamped levels they read
         self.direct_cells: dict[tuple[int, int, int, int], Subquotient] = {}
         self._validate()
@@ -281,6 +282,17 @@ class FilteredComplex:
                     )
         for n in range(self.cx.lo, self.cx.hi):
             d = self.cx.diff(n)
+            # every F^p is d-stable iff d maps into F^p the basis vectors of F^p
+            # whose pivots F^{p+1} lacks, which span F^p modulo F^{p+1}; only
+            # after a failure are the levels scanned for the first failing one
+            added = (
+                (p, v)
+                for p in range(f.p_lo, f.p_top)
+                for v, pivot in zip(self.F(p, n).basis_rows, self.F(p, n).pivots)
+                if pivot not in self.F(p + 1, n).pivots
+            )
+            if all(self.F(p, n + 1).contains_vector(d.apply(v)) for p, v in added):
+                continue
             for p in range(f.p_lo, f.p_top + 1):
                 tgt = self.F(p, n + 1)
                 for v in self.F(p, n).basis_rows:

@@ -15,6 +15,7 @@ import random
 
 from .filtered import CochainComplex, FilteredComplex, Filtration
 from .linalg import Matrix, Q0, Q1, Subspace, scalar
+from .spectral import Barcode
 
 
 def _random_invertible(rng: random.Random, n: int, ops: int = 3) -> Matrix:
@@ -35,18 +36,25 @@ def _random_invertible(rng: random.Random, n: int, ops: int = 3) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def random_filtered_complex(
+def random_filtered_complex(rng: random.Random, **shape) -> FilteredComplex:
+    """The complex of planted_filtered_complex(rng, **shape), from the same draws."""
+    return planted_filtered_complex(rng, **shape)[0]
+
+
+def planted_filtered_complex(
     rng: random.Random,
     max_dim: int = 8,
     deg_lo: int = -4,
     deg_hi: int = 4,
     max_span: int = 3,
     max_width: int = 4,
-) -> FilteredComplex:
-    """A bounded filtered complex with d-stable decreasing filtration.
+) -> tuple[FilteredComplex, Barcode]:
+    """A bounded filtered complex with d-stable decreasing filtration, and its bars.
 
     Dimensions per degree stay at or below max_dim, degrees inside
-    [deg_lo, deg_hi], at most max_width proper filtration levels.
+    [deg_lo, deg_hi], at most max_width proper filtration levels. The bars
+    come from the construction: each cohomology generator is an essential
+    class at its level, each acyclic pair a pair (n, start level, end level).
     """
     lo = rng.randint(deg_lo, deg_hi - 1)
     hi = min(deg_hi, lo + rng.randint(1, max_span))
@@ -111,7 +119,14 @@ def random_filtered_complex(
                 if level[(n, i)] >= p
             ]
             table[(p, n)] = Subspace.span(dims[n], rows)
-    return FilteredComplex(cx, Filtration(p_lo, p_top, table))
+    fk = FilteredComplex(cx, Filtration(p_lo, p_top, table))
+    essential = [(n, level[(n, i)]) for n in range(lo, hi + 1) for i in range(h[n])]
+    pairs = [
+        (n, level[(n, starts_offset(n) + k)], level[(n + 1, ends_offset(n + 1) + k)])
+        for n in range(lo, hi)
+        for k in range(a[n])
+    ]
+    return fk, Barcode(tuple(sorted(pairs)), tuple(sorted(essential)))
 
 
 _CONSTRAINT_CACHE: dict[str, tuple] = {}

@@ -34,6 +34,29 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+def _ascii_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
+def _literal(text: str) -> int | Fraction:
+    """The rational a string spells, as Fraction(text) reads it.
+
+    An ASCII "-?[0-9]+" literal is read by int() alone and comes back as an
+    int, and an ASCII "-?[0-9]+/[0-9]+" one by int() on both sides; any
+    other string goes through Fraction(text).
+    """
+    num, slash, den = text.partition("/")
+    try:
+        if _ascii_digits(num[1:] if num[:1] == "-" else num):
+            if not slash:
+                return int(num)
+            if _ascii_digits(den):
+                return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {text!r}") from exc
+
+
 def scalar(value) -> Fraction:
     """Coerce an int, an "a/b" string, or a Fraction to an exact rational."""
     if isinstance(value, Fraction):
@@ -41,10 +64,8 @@ def scalar(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}") from exc
+        c = _literal(value)
+        return Fraction(c) if type(c) is int else c
     raise ParseError(f"cannot interpret {value!r} as a rational")
 
 
@@ -57,8 +78,8 @@ def coefficient(value) -> int | Fraction:
     """
     if type(value) is int:
         return value
-    c = scalar(value)
-    return c.numerator if c.denominator == 1 else c
+    c = _literal(value) if isinstance(value, str) else scalar(value)
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def json_int(value) -> int:

@@ -1,7 +1,7 @@
 """Spectral sequence pages of a filtered cochain complex.
 
 Every page cell is stored as a subquotient of the original space K^{p+q},
-never as a quotient of quotients. Two independent routes compute the pages:
+never as a quotient of quotients. Three independent routes give the pages:
 
 * first_page + turn_page: the first page comes from the filtration, and each
   later page is built from the previous one using only its cells, its
@@ -9,8 +9,10 @@ never as a quotient of quotients. Two independent routes compute the pages:
   the canonical complement bases).
 * page_direct: the classical cycle/boundary formula evaluated from scratch
   on the filtration for any r.
+* barcode: one persistence reduction of d in a filtration-adapted basis,
+  from which every page's dimensions are read (dimensions only, no maps).
 
-The two must agree cellwise in dimension; the fuzz suites and the oracle
+The three must agree cellwise in dimension; the fuzz suites and the oracle
 command enforce exactly that.
 
 Nothing is computed twice. A turn carries the cells d_r leaves alone: when
@@ -22,9 +24,12 @@ matrix per shape for the differentials it does not store.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Mapping, NamedTuple
+
 from .errors import EngineError, InvariantError
 from .filtered import CochainComplex, FilteredComplex, Filtration
-from .linalg import Q0, Matrix, Subquotient, Subspace, image, induced_map
+from .linalg import Q0, Matrix, Subquotient, Subspace, _axpy, _pairs, image, induced_map
 
 
 class Page:
@@ -232,25 +237,108 @@ class SpectralSequence:
         return all(self.page(s).all_differentials_zero() for s in range(r, r_star))
 
 
-def e_infinity_compare(fk: FilteredComplex) -> dict:
-    """Compare total E_infinity dimensions against the cohomology of K.
+class Barcode(NamedTuple):
+    """Persistence pairs (n, s, e) and essential classes (n, level), each sorted.
+
+    A pair joins a class of K^n at level s to one of K^{n+1} at level
+    e >= s; an essential class of K^n at its level is never paired.
+    """
+
+    pairs: tuple[tuple[int, int, int], ...]
+    essential: tuple[tuple[int, int], ...]
+
+    def dims(self, r: int) -> dict[tuple[int, int], int]:
+        """Dimensions of the nonzero cells of page r.
+
+        A pair counts at both of its ends on pages 1 <= r <= e - s, an
+        essential class on every page (Basu & Parida, arXiv:1308.0801).
+        """
+        cells = Counter((level, n - level) for n, level in self.essential)
+        for n, s, e in self.pairs:
+            if e - s >= r:
+                cells[(s, n - s)] += 1
+                cells[(e, n + 1 - e)] += 1
+        return dict(cells)
+
+    def e_infinity(self) -> Counter:
+        """Total E_infinity dimension per degree: the essential classes."""
+        return Counter(n for n, _ in self.essential)
+
+
+def barcode(fk: FilteredComplex) -> Barcode:
+    """The barcode of the filtration, from one column reduction per degree.
+
+    Each degree gets a filtration-adapted basis, deepest level first: the
+    complement of F^{p+1} in F^p, for p from p_top - 1 down to p_lo. One
+    solve_many per degree writes d in these bases. Then the standard column
+    reduction (Zomorodian & Carlsson, DCG 2005): the pivot of a column is
+    its shallowest-level target, the last by position, and a column is
+    reduced only by the columns already processed, which are sources at a
+    deeper or equal level. A column left nonzero pairs its source with its
+    pivot. The barcode is computed once and kept on fk.
+    """
+    if fk.bars is not None:
+        return fk.bars
+    cx = fk.cx
+    levels: dict[int, list[int]] = {}
+    basis: dict[int, list] = {}
+    for n in cx.degrees():
+        levels[n], basis[n] = [], []
+        for p in range(fk.p_top - 1, fk.p_lo - 1, -1):
+            comp = Subquotient.of(fk.F(p, n), fk.F(p + 1, n)).complement
+            levels[n] += [p] * len(comp)
+            basis[n] += comp
+    pairs = []
+    paired: dict[int, set[int]] = {n: set() for n in cx.degrees()}  # positions
+    for n in range(cx.lo, cx.hi):
+        adapted = Matrix.from_cols(basis[n + 1], rows=cx.dim(n + 1))
+        d = cx.diff(n)
+        reduced: dict[int, dict] = {}  # pivot -> its column, scaled to 1 there
+        for j, x in enumerate(adapted.solve_many([d.apply(v) for v in basis[n]])):
+            col = dict(_pairs(x))
+            while col:
+                low = max(col)
+                other = reduced.get(low)
+                if other is None:
+                    lead = col[low]
+                    reduced[low] = {i: a / lead for i, a in col.items()}
+                    pairs.append((n, levels[n][j], levels[n + 1][low]))
+                    paired[n].add(j)
+                    paired[n + 1].add(low)
+                    break
+                _axpy(col, -col[low], other)
+    essential = [
+        (n, level)
+        for n in cx.degrees()
+        for i, level in enumerate(levels[n])
+        if i not in paired[n]
+    ]
+    fk.bars = Barcode(tuple(sorted(pairs)), tuple(sorted(essential)))
+    return fk.bars
+
+
+def abutment_report(fk: FilteredComplex, totals: Mapping[int, int]) -> dict:
+    """Compare E_infinity totals, by degree, against the cohomology of K.
 
     Raises EngineError on any mismatch (an engine bug, never bad input).
     """
-    ss = SpectralSequence(fk)
-    einf = ss.e_infinity()
-    totals: dict[int, dict[str, int]] = {}
+    out: dict[int, dict[str, int]] = {}
     for n in fk.cx.degrees():
-        total = sum(
-            einf.cell(p, n - p).dim for p in fk.levels()
-        )
+        total = totals.get(n, 0)
         h = fk.cx.betti(n)
-        totals[n] = {"e_infinity": total, "cohomology": h}
+        out[n] = {"e_infinity": total, "cohomology": h}
         if total != h:
             raise EngineError(
                 f"E_infinity total {total} != dim H^{n} = {h} in degree {n}"
             )
-    return {"r_star": ss.stabilization_page(), "totals": totals, "ok": True}
+    return {"r_star": SpectralSequence(fk).stabilization_page(), "totals": out, "ok": True}
+
+
+def e_infinity_compare(fk: FilteredComplex) -> dict:
+    """abutment_report on the totals of the turned page E_{r*}."""
+    einf = SpectralSequence(fk).e_infinity()
+    totals = {n: sum(einf.cell(p, n - p).dim for p in fk.levels()) for n in fk.cx.degrees()}
+    return abutment_report(fk, totals)
 
 
 def decalage(fk: FilteredComplex) -> FilteredComplex:
@@ -300,16 +388,25 @@ def decalage_renumbering_report(fk: FilteredComplex, max_page: int = 3) -> dict:
 
 
 def oracle_report(fk: FilteredComplex, max_page: int = 6) -> dict:
-    """Cellwise dimension comparison of the turned pages against page_direct."""
+    """Cellwise dimension comparison of the turned pages against page_direct and the barcode.
+
+    A mismatch reads {"r", "cell", "dims": [turned, direct]}, or, against
+    the barcode, {"r", "cell", "route": "barcode", "dims": [turned, barcode]}.
+    """
     ss = SpectralSequence(fk)
+    bars = barcode(fk)
     mismatches = []
     for r in range(1, max_page + 1):
         pg = ss.page(r)
+        read = bars.dims(r)
         for (p, q) in pg.support:
             a = pg.cell(p, q).dim
             b = page_direct(fk, r, p, q).dim
             if a != b:
                 mismatches.append({"r": r, "cell": [p, q], "dims": [a, b]})
+            c = read.get((p, q), 0)
+            if a != c:
+                mismatches.append({"r": r, "cell": [p, q], "route": "barcode", "dims": [a, c]})
     return {"max_page": max_page, "mismatches": mismatches, "ok": not mismatches}
 
 

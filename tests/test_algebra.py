@@ -409,6 +409,32 @@ class TestValidateRejects:
             BigradedAlgebra(3, basis, 0, products)
         assert exc.value.witness == ["a", "a", "e"]
 
+    def test_graded_commutativity_names_the_least_failing_pair(self):
+        # x*y = y*x and z*y = y*z both break the Koszul sign; so do their transposes
+        basis = [("1", 0, 0), ("x", 0, 1), ("y", 1, 0), ("xy", 1, 1), ("z", 0, 1), ("yz", 1, 1)]
+        products = {
+            **unit_products(6),
+            (1, 2): {3: 1}, (2, 1): {3: 1}, (4, 2): {5: 1}, (2, 4): {5: 1},
+        }
+        with pytest.raises(InvariantError, match="graded commutativity fails") as exc:
+            BigradedAlgebra(1, basis, 0, products)
+        assert exc.value.witness == ["x", "y"]
+
+    def test_associativity_names_the_least_failing_triple(self):
+        # a a = 0 while a e = a f = b and a b = c: the triples (a, a, e),
+        # (a, a, f), (e, a, a) and (f, a, a) all fail
+        basis = [("1", 0, 0), ("a", 1, 1), ("e", 1, 1), ("f", 1, 1), ("b", 2, 2), ("c", 3, 3)]
+        products = {
+            **unit_products(6),
+            (1, 2): {4: 1}, (2, 1): {4: 1}, (1, 3): {4: 1}, (3, 1): {4: 1},
+            (1, 4): {5: 1}, (4, 1): {5: 1},
+        }
+        alg = BigradedAlgebra(3, basis, 0, products, check=False)
+        assert outcome(lambda: dense_validate(alg)) == ("associativity fails", ["a", "a", "e"])
+        with pytest.raises(InvariantError, match="associativity fails") as exc:
+            alg.validate()
+        assert exc.value.witness == ["a", "a", "e"]
+
 
 def test_derivation_images_are_private_and_read_only(torus2):
     from specseq import degeneration_certify

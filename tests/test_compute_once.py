@@ -1,4 +1,5 @@
 """Each object is computed once: one spectral sequence per filtered complex,
+one barcode per filtered complex, and no page for page dimensions alone,
 one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
 preimage per clamped filtration level, no recomputation of a page cell
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import specseq.cli as cli
 import specseq.spectral as sp
 from specseq import Derivation, ObstructionDatum, SpectralSequence, d2_from_alpha
 from specseq.cli import _fuzz_complex_case, main
@@ -51,10 +53,17 @@ def test_compute_builds_each_page_once(monkeypatch, capsys, tmp_path):
     path.write_text(json.dumps(acyclic_two_term().to_json()))
     firsts = count_calls(monkeypatch, sp, "first_page")
     turns = count_calls(monkeypatch, sp, "turn_page")
-    assert main(["compute", "--input", str(path), "--pages", "6"]) == 0
+    bars = count_calls(monkeypatch, cli, "barcode")
+    argv = ["compute", "--input", str(path), "--pages", "6"]
+    assert main(argv + ["--with-maps"]) == 0
+    assert len(firsts) == 1
+    assert len(turns) == 5
+    # dimensions alone are read off one barcode, and no page is built
+    assert main(argv) == 0
     capsys.readouterr()
     assert len(firsts) == 1
     assert len(turns) == 5
+    assert len(bars) == 1
 
 
 def test_reports_share_the_pages(monkeypatch):

@@ -125,6 +125,23 @@ def test_differential_must_preserve_filtration():
         FilteredComplex(cx, Filtration.from_sparse(cx, levels))
 
 
+def test_unstable_filtration_names_its_first_failing_level():
+    # d = id on Q^2; e1 sits at level 2 in degree 0 but only at level 0 in
+    # degree 1, so F^1 and F^2 both fail. F^1 adds nothing to F^2 in degree
+    # 0, yet the witness is level 1 and its first basis vector
+    cx = CochainComplex(0, 1, {0: 2, 1: 2}, {0: Matrix.from_rows([[1, 0], [0, 1]])})
+    e1, e2 = vec([1, 0]), vec([0, 1])
+    levels = {
+        0: {0: Subspace.full(2), 1: Subspace.full(2)},
+        1: {0: Subspace.span(2, [e1]), 1: Subspace.span(2, [e2])},
+        2: {0: Subspace.span(2, [e1]), 1: Subspace.zero(2)},
+        3: {0: Subspace.zero(2)},
+    }
+    with pytest.raises(InvariantError, match="differential leaves level 1 ") as exc:
+        FilteredComplex(cx, Filtration.from_sparse(cx, levels))
+    assert exc.value.witness == ["1", "0"]
+
+
 def test_filtration_accessors_clamp(acyclic_fk):
     fk = acyclic_fk
     assert fk.F(fk.p_lo - 5, 0).is_full()

@@ -3,12 +3,15 @@
 The compute and fuzz digests were recorded at commit 00a016d, the certificate
 and d2 digests at commit 01b8d75, the page-route digests of the seeded
 random complex at commit 64fa149, the eight-page digests at commit
-3674f0b, and the model and ext-dims digests at commit 8fda67e.
+3674f0b, the model and ext-dims digests at commit 8fda67e, and the
+dims-only compute digests at commit bc5f6c4.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +45,21 @@ GOLDEN = {
     "model-torus-3": "5276044996186cebf1bc50355371077a18588b0b213def36f158a26438c91b15",
     "model-product-torus1-pn4": "a58d13182513d958b1b946a2a4fbbff346d5b8a64412ef77fa8aab0cd9ecf597",
     "ext-dims-torus1xpn2": "03287041266ed2cfd9871f2378c89d9f2735cf6b4ca4ffa7fcb526bc29f00172",
+    "compute-acyclic": "6f7d40244fc74e216b59fd46b87d5c452d8d7fe7a80e91fd0175c7a538f1a673",
+    "compute-random-0": "e3f1e4f742918e058bc809eaaac58bae3a2d1e35ba596489a4f23070f92b780a",
+    "compute-pages-8-random-33": "cd2cf29b8c5aa347ad3bcb3065b1cb90e2fbf5af8a0d768741fc5d797bb45f3a",
+    "compute-scaled-63": "87805446d3de07c14aadc96256bb3c288c1d840a9a0ccd9cdd9bd42e981cf365",
 }
+
+COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
+
+
+def scaled_complex(*args) -> dict:
+    """bench/complexes.py scaled_complex, loaded by path; its JSON input only."""
+    spec = importlib.util.spec_from_file_location("bench_complexes", COMPLEXES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scaled_complex(*args)[0]
 
 
 def stdout_digest(capsys, argv, code=0) -> str:
@@ -60,6 +77,26 @@ def test_compute_with_maps_on_the_acyclic_fixture(capsys, tmp_path):
     path.write_text(json.dumps(acyclic_two_term().to_json()))
     argv = ["compute", "--input", str(path), "--with-maps"]
     assert stdout_digest(capsys, argv) == GOLDEN["compute-with-maps-acyclic"]
+
+
+@pytest.mark.parametrize(
+    "key, blob, flags",
+    [
+        ("compute-acyclic", lambda: acyclic_two_term().to_json(), []),
+        ("compute-random-0", lambda: random_filtered_complex(random.Random(0)).to_json(), []),
+        (
+            "compute-pages-8-random-33",
+            lambda: random_filtered_complex(random.Random(33)).to_json(),
+            ["--pages", "8"],
+        ),
+        # total dim 63 over 6 degrees and 5 levels
+        ("compute-scaled-63", lambda: scaled_complex(random.Random(0), 64, 6, 5), []),
+    ],
+    ids=["acyclic", "random-0", "pages-8-random-33", "scaled-63"],
+)
+def test_compute_dims_only(capsys, tmp_path, key, blob, flags):
+    path = write_json(tmp_path / "fk.json", blob())
+    assert stdout_digest(capsys, ["compute", "--input", path] + flags) == GOLDEN[key]
 
 
 def test_fuzz_20_cases_seed_0(capsys):

@@ -17,8 +17,17 @@ from oracles import (
     preimage_basis,
     spans_equal,
 )
-from specseq import InvariantError, Matrix, Subquotient, Subspace, pairing_rank
-from specseq.linalg import induced_map, kernel, image, preimage, sparse_rank, vec
+from specseq import InvariantError, Matrix, ParseError, Subquotient, Subspace, pairing_rank
+from specseq.linalg import (
+    coefficient,
+    image,
+    induced_map,
+    kernel,
+    preimage,
+    scalar,
+    sparse_rank,
+    vec,
+)
 
 entries = st.integers(min_value=-6, max_value=6).map(Fraction)
 
@@ -322,3 +331,32 @@ def test_sparse_coset_coords_and_lift_match_dense_oracle(data):
     else:
         with pytest.raises(InvariantError):
             sq.coset_coords(x)
+
+
+# digits, the other characters Fraction's grammar knows, and an Arabic-Indic three
+literal_text = st.text(alphabet="0123456789-+/._e \u0663", max_size=7)
+
+
+@given(text=literal_text)
+@settings(max_examples=400, deadline=None)
+def test_literal_parse_matches_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        for parse in (scalar, coefficient):
+            with pytest.raises(ParseError, match="bad rational literal"):
+                parse(text)
+        return
+    value = scalar(text)
+    assert type(value) is Fraction and value == expected
+    c = coefficient(text)
+    assert c == expected
+    assert type(c) is (int if expected.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_zero_denominator_is_a_parse_error(text):
+    for parse in (scalar, coefficient):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"bad rational literal {text!r}"

@@ -15,9 +15,9 @@ from specseq import (
     page_direct,
     turn_page,
 )
-from specseq.fuzz import random_filtered_complex
+from specseq.fuzz import planted_filtered_complex, random_filtered_complex
 from specseq.linalg import Matrix
-from specseq.spectral import compare_differentials
+from specseq.spectral import Barcode, barcode, compare_differentials
 
 from conftest import acyclic_two_term, seeded
 from oracles import naive_turn_cells
@@ -41,6 +41,13 @@ class TestAcyclicMicroExample:
         assert (d2.rows, d2.cols) == (1, 1)
         assert d2.rank() == 1
         assert d2 == Matrix.from_rows([[1]])
+
+    def test_barcode_is_one_bar_of_length_two(self):
+        bars = barcode(acyclic_two_term())
+        assert bars == Barcode(pairs=((0, 0, 2),), essential=())
+        assert bars.dims(1) == bars.dims(2) == {(0, 0): 1, (2, -1): 1}
+        assert bars.dims(3) == {}
+        assert bars.e_infinity() == {}
 
     def test_third_page_vanishes(self):
         ss = SpectralSequence(acyclic_two_term())
@@ -120,6 +127,30 @@ def test_fuzzed_oracle_and_abutment(seed):
     report = oracle_report(fk, max_page=fk.width() + 2)
     assert report["ok"], report["mismatches"]
     assert e_infinity_compare(fk)["ok"]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_barcode_is_the_planted_one(seed):
+    fk, planted = planted_filtered_complex(seeded("planted", seed))
+    # the same draws give the same complex without its bars
+    assert random_filtered_complex(seeded("planted", seed)).to_json() == fk.to_json()
+    assert barcode(fk) == planted
+    ss = SpectralSequence(fk)
+    for r in range(1, fk.width() + 3):
+        assert planted.dims(r) == ss.page(r).dims(), r
+
+
+def test_oracle_lists_a_barcode_mismatch():
+    fk = acyclic_two_term()
+    # a wrong barcode: one essential class at (0, 0) in place of the bar
+    fk.bars = Barcode(pairs=(), essential=((0, 0),))
+    report = oracle_report(fk, max_page=3)
+    assert not report["ok"]
+    assert report["mismatches"] == [
+        {"r": 1, "cell": [2, -1], "route": "barcode", "dims": [1, 0]},
+        {"r": 2, "cell": [2, -1], "route": "barcode", "dims": [1, 0]},
+        {"r": 3, "cell": [0, 0], "route": "barcode", "dims": [0, 1]},
+    ]
 
 
 @pytest.mark.parametrize("seed", range(15))
