@@ -50,6 +50,7 @@ class CochainComplex:
             if (mat.rows, mat.cols) != (self.dims[n + 1], self.dims[n]):
                 raise InvariantError(f"differential at degree {n} has the wrong shape")
             self.d[n] = mat
+        self.ranks: dict[int, int] = {}  # n -> rank d^n, filled by betti
         for n in range(lo, hi - 1):
             if not (self.d[n + 1] @ self.d[n]).is_zero():
                 raise InvariantError(f"d o d != 0 between degrees {n} and {n + 2}", witness=n)
@@ -77,7 +78,19 @@ class CochainComplex:
         return Subquotient.of(kernel(self.diff(n)), image(self.diff(n - 1)))
 
     def betti(self, n: int) -> int:
-        return self.cohomology(n).dim
+        """dim H^n(K) by rank-nullity: dim K^n - rank d^n - rank d^{n-1}.
+
+        Each differential is ranked once, on the first call that needs it.
+        """
+        if n < self.lo or n > self.hi:
+            return 0
+        return self.dim(n) - self._rank(n) - self._rank(n - 1)
+
+    def _rank(self, n: int) -> int:
+        hit = self.ranks.get(n)
+        if hit is None:
+            hit = self.ranks[n] = self.diff(n).rank()
+        return hit
 
     def truncate_below(self, p: int) -> "CochainComplex":
         """Canonical truncation keeping degrees <= p, with ker d^p at degree p."""

@@ -1,7 +1,7 @@
 """Exact rational linear algebra: canonical bases, subquotients, induced maps.
 
-Everything is over Q with fractions.Fraction entries, so ranks and dimensions
-are exact. A Subspace stores the unique reduced echelon basis of its span,
+Everything is exact over Q, and every entry a public accessor returns is a
+fractions.Fraction, so ranks and dimensions are exact. A Subspace stores the unique reduced echelon basis of its span,
 which turns equality of spans into literal equality of stored bases. A
 Subquotient Z/B carries a canonical complement basis (the echelon completion
 of B inside Z), and induced maps are always written in those complement
@@ -9,13 +9,17 @@ coordinates, so nothing downstream depends on an arbitrary basis choice.
 
 Vectors are dense tuples of Fraction. A Matrix with shape (rows, cols) acts
 on column vectors of length cols. Alongside the dense entries, each object
-keeps an index of its nonzero entries, built once at construction: a Matrix
-the (row, entry) pairs of each column (`nonzeros`), a Subspace and a
-Subquotient the pivot and the nonzero entries past it of each basis or
-complement row (`tails`; the pivot entry is 1). Products,
-reductions, coset coordinates and lifts read only these pairs, and the one
-elimination routine, _echelon, works on sparse {column: entry} rows, so the
-cost of every operation follows the nonzero entries.
+keeps an index of its nonzero entries: a Matrix the (row, entry) pairs of
+each column (`nonzeros`), built at construction, and an integer copy of it
+over one common denominator, built by the first product; a Subspace and a
+Subquotient each basis or complement row as a primitive integer vector,
+its pivot, its positive entry there and the nonzero entries past it
+(`tails`). Products, reductions, coset coordinates and lifts read only
+these, and the one elimination routine, _echelon, works on sparse
+{column: integer} rows, so the cost of every operation follows the nonzero
+entries and no Fraction is made inside it. A rational vector entering
+linalg is scaled to integers once, by the lcm of its denominators, and a
+Fraction is made only for an entry that a public accessor returns.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ContainmentError, InvariantError, ParseError
@@ -103,80 +108,150 @@ def vzero(n: int) -> Vector:
 
 # A sparse row or column: (index, entry) pairs of its nonzero entries.
 Pairs = tuple[tuple[int, Fraction], ...]
-# A row in reduced echelon form: its pivot, whose entry is 1, and the
-# (column, entry) pairs of its nonzero entries past the pivot.
-Row = tuple[int, Pairs]
+# A row in reduced echelon form, scaled to a primitive integer vector: its
+# pivot, its entry there (lead > 0), and the (column, entry) pairs of its
+# nonzero entries past the pivot. The rational row it stands for is 1 at
+# the pivot and a / lead past it; this form of it is unique.
+Row = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 def _pairs(v: Sequence[Fraction]) -> Pairs:
     return tuple(compress(enumerate(v), v))
 
 
-def _eliminate(w: list[Fraction], rows: Iterable[Row]) -> list[Fraction]:
-    """Subtract from w, in place, w[p] times each row (p, tail); return those multiples.
+def _cleared(v: Sequence) -> tuple[list[int], int]:
+    """Integers w and den > 0 with v = w / den, den the lcm of the denominators of v."""
+    den = lcm(*[a.denominator for a in v])
+    if den == 1:
+        return [a.numerator for a in v], 1
+    return [a.numerator * (den // a.denominator) if a else 0 for a in v], den
 
-    The rows are zero at each other's pivots, so the order does not matter.
+
+def _int_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """A sparse rational row scaled to integers, for _echelon; its span is unchanged."""
+    row = dict(pairs)
+    den = lcm(*[a.denominator for a in row.values()])
+    for j, a in row.items():
+        row[j] = a.numerator * (den // a.denominator)
+    return row
+
+
+def _q(a: int, den: int) -> Fraction:
+    """The rational a / den, for den > 0; Fraction(a) is the fast path when den is 1."""
+    return Fraction(a) if den == 1 else Fraction(a, den)
+
+
+def _fractions(w: Sequence[int], den: int) -> Vector:
+    """The rational vector w / den, for den > 0."""
+    if den == 1:
+        return tuple([Fraction(a) if a else Q0 for a in w])
+    return tuple([Fraction(a, den) if a else Q0 for a in w])
+
+
+def _eliminate(w: list[int], den: int, rows: Iterable[Row]) -> tuple[list[tuple[int, int]], int]:
+    """Subtract from w / den, in place, its multiple of each row; return them and the new den.
+
+    A multiple comes back as a pair (numerator, denominator). w is rescaled
+    when a row's lead does not divide its entry at the pivot, so that it
+    stays integral, and the denominator returned holds that scale. The rows
+    are zero at each other's pivots, so the order does not matter.
     """
     multiples = []
-    for p, tail in rows:
+    for p, lead, tail in rows:
         c = w[p]
+        multiples.append((c, den))
         if c:
-            w[p] = Q0
+            w[p] = 0
+            if lead != 1:
+                g = gcd(lead, c)
+                if g != lead:
+                    m = lead // g
+                    w[:] = [a * m for a in w]
+                    den *= m
+                c //= g
             for i, a in tail:
                 w[i] -= c * a
-        multiples.append(c)
-    return multiples
+    return multiples, den
 
 
-def _axpy(row: dict[int, Fraction], f: Fraction, tail: dict[int, Fraction]) -> None:
-    """row += f * tail, in place, for sparse rows; entries that cancel are dropped."""
-    for j, a in tail.items():
+def _combine(row: dict[int, int], m: int, y: int, other: dict[int, int]) -> None:
+    """row := m * row - y * other, in place, for sparse integer rows; cancelled entries dropped."""
+    if m != 1:
+        for j in row:
+            row[j] *= m
+    for j, a in other.items():
         b = row.get(j)
         if b is None:
-            row[j] = f * a
+            row[j] = -y * a
         else:
-            b += f * a
+            b -= y * a
             if b:
                 row[j] = b
             else:
                 del row[j]
 
 
-def _echelon(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
-    """Reduced row echelon form of sparse rows: (pivot, tail) pairs, by pivot.
+def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, int, dict[int, int]]]:
+    """Reduced row echelon form of sparse integer rows: (pivot, lead, tail) triples, by pivot.
 
     The package's one elimination routine. A row maps columns to nonzero
-    entries (a missing column is zero); the input dicts are consumed. The
-    tail of a reduced row holds its entries past the pivot, whose entry is 1.
-    Each row is reduced by the pivot rows kept so far, normalised at its
-    leading column, and then cancelled from the kept rows that are nonzero
-    in that column, which `touching` finds without scanning the other kept
-    rows; no step does arithmetic on a zero entry. The reduced form is
-    unique, so the order of the rows changes nothing.
+    integers (a missing column is zero); the input dicts are consumed. Each
+    reduced row is kept as a primitive integer vector whose entry at its
+    pivot, lead, is positive: the tail holds its entries past the pivot, and
+    the rational reduced row is 1 at the pivot and a / lead at column j.
+    Each row is reduced by the pivot rows kept so far as
+    row := (lead / g) * row - (x / g) * kept, x its entry at the kept pivot
+    and g = gcd(lead, x), divided by its content and sign at its leading
+    column, and then cancelled the same way from the kept rows that are
+    nonzero in that column, which `touching` finds without scanning the
+    other kept rows; no step does arithmetic on a zero entry. The reduced
+    form is unique, so the order of the rows changes nothing.
     """
-    kept: dict[int, dict[int, Fraction]] = {}  # pivot -> tail
+    kept: dict[int, list] = {}  # pivot -> [lead, tail]
     # column -> pivots of the kept rows nonzero there (or that were, before a cancellation)
     touching: dict[int, set[int]] = {}
     for row in rows:
         for p in [c for c in row if c in kept]:
-            _axpy(row, -row.pop(p), kept[p])
+            lead, tail = kept[p]
+            x = row.pop(p)
+            if lead == 1:
+                _combine(row, 1, x, tail)
+            else:
+                g = gcd(lead, x)
+                _combine(row, lead // g, x // g, tail)
         if not row:
             continue
         c = min(row)
         lead = row.pop(c)
         if lead != 1:
-            for j in row:
-                row[j] /= lead
+            g = gcd(lead, *row.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                lead //= g
+                for j in row:
+                    row[j] //= g
         for k in touching.pop(c, ()):
-            other = kept[k]
-            if c in other:
-                _axpy(other, -other.pop(c), row)
+            entry = kept[k]
+            other = entry[1]
+            y = other.pop(c, 0)
+            if y:
+                g = gcd(lead, y)
+                m = lead // g
+                _combine(other, m, y // g, row)
+                klead = entry[0] * m
+                g = gcd(klead, *other.values())
+                if g != 1:
+                    klead //= g
+                    for j in other:
+                        other[j] //= g
+                entry[0] = klead
                 for j in row:
                     touching.setdefault(j, set()).add(k)
-        kept[c] = row
+        kept[c] = [lead, row]
         for j in row:
             touching.setdefault(j, set()).add(c)
-    return sorted(kept.items())
+    return [(c, lead, tail) for c, (lead, tail) in sorted(kept.items())]
 
 
 @dataclass(frozen=True)
@@ -184,19 +259,33 @@ class Matrix:
     """Immutable rational matrix acting on column vectors.
 
     `nonzeros` holds, per column, the (row, entry) pairs of its nonzero
-    entries; it is built once, at construction, and every product reads it.
+    entries; it is built once, at construction. The first product, image
+    or preimage builds from it an integer index: the matrix times the lcm
+    `den` of its denominators, as the (row, entry) pairs of each column.
     """
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
     nonzeros: tuple[Pairs, ...] = field(init=False, compare=False, repr=False)
+    _index: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise InvariantError("matrix entries inconsistent with declared shape")
         columns = zip(*self.entries) if self.rows else [()] * self.cols
         object.__setattr__(self, "nonzeros", tuple(_pairs(c) for c in columns))
+
+    def _ints(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(den, integer columns): den times this matrix, column by column, by nonzero pairs."""
+        if self._index is None:
+            den = lcm(*[a.denominator for col in self.nonzeros for _, a in col])
+            cols = tuple([
+                tuple([(i, a.numerator * (den // a.denominator)) for i, a in col])
+                for col in self.nonzeros
+            ])
+            object.__setattr__(self, "_index", (den, cols))
+        return self._index
 
     @staticmethod
     def from_rows(rows_data: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -246,15 +335,20 @@ class Matrix:
         return self._apply(v)
 
     def _apply(self, v: Vector) -> Vector:
-        """Matrix times v, summed over the products of two nonzero entries."""
-        out = [Q0] * self.rows
-        for col, b in zip(self.nonzeros, v):
-            if b:
-                for i, a in col:
-                    s = out[i]
-                    # the first term of a sum needs no addition
-                    out[i] = a * b if s is Q0 else s + a * b
-        return tuple(out)
+        """Matrix times v: v's nonzero entries scaled to integers once, one Fraction per nonzero out."""
+        pairs = _pairs(v)
+        den = lcm(*[b.denominator for _, b in pairs])
+        w = [(j, b.numerator * (den // b.denominator)) for j, b in pairs]
+        return _fractions(self._apply_ints(w), den * self._ints()[0])
+
+    def _apply_ints(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """den times this matrix, times the integer vector with these nonzero (index, entry) pairs."""
+        cols = self._ints()[1]
+        out = [0] * self.rows
+        for j, b in pairs:
+            for i, a in cols[j]:
+                out[i] += a * b
+        return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -265,33 +359,51 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
 
-    def _sparse_rows(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
+    def _sparse_rows(self) -> tuple[list[dict[int, int]], int]:
+        """The rows of den times this matrix, as sparse integer rows for _echelon, and den.
+
+        Read off `nonzeros` directly: most matrices that are eliminated are
+        never applied, and so never need the integer index.
+        """
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        den = lcm(*[a.denominator for col in self.nonzeros for _, a in col])
         for j, col in enumerate(self.nonzeros):
             for i, a in col:
-                rows[i][j] = a
-        return rows
+                rows[i][j] = a.numerator if den == 1 else a.numerator * (den // a.denominator)
+        return rows, den
 
     def rank(self) -> int:
-        return len(_echelon(self._sparse_rows()))
+        if self.is_zero():
+            return 0
+        if self.rows == 1 or self.cols == 1:
+            return 1
+        return len(_echelon(self._sparse_rows()[0]))
 
-    def _null_rows(self) -> list[dict[int, Fraction]]:
-        """Canonical kernel basis, one sparse vector per free column."""
-        reduced = _echelon(self._sparse_rows())
-        pivots = {c for c, _ in reduced}
-        free = {j: {j: Q1} for j in range(self.cols) if j not in pivots}
-        for c, tail in reduced:
+    def _null_rows(self) -> tuple[list[dict[int, int]], int]:
+        """Canonical kernel basis, one integer row per free column, and their denominator.
+
+        The kernel vector of free column j is 1 at j and -a / lead at the
+        pivot of each reduced row with entry a at j; its row here is that
+        vector times den, the lcm of the leads.
+        """
+        reduced = _echelon(self._sparse_rows()[0])
+        den = lcm(*[lead for _, lead, _ in reduced])
+        free = {j: {j: den} for j in range(self.cols)}
+        for c, lead, tail in reduced:
+            del free[c]
+            m = den // lead
             for j, a in tail.items():
-                free[j][c] = -a
-        return list(free.values())
+                free[j][c] = -a * m
+        return list(free.values()), den
 
     def nullspace(self) -> list[Vector]:
         """Canonical basis of the kernel, one vector per free column."""
+        rows, den = self._null_rows()
         out = []
-        for row in self._null_rows():
+        for row in rows:
             v = [Q0] * self.cols
             for j, a in row.items():
-                v[j] = a
+                v[j] = _q(a, den)
             out.append(tuple(v))
         return out
 
@@ -301,7 +413,9 @@ class Matrix:
         Returns None for inconsistent targets. One elimination is shared by
         all targets; a pivot landing in an augmented column marks the rows
         whose A-part vanished, and a target is consistent exactly when those
-        rows carry zero in its column.
+        rows carry zero in its column. The rows are those of den A, each
+        target b = w / m is augmented as den w, and so x = (A-part of the
+        reduced column) / m.
         """
         targets = [vec(b) for b in targets]
         for b in targets:
@@ -309,21 +423,28 @@ class Matrix:
                 raise InvariantError("solve target has wrong length")
         if self.rows == 0:
             return [vzero(self.cols) for _ in targets]
-        rows = self._sparse_rows()
+        rows, den = self._sparse_rows()
+        scales = []
         for t, b in enumerate(targets):
-            for i, a in _pairs(b):
-                rows[i][self.cols + t] = a
+            pairs = _pairs(b)
+            m = lcm(*[a.denominator for _, a in pairs])
+            scales.append(m)
+            for i, a in pairs:
+                rows[i][self.cols + t] = a.numerator * (m // a.denominator) * den
         reduced = _echelon(rows)
-        solved = [(c, tail) for c, tail in reduced if c < self.cols]
-        vanished = [(c, tail) for c, tail in reduced if c >= self.cols]
+        solved = [(c, lead, tail) for c, lead, tail in reduced if c < self.cols]
+        vanished = [(c, tail) for c, _, tail in reduced if c >= self.cols]
         out: list[Vector | None] = []
-        for col in range(self.cols, self.cols + len(targets)):
+        for t, m in enumerate(scales):
+            col = self.cols + t
             if any(c == col or col in tail for c, tail in vanished):
                 out.append(None)
                 continue
             x = [Q0] * self.cols
-            for c, tail in solved:
-                x[c] = tail.get(col, Q0)
+            for c, lead, tail in solved:
+                a = tail.get(col)
+                if a:
+                    x[c] = _q(a, lead * m)
             out.append(tuple(x))
         return out
 
@@ -350,8 +471,8 @@ class Matrix:
 class Subspace:
     """A subspace of Q^ambient_dim in its canonical reduced echelon basis.
 
-    `tails` holds each basis row as a sparse Row; reduction and containment
-    read only these.
+    `tails` holds each basis row as a Row, in integers; reduction and
+    containment read only these.
     """
 
     ambient_dim: int
@@ -360,26 +481,31 @@ class Subspace:
     tails: tuple[Row, ...] = field(compare=False, repr=False)
 
     @staticmethod
-    def _of(ambient_dim: int, reduced: list[tuple[int, dict]], shift: int = 0) -> "Subspace":
+    def _of(ambient_dim: int, reduced: list[tuple[int, int, dict]], shift: int = 0) -> "Subspace":
         """The subspace with these _echelon rows, their columns moved down by shift."""
         rows, pivots, tails = [], [], []
-        for c, tail in reduced:
+        for c, lead, tail in reduced:
+            p = c - shift
             dense = [Q0] * ambient_dim
-            dense[c - shift] = Q1
-            pairs = tuple((j - shift, a) for j, a in tail.items())
-            for j, a in pairs:
-                dense[j] = a
+            dense[p] = Q1
+            pairs = tuple([(j - shift, a) for j, a in tail.items()] if shift else tail.items())
+            if lead == 1:
+                for j, a in pairs:
+                    dense[j] = Fraction(a)
+            else:
+                for j, a in pairs:
+                    dense[j] = Fraction(a, lead)
             rows.append(tuple(dense))
-            pivots.append(c - shift)
-            tails.append((c - shift, pairs))
+            pivots.append(p)
+            tails.append((p, lead, pairs))
         return Subspace(ambient_dim, tuple(rows), tuple(pivots), tuple(tails))
 
-    def _rows(self) -> list[dict[int, Fraction]]:
-        """The basis rows as fresh sparse rows for _echelon."""
+    def _rows(self) -> list[dict[int, int]]:
+        """The basis rows as fresh sparse integer rows for _echelon."""
         rows = []
-        for p, tail in self.tails:
+        for p, lead, tail in self.tails:
             row = dict(tail)
-            row[p] = Q1
+            row[p] = lead
             rows.append(row)
         return rows
 
@@ -392,7 +518,7 @@ class Subspace:
                 raise InvariantError(
                     f"vector of length {len(w)} in ambient dimension {ambient_dim}"
                 )
-            rows.append(dict(_pairs(w)))
+            rows.append(_int_row(_pairs(w)))
         return Subspace._of(ambient_dim, _echelon(rows))
 
     @staticmethod
@@ -403,7 +529,7 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         identity = Matrix.identity(ambient_dim).entries
         pivots = tuple(range(ambient_dim))
-        return Subspace(ambient_dim, identity, pivots, tuple((p, ()) for p in pivots))
+        return Subspace(ambient_dim, identity, pivots, tuple((p, 1, ()) for p in pivots))
 
     @property
     def dim(self) -> int:
@@ -419,29 +545,35 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _reduce(self, w: list[Fraction]) -> list[Fraction]:
-        """Subtract from w, in place, its projection onto the span."""
-        _eliminate(w, self.tails)
-        return w
-
     def reduce(self, v: Sequence) -> Vector:
         """Residual of v after subtracting its projection onto the span."""
-        return tuple(self._reduce(list(vec(v))))
+        w, den = _cleared(vec(v))
+        return _fractions(w, _eliminate(w, den, self.tails)[1])
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self._reduce(list(vec(v))))
+        w, den = _cleared(vec(v))
+        _eliminate(w, den, self.tails)
+        return not any(w)
 
     def contains(self, other: "Subspace") -> bool:
-        return not any(any(self._reduce(list(r))) for r in other.basis_rows)
+        for p, lead, tail in other.tails:
+            w = [0] * self.ambient_dim
+            w[p] = lead
+            for j, a in tail:
+                w[j] = a
+            _eliminate(w, 1, self.tails)
+            if any(w):
+                return False
+        return True
 
     def coords(self, v: Sequence) -> Vector:
         """Coefficients of v over the canonical basis; errors if v is outside."""
         w = vec(v)
-        rest = list(w)
-        cs = _eliminate(rest, self.tails)
+        rest, den = _cleared(w)
+        cs = _eliminate(rest, den, self.tails)[0]
         if any(rest):
             raise ContainmentError("vector outside subspace", witness=list(map(str, w)))
-        return tuple(cs)
+        return tuple(_q(c, d) if c else Q0 for c, d in cs)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -468,15 +600,19 @@ class Subspace:
 
 
 def kernel(f: Matrix) -> Subspace:
-    return Subspace._of(f.cols, _echelon(f._null_rows()))
+    if f.is_zero():
+        return Subspace._of(f.cols, [(j, 1, {}) for j in range(f.cols)])
+    return Subspace._of(f.cols, _echelon(f._null_rows()[0]))
 
 
 def image(f: Matrix, source: Subspace | None = None) -> Subspace:
     if source is None:
-        return Subspace._of(f.rows, _echelon(dict(c) for c in f.nonzeros))
+        return Subspace._of(f.rows, _echelon(dict(c) for c in f._ints()[1]))
     if source.ambient_dim != f.cols:
         raise InvariantError("image source lives in the wrong ambient space")
-    return Subspace._of(f.rows, _echelon(dict(_pairs(f.apply(r))) for r in source.basis_rows))
+    # f applied to each integer basis row; scaling a row does not change the span
+    images = (f._apply_ints(((p, lead),) + tail) for p, lead, tail in source.tails)
+    return Subspace._of(f.rows, _echelon({i: a for i, a in enumerate(w) if a} for w in images))
 
 
 def preimage(f: Matrix, target: Subspace) -> Subspace:
@@ -485,19 +621,20 @@ def preimage(f: Matrix, target: Subspace) -> Subspace:
         raise InvariantError("preimage target lives in the wrong ambient space")
     if target.is_full():
         return Subspace.full(f.cols)
+    den, cols = f._ints()
     rows = target._rows()
-    rows += [dict(col + ((f.rows + j, Q1),)) for j, col in enumerate(f.nonzeros)]
+    rows += [dict(col + ((f.rows + j, den),)) for j, col in enumerate(cols)]
     return _zassenhaus(rows, f.rows, f.cols)
 
 
-def _zassenhaus(rows: list[dict[int, Fraction]], split: int, ambient_dim: int) -> Subspace:
+def _zassenhaus(rows: list[dict[int, int]], split: int, ambient_dim: int) -> Subspace:
     """{x : (0, x) in the row span}, for sparse rows over split + ambient_dim columns.
 
     This is the Zassenhaus construction: the reduced echelon rows whose
     pivots lie past split have a zero left block, and their right blocks are
     already the canonical basis of that subspace.
     """
-    low = [(c, row) for c, row in _echelon(rows) if c >= split]
+    low = [row for row in _echelon(rows) if row[0] >= split]
     return Subspace._of(ambient_dim, low, shift=split)
 
 
@@ -514,7 +651,7 @@ class Subquotient:
     Z: Subspace
     B: Subspace
     complement: tuple[Vector, ...]
-    # the complement rows as sparse Rows
+    # the complement rows as Rows
     tails: tuple[Row, ...] = field(compare=False, repr=False)
 
     @staticmethod
@@ -548,15 +685,15 @@ class Subquotient:
     def dim(self) -> int:
         return len(self.complement)
 
-    def _coords(self, w: list[Fraction]) -> Vector | None:
-        """Coset coordinates of w, consumed in place; None if w is outside Z.
+    def _coords(self, w: list[int], den: int) -> Vector | None:
+        """Coset coordinates of w / den, w consumed in place; None if it is outside Z.
 
         w minus its B-part has, at each complement pivot, its coordinate on
         that complement row; the rest of w is then zero exactly when w lies in Z.
         """
-        self.B._reduce(w)
-        cs = _eliminate(w, self.tails)
-        return None if any(w) else tuple(cs)
+        den = _eliminate(w, den, self.B.tails)[1]
+        cs = _eliminate(w, den, self.tails)[0]
+        return None if any(w) else tuple(_q(c, d) if c else Q0 for c, d in cs)
 
     def coset_coords(self, v: Sequence) -> Vector:
         """Coordinates of [v] over the canonical complement basis.
@@ -566,7 +703,7 @@ class Subquotient:
         w = vec(v)
         if len(w) != self.ambient_dim:
             raise InvariantError("coset vector has wrong length")
-        cs = self._coords(list(w))
+        cs = self._coords(*_cleared(w))
         if cs is None:
             raise ContainmentError(
                 "vector outside the subquotient numerator",
@@ -578,14 +715,19 @@ class Subquotient:
         cs = vec(coords)
         if len(cs) != self.dim:
             raise InvariantError("coset coordinates have wrong length")
-        out = [Q0] * self.ambient_dim
+        # sum of c * (lead e_p + tail) / lead over the complement rows, over
+        # the lcm of the coordinates' denominators and of the leads in use
+        ws, den = _cleared(cs)
+        m = lcm(*[lead for c, (_, lead, _) in zip(ws, self.tails) if c])
+        out = [0] * self.ambient_dim
         # no complement row is nonzero at the pivot of another
-        for c, (p, tail) in zip(cs, self.tails):
+        for c, (p, lead, tail) in zip(ws, self.tails):
             if c:
-                out[p] = c
+                out[p] = c * m
+                c *= m // lead
                 for i, a in tail:
                     out[i] += c * a
-        return tuple(out)
+        return _fractions(out, den * m)
 
 
 def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
@@ -600,19 +742,21 @@ def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
         raise InvariantError("induced map shape mismatch")
     coords = {}
     for i, (z, p) in enumerate(zip(source.Z.basis_rows, source.Z.pivots)):
-        coords[p] = target._coords(list(f.apply(z)))
+        coords[p] = target._coords(*_cleared(f.apply(z)))
         if coords[p] is None:
             raise ContainmentError(
                 f"image of numerator basis vector {i} leaves the target numerator",
                 witness=[scalar_str(a) for a in z],
             )
     for i, b in enumerate(source.B.basis_rows):
-        if any(target.B._reduce(list(f.apply(b)))):
+        w, den = _cleared(f.apply(b))
+        _eliminate(w, den, target.B.tails)
+        if any(w):
             raise ContainmentError(
                 f"image of denominator basis vector {i} leaves the target denominator",
                 witness=[scalar_str(a) for a in b],
             )
-    return Matrix.from_cols([coords[p] for p, _ in source.tails], rows=target.dim)
+    return Matrix.from_cols([coords[p] for p, _, _ in source.tails], rows=target.dim)
 
 
 def pairing_rank(gram: Matrix) -> tuple[int, bool]:
@@ -626,6 +770,8 @@ def pairing_rank(gram: Matrix) -> tuple[int, bool]:
 def sparse_rank(rows: list[dict[int, Fraction]]) -> int:
     """Rank of a sparse system given as {column: coefficient} rows.
 
-    Coefficients are coerced to Fraction, since elimination divides.
+    Coefficients are anything `scalar` reads; each row is scaled to
+    integers for the elimination, and int coefficients are used as they are.
     """
-    return len(_echelon({c: scalar(a) for c, a in r.items() if a} for r in rows))
+    read = ({c: coefficient(a) for c, a in r.items()} for r in rows)
+    return len(_echelon(_int_row((c, a) for c, a in r.items() if a) for r in read))

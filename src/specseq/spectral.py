@@ -25,11 +25,12 @@ matrix per shape for the differentials it does not store.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .errors import EngineError, InvariantError
 from .filtered import CochainComplex, FilteredComplex, Filtration
-from .linalg import Q0, Matrix, Subquotient, Subspace, _axpy, _pairs, image, induced_map
+from .linalg import Q0, Matrix, Subquotient, Subspace, _pairs, image, induced_map
 
 
 class Page:
@@ -265,6 +266,20 @@ class Barcode(NamedTuple):
         return Counter(n for n, _ in self.essential)
 
 
+def _axpy(row: dict[int, Fraction], f: Fraction, tail: dict[int, Fraction]) -> None:
+    """row += f * tail, in place, for sparse rows; entries that cancel are dropped."""
+    for j, a in tail.items():
+        b = row.get(j)
+        if b is None:
+            row[j] = f * a
+        else:
+            b += f * a
+            if b:
+                row[j] = b
+            else:
+                del row[j]
+
+
 def barcode(fk: FilteredComplex) -> Barcode:
     """The barcode of the filtration, from one column reduction per degree.
 
@@ -285,7 +300,11 @@ def barcode(fk: FilteredComplex) -> Barcode:
     for n in cx.degrees():
         levels[n], basis[n] = [], []
         for p in range(fk.p_top - 1, fk.p_lo - 1, -1):
-            comp = Subquotient.of(fk.F(p, n), fk.F(p + 1, n)).complement
+            # F^{p+1} <= F^p was checked at load, so the complement is read
+            # off the pivots: the rows of F^p whose pivots F^{p+1} lacks
+            deeper = set(fk.F(p + 1, n).pivots)
+            fp = fk.F(p, n)
+            comp = [row for row, c in zip(fp.basis_rows, fp.pivots) if c not in deeper]
             levels[n] += [p] * len(comp)
             basis[n] += comp
     pairs = []

@@ -45,6 +45,9 @@ def test_betti_matches_rank_nullity_oracle(seed):
         dprev = cx.diff(n - 1)
         rk_in = naive_rank([list(r) for r in dprev.entries]) if dprev.cols else 0
         assert cx.betti(n) == cx.dim(n) - rk_out - rk_in
+        # the subquotient route to H^n agrees with the ranks
+        assert cx.cohomology(n).dim == cx.betti(n)
+    assert cx.betti(cx.lo - 1) == cx.betti(cx.hi + 1) == 0
 
 
 @pytest.mark.parametrize("seed", range(8))

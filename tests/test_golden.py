@@ -3,8 +3,9 @@
 The compute and fuzz digests were recorded at commit 00a016d, the certificate
 and d2 digests at commit 01b8d75, the page-route digests of the seeded
 random complex at commit 64fa149, the eight-page digests at commit
-3674f0b, the model and ext-dims digests at commit 8fda67e, and the
-dims-only compute digests at commit bc5f6c4.
+3674f0b, the model and ext-dims digests at commit 8fda67e, the
+dims-only compute digests at commit bc5f6c4, and the scaled-63 page-route
+digests at commit 67135fa.
 """
 
 import hashlib
@@ -49,6 +50,8 @@ GOLDEN = {
     "compute-random-0": "e3f1e4f742918e058bc809eaaac58bae3a2d1e35ba596489a4f23070f92b780a",
     "compute-pages-8-random-33": "cd2cf29b8c5aa347ad3bcb3065b1cb90e2fbf5af8a0d768741fc5d797bb45f3a",
     "compute-scaled-63": "87805446d3de07c14aadc96256bb3c288c1d840a9a0ccd9cdd9bd42e981cf365",
+    "decalage-scaled-63": "031380086f19458becb574fb63f46c6a2200fcf778b56beb7c0c6b3e807aae20",
+    "compute-with-maps-scaled-63": "8983e429e37b67d7f7720a168497f2408abcfbed0afbf35ac8e90fd764dc4eea",
 }
 
 COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
@@ -116,6 +119,20 @@ def test_page_routes_on_a_random_complex(capsys, tmp_path, key, argv):
     # total dim 15 over degrees 2..4, with a nonzero d_2
     fk = random_filtered_complex(random.Random(0))
     path = write_json(tmp_path / "fk.json", fk.to_json())
+    assert stdout_digest(capsys, argv + ["--input", path]) == GOLDEN[key]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("decalage-scaled-63", ["decalage"]),
+        ("compute-with-maps-scaled-63", ["compute", "--with-maps"]),
+    ],
+)
+def test_page_routes_on_a_scaled_complex(capsys, tmp_path, key, argv):
+    # total dim 63 over 6 degrees and 5 levels, behind a rational change of
+    # basis: the maps and decalage pages print rationals past the pivots
+    path = write_json(tmp_path / "fk.json", scaled_complex(random.Random(0), 64, 6, 5))
     assert stdout_digest(capsys, argv + ["--input", path]) == GOLDEN[key]
 
 

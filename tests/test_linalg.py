@@ -1,6 +1,7 @@
 """Exact linear algebra against the naive oracle plus hypothesis invariants."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,91 @@ def test_sparse_coset_coords_and_lift_match_dense_oracle(data):
     else:
         with pytest.raises(InvariantError):
             sq.coset_coords(x)
+
+
+# The elimination at wide rationals. Inside linalg the rows are primitive
+# integer vectors, so numerators and denominators up to 2^70, beside small
+# ints and zeros, run every lcm, content and lead division past machine
+# words; the results must equal the dense Fraction oracle's exactly.
+BIG = 2**70
+wide = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+def wide_matrix(max_rows=4, max_cols=5):
+    return st.integers(1, max_rows).flatmap(
+        lambda r: st.integers(1, max_cols).flatmap(
+            lambda c: st.lists(st.lists(wide, min_size=c, max_size=c), min_size=r, max_size=r)
+        )
+    )
+
+
+def canonical_rows(s: Subspace) -> bool:
+    """Each stored Row is primitive with a positive lead, and stands for its basis row."""
+    for (p, lead, tail), row in zip(s.tails, s.basis_rows):
+        expect = [Fraction(0)] * s.ambient_dim
+        expect[p] = Fraction(1)
+        for j, a in tail:
+            expect[j] = Fraction(a, lead)
+        if lead <= 0 or gcd(lead, *(a for _, a in tail)) != 1 or tuple(expect) != row:
+            return False
+    return True
+
+
+@given(rows=wide_matrix(max_rows=5, max_cols=5))
+@settings(max_examples=150, deadline=None)
+def test_wide_span_matches_oracle(rows):
+    s = Subspace.span(len(rows[0]), rows)
+    assert [list(r) for r in s.basis_rows] == naive_rref(rows)
+    assert all(exact(r) for r in s.basis_rows)
+    assert canonical_rows(s)
+
+
+@given(rows=wide_matrix())
+@settings(max_examples=150, deadline=None)
+def test_wide_kernel_matches_oracle(rows):
+    m = Matrix.from_rows(rows)
+    null = m.nullspace()
+    assert [list(v) for v in null] == naive_nullspace(rows, m.cols)
+    assert all(exact(v) for v in null)
+    k = kernel(m)
+    assert [list(r) for r in k.basis_rows] == naive_rref(null or [[0] * m.cols])
+    assert all(exact(r) for r in k.basis_rows)
+    assert canonical_rows(k)
+    assert m.rank() == naive_rank(rows)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_wide_solve_many_matches_oracle(data):
+    rows = data.draw(wide_matrix())
+    m = Matrix.from_rows(rows)
+    targets = data.draw(st.lists(st.lists(wide, min_size=m.rows, max_size=m.rows), max_size=3))
+    # one consistent target, the image of a wide vector
+    x = data.draw(st.lists(wide, min_size=m.cols, max_size=m.cols))
+    targets.append(naive_matvec(rows, x))
+    sols = m.solve_many(targets)
+    for b, ours in zip(targets, sols):
+        theirs = naive_solve(rows, b)
+        assert (None if ours is None else list(ours)) == theirs
+        assert ours is None or exact(ours)
+    assert sols[-1] is not None
+
+
+@given(
+    rows=st.lists(st.dictionaries(st.sampled_from([0, 2, 3, 7, 11, 40]), wide, max_size=4),
+                  max_size=6)
+)
+@settings(max_examples=150, deadline=None)
+def test_wide_sparse_rank_matches_oracle(rows):
+    cols = [0, 2, 3, 7, 11, 40]
+    dense = [[r.get(c, 0) for c in cols] for r in rows]
+    assert sparse_rank(rows) == naive_rank(dense)
 
 
 # digits, the other characters Fraction's grammar knows, and an Arabic-Indic three
