@@ -23,10 +23,10 @@ from .linalg import (
 )
 
 
-def _matrix_at(location: str, data, rows: int, cols: int | None = None) -> Matrix:
-    """Matrix.from_json, with a parse error reported at the given input key."""
+def _parsed_at(location: str, parse, *args):
+    """parse(*args), with a parse error reported at the given input key."""
     try:
-        return Matrix.from_json(data, rows=rows, cols=cols)
+        return parse(*args)
     except ParseError as exc:
         raise ParseError(str(exc), location=location) from exc
 
@@ -158,7 +158,9 @@ class CochainComplex:
                 raise ParseError(f"bad degree key {k!r}", location="d") from exc
             if not lo <= n < hi:
                 raise ParseError(f"degree outside [{lo}, {hi})", location=f"d.{k}")
-            d[n] = _matrix_at(f"d.{k}", matdata, dims.get(n + 1, 0), dims.get(n, 0))
+            d[n] = _parsed_at(
+                f"d.{k}", Matrix.from_json, matdata, dims.get(n + 1, 0), dims.get(n, 0)
+            )
         return CochainComplex(lo, hi, dims, d)
 
     def __eq__(self, other) -> bool:
@@ -295,21 +297,22 @@ class FilteredComplex:
                     )
         for n in range(self.cx.lo, self.cx.hi):
             d = self.cx.diff(n)
-            # every F^p is d-stable iff d maps into F^p the basis vectors of F^p
+            # every F^p is d-stable iff d maps into F^p the basis rows of F^p
             # whose pivots F^{p+1} lacks, which span F^p modulo F^{p+1}; only
             # after a failure are the levels scanned for the first failing one
             added = (
-                (p, v)
+                (p, row)
                 for p in range(f.p_lo, f.p_top)
-                for v, pivot in zip(self.F(p, n).basis_rows, self.F(p, n).pivots)
-                if pivot not in self.F(p + 1, n).pivots
+                for row in self.F(p, n).tails
+                if row[0] not in self.F(p + 1, n).pivots
             )
-            if all(self.F(p, n + 1).contains_vector(d.apply(v)) for p, v in added):
+            if all(self.F(p, n + 1)._holds(d._apply_ints(row)) for p, row in added):
                 continue
             for p in range(f.p_lo, f.p_top + 1):
                 tgt = self.F(p, n + 1)
-                for v in self.F(p, n).basis_rows:
-                    if not tgt.contains_vector(d.apply(v)):
+                src = self.F(p, n)
+                for row, v in zip(src.tails, src.basis_rows):
+                    if not tgt._holds(d._apply_ints(row)):
                         raise InvariantError(
                             f"differential leaves level {p} between degrees {n} and {n + 1}",
                             witness=[scalar_str(a) for a in v],
@@ -427,7 +430,6 @@ class FilteredComplex:
                 if basis == []:
                     levels[p][n] = Subspace.zero(amb)
                     continue
-                mat = _matrix_at(where, basis, amb)
-                levels[p][n] = Subspace.span(amb, mat.column_vectors())
+                levels[p][n] = _parsed_at(where, Subspace._from_json, basis, amb)
         filtration = Filtration.from_sparse(cx, levels)
         return FilteredComplex(cx, filtration)

@@ -1,33 +1,38 @@
 """Exact rational linear algebra: canonical bases, subquotients, induced maps.
 
 Everything is exact over Q, and every entry a public accessor returns is a
-fractions.Fraction, so ranks and dimensions are exact. A Subspace stores the unique reduced echelon basis of its span,
-which turns equality of spans into literal equality of stored bases. A
-Subquotient Z/B carries a canonical complement basis (the echelon completion
-of B inside Z), and induced maps are always written in those complement
-coordinates, so nothing downstream depends on an arbitrary basis choice.
+fractions.Fraction, so ranks and dimensions are exact. A Subspace stores
+the unique reduced echelon basis of its span, which turns equality of
+spans into equality of stored rows. A Subquotient Z/B carries a canonical
+complement basis (the echelon completion of B inside Z), and induced maps
+are always written in those complement coordinates, so nothing downstream
+depends on an arbitrary basis choice.
 
-Vectors are dense tuples of Fraction. A Matrix with shape (rows, cols) acts
-on column vectors of length cols. Alongside the dense entries, each object
-keeps an index of its nonzero entries: a Matrix the (row, entry) pairs of
-each column (`nonzeros`), built at construction, and an integer copy of it
-over one common denominator, built by the first product; a Subspace and a
-Subquotient each basis or complement row as a primitive integer vector,
-its pivot, its positive entry there and the nonzero entries past it
-(`tails`). Products, reductions, coset coordinates and lifts read only
-these, and the one elimination routine, _echelon, works on sparse
-{column: integer} rows, so the cost of every operation follows the nonzero
-entries and no Fraction is made inside it. A rational vector entering
-linalg is scaled to integers once, by the lcm of its denominators, and a
-Fraction is made only for an entry that a public accessor returns.
+Inside linalg a vector is a list or sparse map of integers over one
+denominator, and a reduced basis row is a Row: its pivot, its positive
+entry there (lead) and the nonzero entries past it, a primitive integer
+vector. A Matrix with shape (rows, cols) acts on column vectors of length
+cols; it holds dense Fraction entries, the (row, entry) pairs of each
+column's nonzero entries (`nonzeros`), built at construction, and an
+integer copy of them over one common denominator, built by the first
+product. A Subspace and a Subquotient hold only Rows (`tails`); their
+Fraction rows (`basis_rows`, `complement`) are views built when first read.
+The one elimination routine, _echelon, works on sparse {column: integer}
+rows, and products, reductions, solves, coset coordinates and lifts have
+integer entry points (`Matrix._apply_ints`, `_solve_ints`,
+`Subspace._span_ints`, `Subquotient._lift_ints`) that the other layers
+call, so a page is built without a Fraction in between. The public
+methods taking or returning Fraction vectors are thin wrappers over them:
+a rational vector is scaled to integers once, by the lcm of its
+denominators, and a Fraction is made only for an entry that is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import compress
+from functools import cache, cached_property
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -110,12 +115,13 @@ def vzero(n: int) -> Vector:
 Pairs = tuple[tuple[int, Fraction], ...]
 # A row in reduced echelon form, scaled to a primitive integer vector: its
 # pivot, its entry there (lead > 0), and the (column, entry) pairs of its
-# nonzero entries past the pivot. The rational row it stands for is 1 at
-# the pivot and a / lead past it; this form of it is unique.
+# nonzero entries past the pivot, by column. The rational row it stands for
+# is 1 at the pivot and a / lead past it; this form of it is unique.
 Row = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-def _pairs(v: Sequence[Fraction]) -> Pairs:
+def _pairs(v: Sequence) -> tuple:
+    """The (index, entry) pairs of the nonzero entries of a dense vector."""
     return tuple(compress(enumerate(v), v))
 
 
@@ -127,13 +133,33 @@ def _cleared(v: Sequence) -> tuple[list[int], int]:
     return [a.numerator * (den // a.denominator) if a else 0 for a in v], den
 
 
-def _int_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+def _int_row(pairs: Iterable[tuple[int, int | Fraction]]) -> dict[int, int]:
     """A sparse rational row scaled to integers, for _echelon; its span is unchanged."""
     row = dict(pairs)
     den = lcm(*[a.denominator for a in row.values()])
     for j, a in row.items():
         row[j] = a.numerator * (den // a.denominator)
     return row
+
+
+def _row_ints(row: Row, n: int) -> list[int]:
+    """The Row as a dense integer vector of length n: lead times its rational row."""
+    p, lead, tail = row
+    w = [0] * n
+    w[p] = lead
+    for j, a in tail:
+        w[j] = a
+    return w
+
+
+def _dense(row: Row, n: int) -> Vector:
+    """The rational row a Row stands for, as a dense Fraction vector of length n."""
+    p, lead, tail = row
+    v = [Q0] * n
+    v[p] = Q1
+    for j, a in tail:
+        v[j] = _q(a, lead)
+    return tuple(v)
 
 
 def _q(a: int, den: int) -> Fraction:
@@ -254,6 +280,54 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, int, dict[int, i
     return [(c, lead, tail) for c, (lead, tail) in sorted(kept.items())]
 
 
+def _solve_ints(
+    columns: Sequence[Iterable[tuple[int, int]]],
+    height: int,
+    targets: Sequence[Iterable[tuple[int, int]]],
+) -> list[list[tuple[int, int, int]] | None]:
+    """Solve A x = b for each target b, with free variables pinned to zero, in integers.
+
+    A has these integer columns and b these integer right-hand sides, each
+    given by the (row, entry) pairs of its nonzero entries. One elimination
+    of [A | b_1 ... b_k] is shared by all targets; a pivot landing in a
+    target's column marks a row whose A-part vanished, and a target is
+    consistent exactly when those rows carry zero in its column. Returns, per
+    target, None if it is inconsistent, else its solution's nonzero entries
+    as (column, a, lead) triples, x_column = a / lead.
+    """
+    ncols = len(columns)
+    rows: list[dict[int, int]] = [{} for _ in range(height)]
+    for j, col in enumerate(chain(columns, targets)):
+        for i, a in col:
+            rows[i][j] = a
+    reduced = _echelon(rows)
+    solved = [(c, lead, tail) for c, lead, tail in reduced if c < ncols]
+    vanished = [(c, tail) for c, _, tail in reduced if c >= ncols]
+    out: list[list[tuple[int, int, int]] | None] = []
+    for col in range(ncols, ncols + len(targets)):
+        if any(c == col or col in tail for c, tail in vanished):
+            out.append(None)
+        else:
+            out.append([(c, a, lead) for c, lead, tail in solved if (a := tail.get(col))])
+    return out
+
+
+def _json_shape(data, rows: int | None, cols: int | None) -> None:
+    """Check that JSON matrix data is a list of `rows` lists of `cols` entries each.
+
+    cols defaults to the length of the first row; a ParseError names the
+    first mismatch.
+    """
+    if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
+        raise ParseError("matrix must be a list of rows")
+    if rows is not None and len(data) != rows:
+        raise ParseError(f"expected {rows} rows, found {len(data)}")
+    width = len(data[0]) if cols is None and data else cols
+    for r in data:
+        if len(r) != width:
+            raise ParseError(f"expected {width} columns, found {len(r)}")
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable rational matrix acting on column vectors.
@@ -330,30 +404,45 @@ class Matrix:
         return [self.col(j) for j in range(self.cols)]
 
     def apply(self, v: Vector) -> Vector:
+        """Matrix times v, through _apply_ints on v scaled to integers."""
         if len(v) != self.cols:
             raise InvariantError(f"matrix of {self.cols} columns applied to length-{len(v)} vector")
-        return self._apply(v)
-
-    def _apply(self, v: Vector) -> Vector:
-        """Matrix times v: v's nonzero entries scaled to integers once, one Fraction per nonzero out."""
         pairs = _pairs(v)
+        if not pairs:
+            return vzero(self.rows)
         den = lcm(*[b.denominator for _, b in pairs])
-        w = [(j, b.numerator * (den // b.denominator)) for j, b in pairs]
-        return _fractions(self._apply_ints(w), den * self._ints()[0])
+        (p, lead), *tail = [(j, b.numerator * (den // b.denominator)) for j, b in pairs]
+        return _fractions(self._apply_ints((p, lead, tail)), den * self._ints()[0])
 
-    def _apply_ints(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
-        """den times this matrix, times the integer vector with these nonzero (index, entry) pairs."""
+    def _apply_ints(self, row: Row) -> list[int]:
+        """den times this matrix times the integer vector lead e_p + tail of row = (p, lead, tail).
+
+        For a Row that is den * lead times the image of the rational row it
+        stands for, as a dense integer vector.
+        """
+        p, lead, tail = row
         cols = self._ints()[1]
         out = [0] * self.rows
-        for j, b in pairs:
+        for i, a in cols[p]:
+            out[i] = a * lead
+        for j, b in tail:
             for i, a in cols[j]:
                 out[i] += a * b
         return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the two integer indexes; one Fraction per nonzero entry."""
         if self.cols != other.rows:
             raise InvariantError("matrix product shape mismatch")
-        cols = [self._apply(c) for c in other.column_vectors()]
+        den, left = self._ints()
+        den_other, right = other._ints()
+        cols = []
+        for col in right:
+            out = [0] * self.rows
+            for j, b in col:
+                for i, a in left[j]:
+                    out[i] += a * b
+            cols.append(_fractions(out, den * den_other))
         return Matrix(self.rows, other.cols, tuple(zip(*cols)) if cols else ((),) * self.rows)
 
     def is_zero(self) -> bool:
@@ -408,14 +497,10 @@ class Matrix:
         return out
 
     def solve_many(self, targets: Sequence[Vector]) -> list[Vector | None]:
-        """Solve A x = b for each b, with free variables pinned to zero.
+        """Solve A x = b for each b, with free variables pinned to zero; None if inconsistent.
 
-        Returns None for inconsistent targets. One elimination is shared by
-        all targets; a pivot landing in an augmented column marks the rows
-        whose A-part vanished, and a target is consistent exactly when those
-        rows carry zero in its column. The rows are those of den A, each
-        target b = w / m is augmented as den w, and so x = (A-part of the
-        reduced column) / m.
+        The integer solve of den A against den w, for each target b = w / m,
+        gives m x.
         """
         targets = [vec(b) for b in targets]
         for b in targets:
@@ -423,29 +508,21 @@ class Matrix:
                 raise InvariantError("solve target has wrong length")
         if self.rows == 0:
             return [vzero(self.cols) for _ in targets]
-        rows, den = self._sparse_rows()
-        scales = []
-        for t, b in enumerate(targets):
-            pairs = _pairs(b)
-            m = lcm(*[a.denominator for _, a in pairs])
+        den, cols = self._ints()
+        scales, rhs = [], []
+        for b in targets:
+            w, m = _cleared(b)
             scales.append(m)
-            for i, a in pairs:
-                rows[i][self.cols + t] = a.numerator * (m // a.denominator) * den
-        reduced = _echelon(rows)
-        solved = [(c, lead, tail) for c, lead, tail in reduced if c < self.cols]
-        vanished = [(c, tail) for c, _, tail in reduced if c >= self.cols]
+            rhs.append([(i, a * den) for i, a in enumerate(w) if a])
         out: list[Vector | None] = []
-        for t, m in enumerate(scales):
-            col = self.cols + t
-            if any(c == col or col in tail for c, tail in vanished):
+        for x, m in zip(_solve_ints(cols, self.rows, rhs), scales):
+            if x is None:
                 out.append(None)
                 continue
-            x = [Q0] * self.cols
-            for c, lead, tail in solved:
-                a = tail.get(col)
-                if a:
-                    x[c] = _q(a, lead * m)
-            out.append(tuple(x))
+            v = [Q0] * self.cols
+            for c, a, lead in x:
+                v[c] = _q(a, lead * m)
+            out.append(tuple(v))
         return out
 
     def solve(self, b: Vector) -> Vector | None:
@@ -456,14 +533,7 @@ class Matrix:
 
     @staticmethod
     def from_json(data, rows: int | None = None, cols: int | None = None) -> "Matrix":
-        if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
-            raise ParseError("matrix must be a list of rows")
-        if rows is not None and len(data) != rows:
-            raise ParseError(f"expected {rows} rows, found {len(data)}")
-        width = len(data[0]) if cols is None and data else cols
-        for r in data:
-            if len(r) != width:
-                raise ParseError(f"expected {width} columns, found {len(r)}")
+        _json_shape(data, rows, cols)
         return Matrix.from_rows(data, cols=cols)
 
 
@@ -471,34 +541,34 @@ class Matrix:
 class Subspace:
     """A subspace of Q^ambient_dim in its canonical reduced echelon basis.
 
-    `tails` holds each basis row as a Row, in integers; reduction and
-    containment read only these.
+    It holds only the basis rows as Rows (`tails`), in pivot order, and
+    equal subspaces hold equal Rows. `basis_rows` is a Fraction view of
+    them, built when first read.
     """
 
     ambient_dim: int
-    basis_rows: tuple[Vector, ...]
-    pivots: tuple[int, ...]
-    tails: tuple[Row, ...] = field(compare=False, repr=False)
+    tails: tuple[Row, ...]
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple([p for p, _, _ in self.tails])
+
+    @cached_property
+    def basis_rows(self) -> tuple[Vector, ...]:
+        return tuple([_dense(row, self.ambient_dim) for row in self.tails])
 
     @staticmethod
     def _of(ambient_dim: int, reduced: list[tuple[int, int, dict]], shift: int = 0) -> "Subspace":
         """The subspace with these _echelon rows, their columns moved down by shift."""
-        rows, pivots, tails = [], [], []
-        for c, lead, tail in reduced:
-            p = c - shift
-            dense = [Q0] * ambient_dim
-            dense[p] = Q1
-            pairs = tuple([(j - shift, a) for j, a in tail.items()] if shift else tail.items())
-            if lead == 1:
-                for j, a in pairs:
-                    dense[j] = Fraction(a)
-            else:
-                for j, a in pairs:
-                    dense[j] = Fraction(a, lead)
-            rows.append(tuple(dense))
-            pivots.append(p)
-            tails.append((p, lead, pairs))
-        return Subspace(ambient_dim, tuple(rows), tuple(pivots), tuple(tails))
+        return Subspace(ambient_dim, tuple([
+            (c - shift, lead, tuple(sorted([(j - shift, a) for j, a in tail.items()])))
+            for c, lead, tail in reduced
+        ]))
+
+    @staticmethod
+    def _span_ints(ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
+        """The span of sparse integer rows ({column: nonzero int}; consumed)."""
+        return Subspace._of(ambient_dim, _echelon(rows))
 
     def _rows(self) -> list[dict[int, int]]:
         """The basis rows as fresh sparse integer rows for _echelon."""
@@ -519,28 +589,39 @@ class Subspace:
                     f"vector of length {len(w)} in ambient dimension {ambient_dim}"
                 )
             rows.append(_int_row(_pairs(w)))
-        return Subspace._of(ambient_dim, _echelon(rows))
+        return Subspace._span_ints(ambient_dim, rows)
+
+    @staticmethod
+    def _from_json(data, ambient_dim: int) -> "Subspace":
+        """The span of the columns of a JSON basis matrix with ambient_dim rows.
+
+        It raises the ParseErrors of Matrix.from_json, at the same entries,
+        and reads each column straight to integers.
+        """
+        _json_shape(data, ambient_dim, None)
+        read = [[coefficient(a) for a in r] for r in data]
+        return Subspace._span_ints(
+            ambient_dim, [_int_row(_pairs(col)) for col in zip(*read)]
+        )
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), (), ())
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        identity = Matrix.identity(ambient_dim).entries
-        pivots = tuple(range(ambient_dim))
-        return Subspace(ambient_dim, identity, pivots, tuple((p, 1, ()) for p in pivots))
+        return Subspace(ambient_dim, tuple([(p, 1, ()) for p in range(ambient_dim)]))
 
     @property
     def dim(self) -> int:
-        return len(self.basis_rows)
+        return len(self.tails)
 
     def basis(self) -> Matrix:
         """Basis matrix whose columns are the canonical basis vectors."""
         return Matrix.from_cols(list(self.basis_rows), rows=self.ambient_dim)
 
     def is_zero(self) -> bool:
-        return not self.basis_rows
+        return not self.tails
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -550,21 +631,16 @@ class Subspace:
         w, den = _cleared(vec(v))
         return _fractions(w, _eliminate(w, den, self.tails)[1])
 
-    def contains_vector(self, v: Sequence) -> bool:
-        w, den = _cleared(vec(v))
-        _eliminate(w, den, self.tails)
+    def _holds(self, w: list[int]) -> bool:
+        """Whether the integer vector w lies in the span; w is consumed."""
+        _eliminate(w, 1, self.tails)
         return not any(w)
 
+    def contains_vector(self, v: Sequence) -> bool:
+        return self._holds(_cleared(vec(v))[0])
+
     def contains(self, other: "Subspace") -> bool:
-        for p, lead, tail in other.tails:
-            w = [0] * self.ambient_dim
-            w[p] = lead
-            for j, a in tail:
-                w[j] = a
-            _eliminate(w, 1, self.tails)
-            if any(w):
-                return False
-        return True
+        return all(self._holds(_row_ints(row, self.ambient_dim)) for row in other.tails)
 
     def coords(self, v: Sequence) -> Vector:
         """Coefficients of v over the canonical basis; errors if v is outside."""
@@ -578,7 +654,7 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise InvariantError("subspace sum across different ambient spaces")
-        return Subspace._of(self.ambient_dim, _echelon(self._rows() + other._rows()))
+        return Subspace._span_ints(self.ambient_dim, self._rows() + other._rows())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -601,18 +677,17 @@ class Subspace:
 
 def kernel(f: Matrix) -> Subspace:
     if f.is_zero():
-        return Subspace._of(f.cols, [(j, 1, {}) for j in range(f.cols)])
-    return Subspace._of(f.cols, _echelon(f._null_rows()[0]))
+        return Subspace.full(f.cols)
+    return Subspace._span_ints(f.cols, f._null_rows()[0])
 
 
 def image(f: Matrix, source: Subspace | None = None) -> Subspace:
     if source is None:
-        return Subspace._of(f.rows, _echelon(dict(c) for c in f._ints()[1]))
+        return Subspace._span_ints(f.rows, (dict(c) for c in f._ints()[1]))
     if source.ambient_dim != f.cols:
         raise InvariantError("image source lives in the wrong ambient space")
     # f applied to each integer basis row; scaling a row does not change the span
-    images = (f._apply_ints(((p, lead),) + tail) for p, lead, tail in source.tails)
-    return Subspace._of(f.rows, _echelon({i: a for i, a in enumerate(w) if a} for w in images))
+    return Subspace._span_ints(f.rows, (dict(_pairs(f._apply_ints(row))) for row in source.tails))
 
 
 def preimage(f: Matrix, target: Subspace) -> Subspace:
@@ -645,14 +720,18 @@ class Subquotient:
     The complement is the subset of Z's echelon basis whose pivots are not
     pivots of B; together with B it spans Z, and its classes form the
     canonical basis of Z/B used for all induced maps. Each complement row
-    is zero at every pivot of B and at the other pivots of Z.
+    is zero at every pivot of B and at the other pivots of Z. It is held
+    as Rows (`tails`); `complement` is their Fraction view, built when
+    first read.
     """
 
     Z: Subspace
     B: Subspace
-    complement: tuple[Vector, ...]
-    # the complement rows as Rows
     tails: tuple[Row, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def complement(self) -> tuple[Vector, ...]:
+        return tuple([_dense(row, self.ambient_dim) for row in self.tails])
 
     @staticmethod
     def of(Z: Subspace, B: Subspace) -> "Subquotient":
@@ -661,17 +740,12 @@ class Subquotient:
         if not Z.contains(B):
             raise ContainmentError("denominator is not contained in numerator")
         in_b = set(B.pivots)
-        comp, tails = [], []
-        for row, tail in zip(Z.basis_rows, Z.tails):
-            if tail[0] not in in_b:
-                comp.append(row)
-                tails.append(tail)
-        return Subquotient(Z, B, tuple(comp), tuple(tails))
+        return Subquotient(Z, B, tuple([row for row in Z.tails if row[0] not in in_b]))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subquotient":
         z = Subspace.zero(ambient_dim)
-        return Subquotient(z, z, (), ())
+        return Subquotient(z, z, ())
 
     @staticmethod
     def whole(ambient_dim: int) -> "Subquotient":
@@ -683,7 +757,7 @@ class Subquotient:
 
     @property
     def dim(self) -> int:
-        return len(self.complement)
+        return len(self.tails)
 
     def _coords(self, w: list[int], den: int) -> Vector | None:
         """Coset coordinates of w / den, w consumed in place; None if it is outside Z.
@@ -711,23 +785,35 @@ class Subquotient:
             )
         return cs
 
+    def _lift_ints(self, coords: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int]:
+        """m times the lift of integer coordinates, as a sparse integer row, and m.
+
+        coords are the (index, entry) pairs of the nonzero coordinates; the
+        lift is the sum of c * (lead e_p + tail) / lead over the complement
+        rows, and m is the lcm of the leads of the rows in use. No complement
+        row is nonzero at the pivot of another.
+        """
+        coords = list(coords)
+        m = lcm(*[self.tails[k][1] for k, _ in coords])
+        out: dict[int, int] = {}
+        for k, c in coords:
+            p, lead, tail = self.tails[k]
+            out[p] = c * m
+            c *= m // lead
+            for i, a in tail:
+                out[i] = out.get(i, 0) + c * a
+        return {i: a for i, a in out.items() if a}, m
+
     def lift(self, coords: Sequence) -> Vector:
         cs = vec(coords)
         if len(cs) != self.dim:
             raise InvariantError("coset coordinates have wrong length")
-        # sum of c * (lead e_p + tail) / lead over the complement rows, over
-        # the lcm of the coordinates' denominators and of the leads in use
         ws, den = _cleared(cs)
-        m = lcm(*[lead for c, (_, lead, _) in zip(ws, self.tails) if c])
-        out = [0] * self.ambient_dim
-        # no complement row is nonzero at the pivot of another
-        for c, (p, lead, tail) in zip(ws, self.tails):
-            if c:
-                out[p] = c * m
-                c *= m // lead
-                for i, a in tail:
-                    out[i] += c * a
-        return _fractions(out, den * m)
+        out, m = self._lift_ints(_pairs(ws))
+        v = [Q0] * self.ambient_dim
+        for i, a in out.items():
+            v[i] = _q(a, den * m)
+        return tuple(v)
 
 
 def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
@@ -735,26 +821,27 @@ def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
 
     Checks f(Z) <= Z' and f(B) <= B'; a violation raises ContainmentError
     naming the offending basis vector. f is applied once per basis vector of
-    Z and of B: the complement rows are rows of Z, so the coset coordinates
-    of their images come out of the numerator check.
+    Z and of B, as _apply_ints on its Row: the complement rows are rows of
+    Z, so the coset coordinates of their images come out of the numerator
+    check.
     """
     if f.cols != source.ambient_dim or f.rows != target.ambient_dim:
         raise InvariantError("induced map shape mismatch")
+    den = f._ints()[0]
     coords = {}
-    for i, (z, p) in enumerate(zip(source.Z.basis_rows, source.Z.pivots)):
-        coords[p] = target._coords(*_cleared(f.apply(z)))
-        if coords[p] is None:
+    for i, z in enumerate(source.Z.tails):
+        # f._apply_ints(z) is den * lead times f of the rational row z
+        coords[z[0]] = target._coords(f._apply_ints(z), den * z[1])
+        if coords[z[0]] is None:
             raise ContainmentError(
                 f"image of numerator basis vector {i} leaves the target numerator",
-                witness=[scalar_str(a) for a in z],
+                witness=[scalar_str(a) for a in source.Z.basis_rows[i]],
             )
-    for i, b in enumerate(source.B.basis_rows):
-        w, den = _cleared(f.apply(b))
-        _eliminate(w, den, target.B.tails)
-        if any(w):
+    for i, b in enumerate(source.B.tails):
+        if not target.B._holds(f._apply_ints(b)):
             raise ContainmentError(
                 f"image of denominator basis vector {i} leaves the target denominator",
-                witness=[scalar_str(a) for a in b],
+                witness=[scalar_str(a) for a in source.B.basis_rows[i]],
             )
     return Matrix.from_cols([coords[p] for p, _, _ in source.tails], rows=target.dim)
 

@@ -25,12 +25,21 @@ matrix per shape for the differentials it does not store.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
 from .errors import EngineError, InvariantError
 from .filtered import CochainComplex, FilteredComplex, Filtration
-from .linalg import Q0, Matrix, Subquotient, Subspace, _pairs, image, induced_map
+from .linalg import (
+    Matrix,
+    Subquotient,
+    Subspace,
+    _combine,
+    _pairs,
+    _solve_ints,
+    image,
+    induced_map,
+)
 
 
 class Page:
@@ -102,12 +111,11 @@ def first_page(fk: FilteredComplex) -> Page:
     for (p, q) in support:
         n = p + q
         z = fk.cycles(p, p + 1, n)
-        brows = list(fk.F(p + 1, n).basis_rows)
+        # F^{p+1} + d F^p, spanned by integer rows; scaling d(v) keeps its span
+        rows = fk.F(p + 1, n)._rows()
         dprev = fk.cx.diff(n - 1)
-        for v in fk.F(p, n - 1).basis_rows:
-            brows.append(dprev.apply(v))
-        b = Subspace.span(fk.cx.dim(n), brows)
-        cells[(p, q)] = Subquotient.of(z, b)
+        rows += [dict(_pairs(dprev._apply_ints(v))) for v in fk.F(p, n - 1).tails]
+        cells[(p, q)] = Subquotient.of(z, Subspace._span_ints(fk.cx.dim(n), rows))
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in support:
         n = p + q
@@ -142,16 +150,14 @@ def turn_page(page: Page) -> Page:
         if dout.is_zero() and din.is_zero():
             cells[(p, q)] = cell
             continue
-        zrows = list(cell.B.basis_rows)
-        for kv in dout.nullspace():
-            zrows.append(cell.lift(kv))
-        znew = Subspace.span(amb, zrows)
-        brows = list(cell.B.basis_rows)
-        for j in range(din.cols):
-            col = din.col(j)
-            brows.append(cell.lift(col))
-        bnew = Subspace.span(amb, brows)
-        cells[(p, q)] = Subquotient.of(znew, bnew)
+        # ker d_r and im d_r, lifted to integer rows over the old complement
+        zrows = cell.B._rows()
+        zrows += [cell._lift_ints(k.items())[0] for k in dout._null_rows()[0]]
+        brows = cell.B._rows()
+        brows += [cell._lift_ints(col)[0] for col in din._ints()[1]]
+        cells[(p, q)] = Subquotient.of(
+            Subspace._span_ints(amb, zrows), Subspace._span_ints(amb, brows)
+        )
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in page.support:
         src = cells[(p, q)]
@@ -163,19 +169,32 @@ def turn_page(page: Page) -> Page:
         if tgt is None:
             tgt = Subquotient.zero(cx.dim(n + 1))
         d = cx.diff(n)
-        bimages = [d.apply(b) for b in src.B.basis_rows]
-        system = Matrix.from_cols(bimages + list(tgt.Z.basis_rows), rows=cx.dim(n + 1))
-        targets = [d.apply(w) for w in src.complement]
-        sols = system.solve_many(targets)
+        den = d._ints()[0]
+        height = cx.dim(n + 1)
+        # solve [d(B) | Z'] x = d w for each complement row w, in integers:
+        # a Row's _apply_ints is den * lead times d of its rational row
+        nb = src.B.dim
+        system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
+        system += [((c, lead),) + tail for c, lead, tail in tgt.Z.tails]
+        sols = _solve_ints(system, height, [_pairs(d._apply_ints(w)) for w in src.tails])
         cols = []
-        drop_b = (Q0,) * len(bimages)
-        for x in sols:
+        for (_, lead_w, _), x in zip(src.tails, sols):
             if x is None:
                 raise EngineError(
                     f"representative lift failed at cell {(p, q)} on page {page.r}"
                 )
-            # system x = d w, so d(w - sum x_i b_i) is the Z' part of system x
-            cols.append(tgt.coset_coords(system.apply(drop_b + x[len(bimages):])))
+            # d(w - sum x_i b_i) is the Z' part of system x: m times it is
+            # sum (a m / lead) z_k over its solved Z' columns z_k = lead_k z'_k
+            zpart = [(c - nb, a, lead) for c, a, lead in x if c >= nb]
+            m = lcm(*[lead for _, _, lead in zpart])
+            v = [0] * height
+            for k, a, lead in zpart:
+                pk, lead_k, tail = tgt.Z.tails[k]
+                s = a * (m // lead)
+                v[pk] += s * lead_k
+                for i, b in tail:
+                    v[i] += s * b
+            cols.append(tgt._coords(v, m * den * lead_w))
         diffs[(p, q)] = Matrix.from_cols(cols, rows=tgt.dim)
     return Page(r2, cx, page.support, cells, diffs)
 
@@ -266,31 +285,18 @@ class Barcode(NamedTuple):
         return Counter(n for n, _ in self.essential)
 
 
-def _axpy(row: dict[int, Fraction], f: Fraction, tail: dict[int, Fraction]) -> None:
-    """row += f * tail, in place, for sparse rows; entries that cancel are dropped."""
-    for j, a in tail.items():
-        b = row.get(j)
-        if b is None:
-            row[j] = f * a
-        else:
-            b += f * a
-            if b:
-                row[j] = b
-            else:
-                del row[j]
-
-
 def barcode(fk: FilteredComplex) -> Barcode:
     """The barcode of the filtration, from one column reduction per degree.
 
     Each degree gets a filtration-adapted basis, deepest level first: the
     complement of F^{p+1} in F^p, for p from p_top - 1 down to p_lo. One
-    solve_many per degree writes d in these bases. Then the standard column
-    reduction (Zomorodian & Carlsson, DCG 2005): the pivot of a column is
-    its shallowest-level target, the last by position, and a column is
-    reduced only by the columns already processed, which are sources at a
-    deeper or equal level. A column left nonzero pairs its source with its
-    pivot. The barcode is computed once and kept on fk.
+    integer solve per degree writes d in these bases, each column up to a
+    positive scale, which changes no pivot. Then the standard column
+    reduction (Zomorodian & Carlsson, DCG 2005), on integer columns: the
+    pivot of a column is its shallowest-level target, the last by position,
+    and a column is reduced only by the columns already processed, which
+    are sources at a deeper or equal level. A column left nonzero pairs its
+    source with its pivot. The barcode is computed once and kept on fk.
     """
     if fk.bars is not None:
         return fk.bars
@@ -301,31 +307,33 @@ def barcode(fk: FilteredComplex) -> Barcode:
         levels[n], basis[n] = [], []
         for p in range(fk.p_top - 1, fk.p_lo - 1, -1):
             # F^{p+1} <= F^p was checked at load, so the complement is read
-            # off the pivots: the rows of F^p whose pivots F^{p+1} lacks
+            # off the pivots: the Rows of F^p whose pivots F^{p+1} lacks
             deeper = set(fk.F(p + 1, n).pivots)
-            fp = fk.F(p, n)
-            comp = [row for row, c in zip(fp.basis_rows, fp.pivots) if c not in deeper]
+            comp = [row for row in fk.F(p, n).tails if row[0] not in deeper]
             levels[n] += [p] * len(comp)
             basis[n] += comp
     pairs = []
     paired: dict[int, set[int]] = {n: set() for n in cx.degrees()}  # positions
     for n in range(cx.lo, cx.hi):
-        adapted = Matrix.from_cols(basis[n + 1], rows=cx.dim(n + 1))
+        adapted = [((c, lead),) + tail for c, lead, tail in basis[n + 1]]
         d = cx.diff(n)
-        reduced: dict[int, dict] = {}  # pivot -> its column, scaled to 1 there
-        for j, x in enumerate(adapted.solve_many([d.apply(v) for v in basis[n]])):
-            col = dict(_pairs(x))
+        images = [_pairs(d._apply_ints(v)) for v in basis[n]]
+        reduced: dict[int, dict[int, int]] = {}  # pivot -> its column
+        # the adapted basis is a basis, so every image is solved
+        for j, x in enumerate(_solve_ints(adapted, cx.dim(n + 1), images)):
+            m = lcm(*[lead for _, _, lead in x])
+            col = {c: a * (m // lead) for c, a, lead in x}
             while col:
                 low = max(col)
                 other = reduced.get(low)
                 if other is None:
-                    lead = col[low]
-                    reduced[low] = {i: a / lead for i, a in col.items()}
+                    reduced[low] = col
                     pairs.append((n, levels[n][j], levels[n + 1][low]))
                     paired[n].add(j)
                     paired[n + 1].add(low)
                     break
-                _axpy(col, -col[low], other)
+                g = gcd(col[low], other[low])
+                _combine(col, other[low] // g, col[low] // g, other)
     essential = [
         (n, level)
         for n in cx.degrees()

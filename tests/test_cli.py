@@ -402,33 +402,52 @@ def square_complex(**patch):
     return blob
 
 
+def square_filtration(basis):
+    """A filtration of square_complex whose level 0 in degree 0 has this basis."""
+    return {"filtration": {"0": {"0": basis}, "1": {"0": []}}}
+
+
+# the messages are those the loader gave before filtration bases were read
+# straight to integers
 @pytest.mark.parametrize(
-    "patch, location",
+    "patch, location, message",
     [
-        ({"d": {"0": [["1", "0"], ["0"]]}}, "d.0"),
-        ({"d": {"0": [["1", "0", "0"], ["0", "1", "0"]]}}, "d.0"),
-        ({"d": {"0": [["1", "0"]]}}, "d.0"),
-        ({"d": {"0": [["x/0", "0"], ["0", "1"]]}}, "d.0"),
-        ({"filtration": {"0": {"0": [["1", "0"], ["0"]]}, "1": {"0": []}}}, "filtration.0.0"),
-        ({"filtration": {"1": {"0": [["1"]]}, "2": {"0": []}}}, "filtration.1.0"),
-        ({"d": {"5": [["1"]]}}, "d.5"),
-        ({"d": {"-3": []}}, "d.-3"),
-        ({"d": {"1": []}}, "d.1"),
-        ({"filtration": {"0": {"4": [["1"]]}, "1": {"0": []}}}, "filtration.0.4"),
-        ({"filtration": {"0": {"-1": []}, "1": {"0": []}}}, "filtration.0.-1"),
+        ({"d": {"0": [["1", "0"], ["0"]]}}, "d.0", "expected 2 columns, found 1"),
+        ({"d": {"0": [["1", "0", "0"], ["0", "1", "0"]]}}, "d.0", "expected 2 columns, found 3"),
+        ({"d": {"0": [["1", "0"]]}}, "d.0", "expected 2 rows, found 1"),
+        ({"d": {"0": [["x/0", "0"], ["0", "1"]]}}, "d.0", "bad rational literal 'x/0'"),
+        (square_filtration([["1", "0"], ["0"]]), "filtration.0.0", "expected 2 columns, found 1"),
+        ({"filtration": {"1": {"0": [["1"]]}, "2": {"0": []}}}, "filtration.1.0",
+         "expected 2 rows, found 1"),
+        ({"d": {"5": [["1"]]}}, "d.5", "degree outside [0, 1)"),
+        ({"d": {"-3": []}}, "d.-3", "degree outside [0, 1)"),
+        ({"d": {"1": []}}, "d.1", "degree outside [0, 1)"),
+        ({"filtration": {"0": {"4": [["1"]]}, "1": {"0": []}}}, "filtration.0.4",
+         "degree outside [0, 1]"),
+        ({"filtration": {"0": {"-1": []}, "1": {"0": []}}}, "filtration.0.-1",
+         "degree outside [0, 1]"),
+        (square_filtration([["x/0", "0"], ["0", "1"]]), "filtration.0.0",
+         "bad rational literal 'x/0'"),
+        (square_filtration(["1 0", ["0", "1"]]), "filtration.0.0", "matrix must be a list of rows"),
+        (square_filtration([[True, "0"], ["0", "1"]]), "filtration.0.0",
+         "cannot interpret True as a rational"),
+        (square_filtration([["1", 1.5], ["0", "1"]]), "filtration.0.0",
+         "cannot interpret 1.5 as a rational"),
     ],
     ids=[
         "ragged", "columns", "rows", "literal", "filtration-ragged", "filtration-rows",
         "d-above", "d-below", "d-top", "filtration-above", "filtration-below",
+        "filtration-literal", "filtration-row-string", "filtration-true", "filtration-float",
     ],
 )
-def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location):
+def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location, message):
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(square_complex(**patch)))
     code, out = run_json(capsys, ["compute", "--input", str(path)])
     assert code == 3
     assert out["error"] == "parse"
     assert out["location"] == location
+    assert out["message"] == f"{location}: {message}"
 
 
 ONE_BY_ONE = {

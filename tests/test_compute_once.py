@@ -147,7 +147,8 @@ def test_induced_map_applies_f_once_per_basis_vector(monkeypatch):
 
     fk = random_filtered_complex(random.Random(0))
     page = SpectralSequence(fk).page(1)
-    calls = count_calls(monkeypatch, Matrix, "apply")
+    # induced_map applies f through the integer entry point, once per Row
+    calls = count_calls(monkeypatch, Matrix, "_apply_ints")
     seen = 0
     for (p, q), src in page.cells.items():
         tgt = page.cell(p + 1, q)
@@ -157,6 +158,30 @@ def test_induced_map_applies_f_once_per_basis_vector(monkeypatch):
         seen += src.dim
     # the complement vectors are applied only as rows of Z
     assert seen > 0
+
+
+def test_loading_pages_and_barcode_cross_no_fraction_entry_point(monkeypatch):
+    import random
+
+    from specseq import FilteredComplex, Matrix, Subquotient, Subspace
+    from specseq.fuzz import random_filtered_complex
+
+    # d_1 and d_2 are nonzero here, so the turns solve and lift
+    data = random_filtered_complex(random.Random(0)).to_json()
+    entry_points = [
+        (Subspace, "span"),
+        (Subquotient, "lift"),
+        (Subquotient, "coset_coords"),
+        (Matrix, "apply"),
+        (Matrix, "solve_many"),
+    ]
+    calls = {name: count_calls(monkeypatch, owner, name) for owner, name in entry_points}
+    fk = FilteredComplex.from_json(data)
+    ss = SpectralSequence(fk)
+    ss.page(4)
+    sp.barcode(fk)
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
+    assert not ss.page(2).all_differentials_zero()
 
 
 def test_a_turn_carries_the_cells_d_r_leaves_alone():

@@ -1,7 +1,7 @@
 """Exact linear algebra against the naive oracle plus hypothesis invariants."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -417,6 +417,67 @@ def test_wide_sparse_rank_matches_oracle(rows):
     cols = [0, 2, 3, 7, 11, 40]
     dense = [[r.get(c, 0) for c in cols] for r in rows]
     assert sparse_rank(rows) == naive_rank(dense)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_wide_lift_ints_is_a_positive_multiple_of_lift(data):
+    # fewer rows than columns, so that Z's rows have tails and unequal leads,
+    # and two rows or more past B's, so that a lift can combine them
+    n = data.draw(st.integers(3, 5))
+    nb = data.draw(st.integers(0, min(1, n - 3)))
+    r = data.draw(st.integers(nb + 2, n - 1))
+    rows = data.draw(st.lists(st.lists(wide, min_size=n, max_size=n), min_size=r, max_size=r))
+    sq = Subquotient.of(Subspace.span(n, rows), Subspace.span(n, rows[:nb]))
+    coords = data.draw(st.lists(wide.filter(bool), min_size=sq.dim, max_size=sq.dim))
+    den = lcm(*[Fraction(c).denominator for c in coords])
+    ints = [int(Fraction(c) * den) for c in coords]
+    out, m = sq._lift_ints((k, c) for k, c in enumerate(ints) if c)
+    lifted = sq.lift(coords)
+    assert list(lifted) == combination(coords, sq.complement, n)
+    assert m > 0 and all(out.values())
+    assert [Fraction(out.get(i, 0)) for i in range(n)] == [den * m * a for a in lifted]
+    assert exact(lifted)
+    # the Fraction views, built lazily from the Rows
+    assert all(exact(r) for r in sq.complement + sq.Z.basis_rows + sq.B.basis_rows)
+    kept = [p not in sq.B.pivots for p in sq.Z.pivots]
+    assert sq.complement == tuple(r for r, k in zip(sq.Z.basis_rows, kept) if k)
+    assert [list(r) for r in sq.Z.basis_rows] == naive_rref(rows)
+
+
+def test_equal_spans_hold_equal_rows():
+    # reducing e0 + e1 + e3 by e1 + e2 appends column 2 after column 3
+    s = Subspace.span(4, [[1, 1, 0, 1], [0, 1, 1, 0]])
+    t = Subspace.span(4, s.basis_rows)
+    assert s.tails == t.tails == ((0, 1, ((2, -1), (3, 1))), (1, 1, ((2, 1),)))
+    assert s == t and hash(s) == hash(t)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_wide_subspace_equality_and_hash_follow_basis_rows(data):
+    # two free columns or more, so that reducing can append entries to a tail
+    n = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, max(1, n - 2)))
+    rows = data.draw(st.lists(st.lists(wide, min_size=n, max_size=n), min_size=r, max_size=r))
+    s = Subspace.span(n, rows)
+    # the same span from other vectors, reduced in another order
+    scales = data.draw(st.lists(wide.filter(bool), min_size=len(rows), max_size=len(rows)))
+    scaled = [[Fraction(c) * Fraction(a) for a in r] for c, r in zip(scales, rows)]
+    total = [sum((Fraction(a) for a in col), Fraction(0)) for col in zip(*rows)]
+    same = [
+        Subspace.span(n, [total] + scaled[::-1]),
+        s.sum_with(Subspace.span(n, scaled[:1])),
+        # already reduced rows, which no cancellation reorders
+        Subspace.span(n, s.basis_rows),
+    ]
+    for t in same:
+        assert t == s and hash(t) == hash(s) and t.basis_rows == s.basis_rows
+    others = data.draw(st.lists(st.lists(wide, min_size=n, max_size=n), max_size=3))
+    for t in same + [Subspace.span(n, others), s.intersect(Subspace.span(n, others))]:
+        assert (t == s) == (t.basis_rows == s.basis_rows)
+        assert t != s or hash(t) == hash(s)
+        assert all(exact(r) for r in t.basis_rows) and canonical_rows(t)
 
 
 # digits, the other characters Fraction's grammar knows, and an Arabic-Indic three
