@@ -147,6 +147,11 @@ class CochainComplex:
             dims = {int(k): json_int(v) for k, v in dims_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ParseError("dims keys and values must be integers", location="dims") from exc
+        for k, v in dims_raw.items():
+            if v < 0:
+                raise ParseError(
+                    f"dimension must not be negative, found {v}", location=f"dims.{k}"
+                )
         d = {}
         d_raw = data.get("d", {})
         if not isinstance(d_raw, dict):
@@ -287,8 +292,9 @@ class FilteredComplex:
                     raise InvariantError(
                         f"filtration level {p} has wrong ambient at degree {n}", witness=at
                     )
-                if p > f.p_lo and not f.table[(p - 1, n)].contains(sub):
-                    above = f.table[(p - 1, n)]
+                above = f.table.get((p - 1, n))
+                # F^p equal to F^{p-1} is contained in it, with nothing to reduce
+                if p > f.p_lo and sub != above and not above.contains(sub):
                     # the first basis vector of F^p outside F^{p-1}
                     v = next(v for v in sub.basis_rows if not above.contains_vector(v))
                     at["vector"] = [scalar_str(a) for a in v]
@@ -357,8 +363,15 @@ class FilteredComplex:
         return hit
 
     def cycles(self, a: int, b: int, n: int) -> Subspace:
-        """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per clamped (a, b)."""
-        key = (self.clamp(a), self.clamp(b), n)
+        """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per clamped (a, b).
+
+        Where clamp(b) <= clamp(a) it is the stored F^a K^n, with nothing
+        computed: F^a is d-stable, so d F^a <= F^a <= F^b.
+        """
+        a, b = self.clamp(a), self.clamp(b)
+        if b <= a:
+            return self.F(a, n)
+        key = (a, b, n)
         hit = self._cycles.get(key)
         if hit is None:
             hit = self.F(a, n).intersect(self.d_preimage(b, n))
@@ -410,6 +423,9 @@ class FilteredComplex:
         if not isinstance(filt_raw, dict) or not filt_raw:
             raise ParseError("filtration must be a non-empty object", location="filtration")
         levels: dict[int, dict[int, Subspace]] = {}
+        # each distinct basis is reduced once per degree; the key is its repr,
+        # since JSON 1.0 and true compare equal to 1 but are no rational literals
+        read: dict[tuple[int, str], Subspace] = {}
         for pk, by_degree in filt_raw.items():
             try:
                 p = int(pk)
@@ -430,6 +446,10 @@ class FilteredComplex:
                 if basis == []:
                     levels[p][n] = Subspace.zero(amb)
                     continue
-                levels[p][n] = _parsed_at(where, Subspace._from_json, basis, amb)
+                key = (n, repr(basis))
+                sub = read.get(key)
+                if sub is None:
+                    sub = read[key] = _parsed_at(where, Subspace._from_json, basis, amb)
+                levels[p][n] = sub
         filtration = Filtration.from_sparse(cx, levels)
         return FilteredComplex(cx, filtration)

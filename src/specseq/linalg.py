@@ -385,7 +385,16 @@ class Matrix:
                 raise InvariantError(f"expected {rows} rows, found {height}")
         else:
             height = 0 if rows is None else rows
-        return Matrix(height, len(data), tuple(tuple(c[i] for c in data) for i in range(height)))
+        return Matrix._of_cols(data, height)
+
+    @staticmethod
+    def _of_cols(cols: Sequence[Vector], rows: int) -> "Matrix":
+        """The matrix with these columns, each a tuple of `rows` Fractions, as they are.
+
+        For columns the engine built itself (coset coordinates, products);
+        from_cols is the checked constructor for any other columns.
+        """
+        return Matrix(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
     @staticmethod
     @cache
@@ -443,7 +452,7 @@ class Matrix:
                 for i, a in left[j]:
                     out[i] += a * b
             cols.append(_fractions(out, den * den_other))
-        return Matrix(self.rows, other.cols, tuple(zip(*cols)) if cols else ((),) * self.rows)
+        return Matrix._of_cols(cols, self.rows)
 
     def is_zero(self) -> bool:
         return not any(self.nonzeros)
@@ -618,7 +627,7 @@ class Subspace:
 
     def basis(self) -> Matrix:
         """Basis matrix whose columns are the canonical basis vectors."""
-        return Matrix.from_cols(list(self.basis_rows), rows=self.ambient_dim)
+        return Matrix._of_cols(self.basis_rows, self.ambient_dim)
 
     def is_zero(self) -> bool:
         return not self.tails
@@ -843,7 +852,7 @@ def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
                 f"image of denominator basis vector {i} leaves the target denominator",
                 witness=[scalar_str(a) for a in source.B.basis_rows[i]],
             )
-    return Matrix.from_cols([coords[p] for p, _, _ in source.tails], rows=target.dim)
+    return Matrix._of_cols([coords[p] for p, _, _ in source.tails], target.dim)
 
 
 def pairing_rank(gram: Matrix) -> tuple[int, bool]:

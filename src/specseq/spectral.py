@@ -15,11 +15,20 @@ never as a quotient of quotients. Three independent routes give the pages:
 The three must agree cellwise in dimension; the fuzz suites and the oracle
 command enforce exactly that.
 
-Nothing is computed twice. A turn carries the cells d_r leaves alone: when
-the d_r into and out of a cell are both zero, page r+1 holds the same
-Subquotient object. The filtered complex computes each F^a cap d^{-1}F^b
-and each page_direct cell once per clamped level, and a page keeps one zero
-matrix per shape for the differentials it does not store.
+Nothing is computed twice, and nothing the filtration already answers is
+computed at all. A turn carries the cells d_r leaves alone: when the d_r
+into and out of a cell are both zero, page r+1 holds the same Subquotient
+object. The filtered complex computes each F^a cap d^{-1}F^b and each
+page_direct cell once per clamped level, and returns F^a itself where
+clamp(b) <= clamp(a). Where a graded piece is empty, F^p = F^{p+1} in
+degree p+q, E_1^{p,q} is F^p/F^p and the direct cell is Z_r/Z_r, read off
+the filtration with no elimination; load has checked that it is nested and
+d-stable, and reduced bases are canonical, so these equal the cells the
+formulas build. A page keeps one zero matrix per shape for the
+differentials it does not store. page_direct still reads only the
+filtration and never a turned page: it takes the empty-piece rule from the
+filtration, as first_page does, and so stays a route independent of the
+turns.
 """
 
 from __future__ import annotations
@@ -105,11 +114,19 @@ def first_page(fk: FilteredComplex) -> Page:
     """E_1^{p,q} = (F^p cap d^{-1}F^{p+1}) / (F^{p+1} + d F^p), with d_1 induced by d.
 
     The cell is the classical presentation of H^{p+q}(Gr^p) inside K^{p+q}.
+    Where the graded piece is empty, F^p = F^{p+1} (one dimension suffices,
+    since load checked F^{p+1} <= F^p), the cell is F^p/F^p with nothing
+    computed: d F^p <= F^p, so both formulas give F^p. No d_1 is stored out
+    of a zero cell; the page's diff() reads its zero matrix.
     """
     cells: dict[tuple[int, int], Subquotient] = {}
     support = _support(fk)
     for (p, q) in support:
         n = p + q
+        f = fk.F(p, n)
+        if f.dim == fk.F(p + 1, n).dim:
+            cells[(p, q)] = Subquotient(f, f, ())
+            continue
         z = fk.cycles(p, p + 1, n)
         # F^{p+1} + d F^p, spanned by integer rows; scaling d(v) keeps its span
         rows = fk.F(p + 1, n)._rows()
@@ -118,6 +135,8 @@ def first_page(fk: FilteredComplex) -> Page:
         cells[(p, q)] = Subquotient.of(z, Subspace._span_ints(fk.cx.dim(n), rows))
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in support:
+        if cells[(p, q)].dim == 0:
+            continue
         n = p + q
         tgt = cells.get((p + 1, q))
         if tgt is None:
@@ -131,9 +150,9 @@ def turn_page(page: Page) -> Page:
 
     New cells are ker d_r / im d_r, re-expressed as subquotients of the
     original spaces through the canonical complement bases. A cell with
-    zero d_r in and out is carried as the same object: ker d_r is all of it,
-    im d_r is zero, and reduced bases are unique, so recomputing it would
-    give an equal cell. The next differential is induced by d on
+    zero d_r in and out, a zero cell among them, is carried as the same
+    object: ker d_r is all of it, im d_r is zero, and reduced bases are
+    unique, so recomputing it would give an equal cell. The next differential is induced by d on
     representative lifts: for a class [w] the representative w - b, b in
     the new denominator, is chosen so that d(w - b) lands in the new
     numerator of the target cell.
@@ -144,6 +163,9 @@ def turn_page(page: Page) -> Page:
     cells: dict[tuple[int, int], Subquotient] = {}
     for (p, q) in page.support:
         cell = page.cell(p, q)
+        if cell.dim == 0:
+            cells[(p, q)] = cell
+            continue
         amb = cell.ambient_dim
         dout = page.diff(p, q)
         din = page.diff(p - r, q + r - 1)
@@ -195,7 +217,7 @@ def turn_page(page: Page) -> Page:
                 for i, b in tail:
                     v[i] += s * b
             cols.append(tgt._coords(v, m * den * lead_w))
-        diffs[(p, q)] = Matrix.from_cols(cols, rows=tgt.dim)
+        diffs[(p, q)] = Matrix._of_cols(cols, tgt.dim)
     return Page(r2, cx, page.support, cells, diffs)
 
 
@@ -207,7 +229,8 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
 
     Both read F only at clamped levels, so the cell is computed once per
     (clamped p+r, clamped p-r+1, p, n) and kept on fk. F^{p+1} cap Z_r is
-    F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p.
+    F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p. Where F^p = F^{p+1}
+    that is Z_r itself, so the cell is Z_r/Z_r and B_r is not computed.
     """
     if r < 1:
         raise InvariantError("pages are indexed from r = 1")
@@ -218,9 +241,13 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     hit = fk.direct_cells.get(key)
     if hit is None:
         zr = fk.cycles(p, p + r, n)
-        src = fk.cycles(p - r + 1, p, n - 1)
-        br = fk.cycles(p + 1, p + r, n).sum_with(image(fk.cx.diff(n - 1), src))
-        hit = fk.direct_cells[key] = Subquotient.of(zr, br)
+        if fk.F(p, n).dim == fk.F(p + 1, n).dim:
+            hit = Subquotient(zr, zr, ())
+        else:
+            src = fk.cycles(p - r + 1, p, n - 1)
+            br = fk.cycles(p + 1, p + r, n).sum_with(image(fk.cx.diff(n - 1), src))
+            hit = Subquotient.of(zr, br)
+        fk.direct_cells[key] = hit
     return hit
 
 
@@ -451,7 +478,7 @@ def compare_differentials(fk: FilteredComplex, r: int) -> bool:
     for pq, cell in direct.items():
         turned = pg.cell(*pq)
         cols = [turned.coset_coords(w) for w in cell.complement]
-        trans[pq] = Matrix.from_cols(cols, rows=turned.dim)
+        trans[pq] = Matrix._of_cols(cols, turned.dim)
     for (p, q) in pg.support:
         n = p + q
         tgt = (p + r, q - r + 1)

@@ -1,7 +1,9 @@
 """Shared fixtures: frozen micro-examples and cached model builders."""
 
+import importlib.util
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,17 @@ def acyclic_two_term() -> FilteredComplex:
         3: {1: Subspace.zero(1)},
     }
     return FilteredComplex(cx, Filtration.from_sparse(cx, levels))
+
+
+COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
+
+
+def scaled_complex(*args) -> dict:
+    """bench/complexes.py scaled_complex, loaded by path; its JSON input only."""
+    spec = importlib.util.spec_from_file_location("bench_complexes", COMPLEXES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scaled_complex(*args)[0]
 
 
 @pytest.fixture

@@ -547,6 +547,103 @@ def test_filtration_shape_errors_exit_4_with_a_witness(
     assert out == {"error": "invariant", "message": message, "witness": witness}
 
 
+E0, E1 = [["1"], ["0"]], [["0"], ["1"]]
+FULL_2 = [["1", "0"], ["0", "1"]]
+
+
+# the witness bytes are those the loader gave before it reused repeated bases
+# and skipped the containment check of a level equal to the level below
+@pytest.mark.parametrize(
+    "filtration, expected",
+    [
+        # the bad level repeats the basis of a level two below it
+        (
+            {"0": {"0": FULL_2}, "1": {"0": E0}, "2": {"0": []}, "3": {"0": E0}},
+            '{\n  "error": "invariant",\n  "message": "filtration is not decreasing at level 3,'
+            ' degree 0",\n  "witness": {\n    "degree": 0,\n    "level": 3,\n    "vector": [\n'
+            '      "1",\n      "0"\n    ]\n  }\n}\n',
+        ),
+        # the bad level is repeated at the level above it
+        (
+            {"0": {"0": FULL_2}, "1": {"0": E0}, "2": {"0": E0}, "3": {"0": E1}, "4": {"0": E1}},
+            '{\n  "error": "invariant",\n  "message": "filtration is not decreasing at level 3,'
+            ' degree 0",\n  "witness": {\n    "degree": 0,\n    "level": 3,\n    "vector": [\n'
+            '      "0",\n      "1"\n    ]\n  }\n}\n',
+        ),
+        # the bad level repeats a level below it, and is repeated above it
+        (
+            {"0": {"0": FULL_2}, "1": {"0": E1}, "2": {"0": E0}, "3": {"0": E1}, "4": {"0": []}},
+            '{\n  "error": "invariant",\n  "message": "filtration is not decreasing at level 2,'
+            ' degree 0",\n  "witness": {\n    "degree": 0,\n    "level": 2,\n    "vector": [\n'
+            '      "1",\n      "0"\n    ]\n  }\n}\n',
+        ),
+    ],
+    ids=["repeats-below", "repeated-above", "repeats-and-repeated"],
+)
+def test_non_nested_repeated_level_exits_4_with_its_witness(
+    capsys, tmp_path, filtration, expected
+):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**TWO_BY_ONE, "filtration": filtration}))
+    assert run_cli(capsys, ["compute", "--input", str(path)]) == (4, expected)
+
+
+@pytest.mark.parametrize(
+    "filtration, location, message",
+    [
+        # the first level in file order is level 1
+        (
+            {"1": {"0": [["x/0"], ["0"]]}, "0": {"0": FULL_2}, "2": {"0": [["x/0"], ["0"]]},
+             "3": {"0": [["x/0"], ["0"]]}},
+            "filtration.1.0",
+            "bad rational literal 'x/0'",
+        ),
+        # JSON 1.0 and true compare equal to 1, but are no rational literals
+        (
+            {"0": {"0": FULL_2}, "1": {"0": [[1], [0]]}, "2": {"0": [[1.0], [0]]}},
+            "filtration.2.0",
+            "cannot interpret 1.0 as a rational",
+        ),
+        (
+            {"0": {"0": FULL_2}, "1": {"0": [[1], [0]]}, "2": {"0": [[True], [0]]}},
+            "filtration.2.0",
+            "cannot interpret True as a rational",
+        ),
+    ],
+    ids=["literal-at-three-levels", "float-after-int", "bool-after-int"],
+)
+def test_malformed_repeated_basis_exits_3_at_its_first_level(
+    capsys, tmp_path, filtration, location, message
+):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**TWO_BY_ONE, "filtration": filtration}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        # without a d at that degree the complex itself refused it, with no witness
+        {"dims": {"0": 1, "1": -2}, "d": {}},
+        # with one, the d shape check named d.0 and "-2 rows"
+        {"dims": {"0": 1, "1": -2}, "d": {"0": []}},
+    ],
+    ids=["no-d", "with-d"],
+)
+def test_negative_dimension_exits_3_at_its_key(capsys, tmp_path, patch):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**ONE_BY_ONE, **patch}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out == {
+        "error": "parse",
+        "location": "dims.1",
+        "message": "dims.1: dimension must not be negative, found -2",
+    }
+
+
 def _rekey(tab, old, new):
     tab[new] = tab.pop(old)
 

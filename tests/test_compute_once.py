@@ -2,9 +2,10 @@
 one barcode per filtered complex, and no page for page dimensions alone,
 one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
-preimage per clamped filtration level, no recomputation of a page cell
-that d_r leaves alone, and one product omega * e_i per basis element of a
-polarized algebra."""
+preimage per clamped filtration level, no cycles computed where the
+filtration already gives them, no recomputation of a page cell that d_r
+leaves alone, and one product omega * e_i per basis element of a polarized
+algebra."""
 
 import json
 from fractions import Fraction
@@ -284,3 +285,45 @@ def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
     assert deligne_vanishing(pa) == 0
     assert degeneration_certify(pa, d).certified()
     assert 0 < len([args for args in products if args[0] is omega]) <= alg.dim()
+
+
+def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
+    import random
+
+    import specseq.filtered as filtered
+    from specseq import FilteredComplex, Subspace
+
+    from conftest import scaled_complex
+
+    fk = FilteredComplex.from_json(scaled_complex(random.Random(0), 48, 5, 8))
+    # the cells where the graded piece F^p/F^{p+1} is empty
+    empty = [
+        (p, n - p) for p in fk.levels() for n in fk.cx.degrees() if fk.F(p, n) == fk.F(p + 1, n)
+    ]
+    assert len(empty) == 19
+    asked, computed = [], []
+    real_cycles = filtered.FilteredComplex.cycles
+    meets = count_calls(monkeypatch, Subspace, "intersect")
+
+    def cycles(self, a, b, n):
+        asked.append((a, b, n))
+        before = len(meets)
+        out = real_cycles(self, a, b, n)
+        if len(meets) > before:
+            computed.append((self.clamp(a), self.clamp(b), n))
+        return out
+
+    monkeypatch.setattr(filtered.FilteredComplex, "cycles", cycles)
+    sp.first_page(fk)
+    assert asked
+    assert not {(p, p + 1, p + q) for p, q in empty} & set(asked)
+    for r in range(1, fk.width() + 3):
+        for p, q in empty:
+            del asked[:]
+            sp.page_direct(fk, r, p, q)
+            # Z_r alone is read; B_r = Z_r is not computed
+            assert asked in ([], [(p, p + r, p + q)])
+    sp.oracle_report(fk)
+    sp.decalage_renumbering_report(fk)
+    assert computed
+    assert all(b > a for a, b, _ in computed)

@@ -4,15 +4,14 @@ The compute and fuzz digests were recorded at commit 00a016d, the certificate
 and d2 digests at commit 01b8d75, the page-route digests of the seeded
 random complex at commit 64fa149, the eight-page digests at commit
 3674f0b, the model and ext-dims digests at commit 8fda67e, the
-dims-only compute digests at commit bc5f6c4, and the scaled-63 page-route
-digests at commit 67135fa.
+dims-only compute digests at commit bc5f6c4, the scaled-63 page-route
+digests at commit 67135fa, and the wide-filtration page-route digests at
+commit eaf6292.
 """
 
 import hashlib
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +26,7 @@ from specseq import (
 from specseq.cli import main
 from specseq.fuzz import random_filtered_complex
 
-from conftest import acyclic_two_term
+from conftest import acyclic_two_term, scaled_complex
 
 GOLDEN = {
     "compute-with-maps-acyclic": "2da02396eda004c9c80a3e9176dc98fef82b11f74c5bda635ce1ba3ee8edcd4f",
@@ -52,18 +51,10 @@ GOLDEN = {
     "compute-scaled-63": "87805446d3de07c14aadc96256bb3c288c1d840a9a0ccd9cdd9bd42e981cf365",
     "decalage-scaled-63": "031380086f19458becb574fb63f46c6a2200fcf778b56beb7c0c6b3e807aae20",
     "compute-with-maps-scaled-63": "8983e429e37b67d7f7720a168497f2408abcfbed0afbf35ac8e90fd764dc4eea",
+    "oracle-wide-39": "8f23b987ec1eae756ffe6b233e7f11672be8d1f994573e211e6a0a53fb5d7b16",
+    "decalage-wide-39": "518dafe854140e02bb2b37073116def739b4b9a54faa939de181febb29acf520",
+    "compute-with-maps-wide-39": "0c1e9bf245e2f8c205c2b00adc12e6b53a379ef78c785a2bbf07cc34aaed5fd5",
 }
-
-COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
-
-
-def scaled_complex(*args) -> dict:
-    """bench/complexes.py scaled_complex, loaded by path; its JSON input only."""
-    spec = importlib.util.spec_from_file_location("bench_complexes", COMPLEXES)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.scaled_complex(*args)[0]
-
 
 def stdout_digest(capsys, argv, code=0) -> str:
     assert main(argv) == code
@@ -133,6 +124,22 @@ def test_page_routes_on_a_scaled_complex(capsys, tmp_path, key, argv):
     # total dim 63 over 6 degrees and 5 levels, behind a rational change of
     # basis: the maps and decalage pages print rationals past the pivots
     path = write_json(tmp_path / "fk.json", scaled_complex(random.Random(0), 64, 6, 5))
+    assert stdout_digest(capsys, argv + ["--input", path]) == GOLDEN[key]
+
+
+@pytest.mark.parametrize(
+    "key, argv",
+    [
+        ("oracle-wide-39", ["oracle"]),
+        ("decalage-wide-39", ["decalage"]),
+        ("compute-with-maps-wide-39", ["compute", "--with-maps"]),
+    ],
+)
+def test_page_routes_on_a_wide_filtration(capsys, tmp_path, key, argv):
+    # total dim 39 over 5 degrees and 8 levels: 19 of the 40 cells sit where
+    # F^p = F^{p+1}, and 19 of the 45 filtration bases repeat a basis given
+    # at another level of the same degree
+    path = write_json(tmp_path / "fk.json", scaled_complex(random.Random(0), 48, 5, 8))
     assert stdout_digest(capsys, argv + ["--input", path]) == GOLDEN[key]
 
 

@@ -1,5 +1,7 @@
 """Page engine: frozen micro-example, classical sanity cases, fuzz corpus."""
 
+import random
+
 import pytest
 
 from specseq import (
@@ -16,10 +18,10 @@ from specseq import (
     turn_page,
 )
 from specseq.fuzz import planted_filtered_complex, random_filtered_complex
-from specseq.linalg import Matrix
+from specseq.linalg import Matrix, Subquotient, Subspace, image, preimage
 from specseq.spectral import Barcode, barcode, compare_differentials
 
-from conftest import acyclic_two_term, seeded
+from conftest import acyclic_two_term, scaled_complex, seeded
 from oracles import naive_turn_cells
 
 
@@ -265,3 +267,55 @@ def test_abutment_mismatch_is_an_engine_error(acyclic_fk, monkeypatch):
     monkeypatch.setattr(sp.SpectralSequence, "e_infinity", lambda self: self.page(1))
     with pytest.raises(EngineError):
         sp.e_infinity_compare(acyclic_fk)
+
+
+def _formula_cycles(fk: FilteredComplex, a: int, b: int, n: int) -> Subspace:
+    """F^a K^n cap d^{-1} F^b K^{n+1} by the full formula, past FilteredComplex.cycles."""
+    return fk.F(a, n).intersect(preimage(fk.cx.diff(n), fk.F(b, n + 1)))
+
+
+def shortcut_inputs() -> list[FilteredComplex]:
+    """random_filtered_complex seeds 0-19 and a scaled complex of 8 levels, each
+    followed by its decalage."""
+    sources = [random_filtered_complex(random.Random(seed)) for seed in range(20)]
+    sources.append(FilteredComplex.from_json(scaled_complex(random.Random(0), 48, 5, 8)))
+    return [fk for src in sources for fk in (src, decalage(src))]
+
+
+def test_cells_of_empty_graded_pieces_equal_the_full_formula():
+    # every cell is held to the full formula, so that a shortcut taken at the
+    # wrong level fails too; the shortcut cells are the ones where F^p = F^{p+1}
+    shortcut_e1 = shortcut_direct = 0
+    for fk in shortcut_inputs():
+        page = SpectralSequence(fk).page(1)
+        for r in range(1, fk.width() + 3):
+            for (p, q) in page.support:
+                n = p + q
+                empty = fk.F(p, n) == fk.F(p + 1, n)
+                zr = _formula_cycles(fk, p, p + r, n)
+                below = _formula_cycles(fk, p - r + 1, p, n - 1)
+                br = _formula_cycles(fk, p + 1, p + r, n).sum_with(
+                    image(fk.cx.diff(n - 1), below)
+                )
+                want = Subquotient.of(zr, br)
+                got = page_direct(fk, r, p, q)
+                assert (got.Z, got.B, got.tails) == (want.Z, want.B, want.tails), (r, p, q)
+                shortcut_direct += empty
+                if r == 1:
+                    cell = page.cell(p, q)
+                    assert (cell.Z, cell.B, cell.tails) == (want.Z, want.B, want.tails), (p, q)
+                    shortcut_e1 += empty
+                    if empty:
+                        assert cell.dim == 0 and (p, q) not in page.diffs
+    assert shortcut_e1 > 0 and shortcut_direct > 0
+
+
+def test_cycles_below_their_own_level_are_the_level():
+    for fk in shortcut_inputs():
+        for n in fk.cx.degrees():
+            for a in range(fk.p_lo - 1, fk.p_top + 2):
+                for b in range(fk.p_lo - 2, fk.p_top + 2):
+                    got = fk.cycles(a, b, n)
+                    assert got == _formula_cycles(fk, a, b, n), (a, b, n)
+                    if fk.clamp(b) <= fk.clamp(a):
+                        assert got is fk.F(a, n)
