@@ -109,7 +109,8 @@ class BigradedAlgebra:
 
     basis: list of (name, p, q); products: sparse structure constants
     (i, j) -> {k: coefficient}, absent pairs multiply to zero. Integral
-    structure constants are stored as ints.
+    structure constants are stored as ints. checked records whether
+    validate has passed, which check=True runs at construction.
     """
 
     def __init__(
@@ -128,17 +129,19 @@ class BigradedAlgebra:
             for ij, tab in products.items()
         }
         self.products = {ij: tab for ij, tab in self.products.items() if tab}
-        names = [nm for (nm, _, _) in self.basis]
-        if len(set(names)) != len(names):
-            raise InvariantError("basis names must be distinct")
-        self._by_name = {nm: i for i, (nm, _, _) in enumerate(self.basis)}
+        self._by_name: dict[str, int] = {}
+        for i, (nm, _, _) in enumerate(self.basis):
+            if nm in self._by_name:
+                raise InvariantError("basis names must be distinct", witness=nm)
+            self._by_name[nm] = i
         self.cells: dict[tuple[int, int], list[int]] = {}
-        for i, (_, p, q) in enumerate(self.basis):
+        for i, (nm, p, q) in enumerate(self.basis):
             if not (0 <= p + q <= 2 * n):
                 raise InvariantError(
-                    f"basis element {self.basis[i][0]} has total degree outside [0, {2 * n}]"
+                    f"basis element {nm} has total degree outside [0, {2 * n}]", witness=nm
                 )
             self.cells.setdefault((p, q), []).append(i)
+        self.checked = False
         if check:
             self.validate()
 
@@ -233,18 +236,23 @@ class BigradedAlgebra:
     def validate(self):
         """Check homogeneity, the unit law, graded commutativity, associativity.
 
-        Works on the structure constants alone and visits only the cases
-        whose products can be nonzero: commutativity on the pairs in
-        products and their transposes, associativity on the triples (i, j, k)
-        with some l in e_i e_j and (l, k) in products, or some m in e_j e_k
-        and (i, m) in products. Both sides vanish on every other pair and
-        triple. The cases are checked in no order; only on a failure is the
-        lexicographically least failing pair or triple taken, so the witness
-        is that of the check over all of them in order.
+        Works on the structure constants alone and checks each distinct fact
+        once. Only the cases whose products can be nonzero are visited:
+        commutativity on the pairs in products, associativity on the triples
+        (i, j, k) with some l in e_i e_j and (l, k) in products, or some m in
+        e_j e_k and (i, m) in products; both sides vanish on every other pair
+        and triple. Once the unit law holds, a pair or triple containing the
+        unit holds too, and is skipped. The pair (j, i) states the equation
+        of (i, j), and once graded commutativity holds the triple (k, j, i)
+        states that of (i, j, k), so only i <= j and i <= k are checked.
+        Failing cases come in such mirror pairs, the lesser one kept, so on
+        a failure the lexicographically least failing kept case is the
+        witness of the check over all pairs and triples in order. Sets
+        checked on success.
         """
         un, up, uq = self.basis[self.unit]
         if (up, uq) != (0, 0):
-            raise InvariantError(f"unit {un!r} must sit in cell (0, 0)")
+            raise InvariantError(f"unit {un!r} must sit in cell (0, 0)", witness=un)
         for (i, j), tab in self.products.items():
             _, pi, qi = self.basis[i]
             _, pj, qj = self.basis[j]
@@ -255,9 +263,9 @@ class BigradedAlgebra:
                         "product is not bidegree-homogeneous",
                         witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
                     )
-        prods = self.products
+        prods, u = self.products, self.unit
         for i in range(self.dim()):
-            if prods.get((self.unit, i)) != {i: 1} or prods.get((i, self.unit)) != {i: 1}:
+            if prods.get((u, i)) != {i: 1} or prods.get((i, u)) != {i: 1}:
                 raise InvariantError("unit law fails", witness=self.basis[i][0])
 
         def anticommutes(ij: tuple[int, int]) -> bool:
@@ -265,34 +273,37 @@ class BigradedAlgebra:
             sign = -1 if (self.total_degree_of(i) * self.total_degree_of(j)) % 2 else 1
             return prods.get((i, j), {}) == {k: sign * c for k, c in prods.get((j, i), {}).items()}
 
-        pairs = {*prods, *((j, i) for (i, j) in prods)}
+        pairs = {(min(ij), max(ij)) for ij in prods if u not in ij}
         if not all(map(anticommutes, pairs)):
             i, j = min(ij for ij in pairs if not anticommutes(ij))
             raise InvariantError(
                 "graded commutativity fails", witness=[self.basis[i][0], self.basis[j][0]]
             )
-
-        def associates(ijk: tuple[int, int, int]) -> bool:
-            i, j, k = ijk
-            diff: dict[int, Fraction] = {}
-            for l, c in prods.get((i, j), {}).items():
-                _accumulate(diff, c, prods.get((l, k), {}))
-            for m, c in prods.get((j, k), {}).items():
-                _accumulate(diff, -c, prods.get((i, m), {}))
-            return not any(diff.values())
-
         right, left = self._factor_index()
         triples = set()
         for (a, b), tab in prods.items():
+            if u in (a, b):
+                continue
             for c in tab:
-                triples.update((a, b, k) for k in right.get(c, ()))
-                triples.update((i, a, b) for i in left.get(c, ()))
-        if not all(map(associates, triples)):
-            i, j, k = min(ijk for ijk in triples if not associates(ijk))
+                triples.update((a, b, k) for k in right.get(c, ()) if a <= k and k != u)
+                triples.update((i, a, b) for i in left.get(c, ()) if i <= b and i != u)
+        if not all(self.associates(*ijk) for ijk in triples):
+            i, j, k = min(ijk for ijk in triples if not self.associates(*ijk))
             raise InvariantError(
                 "associativity fails",
                 witness=[self.basis[i][0], self.basis[j][0], self.basis[k][0]],
             )
+        self.checked = True
+
+    def associates(self, i: int, j: int, k: int) -> bool:
+        """True iff (e_i e_j) e_k = e_i (e_j e_k), from the structure constants."""
+        prods = self.products
+        diff: dict[int, Fraction] = {}
+        for l, c in prods.get((i, j), {}).items():
+            _accumulate(diff, c, prods.get((l, k), {}))
+        for m, c in prods.get((j, k), {}).items():
+            _accumulate(diff, -c, prods.get((i, m), {}))
+        return not any(diff.values())
 
     # -- serialization
 

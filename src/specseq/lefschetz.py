@@ -56,12 +56,16 @@ class PolarizedAlgebra:
         for i in self.integral:
             if i not in top:
                 raise InvariantError(
-                    f"integral is supported outside the top cell: {A.basis[i][0]}"
+                    f"integral is supported outside the top cell: {A.basis[i][0]}",
+                    witness=A.basis[i][0],
                 )
         if omega.bidegree() not in ((1, 1), None) or (
             omega.bidegree() is None and not omega.is_zero()
         ):
-            raise InvariantError("omega must be homogeneous of bidegree (1, 1)")
+            raise InvariantError(
+                "omega must be homogeneous of bidegree (1, 1)",
+                witness=[A.basis[i][0] for i in sorted(omega.coeffs)],
+            )
         # _lefschetz[i] holds the coefficients of omega * e_i
         self._lefschetz = tuple((omega * A.basis_element(i)).coeffs for i in range(A.dim()))
         self._prim_cache: dict[tuple[int, int], Subspace] = {}
@@ -119,6 +123,8 @@ class PolarizedAlgebra:
         hit = self._prim_cache.get(key)
         if hit is not None:
             return hit
+        if not self.A.cell_dim(p, q):
+            return Subspace.zero(0)
         k = p + q
         i = self.n - k + 1
         cols = [
@@ -150,22 +156,44 @@ class PolarizedAlgebra:
     # -- validation
 
     def validate(self):
+        """Check hard Lefschetz, Poincare duality and the twisted primitive pairings.
+
+        Runs A.validate() first unless A has passed it, since the skips below
+        rest on graded commutativity. The Poincare Gram of the cell
+        (n-p, n-q) is then +- the transpose of that of (p, q), so its rank is
+        checked on the first cell of each complementary pair in iteration
+        order; the dimensions are checked on every cell. The twisted Gram of
+        (b, a) is +- the transpose of that of (a, b), so only a <= b is
+        checked, and a pair whose cells (a, b) and (b, a) are both empty has a
+        0x0 Gram, which passes, and is skipped. A skipped mirror comes after
+        the case it mirrors in the full check's order, so the first failure
+        and its witness are the full check's.
+        """
+        if not self.A.checked:
+            self.A.validate()
         bad = self.hard_lefschetz_failure()
         if bad is not None:
             raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
         n = self.n
+        ranked = set()
         for (p, q), idx in self.A.cells.items():
             if len(self.A.cell_indices(n - p, n - q)) != len(idx):
                 raise InvariantError(
-                    f"complementary cells {(p, q)} and {(n - p, n - q)} have different dimensions"
+                    f"complementary cells {(p, q)} and {(n - p, n - q)} have different dimensions",
+                    witness=[p, q],
                 )
+            if (n - p, n - q) in ranked:
+                continue
+            ranked.add((p, q))
             _, nondeg = pairing_rank(self.poincare_gram(p, q))
             if not nondeg:
                 raise InvariantError(
                     f"Poincare pairing degenerates on cell {(p, q)}", witness=[p, q]
                 )
         for a in range(0, n + 1):
-            for b in range(0, n + 1 - a):
+            for b in range(a, n + 1 - a):
+                if not (self.A.cell_dim(a, b) or self.A.cell_dim(b, a)):
+                    continue
                 gram = self.twisted_primitive_gram(a, b)
                 if gram.rows != gram.cols:
                     raise InvariantError(

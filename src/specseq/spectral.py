@@ -69,17 +69,27 @@ class Page:
         self.support = support
         self.cells = cells
         self.diffs = diffs
-        for (p, q) in support:
-            out = self.diff(p, q)
+        # diff() gives every other cell the zero matrix of the right shape,
+        # so only the stored differentials and their composites are checked;
+        # nxt's own shape is checked later in the loop, so its columns are
+        # compared here before the product
+        for (p, q), out in diffs.items():
             tgt = (p + r, q - r + 1)
-            nxt = self.diff(*tgt)
-            if nxt.cols != out.rows:
+            nxt = diffs.get(tgt)
+            if (out.rows, out.cols) != (self._dim(*tgt), self._dim(p, q)) or (
+                nxt is not None and nxt.cols != out.rows
+            ):
                 raise InvariantError(f"differential shapes disagree at cell {(p, q)}")
-            # a zero factor makes the product zero
-            if out.is_zero() or nxt.is_zero():
+            # a zero or missing factor makes the product zero
+            if nxt is None or out.is_zero() or nxt.is_zero():
                 continue
             if not (nxt @ out).is_zero():
                 raise InvariantError(f"d_r o d_r != 0 at cell {(p, q)}", witness=(p, q))
+
+    def _dim(self, p: int, q: int) -> int:
+        # a missing cell has dimension 0; no zero cell is built to say so
+        cell = self.cells.get((p, q))
+        return 0 if cell is None else cell.dim
 
     def cell(self, p: int, q: int) -> Subquotient:
         hit = self.cells.get((p, q))
@@ -91,10 +101,7 @@ class Page:
         hit = self.diffs.get((p, q))
         if hit is not None:
             return hit
-        # a missing cell has dimension 0; no zero cell is built to say so
-        tgt = self.cells.get((p + self.r, q - self.r + 1))
-        src = self.cells.get((p, q))
-        return Matrix.zeros(0 if tgt is None else tgt.dim, 0 if src is None else src.dim)
+        return Matrix.zeros(self._dim(p + self.r, q - self.r + 1), self._dim(p, q))
 
     def dims(self) -> dict[tuple[int, int], int]:
         """Dimensions of the nonzero cells."""

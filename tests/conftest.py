@@ -40,12 +40,17 @@ def acyclic_two_term() -> FilteredComplex:
 COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
 
 
-def scaled_complex(*args) -> dict:
-    """bench/complexes.py scaled_complex, loaded by path; its JSON input only."""
+def scaled_complex_and_key(*args) -> tuple[dict, dict]:
+    """bench/complexes.py scaled_complex, loaded by path: JSON input and answer key."""
     spec = importlib.util.spec_from_file_location("bench_complexes", COMPLEXES)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.scaled_complex(*args)[0]
+    return module.scaled_complex(*args)
+
+
+def scaled_complex(*args) -> dict:
+    """bench/complexes.py scaled_complex, loaded by path; its JSON input only."""
+    return scaled_complex_and_key(*args)[0]
 
 
 @pytest.fixture

@@ -378,7 +378,7 @@ class TestValidateRejects:
         basis = [("a", 0, 0), ("u", 1, 0)]
         with pytest.raises(InvariantError, match=r"unit 'u' must sit in cell \(0, 0\)") as exc:
             BigradedAlgebra(1, basis, 1, {})
-        assert exc.value.witness is None
+        assert exc.value.witness == "u"
 
     def test_non_homogeneous_product(self):
         basis = [("1", 0, 0), ("x", 0, 1), ("y", 1, 0)]
@@ -435,6 +435,45 @@ class TestValidateRejects:
             alg.validate()
         assert exc.value.witness == ["a", "a", "e"]
 
+    @pytest.mark.parametrize(
+        "n, basis, products, expected",
+        [
+            # a and b are odd and (a b) a = d != 0 while a a = 0, so the self-mirrored
+            # (a, b, a) fails, and with it (a, a, b) and (b, a, a): under graded
+            # commutativity a failing (i, j, i) always comes with a lesser failing
+            # triple, so (a, a, b), not (a, b, a), is the witness
+            (
+                2,
+                [("1", 0, 0), ("a", 0, 1), ("b", 1, 0), ("c", 1, 1), ("d", 1, 2)],
+                {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 1): {4: 1}, (1, 3): {4: 1}},
+                ("associativity fails", ["a", "a", "b"]),
+            ),
+            # (a e) e = b e = c but a (e e) = 0; its mirror (e, e, a) fails too
+            (
+                3,
+                [("1", 0, 0), ("a", 1, 1), ("e", 1, 1), ("b", 2, 2), ("c", 3, 3)],
+                {(1, 2): {3: 1}, (2, 1): {3: 1}, (3, 2): {4: 1}, (2, 3): {4: 1}},
+                ("associativity fails", ["a", "e", "e"]),
+            ),
+            # the unit squares to twice itself: only the unit's own unit law fails
+            (1, [("1", 0, 0), ("x", 1, 1)], {(0, 0): {0: 2}}, ("unit law fails", "1")),
+            # 1 x = 0 and x y = y x: the unit law, checked first, names x
+            (
+                1,
+                [("1", 0, 0), ("x", 0, 1), ("y", 1, 0), ("xy", 1, 1)],
+                {(0, 1): {}, (1, 2): {3: 1}, (2, 1): {3: 1}},
+                ("unit law fails", "x"),
+            ),
+        ],
+        ids=["self-mirrored", "mirror-pair", "unit-square", "unit-law-first"],
+    )
+    def test_mirror_and_unit_cases_keep_the_full_witness(self, n, basis, products, expected):
+        prods = {**unit_products(len(basis)), **products}
+        alg = BigradedAlgebra(n, basis, 0, prods, check=False)
+        assert outcome(lambda: dense_validate(alg)) == expected
+        assert outcome(alg.validate) == expected
+        assert not alg.checked
+
 
 def test_derivation_images_are_private_and_read_only(torus2):
     from specseq import degeneration_certify
@@ -461,7 +500,7 @@ def dense_validate(alg):
     """
     un, up, uq = alg.basis[alg.unit]
     if (up, uq) != (0, 0):
-        raise InvariantError(f"unit {un!r} must sit in cell (0, 0)")
+        raise InvariantError(f"unit {un!r} must sit in cell (0, 0)", witness=un)
     for (i, j), tab in alg.products.items():
         for k in tab:
             if alg.bidegree_of(k) != tuple(map(sum, zip(alg.bidegree_of(i), alg.bidegree_of(j)))):
@@ -528,19 +567,20 @@ def koszul(alg, i, j):
     return -1 if (alg.total_degree_of(i) * alg.total_degree_of(j)) % 2 else 1
 
 
-def mutated_products(alg, data):
-    """alg's structure constants with at most one random change.
+MUTATIONS = ("none", "coefficient", "drop", "drop-pair", "add-right", "add-wrong", "transpose")
+# the mutations that keep graded commutativity
+COMMUTATIVE_MUTATIONS = ("none", "coefficient", "drop-pair", "add-right")
+
+
+def mutated_products(alg, data, kinds=MUTATIONS):
+    """alg's structure constants with at most one random change, of one of kinds.
 
     A changed coefficient or an entry added in the right cell is made on a
     pair and its transpose alike, as is a "drop-pair", so that graded
     commutativity can hold and associativity is reached.
     """
     prods = {ij: dict(tab) for ij, tab in alg.products.items()}
-    kind = data.draw(
-        st.sampled_from(
-            ["none", "coefficient", "drop", "drop-pair", "add-right", "add-wrong", "transpose"]
-        )
-    )
+    kind = data.draw(st.sampled_from(kinds))
     c = data.draw(nonzero_coeff)
     dim = alg.dim()
     if kind == "coefficient":

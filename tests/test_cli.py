@@ -682,3 +682,58 @@ def test_malformed_model_exits_3_at_its_key(capsys, tmp_path, torus2, mutate, lo
     assert code == 3
     assert out["error"] == "parse"
     assert out["location"] == location
+
+
+def _one_cell_of_a_complementary_pair(blob):
+    # eta1 moves to xi1's cell (0, 1), so the cell (1, 0) of its complement is empty
+    blob["basis"][2].update(p=0, q=1)
+    del blob["products"]["1,2"], blob["products"]["2,1"]
+
+
+@pytest.mark.parametrize(
+    "mutate, message, witness",
+    [
+        (
+            lambda b: b["basis"][2].update(name="xi1"),
+            "basis names must be distinct",
+            "xi1",
+        ),
+        (
+            lambda b: b["basis"][3].update(p=2),
+            "basis element xi1eta1 has total degree outside [0, 2]",
+            "xi1eta1",
+        ),
+        (
+            lambda b: b.update(unit=3),
+            "unit 'xi1eta1' must sit in cell (0, 0)",
+            "xi1eta1",
+        ),
+        (
+            lambda b: b.update(integral={"1": "1"}),
+            "integral is supported outside the top cell: xi1",
+            "xi1",
+        ),
+        (
+            lambda b: b.update(omega={"1": "1", "3": "1"}),
+            "omega must be homogeneous of bidegree (1, 1)",
+            ["xi1", "xi1eta1"],
+        ),
+        (
+            _one_cell_of_a_complementary_pair,
+            "complementary cells (0, 1) and (1, 0) have different dimensions",
+            [0, 1],
+        ),
+    ],
+    ids=["duplicate-name", "total-degree", "unit-cell", "integral-cell", "omega-bidegree",
+         "complementary-dims"],
+)
+def test_model_invariant_errors_exit_4_with_a_witness(
+    capsys, tmp_path, torus1, mutate, message, witness
+):
+    blob = torus1.to_json()
+    mutate(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_json(capsys, ["ext-dims", "--model", str(path)])
+    assert code == 4
+    assert out == {"error": "invariant", "message": message, "witness": witness}

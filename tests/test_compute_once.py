@@ -4,8 +4,9 @@ one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
 preimage per clamped filtration level, no cycles computed where the
 filtration already gives them, no recomputation of a page cell that d_r
-leaves alone, and one product omega * e_i per basis element of a polarized
-algebra."""
+leaves alone, one product omega * e_i per basis element of a polarized
+algebra, and each algebra and polarization fact checked once: no unit or
+mirror cases in algebra validation, no empty or mirror twisted pairings."""
 
 import json
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 import specseq.cli as cli
 import specseq.spectral as sp
-from specseq import Derivation, ObstructionDatum, SpectralSequence, d2_from_alpha
+from specseq import Derivation, ObstructionDatum, SpectralSequence, build_model, d2_from_alpha
 from specseq.cli import _fuzz_complex_case, main
 
 from conftest import acyclic_two_term
@@ -327,3 +328,78 @@ def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
     sp.decalage_renumbering_report(fk)
     assert computed
     assert all(b > a for a, b, _ in computed)
+
+
+def candidate_triples(alg) -> set:
+    """Every (i, j, k) where (e_i e_j) e_k or e_i (e_j e_k) has a product term."""
+    prods, dim = alg.products, alg.dim()
+    return {
+        (i, j, k)
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(dim)
+        if any((l, k) in prods for l in prods.get((i, j), {}))
+        or any((i, m) in prods for m in prods.get((j, k), {}))
+    }
+
+
+@pytest.mark.parametrize(
+    "model, candidates, kept",
+    [
+        (lambda: build_model("torus", 2), 256, 30),
+        (lambda: build_model("pn", 8), 165, 34),
+        (lambda: build_model("product", a=build_model("torus", 1), b=build_model("pn", 2)),
+         160, 18),
+    ],
+    ids=["torus2", "pn8", "torus1xpn2"],
+)
+def test_validate_checks_each_associativity_fact_once(monkeypatch, model, candidates, kept):
+    from specseq import BigradedAlgebra
+
+    alg = model().pa.A
+    unchecked = BigradedAlgebra(alg.n, alg.basis, alg.unit, alg.products, check=False)
+    assert not unchecked.checked
+    triples = count_calls(monkeypatch, BigradedAlgebra, "associates")
+    unchecked.validate()
+    assert unchecked.checked
+    # each candidate once, none holding the unit, and of (i, j, k) and
+    # (k, j, i) only i <= k
+    full = candidate_triples(alg)
+    assert len(full) == candidates
+    visited = sorted(ijk for _, *ijk in triples)
+    assert len(visited) == kept
+    assert visited == sorted([i, j, k] for i, j, k in full if i <= k and alg.unit not in (i, j, k))
+
+
+@pytest.mark.parametrize("kind, n, grams", [("torus", 2, 4), ("pn", 8, 5)])
+def test_polarization_builds_one_twisted_gram_per_mirror_pair(monkeypatch, kind, n, grams):
+    from specseq import BigradedAlgebra, PolarizedAlgebra
+
+    pa = build_model(kind, n).pa
+    twisted = count_calls(monkeypatch, PolarizedAlgebra, "twisted_primitive_gram")
+    validations = count_calls(monkeypatch, BigradedAlgebra, "validate")
+    PolarizedAlgebra(pa.A, pa.omega, pa.integral)
+    # a <= b only, and no pair of two empty cells
+    assert len(twisted) == grams
+    assert all(a <= b for _, a, b in twisted)
+    # the algebra was validated when it was built
+    assert validations == []
+
+
+def test_polarization_validates_an_unchecked_algebra_first(torus2):
+    from specseq import BigradedAlgebra, InvariantError, PolarizedAlgebra
+
+    alg = torus2.pa.A
+    xi1, eta1, xi1eta1 = alg.index("xi1"), alg.index("eta1"), alg.index("xi1eta1")
+    # xi1 eta1 = 2 xi1eta1 and eta1 xi1 = -2 xi1eta1 commute but break associativity
+    prods = {**alg.products, (xi1, eta1): {xi1eta1: 2}, (eta1, xi1): {xi1eta1: -2}}
+    bad = BigradedAlgebra(alg.n, alg.basis, alg.unit, prods, check=False)
+    with pytest.raises(InvariantError) as own:
+        bad.validate()
+    assert str(own.value) == "associativity fails"
+    bad = BigradedAlgebra(alg.n, alg.basis, alg.unit, prods, check=False)
+    omega = bad.from_coeffs(dict(torus2.pa.omega.coeffs))
+    with pytest.raises(InvariantError) as exc:
+        PolarizedAlgebra(bad, omega, torus2.pa.integral)
+    assert (str(exc.value), exc.value.witness) == (str(own.value), own.value.witness)
+    assert not bad.checked

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specseq import (
     BigradedAlgebra,
@@ -11,6 +13,7 @@ from specseq import (
     InvariantError,
     ObstructionDatum,
     PolarizedAlgebra,
+    build_model,
     d2_from_alpha,
     degeneration_certify,
     deligne_vanishing,
@@ -20,7 +23,14 @@ from specseq import (
     split_differential,
     verify_hard_lefschetz,
 )
-from specseq.linalg import Q1
+from specseq.linalg import Q1, pairing_rank
+from test_algebra import (
+    COMMUTATIVE_MUTATIONS,
+    dense_validate,
+    mutated_products,
+    nonzero_coeff,
+    outcome,
+)
 
 
 def alpha_derivation(model, images, scale=Q1):
@@ -252,3 +262,92 @@ class TestCertifier:
         assert cert.certified()
         dims = zero.cohomology_dims()
         assert dims == {c: len(ix) for c, ix in alg.cells.items()}
+
+
+def full_polarized_validate(pa):
+    """The polarization check over every cell and every twisted pair, after the
+    dense algebra check.
+
+    The route PolarizedAlgebra.validate took before it skipped mirror and
+    empty pairings; kept here as its oracle.
+    """
+    dense_validate(pa.A)
+    bad = pa.hard_lefschetz_failure()
+    if bad is not None:
+        raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
+    n = pa.n
+    for (p, q), idx in pa.A.cells.items():
+        if len(pa.A.cell_indices(n - p, n - q)) != len(idx):
+            raise InvariantError(
+                f"complementary cells {(p, q)} and {(n - p, n - q)} have different dimensions",
+                witness=[p, q],
+            )
+        _, nondeg = pairing_rank(pa.poincare_gram(p, q))
+        if not nondeg:
+            raise InvariantError(f"Poincare pairing degenerates on cell {(p, q)}", witness=[p, q])
+    for a in range(0, n + 1):
+        for b in range(0, n + 1 - a):
+            gram = pa.twisted_primitive_gram(a, b)
+            if gram.rows != gram.cols:
+                raise InvariantError(
+                    f"twisted primitive pairing on {(a, b)} is not square", witness=[a, b]
+                )
+            _, nondeg = pairing_rank(gram)
+            if not nondeg:
+                raise InvariantError(
+                    f"twisted primitive pairing degenerates on {(a, b)}", witness=[a, b]
+                )
+
+
+@pytest.fixture(scope="module")
+def polarized_models(torus1, torus2, pn2):
+    pn3 = build_model("pn", 3)
+    return {
+        "torus1": torus1,
+        "torus2": torus2,
+        "pn2": pn2,
+        "pn3": pn3,
+        "torus1xpn2": build_model("product", a=torus1, b=pn2),
+        "pn3xtorus1": build_model("product", a=pn3, b=torus1),
+    }
+
+
+def mutated_entry(tab, data):
+    """tab with at most one entry scaled by a nonzero rational or set to zero."""
+    tab = dict(tab)
+    kind = data.draw(st.sampled_from(["none", "scale", "zero"]))
+    if kind != "none" and tab:
+        k = data.draw(st.sampled_from(sorted(tab)))
+        tab[k] = tab[k] * data.draw(nonzero_coeff) if kind == "scale" else 0
+    return tab
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_polarized_validate_matches_the_full_check(polarized_models, data):
+    pa = polarized_models[data.draw(st.sampled_from(sorted(polarized_models)))].pa
+    alg = pa.A
+    mutated = BigradedAlgebra(
+        alg.n, alg.basis, alg.unit,
+        mutated_products(alg, data, COMMUTATIVE_MUTATIONS), check=False,
+    )
+    omega = mutated.from_coeffs(mutated_entry(pa.omega.coeffs, data))
+    integral = mutated_entry(pa.integral, data)
+    full = PolarizedAlgebra(mutated, omega, integral, check=False)
+    expected = outcome(lambda: full_polarized_validate(full))
+    assert outcome(PolarizedAlgebra(mutated, omega, integral, check=False).validate) == expected
+
+
+def test_poincare_failure_past_the_first_cell_keeps_the_full_witness(torus1):
+    # without xi1 eta1 the algebra is still associative and L: H^0 -> H^2 still
+    # bijective, but xi1 pairs to zero with the cell (1, 0): the Poincare check,
+    # not the twisted one, names the cell (0, 1), whose mirror (1, 0) is skipped
+    alg = torus1.pa.A
+    xi1, eta1 = alg.index("xi1"), alg.index("eta1")
+    prods = {ij: tab for ij, tab in alg.products.items() if ij not in ((xi1, eta1), (eta1, xi1))}
+    dropped = BigradedAlgebra(alg.n, alg.basis, alg.unit, prods)
+    omega = dropped.from_coeffs(dict(torus1.pa.omega.coeffs))
+    pa = PolarizedAlgebra(dropped, omega, torus1.pa.integral, check=False)
+    expected = ("Poincare pairing degenerates on cell (0, 1)", [0, 1])
+    assert outcome(lambda: full_polarized_validate(pa)) == expected
+    assert outcome(pa.validate) == expected

@@ -21,7 +21,7 @@ from specseq.fuzz import planted_filtered_complex, random_filtered_complex
 from specseq.linalg import Matrix, Subquotient, Subspace, image, preimage
 from specseq.spectral import Barcode, barcode, compare_differentials
 
-from conftest import acyclic_two_term, scaled_complex, seeded
+from conftest import acyclic_two_term, scaled_complex, scaled_complex_and_key, seeded
 from oracles import naive_turn_cells
 
 
@@ -245,7 +245,8 @@ def test_page_rejects_non_composing_differentials(acyclic_fk):
     }
     one = Matrix.from_rows([[1]])
     diffs = {(0, 0): one, (1, 0): one}
-    with pytest.raises(InvariantError):
+    # d_1 out of (1, 0) also has no target cell, but the composite is named first
+    with pytest.raises(InvariantError, match=r"d_r o d_r != 0 at cell \(0, 0\)"):
         Page(1, cx, tuple(cells), cells, diffs)
 
 
@@ -255,8 +256,26 @@ def test_page_checks_shapes_when_a_differential_is_zero(acyclic_fk):
     cells = {(0, 0): Subquotient.whole(1), (1, 0): Subquotient.whole(1)}
     # d_1 into (1, 0) is zero, but the map out of it takes two columns
     diffs = {(0, 0): Matrix.zeros(1, 1), (1, 0): Matrix.zeros(0, 2)}
-    with pytest.raises(InvariantError, match="shapes disagree"):
+    with pytest.raises(InvariantError, match=r"shapes disagree at cell \(0, 0\)"):
         Page(1, acyclic_fk.cx, tuple(cells), cells, diffs)
+
+
+def test_three_routes_give_the_answer_key_pages():
+    # the planted construction's pages, which no engine code computed
+    data, key = scaled_complex_and_key(random.Random(0), 48, 5, 8)
+    fk = FilteredComplex.from_json(data)
+    ss = SpectralSequence(fk)
+    bars = barcode(fk)
+
+    def keyed(dims):
+        return {f"{p},{q}": d for (p, q), d in dims.items() if d}
+
+    for r in range(1, 7):
+        want = key["pages"][str(r)]
+        assert keyed(ss.page(r).dims()) == want
+        support = ss.page(r).support
+        assert keyed({pq: page_direct(fk, r, *pq).dim for pq in support}) == want
+        assert keyed(bars.dims(r)) == want
 
 
 def test_abutment_mismatch_is_an_engine_error(acyclic_fk, monkeypatch):
