@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import Derivation
 from .errors import EngineError, InvariantError, ParseError, SpecSeqError
@@ -238,6 +237,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     # the pool starts all its workers up front, so never ask for more than can run
     workers = min(args.threads, args.cases, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: no other command pays for it at startup
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fuzz_case, jobs))
     else:

@@ -14,6 +14,8 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
+    _pairs,
+    _zassenhaus,
     image,
     induced_map,
     json_int,
@@ -135,11 +137,14 @@ class CochainComplex:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "CochainComplex":
+    def from_json(data: dict, memo: dict | None = None) -> "CochainComplex":
+        """The complex of a JSON object; memo is as in Matrix.from_json."""
         try:
             lo, hi = (json_int(x) for x in data["degrees"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("degrees must be a [lo, hi] pair", location="degrees") from exc
+        if lo > hi:
+            raise ParseError(f"degrees [{lo}, {hi}] have lo > hi", location="degrees")
         dims_raw = data.get("dims", {})
         if not isinstance(dims_raw, dict):
             raise ParseError("dims must be an object", location="dims")
@@ -148,6 +153,8 @@ class CochainComplex:
         except (TypeError, ValueError) as exc:
             raise ParseError("dims keys and values must be integers", location="dims") from exc
         for k, v in dims_raw.items():
+            if not lo <= int(k) <= hi:
+                raise ParseError(f"degree outside [{lo}, {hi}]", location=f"dims.{k}")
             if v < 0:
                 raise ParseError(
                     f"dimension must not be negative, found {v}", location=f"dims.{k}"
@@ -164,7 +171,7 @@ class CochainComplex:
             if not lo <= n < hi:
                 raise ParseError(f"degree outside [{lo}, {hi})", location=f"d.{k}")
             d[n] = _parsed_at(
-                f"d.{k}", Matrix.from_json, matdata, dims.get(n + 1, 0), dims.get(n, 0)
+                f"d.{k}", Matrix.from_json, matdata, dims.get(n + 1, 0), dims.get(n, 0), memo
             )
         return CochainComplex(lo, hi, dims, d)
 
@@ -340,16 +347,22 @@ class FilteredComplex:
         return (self.p_top - 1) - self.p_lo
 
     def F(self, p: int, n: int) -> Subspace:
+        # a stored level is read straight from the table, before any clamping
+        hit = self.filtration.table.get((p, n))
+        if hit is not None:
+            return hit
         return self.filtration.at(p, n, self.cx)
 
     def clamp(self, p: int) -> int:
-        return self.filtration.clamp(p)
+        f = self.filtration
+        return min(max(p, f.p_lo), f.p_top)
 
     def d_preimage(self, p: int, n: int) -> Subspace:
         """{x in K^n : d(x) in F^p K^{n+1}}, computed once per clamped level.
 
         Where F^p K^{n+1} is the whole space, it is the stored full level
-        F^{p_lo} K^n.
+        F^{p_lo} K^n. The pages do not need it: cycles reduces F^a and F^b
+        together.
         """
         key = (self.clamp(p), n)
         hit = self._pre_cache.get(key)
@@ -365,16 +378,37 @@ class FilteredComplex:
     def cycles(self, a: int, b: int, n: int) -> Subspace:
         """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per clamped (a, b).
 
-        Where clamp(b) <= clamp(a) it is the stored F^a K^n, with nothing
-        computed: F^a is d-stable, so d F^a <= F^a <= F^b.
+        It is one Zassenhaus reduction over the rows (d f | f), for the Rows
+        f of F^a, and (g | 0), for the Rows g of F^b K^{n+1}: its reduced
+        rows with a zero left block are the canonical basis of the x in F^a
+        with d x in F^b. It is the stored F^a K^n, with nothing computed,
+        where clamp(b) <= clamp(a) (F^a is d-stable, so d F^a <= F^a <=
+        F^b), where F^b K^{n+1} is the whole space, and where F^a is zero.
         """
         a, b = self.clamp(a), self.clamp(b)
-        if b <= a:
-            return self.F(a, n)
+        fa = self.F(a, n)
+        if b <= a or fa.is_zero():
+            return fa
         key = (a, b, n)
         hit = self._cycles.get(key)
         if hit is None:
-            hit = self.F(a, n).intersect(self.d_preimage(b, n))
+            target = self.F(b, n + 1)
+            if target.is_full():
+                hit = fa
+            else:
+                d = self.cx.diff(n)
+                split = d.rows
+                # den * lead times (d f | f): den scales the left block of _apply_ints
+                den = d._ints()[0]
+                rows = target._rows()
+                for f in fa.tails:
+                    p, lead, tail = f
+                    row = dict(_pairs(d._apply_ints(f)))
+                    row[split + p] = den * lead
+                    for j, c in tail:
+                        row[split + j] = den * c
+                    rows.append(row)
+                hit = _zassenhaus(rows, split, d.cols)
             self._cycles[key] = hit
         return hit
 
@@ -418,7 +452,9 @@ class FilteredComplex:
 
     @staticmethod
     def from_json(data: dict) -> "FilteredComplex":
-        cx = CochainComplex.from_json(data)
+        # each distinct literal string is parsed once, for d and the bases alike
+        memo: dict = {}
+        cx = CochainComplex.from_json(data, memo)
         filt_raw = data.get("filtration")
         if not isinstance(filt_raw, dict) or not filt_raw:
             raise ParseError("filtration must be a non-empty object", location="filtration")
@@ -449,7 +485,7 @@ class FilteredComplex:
                 key = (n, repr(basis))
                 sub = read.get(key)
                 if sub is None:
-                    sub = read[key] = _parsed_at(where, Subspace._from_json, basis, amb)
+                    sub = read[key] = _parsed_at(where, Subspace._from_json, basis, amb, memo)
                 levels[p][n] = sub
         filtration = Filtration.from_sparse(cx, levels)
         return FilteredComplex(cx, filtration)

@@ -99,6 +99,29 @@ def json_int(value) -> int:
     return value
 
 
+def _scalars(data, memo: dict[str, Fraction]) -> tuple[tuple[Fraction, ...], ...]:
+    """scalar() of each entry of a list of JSON rows, row by row.
+
+    Each distinct string is parsed once and kept in memo, which the reads of
+    one load share. Only strings are kept: JSON 1, 1.0 and true compare equal
+    as dict keys, but only 1 is a rational. A bad literal is never kept, so
+    it raises wherever it appears.
+    """
+    out = []
+    for r in data:
+        row = []
+        for a in r:
+            if type(a) is str:
+                q = memo.get(a)
+                if q is None:
+                    q = memo[a] = scalar(a)
+            else:
+                q = scalar(a)
+            row.append(q)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def scalar_str(value: Fraction) -> str:
     return str(value)
 
@@ -541,9 +564,15 @@ class Matrix:
         return [[scalar_str(a) for a in row] for row in self.entries]
 
     @staticmethod
-    def from_json(data, rows: int | None = None, cols: int | None = None) -> "Matrix":
+    def from_json(
+        data, rows: int | None = None, cols: int | None = None, memo: dict | None = None
+    ) -> "Matrix":
+        """The matrix of JSON rows; memo is shared by the reads of one load (see _scalars)."""
         _json_shape(data, rows, cols)
-        return Matrix.from_rows(data, cols=cols)
+        entries = _scalars(data, {} if memo is None else memo)
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        return Matrix(len(entries), cols, entries)
 
 
 @dataclass(frozen=True)
@@ -601,14 +630,14 @@ class Subspace:
         return Subspace._span_ints(ambient_dim, rows)
 
     @staticmethod
-    def _from_json(data, ambient_dim: int) -> "Subspace":
+    def _from_json(data, ambient_dim: int, memo: dict[str, Fraction]) -> "Subspace":
         """The span of the columns of a JSON basis matrix with ambient_dim rows.
 
         It raises the ParseErrors of Matrix.from_json, at the same entries,
-        and reads each column straight to integers.
+        and reads each column straight to integers; memo is as there.
         """
         _json_shape(data, ambient_dim, None)
-        read = [[coefficient(a) for a in r] for r in data]
+        read = _scalars(data, memo)
         return Subspace._span_ints(
             ambient_dim, [_int_row(_pairs(col)) for col in zip(*read)]
         )

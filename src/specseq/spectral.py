@@ -15,11 +15,15 @@ never as a quotient of quotients. Three independent routes give the pages:
 The three must agree cellwise in dimension; the fuzz suites and the oracle
 command enforce exactly that.
 
-Nothing is computed twice, and nothing the filtration already answers is
-computed at all. A turn carries the cells d_r leaves alone: when the d_r
-into and out of a cell are both zero, page r+1 holds the same Subquotient
-object. The filtered complex computes each F^a cap d^{-1}F^b and each
-page_direct cell once per clamped level, and returns F^a itself where
+Nothing is computed twice, and nothing already known is computed at all.
+A turn carries the cells d_r leaves alone: when the d_r into and out of a
+cell are both zero, page r+1 holds the same Subquotient object, and when
+only one of them is zero it keeps the cell's Z (d_r out zero) or B (d_r in
+zero) and recomputes only the other. The next differential solves only for
+the complement rows whose image under d is nonzero; a zero image has the
+solution 0 and the zero column. The filtered complex computes each F^a cap
+d^{-1}F^b in one reduction and each page_direct cell once per clamped
+level, with B_r spanned in one reduction, and returns F^a itself where
 clamp(b) <= clamp(a). Where a graded piece is empty, F^p = F^{p+1} in
 degree p+q, E_1^{p,q} is F^p/F^p and the direct cell is Z_r/Z_r, read off
 the filtration with no elimination; load has checked that it is nested and
@@ -46,7 +50,6 @@ from .linalg import (
     _combine,
     _pairs,
     _solve_ints,
-    image,
     induced_map,
 )
 
@@ -159,10 +162,16 @@ def turn_page(page: Page) -> Page:
     original spaces through the canonical complement bases. A cell with
     zero d_r in and out, a zero cell among them, is carried as the same
     object: ker d_r is all of it, im d_r is zero, and reduced bases are
-    unique, so recomputing it would give an equal cell. The next differential is induced by d on
-    representative lifts: for a class [w] the representative w - b, b in
-    the new denominator, is chosen so that d(w - b) lands in the new
-    numerator of the target cell.
+    unique, so recomputing it would give an equal cell. By the same
+    argument a cell whose d_r out is zero keeps its Z as Z_{r+1}, and one
+    whose d_r in is zero keeps its B as B_{r+1}; Subquotient.of still checks
+    the new pair. The next differential is induced by d on representative
+    lifts: for a class [w] the representative w - b, b in the new
+    denominator, is chosen so that d(w - b) lands in the new numerator of
+    the target cell. d w is computed first, and only the nonzero ones are
+    solved for: a zero right-hand side always has the solution 0 (free
+    variables are pinned to 0, and it is never inconsistent), so its column
+    is zero, and the lift error is raised exactly where it was.
     """
     r = page.r
     r2 = r + 1
@@ -179,14 +188,18 @@ def turn_page(page: Page) -> Page:
         if dout.is_zero() and din.is_zero():
             cells[(p, q)] = cell
             continue
-        # ker d_r and im d_r, lifted to integer rows over the old complement
-        zrows = cell.B._rows()
-        zrows += [cell._lift_ints(k.items())[0] for k in dout._null_rows()[0]]
-        brows = cell.B._rows()
-        brows += [cell._lift_ints(col)[0] for col in din._ints()[1]]
-        cells[(p, q)] = Subquotient.of(
-            Subspace._span_ints(amb, zrows), Subspace._span_ints(amb, brows)
-        )
+        # ker d_r and im d_r, lifted to integer rows over the old complement;
+        # ker of a zero d_r out is all of the cell, im of a zero d_r in is 0
+        z, b = cell.Z, cell.B
+        if not dout.is_zero():
+            zrows = b._rows()
+            zrows += [cell._lift_ints(k.items())[0] for k in dout._null_rows()[0]]
+            z = Subspace._span_ints(amb, zrows)
+        if not din.is_zero():
+            brows = b._rows()
+            brows += [cell._lift_ints(col)[0] for col in din._ints()[1]]
+            b = Subspace._span_ints(amb, brows)
+        cells[(p, q)] = Subquotient.of(z, b)
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in page.support:
         src = cells[(p, q)]
@@ -201,11 +214,17 @@ def turn_page(page: Page) -> Page:
         den = d._ints()[0]
         height = cx.dim(n + 1)
         # solve [d(B) | Z'] x = d w for each complement row w, in integers:
-        # a Row's _apply_ints is den * lead times d of its rational row
+        # a Row's _apply_ints is den * lead times d of its rational row. A
+        # zero d w has the solution x = 0 and the zero column, so only the
+        # nonzero images are solved.
+        images = [_pairs(d._apply_ints(w)) for w in src.tails]
+        nonzero = [dw for dw in images if dw]
         nb = src.B.dim
-        system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
-        system += [((c, lead),) + tail for c, lead, tail in tgt.Z.tails]
-        sols = _solve_ints(system, height, [_pairs(d._apply_ints(w)) for w in src.tails])
+        if nonzero:
+            system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
+            system += [((c, lead),) + tail for c, lead, tail in tgt.Z.tails]
+            solved = iter(_solve_ints(system, height, nonzero))
+        sols = [next(solved) if dw else [] for dw in images]
         cols = []
         for (_, lead_w, _), x in zip(src.tails, sols):
             if x is None:
@@ -236,8 +255,11 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
 
     Both read F only at clamped levels, so the cell is computed once per
     (clamped p+r, clamped p-r+1, p, n) and kept on fk. F^{p+1} cap Z_r is
-    F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p. Where F^p = F^{p+1}
-    that is Z_r itself, so the cell is Z_r/Z_r and B_r is not computed.
+    F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p. Each cap is one
+    reduction (FilteredComplex.cycles), and B_r is one span of the rows of
+    that cap and the images under d of the rows of the other. Where F^p =
+    F^{p+1} the cap is Z_r itself, so the cell is Z_r/Z_r and B_r is not
+    computed.
     """
     if r < 1:
         raise InvariantError("pages are indexed from r = 1")
@@ -251,9 +273,12 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
         if fk.F(p, n).dim == fk.F(p + 1, n).dim:
             hit = Subquotient(zr, zr, ())
         else:
+            # B_r in one span; scaling d(v) keeps its span
+            rows = fk.cycles(p + 1, p + r, n)._rows()
+            dprev = fk.cx.diff(n - 1)
             src = fk.cycles(p - r + 1, p, n - 1)
-            br = fk.cycles(p + 1, p + r, n).sum_with(image(fk.cx.diff(n - 1), src))
-            hit = Subquotient.of(zr, br)
+            rows += [dict(_pairs(dprev._apply_ints(v))) for v in src.tails]
+            hit = Subquotient.of(zr, Subspace._span_ints(fk.cx.dim(n), rows))
         fk.direct_cells[key] = hit
     return hit
 

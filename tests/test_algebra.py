@@ -572,24 +572,26 @@ MUTATIONS = ("none", "coefficient", "drop", "drop-pair", "add-right", "add-wrong
 COMMUTATIVE_MUTATIONS = ("none", "coefficient", "drop-pair", "add-right")
 
 
-def mutated_products(alg, data, kinds=MUTATIONS):
+def mutated_products(alg, data, kinds=MUTATIONS, unit=True):
     """alg's structure constants with at most one random change, of one of kinds.
 
     A changed coefficient or an entry added in the right cell is made on a
     pair and its transpose alike, as is a "drop-pair", so that graded
-    commutativity can hold and associativity is reached.
+    commutativity can hold and associativity is reached. With unit=False the
+    pairs that hold the unit are never changed, so the unit law holds.
     """
     prods = {ij: dict(tab) for ij, tab in alg.products.items()}
     kind = data.draw(st.sampled_from(kinds))
     c = data.draw(nonzero_coeff)
     dim = alg.dim()
+    keys = sorted(ij for ij in prods if unit or alg.unit not in ij)
     if kind == "coefficient":
-        i, j = data.draw(st.sampled_from(sorted(prods)))
+        i, j = data.draw(st.sampled_from(keys))
         k = data.draw(st.sampled_from(sorted(prods[(i, j)])))
         prods[(i, j)][k] *= c
         prods[(j, i)][k] = koszul(alg, i, j) * prods[(i, j)][k]
     elif kind in ("drop", "drop-pair"):
-        i, j = data.draw(st.sampled_from(sorted(prods)))
+        i, j = data.draw(st.sampled_from(keys))
         del prods[(i, j)]
         if kind == "drop-pair":
             prods.pop((j, i), None)
@@ -598,7 +600,10 @@ def mutated_products(alg, data, kinds=MUTATIONS):
             (p1, q1), (p2, q2) = alg.bidegree_of(i), alg.bidegree_of(j)
             return alg.cell_indices(p1 + p2, q1 + q2)
 
-        pairs = [(i, j) for i in range(dim) for j in range(dim) if target(i, j)]
+        pairs = [
+            (i, j) for i in range(dim) for j in range(dim)
+            if target(i, j) and (unit or alg.unit not in (i, j))
+        ]
         i, j = data.draw(st.sampled_from(pairs))
         k = data.draw(st.sampled_from(target(i, j)))
         for (a, b), s in (((i, j), 1), ((j, i), koszul(alg, i, j))):

@@ -348,9 +348,8 @@ class TestFuzz:
     def test_pool_never_outgrows_the_cases_or_cpus(
         self, capsys, monkeypatch, threads, cases, cpus, workers
     ):
+        import concurrent.futures
         import os
-
-        import specseq.cli as cli
 
         made = []
 
@@ -369,7 +368,8 @@ class TestFuzz:
 
         argv = ["fuzz", "--cases", str(cases), "--seed", "2", "--kind", "complexes"]
         code1, out1 = run_cli(capsys, argv)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # cmd_fuzz imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("SS_THREADS", str(threads))
         code2, out2 = run_cli(capsys, argv)
@@ -642,6 +642,37 @@ def test_negative_dimension_exits_3_at_its_key(capsys, tmp_path, patch):
         "location": "dims.1",
         "message": "dims.1: dimension must not be negative, found -2",
     }
+
+
+@pytest.mark.parametrize(
+    "patch, location, message",
+    [
+        # with a d, the d range check named d.0 and "degree outside [1, 0)"
+        ({"degrees": [1, 0]}, "degrees", "degrees [1, 0] have lo > hi"),
+        # without one, the complex itself refused it with exit 4 and no witness
+        ({"degrees": [1, 0], "d": {}}, "degrees", "degrees [1, 0] have lo > hi"),
+        # a dims key outside the range was ignored, and the command exited 0
+        ({"dims": {"0": 1, "1": 1, "2": 3}}, "dims.2", "degree outside [0, 1]"),
+        ({"dims": {"-1": 0, "0": 1, "1": 1}}, "dims.-1", "degree outside [0, 1]"),
+    ],
+    ids=["degrees-with-d", "degrees-no-d", "dims-above", "dims-below"],
+)
+def test_degree_range_and_dims_keys_exit_3_at_their_key(
+    capsys, tmp_path, patch, location, message
+):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**ONE_BY_ONE, **patch}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
+def test_complex_json_writes_only_its_degrees():
+    from specseq import CochainComplex
+
+    cx = CochainComplex(0, 1, {-1: 4, 0: 1, 1: 1, 2: 3}, {})
+    assert cx.to_json()["dims"] == {"0": 1, "1": 1}
+    assert CochainComplex.from_json(cx.to_json()) == cx
 
 
 def _rekey(tab, old, new):

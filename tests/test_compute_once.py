@@ -2,11 +2,12 @@
 one barcode per filtered complex, and no page for page dimensions alone,
 one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
-preimage per clamped filtration level, no cycles computed where the
-filtration already gives them, no recomputation of a page cell that d_r
-leaves alone, one product omega * e_i per basis element of a polarized
-algebra, and each algebra and polarization fact checked once: no unit or
-mirror cases in algebra validation, no empty or mirror twisted pairings."""
+cycles reduction per clamped pair of levels and degree, no cycles computed
+where the filtration already gives them, no recomputation of a page cell,
+numerator or denominator that d_r leaves alone, no solve for a zero image,
+one product omega * e_i per basis element of a polarized algebra, and each
+algebra and polarization fact checked once: no unit or mirror cases in
+algebra validation, no empty or mirror twisted pairings."""
 
 import json
 from fractions import Fraction
@@ -202,35 +203,89 @@ def test_a_turn_carries_the_cells_d_r_leaves_alone():
     assert carried > 0
 
 
-def test_oracle_runs_one_preimage_per_clamped_level_and_degree(monkeypatch):
+def test_oracle_runs_one_cycles_reduction_per_clamped_levels_and_degree(monkeypatch):
     import random
     from collections import Counter
 
     import specseq.filtered as filtered
+    import specseq.linalg as la
     from specseq.fuzz import random_filtered_complex
 
     fk = random_filtered_complex(random.Random(0))
-    # each preimage is charged to the (clamped level, degree) of the open d_preimage
+    # each elimination is charged to the clamped (a, b, n) of the open cycles call
     open_keys, keys = [], []
-    real_d_preimage = filtered.FilteredComplex.d_preimage
-    real_preimage = filtered.preimage
+    real_cycles = filtered.FilteredComplex.cycles
+    real_echelon = la._echelon
 
-    def d_preimage(self, p, n):
-        open_keys.append((min(max(p, self.p_lo), self.p_top), n))
+    def cycles(self, a, b, n):
+        open_keys.append((self.clamp(a), self.clamp(b), n))
         try:
-            return real_d_preimage(self, p, n)
+            return real_cycles(self, a, b, n)
         finally:
             open_keys.pop()
 
-    def preimage(f, target):
-        keys.append(open_keys[-1])
-        return real_preimage(f, target)
+    def echelon(rows):
+        if open_keys:
+            keys.append(open_keys[-1])
+        return real_echelon(rows)
 
-    monkeypatch.setattr(filtered.FilteredComplex, "d_preimage", d_preimage)
-    monkeypatch.setattr(filtered, "preimage", preimage)
+    monkeypatch.setattr(filtered.FilteredComplex, "cycles", cycles)
+    monkeypatch.setattr(la, "_echelon", echelon)
+    preimages = count_calls(monkeypatch, filtered, "preimage")
     assert sp.oracle_report(fk)["ok"]
+    sp.decalage(fk)
     assert keys
     assert max(Counter(keys).values()) == 1
+    # no preimage over all of K^n on the way
+    assert preimages == []
+
+
+def test_a_turn_keeps_the_numerator_or_denominator_d_r_leaves_alone():
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    kept_z = kept_b = 0
+    for seed in range(10):
+        ss = SpectralSequence(random_filtered_complex(random.Random(seed)))
+        for r in range(1, 6):
+            page, nxt = ss.page(r), ss.page(r + 1)
+            for (p, q) in page.support:
+                cell, new = page.cell(p, q), nxt.cell(p, q)
+                if cell.dim == 0:
+                    continue
+                if page.diff(p, q).is_zero():
+                    assert new.Z is cell.Z
+                    kept_z += 1
+                if page.diff(p - r, q + r - 1).is_zero():
+                    assert new.B is cell.B
+                    kept_b += 1
+    assert kept_z > 0 and kept_b > 0
+
+
+def test_a_turn_solves_only_for_nonzero_images(monkeypatch):
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(0))
+    ss = SpectralSequence(fk)
+    solves = count_calls(monkeypatch, sp, "_solve_ints")
+    zero_images = 0
+    for r in range(1, 6):
+        page = ss.page(r)
+        del solves[:]
+        nxt = sp.turn_page(page)
+        # the cells with a complement row that d does not kill
+        hit = 0
+        for (p, q), cell in nxt.cells.items():
+            images = [any(fk.cx.diff(p + q)._apply_ints(w)) for w in cell.tails]
+            hit += any(images)
+            zero_images += images.count(False)
+        assert len(solves) == hit, r
+        # every right-hand side handed to a solve is nonzero
+        assert all(all(targets) for _, _, targets in solves)
+    assert zero_images > 0
 
 
 def test_filtration_outside_its_range_is_the_stored_level():
@@ -292,7 +347,7 @@ def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
     import random
 
     import specseq.filtered as filtered
-    from specseq import FilteredComplex, Subspace
+    from specseq import FilteredComplex
 
     from conftest import scaled_complex
 
@@ -304,13 +359,13 @@ def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
     assert len(empty) == 19
     asked, computed = [], []
     real_cycles = filtered.FilteredComplex.cycles
-    meets = count_calls(monkeypatch, Subspace, "intersect")
+    reductions = count_calls(monkeypatch, filtered, "_zassenhaus")
 
     def cycles(self, a, b, n):
         asked.append((a, b, n))
-        before = len(meets)
+        before = len(reductions)
         out = real_cycles(self, a, b, n)
-        if len(meets) > before:
+        if len(reductions) > before:
             computed.append((self.clamp(a), self.clamp(b), n))
         return out
 

@@ -338,3 +338,23 @@ def test_cycles_below_their_own_level_are_the_level():
                     assert got == _formula_cycles(fk, a, b, n), (a, b, n)
                     if fk.clamp(b) <= fk.clamp(a):
                         assert got is fk.F(a, n)
+
+
+def test_cycles_in_one_reduction_equal_the_formula():
+    # a < b: the Zassenhaus route, except where F^b K^{n+1} is the whole
+    # space or F^a is zero, which give the stored F^a itself
+    for fk in shortcut_inputs():
+        for n in range(fk.cx.lo - 1, fk.cx.hi + 2):
+            for a in range(fk.p_lo - 1, fk.p_top + 1):
+                for b in range(a + 1, fk.p_top + 2):
+                    got = fk.cycles(a, b, n)
+                    assert got == _formula_cycles(fk, a, b, n), (a, b, n)
+                    in_range = fk.cx.lo <= n <= fk.cx.hi
+                    if in_range and (fk.F(b, n + 1).is_full() or fk.F(a, n).is_zero()):
+                        assert got is fk.F(a, n)
+
+
+def test_differentials_agree_with_the_direct_route_on_every_page():
+    for fk in shortcut_inputs():
+        for r in range(1, fk.width() + 3):
+            assert compare_differentials(fk, r), r
