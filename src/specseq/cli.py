@@ -43,21 +43,33 @@ from .spectral import (
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document in a file; any read or decode failure is a ParseError at path."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}", location=path) from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror}", location=path) from exc
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer literal past int()'s digit limit, or too deep nesting
         raise ParseError(f"invalid JSON: {exc}", location=path) from exc
 
 
 def _emit(obj: dict, out: str | None) -> None:
+    """Write obj to the --out file, if any, and then to stdout.
+
+    A failed write raises a ParseError at `out` before stdout is touched,
+    so stdout then holds only the error object.
+    """
     blob = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(blob)
     if out:
-        with open(out, "w") as fh:
-            fh.write(blob)
+        try:
+            with open(out, "w") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc.strerror}", location="out") from exc
+    sys.stdout.write(blob)
 
 
 def _cell_key(p: int, q: int) -> str:

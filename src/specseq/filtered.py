@@ -189,8 +189,8 @@ class Filtration:
     """Decreasing filtration: one Subspace of K^n per level p in [p_lo, p_top].
 
     Storage is complete over the rectangle of levels and degrees. F^{p_lo} is
-    the whole space and F^{p_top} is zero in every degree; accessors clamp
-    outside the range.
+    the whole space and F^{p_top} is zero in every degree; FilteredComplex.F
+    clamps outside the range.
     """
 
     def __init__(self, p_lo: int, p_top: int, table: dict[tuple[int, int], Subspace]):
@@ -242,16 +242,6 @@ class Filtration:
                         current = spec[n]
                 table[(p, n)] = current
         return Filtration(p_lo, p_top, table)
-
-    def clamp(self, p: int) -> int:
-        """The stored level equal to F^p: p clamped to [p_lo, p_top]."""
-        return min(max(p, self.p_lo), self.p_top)
-
-    def at(self, p: int, n: int, cx: CochainComplex) -> Subspace:
-        """F^p K^n; below p_lo the stored full level, above p_top the stored zero one."""
-        if n < cx.lo or n > cx.hi:
-            return Subspace.zero(0)
-        return self.table[(self.clamp(p), n)]
 
 
 class FilteredComplex:
@@ -347,13 +337,18 @@ class FilteredComplex:
         return (self.p_top - 1) - self.p_lo
 
     def F(self, p: int, n: int) -> Subspace:
+        """F^p K^n, stored at level clamp(p); the zero space of Q^0 outside the degrees."""
         # a stored level is read straight from the table, before any clamping
-        hit = self.filtration.table.get((p, n))
+        table = self.filtration.table
+        hit = table.get((p, n))
         if hit is not None:
             return hit
-        return self.filtration.at(p, n, self.cx)
+        if n < self.cx.lo or n > self.cx.hi:
+            return Subspace.zero(0)
+        return table[(self.clamp(p), n)]
 
     def clamp(self, p: int) -> int:
+        """The stored level equal to F^p: p clamped to [p_lo, p_top]."""
         f = self.filtration
         return min(max(p, f.p_lo), f.p_top)
 
@@ -383,11 +378,13 @@ class FilteredComplex:
         rows with a zero left block are the canonical basis of the x in F^a
         with d x in F^b. It is the stored F^a K^n, with nothing computed,
         where clamp(b) <= clamp(a) (F^a is d-stable, so d F^a <= F^a <=
-        F^b), where F^b K^{n+1} is the whole space, and where F^a is zero.
+        F^b), where F^a and F^b have one dimension in degree n (then
+        F^b K^n = F^a K^n, as load checked F^b <= F^a, so d F^a = d F^b <=
+        F^b), and where F^b K^{n+1} is the whole space.
         """
         a, b = self.clamp(a), self.clamp(b)
         fa = self.F(a, n)
-        if b <= a or fa.is_zero():
+        if b <= a or fa.dim == self.F(b, n).dim:
             return fa
         key = (a, b, n)
         hit = self._cycles.get(key)
@@ -399,7 +396,7 @@ class FilteredComplex:
                 d = self.cx.diff(n)
                 split = d.rows
                 # den * lead times (d f | f): den scales the left block of _apply_ints
-                den = d._ints()[0]
+                den = d.den
                 rows = target._rows()
                 for f in fa.tails:
                     p, lead, tail = f

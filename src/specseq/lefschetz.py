@@ -91,9 +91,6 @@ class PolarizedAlgebra:
             x = Element(self.A, out)
         return x
 
-    def omega_power(self, k: int) -> Element:
-        return self.L(self.A.one(), k)
-
     def degree_indices(self, m: int) -> list[int]:
         return self.A.degree_indices(m)
 

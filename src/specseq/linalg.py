@@ -12,11 +12,11 @@ Inside linalg a vector is a list or sparse map of integers over one
 denominator, and a reduced basis row is a Row: its pivot, its positive
 entry there (lead) and the nonzero entries past it, a primitive integer
 vector. A Matrix with shape (rows, cols) acts on column vectors of length
-cols; it holds dense Fraction entries, the (row, entry) pairs of each
-column's nonzero entries (`nonzeros`), built at construction, and an
-integer copy of them over one common denominator, built by the first
-product. A Subspace and a Subquotient hold only Rows (`tails`); their
-Fraction rows (`basis_rows`, `complement`) are views built when first read.
+cols; it holds one integer form, the lcm `den` of its denominators and
+den times each column as the (row, entry) pairs of its nonzero entries
+(`columns`). A Subspace and a Subquotient hold only Rows (`tails`). Each
+Fraction form (`Matrix.entries`, `basis_rows`, `complement`) is a view
+built when first read.
 The one elimination routine, _echelon, works on sparse {column: integer}
 rows, and products, reductions, solves, coset coordinates and lifts have
 integer entry points (`Matrix._apply_ints`, `_solve_ints`,
@@ -134,8 +134,6 @@ def vzero(n: int) -> Vector:
     return (Q0,) * n
 
 
-# A sparse row or column: (index, entry) pairs of its nonzero entries.
-Pairs = tuple[tuple[int, Fraction], ...]
 # A row in reduced echelon form, scaled to a primitive integer vector: its
 # pivot, its entry there (lead > 0), and the (column, entry) pairs of its
 # nonzero entries past the pivot, by column. The rational row it stands for
@@ -353,36 +351,31 @@ def _json_shape(data, rows: int | None, cols: int | None) -> None:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rational matrix acting on column vectors.
+    """Immutable rational matrix acting on column vectors, held in one integer form.
 
-    `nonzeros` holds, per column, the (row, entry) pairs of its nonzero
-    entries; it is built once, at construction. The first product, image
-    or preimage builds from it an integer index: the matrix times the lcm
-    `den` of its denominators, as the (row, entry) pairs of each column.
+    `den` is the lcm of the denominators of the entries (1 for a zero
+    matrix) and `columns` holds den times the matrix, as the (row, integer)
+    pairs of each column's nonzero entries, by row. This form is unique, so
+    equal matrices hold equal fields. `entries`, the Fraction rows, is a
+    view built when first read.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    nonzeros: tuple[Pairs, ...] = field(init=False, compare=False, repr=False)
-    _index: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    den: int
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise InvariantError("matrix entries inconsistent with declared shape")
-        columns = zip(*self.entries) if self.rows else [()] * self.cols
-        object.__setattr__(self, "nonzeros", tuple(_pairs(c) for c in columns))
+        if len(self.columns) != self.cols:
+            raise InvariantError("matrix columns inconsistent with declared shape")
 
-    def _ints(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-        """(den, integer columns): den times this matrix, column by column, by nonzero pairs."""
-        if self._index is None:
-            den = lcm(*[a.denominator for col in self.nonzeros for _, a in col])
-            cols = tuple([
-                tuple([(i, a.numerator * (den // a.denominator)) for i, a in col])
-                for col in self.nonzeros
-            ])
-            object.__setattr__(self, "_index", (den, cols))
-        return self._index
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        out = [[Q0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, a in col:
+                out[i][j] = _q(a, self.den)
+        return tuple(map(tuple, out))
 
     @staticmethod
     def from_rows(rows_data: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -395,7 +388,7 @@ class Matrix:
                 raise InvariantError(f"expected {cols} columns, found {width}")
         else:
             width = 0 if cols is None else cols
-        return Matrix(len(data), width, data)
+        return Matrix._of_cols(zip(*data) if data else [()] * width, len(data))
 
     @staticmethod
     def from_cols(cols_data: Sequence[Sequence], rows: int | None = None) -> "Matrix":
@@ -411,23 +404,28 @@ class Matrix:
         return Matrix._of_cols(data, height)
 
     @staticmethod
-    def _of_cols(cols: Sequence[Vector], rows: int) -> "Matrix":
-        """The matrix with these columns, each a tuple of `rows` Fractions, as they are.
+    def _of_cols(cols: Iterable[Sequence[Fraction]], rows: int) -> "Matrix":
+        """The matrix with these columns, each a sequence of `rows` Fractions, as they are.
 
-        For columns the engine built itself (coset coordinates, products);
+        For columns the engine built itself (coset coordinates, basis rows);
         from_cols is the checked constructor for any other columns.
         """
-        return Matrix(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
+        nonzeros = [_pairs(c) for c in cols]
+        den = lcm(*[a.denominator for col in nonzeros for _, a in col])
+        return Matrix(rows, len(nonzeros), den, tuple([
+            tuple([(i, a.numerator * (den // a.denominator)) for i, a in col])
+            for col in nonzeros
+        ]))
 
     @staticmethod
     @cache
     def zeros(rows: int, cols: int) -> "Matrix":
         """The zero matrix of a shape, one per shape: matrices are immutable."""
-        return Matrix(rows, cols, tuple((Q0,) * cols for _ in range(rows)))
+        return Matrix(rows, cols, 1, ((),) * cols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n)))
+        return Matrix(n, n, 1, tuple([((i, 1),) for i in range(n)]))
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
@@ -444,7 +442,7 @@ class Matrix:
             return vzero(self.rows)
         den = lcm(*[b.denominator for _, b in pairs])
         (p, lead), *tail = [(j, b.numerator * (den // b.denominator)) for j, b in pairs]
-        return _fractions(self._apply_ints((p, lead, tail)), den * self._ints()[0])
+        return _fractions(self._apply_ints((p, lead, tail)), den * self.den)
 
     def _apply_ints(self, row: Row) -> list[int]:
         """den times this matrix times the integer vector lead e_p + tail of row = (p, lead, tail).
@@ -453,7 +451,7 @@ class Matrix:
         stands for, as a dense integer vector.
         """
         p, lead, tail = row
-        cols = self._ints()[1]
+        cols = self.columns
         out = [0] * self.rows
         for i, a in cols[p]:
             out[i] = a * lead
@@ -463,42 +461,41 @@ class Matrix:
         return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, summed over the two integer indexes; one Fraction per nonzero entry."""
+        """The product, summed in integers over both columns and put in lowest terms."""
         if self.cols != other.rows:
             raise InvariantError("matrix product shape mismatch")
-        den, left = self._ints()
-        den_other, right = other._ints()
-        cols = []
-        for col in right:
+        left = self.columns
+        sums = []
+        for col in other.columns:
             out = [0] * self.rows
             for j, b in col:
                 for i, a in left[j]:
                     out[i] += a * b
-            cols.append(_fractions(out, den * den_other))
-        return Matrix._of_cols(cols, self.rows)
+            sums.append(_pairs(out))
+        # the sums are den * den' times the product; g divides out their common factor
+        den = self.den * other.den
+        g = gcd(den, *[a for col in sums for _, a in col])
+        return Matrix(self.rows, other.cols, den // g, tuple([
+            tuple([(i, a // g) for i, a in col]) for col in sums
+        ]))
 
     def is_zero(self) -> bool:
-        return not any(self.nonzeros)
+        return not any(self.columns)
 
-    def _sparse_rows(self) -> tuple[list[dict[int, int]], int]:
-        """The rows of den times this matrix, as sparse integer rows for _echelon, and den.
-
-        Read off `nonzeros` directly: most matrices that are eliminated are
-        never applied, and so never need the integer index.
-        """
+    def _sparse_rows(self) -> list[dict[int, int]]:
+        """The rows of den times this matrix, as sparse integer rows for _echelon."""
         rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
-        den = lcm(*[a.denominator for col in self.nonzeros for _, a in col])
-        for j, col in enumerate(self.nonzeros):
+        for j, col in enumerate(self.columns):
             for i, a in col:
-                rows[i][j] = a.numerator if den == 1 else a.numerator * (den // a.denominator)
-        return rows, den
+                rows[i][j] = a
+        return rows
 
     def rank(self) -> int:
         if self.is_zero():
             return 0
         if self.rows == 1 or self.cols == 1:
             return 1
-        return len(_echelon(self._sparse_rows()[0]))
+        return len(_echelon(self._sparse_rows()))
 
     def _null_rows(self) -> tuple[list[dict[int, int]], int]:
         """Canonical kernel basis, one integer row per free column, and their denominator.
@@ -507,7 +504,7 @@ class Matrix:
         pivot of each reduced row with entry a at j; its row here is that
         vector times den, the lcm of the leads.
         """
-        reduced = _echelon(self._sparse_rows()[0])
+        reduced = _echelon(self._sparse_rows())
         den = lcm(*[lead for _, lead, _ in reduced])
         free = {j: {j: den} for j in range(self.cols)}
         for c, lead, tail in reduced:
@@ -540,7 +537,7 @@ class Matrix:
                 raise InvariantError("solve target has wrong length")
         if self.rows == 0:
             return [vzero(self.cols) for _ in targets]
-        den, cols = self._ints()
+        den, cols = self.den, self.columns
         scales, rhs = [], []
         for b in targets:
             w, m = _cleared(b)
@@ -572,7 +569,7 @@ class Matrix:
         entries = _scalars(data, {} if memo is None else memo)
         if cols is None:
             cols = len(data[0]) if data else 0
-        return Matrix(len(entries), cols, entries)
+        return Matrix._of_cols(zip(*entries) if entries else [()] * cols, len(entries))
 
 
 @dataclass(frozen=True)
@@ -721,7 +718,7 @@ def kernel(f: Matrix) -> Subspace:
 
 def image(f: Matrix, source: Subspace | None = None) -> Subspace:
     if source is None:
-        return Subspace._span_ints(f.rows, (dict(c) for c in f._ints()[1]))
+        return Subspace._span_ints(f.rows, (dict(c) for c in f.columns))
     if source.ambient_dim != f.cols:
         raise InvariantError("image source lives in the wrong ambient space")
     # f applied to each integer basis row; scaling a row does not change the span
@@ -734,9 +731,8 @@ def preimage(f: Matrix, target: Subspace) -> Subspace:
         raise InvariantError("preimage target lives in the wrong ambient space")
     if target.is_full():
         return Subspace.full(f.cols)
-    den, cols = f._ints()
     rows = target._rows()
-    rows += [dict(col + ((f.rows + j, den),)) for j, col in enumerate(cols)]
+    rows += [dict(col + ((f.rows + j, f.den),)) for j, col in enumerate(f.columns)]
     return _zassenhaus(rows, f.rows, f.cols)
 
 
@@ -865,7 +861,7 @@ def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
     """
     if f.cols != source.ambient_dim or f.rows != target.ambient_dim:
         raise InvariantError("induced map shape mismatch")
-    den = f._ints()[0]
+    den = f.den
     coords = {}
     for i, z in enumerate(source.Z.tails):
         # f._apply_ints(z) is den * lead times f of the rational row z

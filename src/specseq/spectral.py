@@ -1,16 +1,18 @@
 """Spectral sequence pages of a filtered cochain complex.
 
 Every page cell is stored as a subquotient of the original space K^{p+q},
-never as a quotient of quotients. Three independent routes give the pages:
+never as a quotient of quotients. The pages are reached by three routes:
 
-* first_page + turn_page: the first page comes from the filtration, and each
-  later page is built from the previous one using only its cells, its
-  differentials, and the underlying d (representative lifts are solved in
-  the canonical complement bases).
 * page_direct: the classical cycle/boundary formula evaluated from scratch
-  on the filtration for any r.
+  on the filtration for any r. E_1 is page_direct at r = 1.
+* first_page + turn_page: the first page takes its cells from page_direct
+  and adds d_1, and each later page is built from the previous one using
+  only its cells, its differentials, and the underlying d (representative
+  lifts are solved in the canonical complement bases). The turned and
+  direct routes part from r = 2.
 * barcode: one persistence reduction of d in a filtration-adapted basis,
   from which every page's dimensions are read (dimensions only, no maps).
+  It is the independent check at every r, r = 1 included.
 
 The three must agree cellwise in dimension; the fuzz suites and the oracle
 command enforce exactly that.
@@ -24,15 +26,14 @@ the complement rows whose image under d is nonzero; a zero image has the
 solution 0 and the zero column. The filtered complex computes each F^a cap
 d^{-1}F^b in one reduction and each page_direct cell once per clamped
 level, with B_r spanned in one reduction, and returns F^a itself where
-clamp(b) <= clamp(a). Where a graded piece is empty, F^p = F^{p+1} in
-degree p+q, E_1^{p,q} is F^p/F^p and the direct cell is Z_r/Z_r, read off
-the filtration with no elimination; load has checked that it is nested and
-d-stable, and reduced bases are canonical, so these equal the cells the
-formulas build. A page keeps one zero matrix per shape for the
-differentials it does not store. page_direct still reads only the
-filtration and never a turned page: it takes the empty-piece rule from the
-filtration, as first_page does, and so stays a route independent of the
-turns.
+clamp(b) <= clamp(a) or where F^a and F^b have one dimension. Where a
+graded piece is empty, F^p = F^{p+1} in degree p+q and the direct cell,
+E_1 included, is Z_r/Z_r, read off the filtration with no elimination;
+load has checked that it is nested and d-stable, and reduced bases are
+canonical, so these equal the cells the formulas build. A page keeps one
+zero matrix per shape for the differentials it does not store.
+page_direct reads only the filtration and never a turned page, and
+turn_page reads only the previous page.
 """
 
 from __future__ import annotations
@@ -121,28 +122,16 @@ def _support(fk: FilteredComplex) -> tuple[tuple[int, int], ...]:
 
 
 def first_page(fk: FilteredComplex) -> Page:
-    """E_1^{p,q} = (F^p cap d^{-1}F^{p+1}) / (F^{p+1} + d F^p), with d_1 induced by d.
+    """E_1, each cell page_direct(fk, 1, p, q), with d_1 induced by d.
 
-    The cell is the classical presentation of H^{p+q}(Gr^p) inside K^{p+q}.
-    Where the graded piece is empty, F^p = F^{p+1} (one dimension suffices,
-    since load checked F^{p+1} <= F^p), the cell is F^p/F^p with nothing
-    computed: d F^p <= F^p, so both formulas give F^p. No d_1 is stored out
-    of a zero cell; the page's diff() reads its zero matrix.
+    At r = 1 the direct formula is E_1^{p,q} = (F^p cap d^{-1}F^{p+1}) /
+    (F^{p+1} + d F^p), the classical presentation of H^{p+q}(Gr^p) inside
+    K^{p+q}, and the cells are kept on fk, so page_direct at r = 1 later
+    finds them built. No d_1 is stored out of a zero cell; the page's
+    diff() reads its zero matrix.
     """
-    cells: dict[tuple[int, int], Subquotient] = {}
     support = _support(fk)
-    for (p, q) in support:
-        n = p + q
-        f = fk.F(p, n)
-        if f.dim == fk.F(p + 1, n).dim:
-            cells[(p, q)] = Subquotient(f, f, ())
-            continue
-        z = fk.cycles(p, p + 1, n)
-        # F^{p+1} + d F^p, spanned by integer rows; scaling d(v) keeps its span
-        rows = fk.F(p + 1, n)._rows()
-        dprev = fk.cx.diff(n - 1)
-        rows += [dict(_pairs(dprev._apply_ints(v))) for v in fk.F(p, n - 1).tails]
-        cells[(p, q)] = Subquotient.of(z, Subspace._span_ints(fk.cx.dim(n), rows))
+    cells = {(p, q): page_direct(fk, 1, p, q) for (p, q) in support}
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in support:
         if cells[(p, q)].dim == 0:
@@ -197,7 +186,7 @@ def turn_page(page: Page) -> Page:
             z = Subspace._span_ints(amb, zrows)
         if not din.is_zero():
             brows = b._rows()
-            brows += [cell._lift_ints(col)[0] for col in din._ints()[1]]
+            brows += [cell._lift_ints(col)[0] for col in din.columns]
             b = Subspace._span_ints(amb, brows)
         cells[(p, q)] = Subquotient.of(z, b)
     diffs: dict[tuple[int, int], Matrix] = {}
@@ -211,7 +200,7 @@ def turn_page(page: Page) -> Page:
         if tgt is None:
             tgt = Subquotient.zero(cx.dim(n + 1))
         d = cx.diff(n)
-        den = d._ints()[0]
+        den = d.den
         height = cx.dim(n + 1)
         # solve [d(B) | Z'] x = d w for each complement row w, in integers:
         # a Row's _apply_ints is den * lead times d of its rational row. A

@@ -1,6 +1,10 @@
 """End-to-end CLI coverage: shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +287,39 @@ class TestErrors:
         code, out = run_json(capsys, ["compute", "--input", str(path)])
         assert code == 3
         assert "invalid JSON" in out["message"]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["directory", "not-utf8", "not-utf8-algebra", "deeply-nested", "long-integer",
+         "unwritable-out"],
+    )
+    def test_io_error_exits_3_with_one_json_object_and_no_traceback(self, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        if case == "directory":
+            argv, location = ["compute", "--input", str(tmp_path)], str(tmp_path)
+        elif case in ("deeply-nested", "long-integer"):
+            bad.write_text("[" * 100_000 if case == "deeply-nested" else "1" * 5_000)
+            argv, location = ["compute", "--input", str(bad)], str(bad)
+        elif case == "unwritable-out":
+            missing = tmp_path / "no-such-dir" / "x.json"
+            argv, location = ["model", "torus", "--n", "1", "--out", str(missing)], "out"
+        else:
+            bad.write_bytes(b"\xff\xfe")
+            flag = "--algebra" if case == "not-utf8-algebra" else "--input"
+            command = "certify" if case == "not-utf8-algebra" else "compute"
+            argv, location = [command, flag, str(bad)], str(bad)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * bool(env.get("PYTHONPATH")))
+        run = subprocess.run(
+            [sys.executable, "-m", "specseq.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert run.returncode == 3, run.stderr.decode()
+        assert b"Traceback" not in run.stderr
+        # json.loads rejects anything after the first object
+        out = json.loads(run.stdout)
+        assert out["error"] == "parse"
+        assert out["location"] == location
 
     def test_zero_threads_is_rejected_by_compute(self, capsys, monkeypatch):
         monkeypatch.setenv("SS_THREADS", "0")

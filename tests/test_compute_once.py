@@ -372,7 +372,8 @@ def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
     monkeypatch.setattr(filtered.FilteredComplex, "cycles", cycles)
     sp.first_page(fk)
     assert asked
-    assert not {(p, p + 1, p + q) for p, q in empty} & set(asked)
+    # E_1 asks cycles about every cell, but an empty cell's runs no reduction
+    assert not {(fk.clamp(p), fk.clamp(p + 1), p + q) for p, q in empty} & set(computed)
     for r in range(1, fk.width() + 3):
         for p, q in empty:
             del asked[:]
@@ -383,6 +384,36 @@ def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
     sp.decalage_renumbering_report(fk)
     assert computed
     assert all(b > a for a, b, _ in computed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_first_page_cells_are_the_direct_cells_at_r_1(monkeypatch, seed):
+    import random
+
+    import specseq.linalg as la
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(seed))
+    page = sp.first_page(fk)
+    eliminations = count_calls(monkeypatch, la, "_echelon")
+    for pq in page.support:
+        assert page.cells[pq] is sp.page_direct(fk, 1, *pq)
+    assert eliminations == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cycles_between_levels_of_one_dimension_is_the_lower_level(seed):
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(seed))
+    levels = range(fk.p_lo - 1, fk.p_top + 2)
+    for n in fk.cx.degrees():
+        for a in levels:
+            for b in levels:
+                if fk.F(a, n).dim == fk.F(b, n).dim:
+                    assert fk.cycles(a, b, n) is fk.F(a, n)
 
 
 def candidate_triples(alg) -> set:

@@ -480,6 +480,36 @@ def test_wide_subspace_equality_and_hash_follow_basis_rows(data):
         assert all(exact(r) for r in t.basis_rows) and canonical_rows(t)
 
 
+def den_of(rows) -> int:
+    """The lcm of the denominators of the entries of some rows."""
+    return lcm(*[Fraction(a).denominator for row in rows for a in row])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_matrix_holds_one_integer_form(data):
+    elems = st.one_of(mixed, wide)
+    (r, k), c = data.draw(shapes), data.draw(st.integers(0, 4))
+    a = data.draw(st.lists(st.lists(elems, min_size=k, max_size=k), min_size=r, max_size=r))
+    b = data.draw(st.lists(st.lists(elems, min_size=c, max_size=c), min_size=k, max_size=k))
+    m = Matrix.from_rows(a, cols=k)
+    dense = tuple(tuple(Fraction(x) for x in row) for row in a)
+    same = [
+        Matrix.from_cols([[row[j] for row in a] for j in range(k)], rows=r),
+        Matrix.from_json(m.to_json(), r, k),
+        Matrix.identity(r) @ m,
+        m @ Matrix.identity(k),
+    ]
+    for t in same:
+        assert t == m and hash(t) == hash(m) and t.entries == dense
+    assert m.den == den_of(a)
+    prod = m @ Matrix.from_rows(b, cols=c)
+    want = naive_matmul(a, b, c)
+    assert [list(row) for row in prod.entries] == want
+    assert all(exact(row) for row in prod.entries)
+    assert prod.den == den_of(want)
+
+
 # digits, the other characters Fraction's grammar knows, and an Arabic-Indic three
 literal_text = st.text(alphabet="0123456789-+/._e \u0663", max_size=7)
 
