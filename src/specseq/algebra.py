@@ -192,9 +192,6 @@ class BigradedAlgebra:
     def zero(self) -> Element:
         return Element(self, {})
 
-    def one(self) -> Element:
-        return Element(self, {self.unit: 1})
-
     def from_coeffs(self, coeffs: dict[int, int | Fraction]) -> Element:
         return Element(self, {i: coefficient(c) for i, c in coeffs.items()})
 

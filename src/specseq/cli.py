@@ -48,7 +48,7 @@ def _load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise ParseError(f"no such file: {path}", location=path) from exc
+        raise ParseError("no such file", location=path) from exc
     except OSError as exc:
         raise ParseError(f"cannot read: {exc.strerror}", location=path) from exc
     except (ValueError, RecursionError) as exc:
@@ -95,11 +95,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         for r in range(1, args.pages + 1):
             pg = ss.page(r)
             pages[str(r)] = _page_json(pg.dims())
-            maps[str(r)] = {
-                _cell_key(p, q): pg.diff(p, q).to_json()
-                for (p, q) in sorted(pg.support)
-                if not pg.diff(p, q).is_zero()
-            }
+            maps[str(r)] = {_cell_key(p, q): m.to_json() for (p, q), m in pg.diffs.items()}
         out = {"pages": pages, "abutment": e_infinity_compare(fk), "maps": maps}
     else:
         bars = barcode(fk)

@@ -3,8 +3,8 @@
 A CochainComplex stores one space per degree in a bounded range and the
 differentials between them; d compose to zero by construction. A
 FilteredComplex adds a decreasing, exhaustive, bounded filtration compatible
-with d. Canonical truncations, windows, graded pieces and cohomology are all
-returned in explicit bases so downstream code never sees abstract quotients.
+with d. Cohomology and the cycle spaces F^a cap d^{-1}F^b are returned in
+explicit bases so downstream code never sees abstract quotients.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .linalg import (
     _pairs,
     _zassenhaus,
     image,
-    induced_map,
     json_int,
     kernel,
     preimage,
@@ -70,9 +69,6 @@ class CochainComplex:
             return hit
         return Matrix.zeros(self.dim(n + 1), self.dim(n))
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def cohomology(self, n: int) -> Subquotient:
         """H^n(K) = ker d^n / im d^{n-1} as a subquotient of K^n."""
         if n < self.lo or n > self.hi:
@@ -93,41 +89,6 @@ class CochainComplex:
         if hit is None:
             hit = self.ranks[n] = self.diff(n).rank()
         return hit
-
-    def truncate_below(self, p: int) -> "CochainComplex":
-        """Canonical truncation keeping degrees <= p, with ker d^p at degree p."""
-        if p >= self.hi:
-            return self
-        if p < self.lo:
-            return CochainComplex(p, p, {p: 0}, {})
-        ker = kernel(self.diff(p))
-        dims = {n: self.dim(n) for n in range(self.lo, p)}
-        dims[p] = ker.dim
-        d = {n: self.d[n] for n in range(self.lo, p - 1)}
-        if p - 1 >= self.lo:
-            prev = self.diff(p - 1)
-            cols = [ker.coords(prev.col(j)) for j in range(prev.cols)]
-            d[p - 1] = Matrix.from_cols(cols, rows=ker.dim)
-        return CochainComplex(self.lo, p, dims, d)
-
-    def truncate_above(self, p: int) -> "CochainComplex":
-        """Canonical truncation keeping degrees >= p, with K^p/im d^{p-1} at p."""
-        if p <= self.lo:
-            return self
-        if p > self.hi:
-            return CochainComplex(p, p, {p: 0}, {})
-        quot = Subquotient.of(Subspace.full(self.dim(p)), image(self.diff(p - 1)))
-        dims = {n: self.dim(n) for n in range(p + 1, self.hi + 1)}
-        dims[p] = quot.dim
-        d = {n: self.d[n] for n in range(p + 1, self.hi)}
-        if p + 1 <= self.hi:
-            nxt = self.diff(p)
-            d[p] = Matrix.from_cols([nxt.apply(w) for w in quot.complement], rows=self.dim(p + 1))
-        return CochainComplex(p, self.hi, dims, d)
-
-    def window(self, p: int) -> "CochainComplex":
-        """Two-term window: truncate below at p, then above at p - 1."""
-        return self.truncate_below(p).truncate_above(p - 1)
 
     def to_json(self) -> dict:
         return {
@@ -408,34 +369,6 @@ class FilteredComplex:
                 hit = _zassenhaus(rows, split, d.cols)
             self._cycles[key] = hit
         return hit
-
-    def graded_piece(self, p: int) -> CochainComplex:
-        """Gr^p = F^p/F^{p+1} with the induced differential, in explicit bases."""
-        cells = {
-            n: Subquotient.of(self.F(p, n), self.F(p + 1, n)) for n in self.cx.degrees()
-        }
-        dims = {n: cells[n].dim for n in self.cx.degrees()}
-        d = {}
-        for n in range(self.cx.lo, self.cx.hi):
-            d[n] = induced_map(self.cx.diff(n), cells[n], cells[n + 1])
-        return CochainComplex(self.cx.lo, self.cx.hi, dims, d)
-
-    @staticmethod
-    def with_trivial_filtration(cx: CochainComplex) -> "FilteredComplex":
-        table = {}
-        for n in cx.degrees():
-            table[(0, n)] = Subspace.full(cx.dim(n))
-            table[(1, n)] = Subspace.zero(cx.dim(n))
-        return FilteredComplex(cx, Filtration(0, 1, table))
-
-    @staticmethod
-    def with_degree_filtration(cx: CochainComplex) -> "FilteredComplex":
-        """Filtration by degree: F^p K^n is everything for n >= p, else zero."""
-        table = {}
-        for p in range(cx.lo, cx.hi + 2):
-            for n in cx.degrees():
-                table[(p, n)] = Subspace.full(cx.dim(n)) if n >= p else Subspace.zero(cx.dim(n))
-        return FilteredComplex(cx, Filtration(cx.lo, cx.hi + 1, table))
 
     def to_json(self) -> dict:
         out = self.cx.to_json()

@@ -17,23 +17,24 @@ never as a quotient of quotients. The pages are reached by three routes:
 The three must agree cellwise in dimension; the fuzz suites and the oracle
 command enforce exactly that.
 
-Nothing is computed twice, and nothing already known is computed at all.
-A turn carries the cells d_r leaves alone: when the d_r into and out of a
-cell are both zero, page r+1 holds the same Subquotient object, and when
-only one of them is zero it keeps the cell's Z (d_r out zero) or B (d_r in
-zero) and recomputes only the other. The next differential solves only for
-the complement rows whose image under d is nonzero; a zero image has the
-solution 0 and the zero column. The filtered complex computes each F^a cap
-d^{-1}F^b in one reduction and each page_direct cell once per clamped
-level, with B_r spanned in one reduction, and returns F^a itself where
-clamp(b) <= clamp(a) or where F^a and F^b have one dimension. Where a
-graded piece is empty, F^p = F^{p+1} in degree p+q and the direct cell,
-E_1 included, is Z_r/Z_r, read off the filtration with no elimination;
-load has checked that it is nested and d-stable, and reduced bases are
-canonical, so these equal the cells the formulas build. A page keeps one
-zero matrix per shape for the differentials it does not store.
-page_direct reads only the filtration and never a turned page, and
-turn_page reads only the previous page.
+Nothing is computed twice, and nothing already known is computed at all. A
+page stores only its nonzero differentials, and diff() hands out the one
+shared zero matrix of the right shape for every other cell; so a turn reads
+from the stored ones which cells d_r leaves alone. When the d_r into and out
+of a cell are both zero, page r+1 holds the same Subquotient object, and
+when only one of them is zero it keeps the cell's Z (d_r out zero) or B (d_r
+in zero) and recomputes only the other. The next differential solves only
+for the complement rows whose image under d is nonzero; a zero image has the
+solution 0 and the zero column, and a cell with no nonzero image gets no
+matrix at all. The filtered complex computes each F^a cap d^{-1}F^b in one
+reduction and each page_direct cell once per clamped level, with B_r spanned
+in one reduction, and returns F^a itself where clamp(b) <= clamp(a) or where
+F^a and F^b have one dimension. Where a graded piece is empty, F^p = F^{p+1}
+in degree p+q and the direct cell, E_1 included, is Z_r/Z_r, read off the
+filtration with no elimination; load has checked that it is nested and
+d-stable, and reduced bases are canonical, so these equal the cells the
+formulas build. page_direct reads only the filtration and never a turned
+page, and turn_page reads only the previous page.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ from .linalg import (
 
 
 class Page:
-    """One page: cells E_r^{p,q} <= K^{p+q} and differentials of bidegree (r, 1-r)."""
+    """One page: cells E_r^{p,q} <= K^{p+q} and differentials of bidegree (r, 1-r).
+
+    Every differential given is checked for its shape, but diffs keeps only
+    the nonzero ones, and only they are composed for d_r o d_r = 0; diff()
+    gives every other cell the shared Matrix.zeros of its shape.
+    """
 
     def __init__(
         self,
@@ -72,11 +78,9 @@ class Page:
         self.cx = cx
         self.support = support
         self.cells = cells
-        self.diffs = diffs
-        # diff() gives every other cell the zero matrix of the right shape,
-        # so only the stored differentials and their composites are checked;
-        # nxt's own shape is checked later in the loop, so its columns are
-        # compared here before the product
+        # a zero factor makes the product zero; nxt's own shape is checked
+        # later in the loop, so its columns are compared here before the product
+        self.diffs: dict[tuple[int, int], Matrix] = {}
         for (p, q), out in diffs.items():
             tgt = (p + r, q - r + 1)
             nxt = diffs.get(tgt)
@@ -84,10 +88,10 @@ class Page:
                 nxt is not None and nxt.cols != out.rows
             ):
                 raise InvariantError(f"differential shapes disagree at cell {(p, q)}")
-            # a zero or missing factor makes the product zero
-            if nxt is None or out.is_zero() or nxt.is_zero():
+            if out.is_zero():
                 continue
-            if not (nxt @ out).is_zero():
+            self.diffs[(p, q)] = out
+            if nxt is not None and not nxt.is_zero() and not (nxt @ out).is_zero():
                 raise InvariantError(f"d_r o d_r != 0 at cell {(p, q)}", witness=(p, q))
 
     def _dim(self, p: int, q: int) -> int:
@@ -112,7 +116,7 @@ class Page:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim > 0}
 
     def all_differentials_zero(self) -> bool:
-        return all(m.is_zero() for m in self.diffs.values())
+        return not self.diffs
 
 
 def _support(fk: FilteredComplex) -> tuple[tuple[int, int], ...]:
@@ -127,8 +131,9 @@ def first_page(fk: FilteredComplex) -> Page:
     At r = 1 the direct formula is E_1^{p,q} = (F^p cap d^{-1}F^{p+1}) /
     (F^{p+1} + d F^p), the classical presentation of H^{p+q}(Gr^p) inside
     K^{p+q}, and the cells are kept on fk, so page_direct at r = 1 later
-    finds them built. No d_1 is stored out of a zero cell; the page's
-    diff() reads its zero matrix.
+    finds them built. d_1 is induced out of every nonzero cell, so that its
+    containment checks run, and the page keeps only the nonzero ones; no
+    d_1 is built out of a zero cell.
     """
     support = _support(fk)
     cells = {(p, q): page_direct(fk, 1, p, q) for (p, q) in support}
@@ -168,23 +173,20 @@ def turn_page(page: Page) -> Page:
     cells: dict[tuple[int, int], Subquotient] = {}
     for (p, q) in page.support:
         cell = page.cell(p, q)
-        if cell.dim == 0:
-            cells[(p, q)] = cell
-            continue
-        amb = cell.ambient_dim
-        dout = page.diff(p, q)
-        din = page.diff(p - r, q + r - 1)
-        if dout.is_zero() and din.is_zero():
+        dout = page.diffs.get((p, q))
+        din = page.diffs.get((p - r, q + r - 1))
+        if dout is None and din is None:
             cells[(p, q)] = cell
             continue
         # ker d_r and im d_r, lifted to integer rows over the old complement;
         # ker of a zero d_r out is all of the cell, im of a zero d_r in is 0
+        amb = cell.ambient_dim
         z, b = cell.Z, cell.B
-        if not dout.is_zero():
+        if dout is not None:
             zrows = b._rows()
             zrows += [cell._lift_ints(k.items())[0] for k in dout._null_rows()[0]]
             z = Subspace._span_ints(amb, zrows)
-        if not din.is_zero():
+        if din is not None:
             brows = b._rows()
             brows += [cell._lift_ints(col)[0] for col in din.columns]
             b = Subspace._span_ints(amb, brows)
@@ -192,27 +194,26 @@ def turn_page(page: Page) -> Page:
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q) in page.support:
         src = cells[(p, q)]
-        if src.dim == 0:
-            # the new page's diff() reads its one zero matrix of this shape
-            continue
         n = p + q
-        tgt = cells.get((p + r2, q - r2 + 1))
-        if tgt is None:
-            tgt = Subquotient.zero(cx.dim(n + 1))
         d = cx.diff(n)
-        den = d.den
-        height = cx.dim(n + 1)
         # solve [d(B) | Z'] x = d w for each complement row w, in integers:
         # a Row's _apply_ints is den * lead times d of its rational row. A
         # zero d w has the solution x = 0 and the zero column, so only the
-        # nonzero images are solved.
+        # nonzero images are solved, and a cell with none (a zero cell among
+        # them) gets no matrix: the new page's diff() reads its zero matrix.
         images = [_pairs(d._apply_ints(w)) for w in src.tails]
         nonzero = [dw for dw in images if dw]
+        if not nonzero:
+            continue
+        height = cx.dim(n + 1)
+        tgt = cells.get((p + r2, q - r2 + 1))
+        if tgt is None:
+            tgt = Subquotient.zero(height)
+        den = d.den
         nb = src.B.dim
-        if nonzero:
-            system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
-            system += [((c, lead),) + tail for c, lead, tail in tgt.Z.tails]
-            solved = iter(_solve_ints(system, height, nonzero))
+        system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
+        system += [((c, lead),) + tail for c, lead, tail in tgt.Z.tails]
+        solved = iter(_solve_ints(system, height, nonzero))
         sols = [next(solved) if dw else [] for dw in images]
         cols = []
         for (_, lead_w, _), x in zip(src.tails, sols):

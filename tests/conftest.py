@@ -37,6 +37,24 @@ def acyclic_two_term() -> FilteredComplex:
     return FilteredComplex(cx, Filtration.from_sparse(cx, levels))
 
 
+def with_trivial_filtration(cx: CochainComplex) -> FilteredComplex:
+    """cx with F^0 = K and F^1 = 0: one graded piece, the whole complex."""
+    table = {}
+    for n in cx.degrees():
+        table[(0, n)] = Subspace.full(cx.dim(n))
+        table[(1, n)] = Subspace.zero(cx.dim(n))
+    return FilteredComplex(cx, Filtration(0, 1, table))
+
+
+def with_degree_filtration(cx: CochainComplex) -> FilteredComplex:
+    """Filtration by degree: F^p K^n is everything for n >= p, else zero."""
+    table = {}
+    for p in range(cx.lo, cx.hi + 2):
+        for n in cx.degrees():
+            table[(p, n)] = Subspace.full(cx.dim(n)) if n >= p else Subspace.zero(cx.dim(n))
+    return FilteredComplex(cx, Filtration(cx.lo, cx.hi + 1, table))
+
+
 COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
 
 

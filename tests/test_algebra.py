@@ -13,7 +13,6 @@ from specseq import (
     ComplexPairing,
     Derivation,
     CochainComplex,
-    FilteredComplex,
     InvariantError,
     ObstructionDatum,
     SSPairing,
@@ -24,6 +23,8 @@ from specseq import (
     verify_leibniz,
 )
 from specseq.linalg import Matrix, Q1
+
+from conftest import with_trivial_filtration
 
 
 def torus_words(n):
@@ -290,7 +291,7 @@ def de_rham_pairing(model):
     degs = sorted({p + q for (p, q) in alg.cells})
     dims = {m: len(alg.degree_indices(m)) for m in range(degs[0], degs[-1] + 1)}
     cx = CochainComplex(degs[0], degs[-1], dims, {})
-    fk = FilteredComplex.with_trivial_filtration(cx)
+    fk = with_trivial_filtration(cx)
     pos = {
         m: {k: t for t, k in enumerate(alg.degree_indices(m))}
         for m in dims
@@ -509,8 +510,9 @@ def dense_validate(alg):
                     witness=[alg.basis[i][0], alg.basis[j][0], alg.basis[k][0]],
                 )
     dim, e = alg.dim(), alg.basis_element
+    one = e(alg.unit)
     for i in range(dim):
-        if alg.one() * e(i) != e(i) or e(i) * alg.one() != e(i):
+        if one * e(i) != e(i) or e(i) * one != e(i):
             raise InvariantError("unit law fails", witness=alg.basis[i][0])
     for i in range(dim):
         for j in range(dim):

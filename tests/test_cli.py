@@ -280,6 +280,8 @@ class TestErrors:
         assert code == 3
         assert out["error"] == "parse"
         assert out["location"] == "/no/such/file.json"
+        # ParseError prefixes the location, so the message names the path once
+        assert out["message"] == "/no/such/file.json: no such file"
 
     def test_invalid_json_exits_3(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"

@@ -5,6 +5,7 @@ one application of a map per basis vector of an induced map's source, one
 cycles reduction per clamped pair of levels and degree, no cycles computed
 where the filtration already gives them, no recomputation of a page cell,
 numerator or denominator that d_r leaves alone, no solve for a zero image,
+no matrix built for a cell with none and no zero differential stored,
 one product omega * e_i per basis element of a polarized algebra, and each
 algebra and polarization fact checked once: no unit or mirror cases in
 algebra validation, no empty or mirror twisted pairings."""
@@ -266,15 +267,17 @@ def test_a_turn_keeps_the_numerator_or_denominator_d_r_leaves_alone():
 def test_a_turn_solves_only_for_nonzero_images(monkeypatch):
     import random
 
+    from specseq import Matrix
     from specseq.fuzz import random_filtered_complex
 
     fk = random_filtered_complex(random.Random(0))
     ss = SpectralSequence(fk)
     solves = count_calls(monkeypatch, sp, "_solve_ints")
-    zero_images = 0
+    built = count_calls(monkeypatch, Matrix, "_of_cols")
+    zero_images = all_zero_cells = 0
     for r in range(1, 6):
         page = ss.page(r)
-        del solves[:]
+        del solves[:], built[:]
         nxt = sp.turn_page(page)
         # the cells with a complement row that d does not kill
         hit = 0
@@ -282,10 +285,49 @@ def test_a_turn_solves_only_for_nonzero_images(monkeypatch):
             images = [any(fk.cx.diff(p + q)._apply_ints(w)) for w in cell.tails]
             hit += any(images)
             zero_images += images.count(False)
+            all_zero_cells += cell.dim > 0 and not any(images)
         assert len(solves) == hit, r
+        # and a matrix is built only for them
+        assert len(built) == hit, r
         # every right-hand side handed to a solve is nonzero
         assert all(all(targets) for _, _, targets in solves)
-    assert zero_images > 0
+    assert zero_images > 0 and all_zero_cells > 0
+
+
+def test_a_page_keeps_no_zero_differential():
+    import random
+
+    from specseq import Matrix
+    from specseq.fuzz import random_filtered_complex
+
+    stored = 0
+    for seed in range(20):
+        src = random_filtered_complex(random.Random(seed))
+        for fk in (src, sp.decalage(src)):
+            ss = SpectralSequence(fk)
+            for r in range(1, 7):
+                page = ss.page(r)
+                assert all(not m.is_zero() for m in page.diffs.values()), (seed, r)
+                stored += len(page.diffs)
+                for (p, q) in page.support:
+                    if (p, q) not in page.diffs:
+                        shape = (page.cell(p + r, q - r + 1).dim, page.cell(p, q).dim)
+                        assert page.diff(p, q) is Matrix.zeros(*shape), (seed, r, p, q)
+    assert stored > 0
+
+
+def test_a_page_given_zero_differentials_stores_none(acyclic_fk):
+    from specseq import Matrix
+
+    page = SpectralSequence(acyclic_fk).page(2)
+    assert page.diffs
+    # every d_2 of the E_2 cells given, each a zero matrix of its shape
+    zeros = {pq: page.diff(*pq) for pq in page.support if pq not in page.diffs}
+    zeros[(0, 0)] = Matrix.from_rows([[0]])
+    built = sp.Page(2, page.cx, page.support, page.cells, zeros)
+    assert built.diffs == {}
+    assert built.all_differentials_zero()
+    assert built.diff(0, 0) is Matrix.zeros(1, 1)
 
 
 def test_filtration_outside_its_range_is_the_stored_level():

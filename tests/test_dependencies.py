@@ -1,7 +1,9 @@
 """The package runs on the standard library alone: `dependencies = []` stays.
 
 Every module under src/specseq imports only standard-library modules,
-itself, or its own modules by relative import.
+itself, or its own modules by relative import. The package also holds
+nothing that nothing reads: every private function has a caller in the
+package, and no module but __init__.py imports a name it does not use.
 """
 
 import ast
@@ -34,3 +36,47 @@ def test_src_imports_only_the_standard_library():
         for path in files
     }
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_function_has_a_caller_in_src():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    used = set().union(*map(referenced_names, trees.values()))
+    private = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    assert private
+    assert sorted(f for f in private if f[1] not in used) == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # it imports to re-export
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        missing = sorted(bound - referenced_names(tree))
+        if missing:
+            unused[path.name] = missing
+    assert unused == {}

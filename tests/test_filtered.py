@@ -1,4 +1,4 @@
-"""Complexes, truncations, graded pieces, filtration validation, JSON."""
+"""Complexes, cohomology, filtration validation, JSON."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from specseq import CochainComplex, FilteredComplex, Filtration, InvariantError
 from specseq.fuzz import random_filtered_complex
 from specseq.linalg import Matrix, Subspace, vec
 
-from conftest import seeded
+from conftest import seeded, with_degree_filtration, with_trivial_filtration
 
 
 def koszul_like() -> CochainComplex:
@@ -50,54 +50,17 @@ def test_betti_matches_rank_nullity_oracle(seed):
     assert cx.betti(cx.lo - 1) == cx.betti(cx.hi + 1) == 0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_truncations_preserve_cohomology_in_window(seed):
-    cx = random_filtered_complex(seeded("trunc", seed)).cx
-    mid = (cx.lo + cx.hi) // 2
-    below = cx.truncate_below(mid)
-    above = cx.truncate_above(mid)
-    for n in cx.degrees():
-        if n <= mid:
-            assert below.betti(n) == cx.betti(n)
-        else:
-            assert below.betti(n) == 0
-        if n >= mid:
-            assert above.betti(n) == cx.betti(n)
-        else:
-            assert above.betti(n) == 0
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_window_keeps_two_cohomologies(seed):
-    cx = random_filtered_complex(seeded("window", seed)).cx
-    if cx.hi == cx.lo:
-        pytest.skip("single-degree complex has no two-term window")
-    p = max(cx.lo + 1, (cx.lo + cx.hi) // 2)
-    w = cx.window(p)
-    assert (w.lo, w.hi) == (p - 1, p)
-    assert w.betti(p - 1) == cx.betti(p - 1)
-    assert w.betti(p) == cx.betti(p)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_graded_pieces_partition_dimension(seed):
-    fk = random_filtered_complex(seeded("graded", seed))
-    grs = {p: fk.graded_piece(p) for p in fk.levels()}
-    for n in fk.cx.degrees():
-        assert sum(g.dim(n) for g in grs.values()) == fk.cx.dim(n)
-
-
 def test_trivial_and_degree_filtrations():
     cx = circle_like()
-    triv = FilteredComplex.with_trivial_filtration(cx)
+    triv = with_trivial_filtration(cx)
     assert triv.width() == 0
-    gr0 = triv.graded_piece(0)
-    assert [gr0.dim(n) for n in cx.degrees()] == [2, 2]
-    bete = FilteredComplex.with_degree_filtration(cx)
+    # the one graded piece F^0/F^1 is the whole complex
+    assert [triv.F(0, n).dim - triv.F(1, n).dim for n in cx.degrees()] == [2, 2]
+    bete = with_degree_filtration(cx)
     for p in bete.levels():
-        gr = bete.graded_piece(p)
         for n in cx.degrees():
-            assert gr.dim(n) == (cx.dim(n) if n == p else 0)
+            graded = bete.F(p, n).dim - bete.F(p + 1, n).dim
+            assert graded == (cx.dim(n) if n == p else 0)
 
 
 def test_filtration_must_be_decreasing():

@@ -21,7 +21,14 @@ from specseq.fuzz import planted_filtered_complex, random_filtered_complex
 from specseq.linalg import Matrix, Subquotient, Subspace, image, preimage
 from specseq.spectral import Barcode, barcode, compare_differentials
 
-from conftest import acyclic_two_term, scaled_complex, scaled_complex_and_key, seeded
+from conftest import (
+    acyclic_two_term,
+    scaled_complex,
+    scaled_complex_and_key,
+    seeded,
+    with_degree_filtration,
+    with_trivial_filtration,
+)
 from oracles import naive_turn_cells
 
 
@@ -86,7 +93,7 @@ def zero_d_complex() -> CochainComplex:
 
 def test_zero_differential_first_page_is_graded_and_degenerate():
     cx = zero_d_complex()
-    fk = FilteredComplex.with_degree_filtration(cx)
+    fk = with_degree_filtration(cx)
     ss = SpectralSequence(fk)
     pg = ss.page(1)
     assert pg.dims() == {(0, 0): 2, (1, 0): 3, (2, 0): 1}
@@ -99,7 +106,7 @@ def test_degree_filtration_first_page_is_the_complex_itself():
     # Gr^p is K^p in degree p, so E_1^{p,0} = K^p and d_1 = d
     d0 = Matrix.from_rows([[1, -1], [0, 0]])
     cx = CochainComplex(0, 1, {0: 2, 1: 2}, {0: d0})
-    fk = FilteredComplex.with_degree_filtration(cx)
+    fk = with_degree_filtration(cx)
     pg = first_page(fk)
     assert pg.dims() == {(0, 0): 2, (1, 0): 2}
     assert pg.diff(0, 0).rank() == d0.rank()
@@ -110,7 +117,7 @@ def test_degree_filtration_first_page_is_the_complex_itself():
 
 def test_trivial_filtration_first_page_is_cohomology():
     cx = zero_d_complex()
-    fk = FilteredComplex.with_trivial_filtration(cx)
+    fk = with_trivial_filtration(cx)
     pg = first_page(fk)
     assert pg.dims() == {(0, q): cx.betti(q) for q in cx.degrees() if cx.betti(q)}
 
