@@ -22,6 +22,7 @@ from .linalg import (
     Q0,
     coefficient,
     json_int,
+    key_int,
     scalar_str,
     vec,
 )
@@ -242,10 +243,12 @@ class BigradedAlgebra:
         unit holds too, and is skipped. The pair (j, i) states the equation
         of (i, j), and once graded commutativity holds the triple (k, j, i)
         states that of (i, j, k), so only i <= j and i <= k are checked.
-        Failing cases come in such mirror pairs, the lesser one kept, so on
-        a failure the lexicographically least failing kept case is the
-        witness of the check over all pairs and triples in order. Sets
-        checked on success.
+        Failing cases come in such mirror pairs, the lesser one kept. By
+        graded commutativity (a, b, a) fails only with (a, a, b) and
+        (b, a, a), one of them lesser (a odd: e_a e_a = 0 and both defects
+        are multiples of e_a(e_a e_b); a even: it holds), so only i < k is
+        checked. On a failure the least failing kept case is the witness of
+        the check over all pairs and triples in order. Sets checked on success.
         """
         un, up, uq = self.basis[self.unit]
         if (up, uq) != (0, 0):
@@ -282,8 +285,8 @@ class BigradedAlgebra:
             if u in (a, b):
                 continue
             for c in tab:
-                triples.update((a, b, k) for k in right.get(c, ()) if a <= k and k != u)
-                triples.update((i, a, b) for i in left.get(c, ()) if i <= b and i != u)
+                triples.update((a, b, k) for k in right.get(c, ()) if a < k and k != u)
+                triples.update((i, a, b) for i in left.get(c, ()) if i < b and i != u)
         if not all(self.associates(*ijk) for ijk in triples):
             i, j, k = min(ijk for ijk in triples if not self.associates(*ijk))
             raise InvariantError(
@@ -329,9 +332,12 @@ class BigradedAlgebra:
         basis = []
         for t, entry in enumerate(basis_raw):
             try:
-                basis.append((str(entry["name"]), json_int(entry["p"]), json_int(entry["q"])))
+                name, p, q = entry["name"], json_int(entry["p"]), json_int(entry["q"])
             except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad basis entry at index {t}", location="basis") from exc
+            if not isinstance(name, str):
+                raise ParseError(f"basis name at index {t} must be a string", location="basis")
+            basis.append((name, p, q))
         unit = data.get("unit")
         if isinstance(unit, bool) or not isinstance(unit, int) or not (0 <= unit < len(basis)):
             raise ParseError("unit must be a basis index", location="unit")
@@ -495,6 +501,8 @@ class Derivation:
 
     @staticmethod
     def from_json(alg: BigradedAlgebra, data: dict, check: bool = True) -> "Derivation":
+        if not isinstance(data, dict):
+            raise ParseError("derivation must be an object", location="derivation")
         bid_raw = data.get("bidegree")
         if not (
             isinstance(bid_raw, list)
@@ -518,7 +526,7 @@ class Derivation:
 def _basis_index(key: str, dim: int, what: str, location: str) -> int:
     """A basis index read from a JSON key, checked to lie in [0, dim)."""
     try:
-        i = int(key)
+        i = key_int(key)
     except ValueError as exc:
         raise ParseError(f"bad basis index {key!r} in {what}", location=location) from exc
     if not 0 <= i < dim:

@@ -19,6 +19,7 @@ from .linalg import (
     image,
     json_int,
     kernel,
+    key_int,
     preimage,
     scalar_str,
 )
@@ -110,7 +111,7 @@ class CochainComplex:
         if not isinstance(dims_raw, dict):
             raise ParseError("dims must be an object", location="dims")
         try:
-            dims = {int(k): json_int(v) for k, v in dims_raw.items()}
+            dims = {key_int(k): json_int(v) for k, v in dims_raw.items()}
         except (TypeError, ValueError) as exc:
             raise ParseError("dims keys and values must be integers", location="dims") from exc
         for k, v in dims_raw.items():
@@ -126,7 +127,7 @@ class CochainComplex:
             raise ParseError("d must be an object", location="d")
         for k, matdata in d_raw.items():
             try:
-                n = int(k)
+                n = key_int(k)
             except ValueError as exc:
                 raise ParseError(f"bad degree key {k!r}", location="d") from exc
             if not lo <= n < hi:
@@ -394,7 +395,7 @@ class FilteredComplex:
         read: dict[tuple[int, str], Subspace] = {}
         for pk, by_degree in filt_raw.items():
             try:
-                p = int(pk)
+                p = key_int(pk)
             except ValueError as exc:
                 raise ParseError(f"bad level key {pk!r}", location="filtration") from exc
             if not isinstance(by_degree, dict):
@@ -402,7 +403,7 @@ class FilteredComplex:
             levels[p] = {}
             for nk, basis in by_degree.items():
                 try:
-                    n = int(nk)
+                    n = key_int(nk)
                 except ValueError as exc:
                     raise ParseError(f"bad degree key {nk!r}", location="filtration") from exc
                 where = f"filtration.{pk}.{nk}"

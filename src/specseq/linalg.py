@@ -99,6 +99,13 @@ def json_int(value) -> int:
     return value
 
 
+def key_int(key: str) -> int:
+    """int(key) for a key spelled as str() spells it (not " 0", "+0", "0_0"), else ValueError."""
+    if str(value := int(key)) != key:
+        raise ValueError(f"not a canonical integer key: {key!r}")
+    return value
+
+
 def _scalars(data, memo: dict[str, Fraction]) -> tuple[tuple[Fraction, ...], ...]:
     """scalar() of each entry of a list of JSON rows, row by row.
 

@@ -315,6 +315,8 @@ class ObstructionDatum:
     @staticmethod
     def from_json(model: VarietyModel, data: dict) -> "ObstructionDatum":
         alg = model.pa.A
+        if not isinstance(data, dict):
+            raise ParseError("datum must be an object", location="datum")
         scale = _scale(data.get("scale", "1"))
         images_raw = data.get("images", {})
         if not isinstance(images_raw, dict):

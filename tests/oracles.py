@@ -203,6 +203,23 @@ def naive_turn_cells(page) -> dict:
     return out
 
 
+def twisted_primitive_gram(pa, a: int, b: int) -> tuple[list[list], int]:
+    """The Gram of (gamma, beta) -> integral(omega^{n-a-b} gamma beta) on
+    H0^{a,b} x H0^{b,a}: its rows, one per primitive basis element of
+    (a, b), and its column count, dim H0^{b,a}.
+
+    `pa` is read only through its primitive bases, omega powers, products
+    and integral. PolarizedAlgebra.validate proves these pairings
+    nondegenerate instead of building them; the tests build them here.
+    """
+    betas = pa.primitive_elements(b, a)
+    rows = [
+        [pa.integral_of(pa.L(g, pa.n - a - b) * beta) for beta in betas]
+        for g in pa.primitive_elements(a, b)
+    ]
+    return rows, len(betas)
+
+
 # brute-force graded-commutative monomial calculus
 
 

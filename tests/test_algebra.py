@@ -475,6 +475,25 @@ class TestValidateRejects:
         assert outcome(alg.validate) == expected
         assert not alg.checked
 
+    @pytest.mark.parametrize(
+        "order, expected", [("ab", ["a", "a", "b"]), ("ba", ["b", "a", "a"])],
+        ids=["odd-first", "odd-last"],
+    )
+    def test_a_failing_self_mirrored_triple_keeps_the_full_witness(self, order, expected):
+        # a is odd, a a = 0 and (a b) a = d = -a (b a): the self-mirrored (a, b, a),
+        # which validate does not check, fails, and so do (a, a, b) and (b, a, a),
+        # the lesser of which is the witness
+        cell = {"a": (0, 1), "b": (1, 0)}
+        basis = [("1", 0, 0), *((nm, *cell[nm]) for nm in order), ("c", 1, 1), ("d", 1, 2)]
+        a, b = order.index("a") + 1, order.index("b") + 1
+        products = {
+            **unit_products(5), (a, b): {3: 1}, (b, a): {3: -1}, (3, a): {4: 1}, (a, 3): {4: 1},
+        }
+        alg = BigradedAlgebra(2, basis, 0, products, check=False)
+        assert not alg.associates(a, b, a)
+        assert outcome(lambda: dense_validate(alg)) == ("associativity fails", expected)
+        assert outcome(alg.validate) == ("associativity fails", expected)
+
 
 def test_derivation_images_are_private_and_read_only(torus2):
     from specseq import degeneration_certify

@@ -1,5 +1,7 @@
 """End-to-end CLI coverage: shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from specseq import build_model
+from specseq import ObstructionDatum, build_model, d2_from_alpha
 from specseq.cli import main
 
 
@@ -754,6 +758,67 @@ def test_malformed_model_exits_3_at_its_key(capsys, tmp_path, torus2, mutate, lo
     assert out["location"] == location
 
 
+ONE_BY_ONE_LEVELS = ONE_BY_ONE["filtration"]
+
+
+# int() reads each of these keys as an integer key of the valid complex, so
+# two spellings of one key overwrote each other
+@pytest.mark.parametrize(
+    "patch, location, message",
+    [
+        ({"filtration": {"0_0": ONE_BY_ONE_LEVELS["0"], "1": ONE_BY_ONE_LEVELS["1"]}},
+         "filtration", "bad level key '0_0'"),
+        ({"filtration": {**ONE_BY_ONE_LEVELS, " 0": {"0": [], "1": []}}},
+         "filtration", "bad level key ' 0'"),
+        ({"filtration": {"0": {"+0": [["1"]], "1": [["1"]]}, "1": ONE_BY_ONE_LEVELS["1"]}},
+         "filtration", "bad degree key '+0'"),
+        ({"d": {"+0": [["1"]]}}, "d", "bad degree key '+0'"),
+        ({"dims": {"\u0660": 1, "1": 1}}, "dims", "dims keys and values must be integers"),
+    ],
+    ids=["level-underscore", "level-space", "filtration-degree-plus", "d-plus", "dims-arabic"],
+)
+def test_non_canonical_complex_key_exits_3(capsys, tmp_path, patch, location, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**ONE_BY_ONE, **patch}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
+@pytest.mark.parametrize(
+    "mutate, location, message",
+    [
+        (lambda b: _rekey(b["products"], "3,0", "3_0,0"), "products",
+         "bad basis index '3_0' in product '3_0,0'"),
+        (lambda b: _rekey(b["products"]["1,2"], _first_coeff_key(b), "+5"), "products",
+         "bad basis index '+5' in product '1,2'"),
+        (lambda b: _rekey(b["omega"], "6", "06"), "omega", "bad basis index '06' in omega"),
+        (lambda b: _rekey(b["integral"], "15", " 15"), "integral",
+         "bad basis index ' 15' in integral"),
+        (lambda b: b["derivation"].update(values={"+1": {}}), "values",
+         "bad basis index '+1' in values"),
+        (lambda b: b["basis"][1].update(name=5), "basis", "basis name at index 1 must be a string"),
+        (lambda b: b["basis"][1].update(name={"a": 1}), "basis",
+         "basis name at index 1 must be a string"),
+    ],
+    ids=[
+        "product-key", "coefficient-key", "omega-key", "integral-key", "derivation-key",
+        "name-int", "name-object",
+    ],
+)
+def test_non_canonical_model_key_or_name_exits_3(
+    capsys, tmp_path, torus2, mutate, location, message
+):
+    blob = torus2.to_json()
+    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
+    mutate(blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_json(capsys, ["certify", "--algebra", str(path)])
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
 def _one_cell_of_a_complementary_pair(blob):
     # eta1 moves to xi1's cell (0, 1), so the cell (1, 0) of its complement is empty
     blob["basis"][2].update(p=0, q=1)
@@ -807,3 +872,98 @@ def test_model_invariant_errors_exit_4_with_a_witness(
     code, out = run_json(capsys, ["ext-dims", "--model", str(path)])
     assert code == 4
     assert out == {"error": "invariant", "message": message, "witness": witness}
+
+
+# malformed JSON: random changes to a model, a derivation and a datum
+
+JSON_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.sampled_from([0.5, 1.0, -2.0]),
+    st.sampled_from(["", "1", "-1", "1/2", "x/0", "0_1", " 1", "+1", "\u0663", "xi1", "eta1"]),
+    st.text(max_size=3),
+)
+JSON_VALUE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+JSON_KEY = st.one_of(
+    st.sampled_from(["0", "1", "15", "16", "-1", "+1", " 1", "1_0", "01", "1,2", "2,1,", "xi1"]),
+    st.text(max_size=3),
+)
+
+
+def json_slots(doc) -> list:
+    """(container, key) for every value inside doc, in document order."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((doc, key))
+        out.extend(json_slots(value))
+    return out
+
+
+def mutated_json(doc, data):
+    """doc with one to three values replaced, deleted or re-keyed, the whole
+    document included."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        container, key = data.draw(st.sampled_from([(None, None), *json_slots(doc)]))
+        kind = data.draw(st.sampled_from(["replace", "delete", "rekey"]))
+        if container is None:
+            doc = data.draw(JSON_VALUE)
+        elif kind == "replace":
+            container[key] = data.draw(JSON_VALUE)
+        elif kind == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[data.draw(JSON_KEY)] = container.pop(key)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def malformed_inputs(tmp_path_factory):
+    model = build_model("torus", 2)
+    alpha = alpha_blob()
+    derivation = d2_from_alpha(ObstructionDatum.from_json(model, alpha)).to_json()
+    root = tmp_path_factory.mktemp("malformed")
+    (root / "pn1.json").write_text(json.dumps(build_model("pn", 1).to_json()))
+    docs = {
+        "model": {**model.to_json(), "derivation": derivation},
+        "derivation": derivation,
+        "alpha": alpha,
+    }
+    return root, docs
+
+
+MALFORMED_COMMANDS = (
+    ["certify", "--algebra", "{model}"],
+    ["certify", "--algebra", "{model}", "--derivation", "{derivation}"],
+    ["d2", "--model", "{model}", "--alpha", "{alpha}"],
+    ["ext-dims", "--model", "{model}"],
+    ["model", "product", "--a", "{model}", "--b", "{pn1}"],
+)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_model_json_exits_with_one_json_object(malformed_inputs, data):
+    root, docs = malformed_inputs
+    target = data.draw(st.sampled_from(sorted(docs)))
+    docs = {**docs, target: mutated_json(docs[target], data)}
+    paths = {"pn1": root / "pn1.json"}
+    for name, doc in docs.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in data.draw(st.sampled_from(MALFORMED_COMMANDS))]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    event(f"exit {code}")
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    assert code in (0, 2, 3, 4, 5)
+    assert report.get("error") == {3: "parse", 4: "invariant", 5: "engine"}.get(code)

@@ -7,8 +7,9 @@ where the filtration already gives them, no recomputation of a page cell,
 numerator or denominator that d_r leaves alone, no solve for a zero image,
 no matrix built for a cell with none and no zero differential stored,
 one product omega * e_i per basis element of a polarized algebra, and each
-algebra and polarization fact checked once: no unit or mirror cases in
-algebra validation, no empty or mirror twisted pairings."""
+algebra and polarization fact checked once: no unit, mirror or
+self-mirrored cases in algebra validation, and no twisted pairing, which
+hard Lefschetz and Poincare duality already make nondegenerate."""
 
 import json
 from fractions import Fraction
@@ -475,9 +476,9 @@ def candidate_triples(alg) -> set:
     "model, candidates, kept",
     [
         (lambda: build_model("torus", 2), 256, 30),
-        (lambda: build_model("pn", 8), 165, 34),
+        (lambda: build_model("pn", 8), 165, 22),
         (lambda: build_model("product", a=build_model("torus", 1), b=build_model("pn", 2)),
-         160, 18),
+         160, 15),
     ],
     ids=["torus2", "pn8", "torus1xpn2"],
 )
@@ -491,27 +492,51 @@ def test_validate_checks_each_associativity_fact_once(monkeypatch, model, candid
     unchecked.validate()
     assert unchecked.checked
     # each candidate once, none holding the unit, and of (i, j, k) and
-    # (k, j, i) only i <= k
+    # (k, j, i) only i < k: a self-mirrored (i, j, i) fails only with a lesser triple
     full = candidate_triples(alg)
     assert len(full) == candidates
     visited = sorted(ijk for _, *ijk in triples)
     assert len(visited) == kept
-    assert visited == sorted([i, j, k] for i, j, k in full if i <= k and alg.unit not in (i, j, k))
+    assert visited == sorted([i, j, k] for i, j, k in full if i < k and alg.unit not in (i, j, k))
 
 
-@pytest.mark.parametrize("kind, n, grams", [("torus", 2, 4), ("pn", 8, 5)])
-def test_polarization_builds_one_twisted_gram_per_mirror_pair(monkeypatch, kind, n, grams):
+@pytest.mark.parametrize("kind, n", [("torus", 2), ("pn", 8)])
+def test_polarization_builds_no_twisted_gram(monkeypatch, kind, n):
     from specseq import BigradedAlgebra, PolarizedAlgebra
 
     pa = build_model(kind, n).pa
-    twisted = count_calls(monkeypatch, PolarizedAlgebra, "twisted_primitive_gram")
+    cells = count_calls(monkeypatch, PolarizedAlgebra, "primitive_cell")
+    integrals = count_calls(monkeypatch, PolarizedAlgebra, "integral_of")
     validations = count_calls(monkeypatch, BigradedAlgebra, "validate")
     PolarizedAlgebra(pa.A, pa.omega, pa.integral)
-    # a <= b only, and no pair of two empty cells
-    assert len(twisted) == grams
-    assert all(a <= b for _, a, b in twisted)
+    # a twisted Gram reads the primitive cells and integrates each entry
+    assert cells == [] and integrals == []
     # the algebra was validated when it was built
     assert validations == []
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["ext-dims", "--model", "{model}"], False),
+        (["d2", "--model", "{model}"], False),
+        (["model", "product", "--a", "{model}", "--b", "{model}"], False),
+        (["certify", "--algebra", "{model}", "--derivation", "{zero}"], True),
+    ],
+    ids=["ext-dims", "d2", "product", "certify"],
+)
+def test_only_the_certifier_builds_primitive_cells(
+    monkeypatch, capsys, tmp_path, torus1, argv, builds
+):
+    from specseq import PolarizedAlgebra
+
+    paths = {"model": tmp_path / "model.json", "zero": tmp_path / "zero.json"}
+    paths["model"].write_text(json.dumps(torus1.to_json()))
+    paths["zero"].write_text(json.dumps({"bidegree": [2, -1], "values": {}}))
+    cells = count_calls(monkeypatch, PolarizedAlgebra, "primitive_cell")
+    assert main([a.format(**paths) for a in argv]) == 0
+    capsys.readouterr()
+    assert bool(cells) == builds
 
 
 def test_polarization_validates_an_unchecked_algebra_first(torus2):

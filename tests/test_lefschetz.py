@@ -24,6 +24,7 @@ from specseq import (
     verify_hard_lefschetz,
 )
 from specseq.linalg import Q1, pairing_rank
+from oracles import naive_rank, twisted_primitive_gram
 from test_algebra import (
     COMMUTATIVE_MUTATIONS,
     dense_validate,
@@ -268,10 +269,15 @@ def full_polarized_validate(pa):
     """The polarization check over every cell and every twisted pair, after the
     dense algebra check.
 
-    The route PolarizedAlgebra.validate took before it skipped mirror and
-    empty pairings; kept here as its oracle.
+    PolarizedAlgebra.validate skips the mirror cells and the twisted
+    pairings, which its docstring proves nondegenerate; this is its oracle.
     """
     dense_validate(pa.A)
+    polarization_checks(pa)
+
+
+def polarization_checks(pa):
+    """full_polarized_validate past the algebra check."""
     bad = pa.hard_lefschetz_failure()
     if bad is not None:
         raise InvariantError(f"hard Lefschetz fails at power {bad}", witness=bad)
@@ -287,13 +293,12 @@ def full_polarized_validate(pa):
             raise InvariantError(f"Poincare pairing degenerates on cell {(p, q)}", witness=[p, q])
     for a in range(0, n + 1):
         for b in range(0, n + 1 - a):
-            gram = pa.twisted_primitive_gram(a, b)
-            if gram.rows != gram.cols:
+            rows, cols = twisted_primitive_gram(pa, a, b)
+            if len(rows) != cols:
                 raise InvariantError(
                     f"twisted primitive pairing on {(a, b)} is not square", witness=[a, b]
                 )
-            _, nondeg = pairing_rank(gram)
-            if not nondeg:
+            if naive_rank(rows) != cols:
                 raise InvariantError(
                     f"twisted primitive pairing degenerates on {(a, b)}", witness=[a, b]
                 )
@@ -366,3 +371,54 @@ def test_poincare_failure_past_the_first_cell_keeps_the_full_witness(torus1):
     expected = ("Poincare pairing degenerates on cell (0, 1)", [0, 1])
     assert outcome(lambda: full_polarized_validate(pa)) == expected
     assert outcome(pa.validate) == expected
+
+
+def product_of(a, b):
+    return lambda: build_model("product", a=build_model(*a), b=build_model(*b))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *(lambda n=n: build_model("torus", n) for n in range(1, 5)),
+        *(lambda n=n: build_model("pn", n) for n in range(1, 9)),
+        *(product_of(("torus", 1), ("pn", n)) for n in (2, 4, 8)),
+        product_of(("pn", 3), ("torus", 1)),
+    ],
+    ids=[
+        *(f"torus{n}" for n in range(1, 5)), *(f"pn{n}" for n in range(1, 9)),
+        *(f"torus1xpn{n}" for n in (2, 4, 8)), "pn3xtorus1",
+    ],
+)
+def test_every_twisted_gram_of_a_model_is_square_and_nondegenerate(model):
+    # what PolarizedAlgebra.validate proves from hard Lefschetz and Poincare
+    # duality, computed on each model
+    pa = model().pa
+    for a in range(pa.n + 1):
+        for b in range(pa.n + 1 - a):
+            rows, cols = twisted_primitive_gram(pa, a, b)
+            assert len(rows) == cols
+            assert naive_rank(rows) == cols
+
+
+COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), -3])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_twisted_pairings_never_fail_past_hard_lefschetz_and_poincare(polarized_models, data):
+    # a new omega in the (1, 1) cell or a new integral on the top cell keeps
+    # the model's valid algebra, so every example reaches hard Lefschetz and
+    # Poincare, and the full check needs no algebra check
+    pa = polarized_models[data.draw(st.sampled_from(sorted(polarized_models)))].pa
+    alg, omega, integral = pa.A, pa.omega, pa.integral
+    if data.draw(st.booleans()):
+        omega = alg.from_coeffs({i: data.draw(COEFFS) for i in alg.cell_indices(1, 1)})
+    else:
+        integral = {i: data.draw(COEFFS) for i in alg.cell_indices(alg.n, alg.n)}
+    expected = outcome(
+        lambda: polarization_checks(PolarizedAlgebra(alg, omega, integral, check=False))
+    )
+    event(failing_check(expected))
+    assert failing_check(expected) in ("valid", "hard Lefschetz", "Poincare")
+    assert outcome(PolarizedAlgebra(alg, omega, integral, check=False).validate) == expected
