@@ -42,11 +42,21 @@ from .spectral import (
 )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a key given twice is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        first = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"repeated key {first!r}")
+    return obj
+
+
 def _load_json(path: str) -> dict:
     """The JSON document in a file; any read or decode failure is a ParseError at path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ParseError("no such file", location=path) from exc
     except OSError as exc:

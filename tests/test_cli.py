@@ -294,6 +294,37 @@ class TestErrors:
         assert code == 3
         assert "invalid JSON" in out["message"]
 
+    @pytest.mark.parametrize("command", ["compute", "oracle", "decalage"])
+    def test_repeated_filtration_level_exits_3_at_the_path(
+        self, capsys, tmp_path, acyclic_fk, command
+    ):
+        blob = json.dumps(acyclic_fk.to_json())
+        # level 1 given twice; without the check the second would win unseen
+        level = '"1": {"0": [[]], "1": [["1"]]}'
+        assert blob.count(level) == 1
+        path = tmp_path / "repeated.json"
+        path.write_text(blob.replace(level, f'"1": {{"0": [["1"]], "1": [["1"]]}}, {level}'))
+        code, out = run_json(capsys, [command, "--input", str(path)])
+        assert code == 3
+        assert out == {
+            "error": "parse",
+            "message": f"{path}: invalid JSON: repeated key '1'",
+            "location": str(path),
+        }
+
+    def test_repeated_integral_key_exits_3_at_the_path(self, capsys, tmp_path, torus1):
+        blob = json.dumps(torus1.to_json())
+        assert blob.count('"integral": {"3": "1"}') == 1
+        path = tmp_path / "torus1.json"
+        path.write_text(blob.replace('"integral": {"3": "1"}', '"integral": {"3": "5", "3": "1"}'))
+        code, out = run_json(capsys, ["ext-dims", "--model", str(path)])
+        assert code == 3
+        assert out == {
+            "error": "parse",
+            "message": f"{path}: invalid JSON: repeated key '3'",
+            "location": str(path),
+        }
+
     @pytest.mark.parametrize(
         "case",
         ["directory", "not-utf8", "not-utf8-algebra", "deeply-nested", "long-integer",
@@ -874,7 +905,7 @@ def test_model_invariant_errors_exit_4_with_a_witness(
     assert out == {"error": "invariant", "message": message, "witness": witness}
 
 
-# malformed JSON: random changes to a model, a derivation and a datum
+# malformed JSON: random changes to a model, a derivation, a datum and a complex
 
 JSON_LEAF = st.one_of(
     st.none(),
@@ -949,17 +980,16 @@ MALFORMED_COMMANDS = (
 )
 
 
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_malformed_model_json_exits_with_one_json_object(malformed_inputs, data):
-    root, docs = malformed_inputs
+def run_mutated(root, docs, paths, commands, data):
+    """Mutate one of docs, write them all under root and run one of commands
+    on them: the exit is a documented code with one JSON object on stdout."""
     target = data.draw(st.sampled_from(sorted(docs)))
     docs = {**docs, target: mutated_json(docs[target], data)}
-    paths = {"pn1": root / "pn1.json"}
+    paths = dict(paths)
     for name, doc in docs.items():
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    argv = [a.format(**paths) for a in data.draw(st.sampled_from(MALFORMED_COMMANDS))]
+    argv = [a.format(**paths) for a in data.draw(st.sampled_from(commands))]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
     event(f"exit {code}")
@@ -967,3 +997,36 @@ def test_malformed_model_json_exits_with_one_json_object(malformed_inputs, data)
     assert isinstance(report, dict)
     assert code in (0, 2, 3, 4, 5)
     assert report.get("error") == {3: "parse", 4: "invariant", 5: "engine"}.get(code)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_model_json_exits_with_one_json_object(malformed_inputs, data):
+    root, docs = malformed_inputs
+    run_mutated(root, docs, {"pn1": root / "pn1.json"}, MALFORMED_COMMANDS, data)
+
+
+MALFORMED_COMPLEX_COMMANDS = (
+    ["compute", "--input", "{complex}"],
+    ["compute", "--input", "{complex}", "--with-maps"],
+    ["oracle", "--input", "{complex}"],
+    ["decalage", "--input", "{complex}"],
+)
+
+
+@pytest.fixture(scope="module")
+def malformed_complex(tmp_path_factory):
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    # d_1 and d_2 are nonzero here, so every command has pages to turn
+    doc = random_filtered_complex(random.Random(0)).to_json()
+    return tmp_path_factory.mktemp("malformed-complex"), {"complex": doc}
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_malformed_complex_json_exits_with_one_json_object(malformed_complex, data):
+    root, docs = malformed_complex
+    run_mutated(root, docs, {}, MALFORMED_COMPLEX_COMMANDS, data)

@@ -1,5 +1,6 @@
 """Each object is computed once: one spectral sequence per filtered complex,
-one barcode per filtered complex, and no page for page dimensions alone,
+one barcode per filtered complex, and no page for page dimensions alone
+(dims-only compute and the decalage check read barcodes),
 one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
 cycles reduction per clamped pair of levels and degree, no cycles computed
@@ -45,12 +46,12 @@ def test_pages_are_kept_on_the_complex():
 
 
 @pytest.mark.parametrize("index", range(4))
-def test_fuzz_complex_case_builds_two_first_pages(monkeypatch, index):
+def test_fuzz_complex_case_builds_one_first_page(monkeypatch, index):
     firsts = count_calls(monkeypatch, sp, "first_page")
     result = _fuzz_complex_case(0, index)
     assert result["ok"], result
-    # the original complex and its decalage
-    assert len(firsts) == 2
+    # the original complex's; the decalage check reads barcodes
+    assert len(firsts) == 1
 
 
 def test_compute_builds_each_page_once(monkeypatch, capsys, tmp_path):
@@ -79,7 +80,26 @@ def test_reports_share_the_pages(monkeypatch):
     sp.compare_differentials(fk, 2)
     sp.decalage_renumbering_report(fk)
     assert firsts[0][0] is fk
-    assert len(firsts) == 2
+    assert len(firsts) == 1
+
+
+def test_decalage_builds_no_page_and_two_barcodes(monkeypatch, capsys, tmp_path):
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(0))
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(fk.to_json()))
+    firsts = count_calls(monkeypatch, sp, "first_page")
+    turns = count_calls(monkeypatch, sp, "turn_page")
+    bars = count_calls(monkeypatch, sp, "barcode")
+    assert main(["decalage", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["table"]["1"]
+    assert firsts == [] and turns == []
+    # one of the complex and one of its decalage
+    assert len(bars) == 2
+    assert bars[0][0] is not bars[1][0]
 
 
 @pytest.mark.parametrize("datum", [{"images": {}}, {"images": {"xi1": {"eta1eta2": "1"}}}])

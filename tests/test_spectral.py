@@ -209,6 +209,9 @@ def test_fuzzed_decalage_renumbering(seed):
     fk = random_filtered_complex(seeded("dec", seed))
     report = decalage_renumbering_report(fk, max_page=3)
     assert report["ok"], report["mismatches"]
+    # the report reads barcodes, so the turned pages of Dec F are checked here
+    dec = oracle_report(decalage(fk))
+    assert dec["ok"], dec["mismatches"]
 
 
 def test_decalage_of_micro_example_shifts_the_page():
