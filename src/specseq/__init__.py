@@ -8,12 +8,9 @@ model builders (models).
 
 from .algebra import (
     BigradedAlgebra,
-    ComplexPairing,
     Derivation,
     Element,
-    SSPairing,
     derivation_extend,
-    induced_pairing,
     verify_leibniz,
 )
 from .errors import (
@@ -72,7 +69,6 @@ __all__ = [
     "CertStep",
     "Certificate",
     "CochainComplex",
-    "ComplexPairing",
     "ContainmentError",
     "Derivation",
     "Element",
@@ -87,7 +83,6 @@ __all__ = [
     "Page",
     "ParseError",
     "PolarizedAlgebra",
-    "SSPairing",
     "SpecSeqError",
     "SpectralSequence",
     "Subquotient",
@@ -106,7 +101,6 @@ __all__ = [
     "ext_dimensions",
     "first_page",
     "hom_space_dimension",
-    "induced_pairing",
     "lagrangian_e2_table",
     "lci_e2_table",
     "oracle_report",

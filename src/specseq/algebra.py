@@ -1,13 +1,11 @@
-"""Bigraded graded-commutative algebras, graded derivations, and pairings.
+"""Bigraded graded-commutative algebras and graded derivations.
 
 Algebras are finite dimensional over Q, given by structure constants on a
 named basis of bigraded cells (p, q) with 0 <= p+q <= 2n. The Koszul sign
 lives on the total degree p+q. Derivations carry a fixed bidegree and are
 verified against the Leibniz rule; derivation_extend produces the unique
 Leibniz extension of generator images (or reports the relation that breaks
-it). SSPairing couples three spectral sequences through a cochain-level
-product and pushes the pairing from page to page with explicit
-well-definedness checks.
+it).
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import ContainmentError, InvariantError, ParseError
-from .filtered import FilteredComplex
+from .errors import InvariantError, ParseError
 from .linalg import (
     Matrix,
     Q0,
@@ -26,7 +23,6 @@ from .linalg import (
     scalar_str,
     vec,
 )
-from .spectral import SpectralSequence
 
 
 class Element:
@@ -662,199 +658,3 @@ def derivation_extend(
                 )
             values[w] = image(x)
     return Derivation(alg, (a, b), values, check=True)
-
-
-class ComplexPairing:
-    """Cochain-level bilinear product mu: K' x K'' -> K of three filtered complexes.
-
-    tensors[(m, n)] is a tuple of Matrices, one per basis vector of K'^m, each
-    sending K''^n to K^{m+n}. Verifies the Leibniz rule against the three
-    differentials and compatibility with the filtrations.
-    """
-
-    def __init__(
-        self,
-        fk1: FilteredComplex,
-        fk2: FilteredComplex,
-        fk3: FilteredComplex,
-        tensors: dict[tuple[int, int], tuple[Matrix, ...]],
-        check: bool = True,
-    ):
-        self.fk1 = fk1
-        self.fk2 = fk2
-        self.fk3 = fk3
-        self.tensors = tensors
-        if check:
-            self.validate()
-
-    def mu(self, m: int, x, n: int, y) -> tuple[Fraction, ...]:
-        """Product of x in K'^m and y in K''^n, as a vector of K^{m+n}."""
-        mats = self.tensors.get((m, n))
-        out = [Q0] * self.fk3.cx.dim(m + n)
-        if mats is None:
-            return tuple(out)
-        x = vec(x)
-        y = vec(y)
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            img = mats[i].apply(y)
-            for k, v in enumerate(img):
-                out[k] += c * v
-        return tuple(out)
-
-    def validate(self):
-        cx1, cx2, cx3 = self.fk1.cx, self.fk2.cx, self.fk3.cx
-        for (m, n), mats in self.tensors.items():
-            if len(mats) != cx1.dim(m):
-                raise InvariantError(f"tensor at {(m, n)} needs one matrix per K'^{m} basis vector")
-            for mat in mats:
-                if (mat.rows, mat.cols) != (cx3.dim(m + n), cx2.dim(n)):
-                    raise InvariantError(f"tensor at {(m, n)} has the wrong shape")
-        for m in cx1.degrees():
-            xs = Matrix.identity(cx1.dim(m)).column_vectors()
-            for n in cx2.degrees():
-                d1, d2, d3 = cx1.diff(m), cx2.diff(n), cx3.diff(m + n)
-                s = -1 if m % 2 else 1
-                ys = Matrix.identity(cx2.dim(n)).column_vectors()
-                for i, x in enumerate(xs):
-                    for j, y in enumerate(ys):
-                        lhs = d3.apply(self.mu(m, x, n, y))
-                        t1 = self.mu(m + 1, d1.apply(x), n, y)
-                        t2 = self.mu(m, x, n + 1, d2.apply(y))
-                        rhs = tuple(u + s * v for u, v in zip(t1, t2))
-                        if lhs != rhs:
-                            raise InvariantError(
-                                "pairing is not compatible with the differentials",
-                                witness=[m, i, n, j],
-                            )
-        for m in cx1.degrees():
-            for n in cx2.degrees():
-                for p1 in range(self.fk1.p_lo, self.fk1.p_top):
-                    for p2 in range(self.fk2.p_lo, self.fk2.p_top):
-                        tgt = self.fk3.F(p1 + p2, m + n)
-                        for x in self.fk1.F(p1, m).basis_rows:
-                            for y in self.fk2.F(p2, n).basis_rows:
-                                if not tgt.contains_vector(self.mu(m, x, n, y)):
-                                    raise ContainmentError(
-                                        "pairing is not compatible with the filtrations",
-                                        witness=[p1, m, p2, n],
-                                    )
-
-
-class SSPairing:
-    """Pairing of three spectral sequences induced by a cochain-level product.
-
-    Page cells are subquotients of the original spaces, so the page-r pairing
-    multiplies complement representatives through mu and re-expresses the
-    result in the target cell. Containment checks make well-definedness
-    explicit at every page.
-    """
-
-    def __init__(self, cp: ComplexPairing):
-        self.cp = cp
-        self.ss1 = SpectralSequence(cp.fk1)
-        self.ss2 = SpectralSequence(cp.fk2)
-        self.ss3 = SpectralSequence(cp.fk3)
-
-    def pairing_at(
-        self, r: int, c1: tuple[int, int], c2: tuple[int, int]
-    ) -> list[Matrix]:
-        """Structure tensors of cup_r on E'_r^{c1} x E''_r^{c2} -> E_r^{c1+c2}.
-
-        Entry i is the matrix sending E''_r^{c2} coordinates to target cell
-        coordinates after multiplying by the ith complement vector of E'_r^{c1}.
-        Raises ContainmentError when the product is not well defined on cosets.
-        """
-        (p1, q1), (p2, q2) = c1, c2
-        m, n = p1 + q1, p2 + q2
-        src1 = self.ss1.page(r).cell(p1, q1)
-        src2 = self.ss2.page(r).cell(p2, q2)
-        tgt = self.ss3.page(r).cell(p1 + p2, q1 + q2)
-        for z1 in src1.Z.basis_rows:
-            for z2 in src2.Z.basis_rows:
-                if not tgt.Z.contains_vector(self.cp.mu(m, z1, n, z2)):
-                    raise ContainmentError(
-                        f"cup of cycles escapes the target cycles at page {r}",
-                        witness=[list(c1), list(c2)],
-                    )
-        for z1 in src1.Z.basis_rows:
-            for b2 in src2.B.basis_rows:
-                if not tgt.B.contains_vector(self.cp.mu(m, z1, n, b2)):
-                    raise ContainmentError(
-                        f"cup of a cycle and a boundary escapes the target boundaries at page {r}",
-                        witness=[list(c1), list(c2)],
-                    )
-        for b1 in src1.B.basis_rows:
-            for z2 in src2.Z.basis_rows:
-                if not tgt.B.contains_vector(self.cp.mu(m, b1, n, z2)):
-                    raise ContainmentError(
-                        f"cup of a boundary and a cycle escapes the target boundaries at page {r}",
-                        witness=[list(c1), list(c2)],
-                    )
-        out = []
-        for w1 in src1.complement:
-            cols = [
-                tgt.coset_coords(self.cp.mu(m, w1, n, w2)) for w2 in src2.complement
-            ]
-            out.append(Matrix.from_cols(cols, rows=tgt.dim))
-        return out
-
-    def support_pairs(self, r: int):
-        pg1 = self.ss1.page(r)
-        pg2 = self.ss2.page(r)
-        for c1 in pg1.support:
-            if pg1.cell(*c1).dim == 0:
-                continue
-            for c2 in pg2.support:
-                if pg2.cell(*c2).dim == 0:
-                    continue
-                yield c1, c2
-
-    def verify_page_leibniz(self, r: int) -> tuple[bool, list | None]:
-        """d_r(x cup y) = d_r(x) cup y + (-1)^{m} x cup d_r(y) in page coordinates."""
-        pg1, pg2, pg3 = self.ss1.page(r), self.ss2.page(r), self.ss3.page(r)
-        for c1, c2 in self.support_pairs(r):
-            (p1, q1), (p2, q2) = c1, c2
-            m = p1 + q1
-            s = -1 if m % 2 else 1
-            cell1 = pg1.cell(*c1)
-            cell2 = pg2.cell(*c2)
-            cup = self.pairing_at(r, c1, c2)
-            cup_dx = self.pairing_at(r, (p1 + r, q1 - r + 1), c2)
-            cup_xdy = self.pairing_at(r, c1, (p2 + r, q2 - r + 1))
-            d1 = pg1.diff(*c1)
-            d2 = pg2.diff(*c2)
-            d3 = pg3.diff(p1 + p2, q1 + q2)
-            tgt = pg3.cell(p1 + p2 + r, q1 + q2 - r + 1)
-            ycols = Matrix.identity(cell2.dim).column_vectors()
-            for i in range(cell1.dim):
-                for j, ycol in enumerate(ycols):
-                    lhs = d3.apply(cup[i].col(j))
-                    t1 = [Q0] * tgt.dim
-                    for k, c in enumerate(d1.col(i)):
-                        if c != 0:
-                            for t, v in enumerate(cup_dx[k].apply(ycol)):
-                                t1[t] += c * v
-                    t2 = cup_xdy[i].apply(d2.col(j))
-                    rhs = tuple(u + s * v for u, v in zip(t1, t2))
-                    if lhs != rhs:
-                        return False, [r, list(c1), list(c2), i, j]
-        return True, None
-
-
-def induced_pairing(ssp: SSPairing, r: int) -> dict:
-    """The page-(r+1) pairing induced by the page-r pairing.
-
-    Verifies Leibniz compatibility at page r first, then assembles the
-    well-defined tensors on page r+1. Returns {(c1, c2): [Matrix, ...]}.
-    """
-    ok, witness = ssp.verify_page_leibniz(r)
-    if not ok:
-        raise InvariantError(
-            f"page-{r} pairing is not compatible with d_{r}", witness=witness
-        )
-    out = {}
-    for c1, c2 in ssp.support_pairs(r + 1):
-        out[(c1, c2)] = ssp.pairing_at(r + 1, c1, c2)
-    return out

@@ -684,15 +684,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         return all(self._holds(_row_ints(row, self.ambient_dim)) for row in other.tails)
 
-    def coords(self, v: Sequence) -> Vector:
-        """Coefficients of v over the canonical basis; errors if v is outside."""
-        w = vec(v)
-        rest, den = _cleared(w)
-        cs = _eliminate(rest, den, self.tails)[0]
-        if any(rest):
-            raise ContainmentError("vector outside subspace", witness=list(map(str, w)))
-        return tuple(_q(c, d) if c else Q0 for c, d in cs)
-
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise InvariantError("subspace sum across different ambient spaces")

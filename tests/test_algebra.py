@@ -1,4 +1,4 @@
-"""Bigraded algebras, derivations, pairings vs the monomial oracle."""
+"""Bigraded algebras and derivations vs the monomial oracle."""
 
 from fractions import Fraction
 
@@ -10,21 +10,15 @@ from oracles import el_add, el_mul, el_scale, monomial_derivative, sort_monomial
 from specseq import algebra as algebra_module
 from specseq import (
     BigradedAlgebra,
-    ComplexPairing,
     Derivation,
-    CochainComplex,
     InvariantError,
     ObstructionDatum,
-    SSPairing,
     build_model,
     d2_from_alpha,
     derivation_extend,
-    induced_pairing,
     verify_leibniz,
 )
-from specseq.linalg import Matrix, Q1
-
-from conftest import with_trivial_filtration
+from specseq.linalg import Q1
 
 
 def torus_words(n):
@@ -283,88 +277,6 @@ class TestDerivation:
         d2 = Derivation.from_json(torus2.pa.A, blob)
         assert d2.values == d.values
         assert d2.bidegree == d.bidegree
-
-
-def de_rham_pairing(model):
-    """Self-pairing of the zero-differential complex built from the algebra."""
-    alg = model.pa.A
-    degs = sorted({p + q for (p, q) in alg.cells})
-    dims = {m: len(alg.degree_indices(m)) for m in range(degs[0], degs[-1] + 1)}
-    cx = CochainComplex(degs[0], degs[-1], dims, {})
-    fk = with_trivial_filtration(cx)
-    pos = {
-        m: {k: t for t, k in enumerate(alg.degree_indices(m))}
-        for m in dims
-    }
-    tensors = {}
-    for m in dims:
-        for n in dims:
-            if m + n not in dims or not dims[m] or not dims[n]:
-                continue
-            mats = []
-            for i in alg.degree_indices(m):
-                cols = []
-                for j in alg.degree_indices(n):
-                    out = [Fraction(0)] * dims[m + n]
-                    for k, c in alg.product_indices(i, j).items():
-                        out[pos[m + n][k]] = c
-                    cols.append(tuple(out))
-                mats.append(Matrix.from_cols(cols, rows=dims[m + n]))
-            tensors[(m, n)] = tuple(mats)
-    return fk, ComplexPairing(fk, fk, fk, tensors)
-
-
-def test_de_rham_cup_products_match_wedge(torus2):
-    fk, cp = de_rham_pairing(torus2)
-    ssp = SSPairing(cp)
-    ok, witness = ssp.verify_page_leibniz(1)
-    assert ok, witness
-    alg = torus2.pa.A
-    # trivial filtration puts H^m in cell (0, m); cup there is the wedge table
-    for (m, n) in [(1, 1), (1, 2), (2, 2)]:
-        mats = ssp.pairing_at(1, (0, m), (0, n))
-        rows_idx = alg.degree_indices(m)
-        for t, i in enumerate(rows_idx):
-            expect_cols = []
-            for j in alg.degree_indices(n):
-                out = [Fraction(0)] * len(alg.degree_indices(m + n))
-                pos = {k: s for s, k in enumerate(alg.degree_indices(m + n))}
-                for k, c in alg.product_indices(i, j).items():
-                    out[pos[k]] = c
-                expect_cols.append(tuple(out))
-            assert mats[t] == Matrix.from_cols(
-                expect_cols, rows=len(alg.degree_indices(m + n))
-            )
-
-
-def test_induced_pairing_carries_to_later_pages(torus2):
-    fk, cp = de_rham_pairing(torus2)
-    ssp = SSPairing(cp)
-    nxt = induced_pairing(ssp, 1)
-    # zero differentials: page 2 pairing has the same structure constants
-    for key, mats in nxt.items():
-        c1, c2 = key
-        assert mats == ssp.pairing_at(1, c1, c2)
-
-
-def test_pairing_rejects_leibniz_violation(acyclic_fk):
-    fk = acyclic_fk
-    one = Matrix.from_rows([[1]])
-    tensors = {(0, 0): (one,)}
-    with pytest.raises(InvariantError):
-        ComplexPairing(fk, fk, fk, tensors)
-
-
-def test_pairing_zero_tensors_always_valid(acyclic_fk):
-    fk = acyclic_fk
-    cp = ComplexPairing(fk, fk, fk, {})
-    ssp = SSPairing(cp)
-    for r in (1, 2):
-        ok, witness = ssp.verify_page_leibniz(r)
-        assert ok, witness
-    for (c1, c2) in ssp.support_pairs(2):
-        for mat in ssp.pairing_at(2, c1, c2):
-            assert mat.is_zero()
 
 
 def unit_products(dim):

@@ -4,6 +4,7 @@ Every module under src/specseq imports only standard-library modules,
 itself, or its own modules by relative import. The package also holds
 nothing that nothing reads: every private function has a caller in the
 package, and no module but __init__.py imports a name it does not use.
+The multiplicative layer (algebra.py) sits on errors and linalg alone.
 """
 
 import ast
@@ -36,6 +37,23 @@ def test_src_imports_only_the_standard_library():
         for path in files
     }
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The sibling modules a module imports by relative import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_algebra_imports_only_errors_and_linalg():
+    path = SRC / "algebra.py"
+    assert package_imports(ast.parse(path.read_text(), str(path))) - {"errors", "linalg"} == set()
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
