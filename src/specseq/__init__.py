@@ -27,8 +27,6 @@ from .lefschetz import (
     PolarizedAlgebra,
     degeneration_certify,
     deligne_vanishing,
-    hom_space_dimension,
-    primitive_subspaces,
     serre_sign_check,
     split_differential,
     verify_hard_lefschetz,
@@ -36,7 +34,6 @@ from .lefschetz import (
 from .linalg import Matrix, Subquotient, Subspace, pairing_rank
 from .models import (
     HodgeDiamond,
-    LciTable,
     ObstructionDatum,
     VarietyModel,
     build_model,
@@ -44,7 +41,6 @@ from .models import (
     d2_from_alpha,
     ext_dimensions,
     lagrangian_e2_table,
-    lci_e2_table,
     tensor_model,
 )
 from .spectral import (
@@ -77,7 +73,6 @@ __all__ = [
     "Filtration",
     "HodgeDiamond",
     "InvariantError",
-    "LciTable",
     "Matrix",
     "ObstructionDatum",
     "Page",
@@ -100,13 +95,10 @@ __all__ = [
     "e_infinity_compare",
     "ext_dimensions",
     "first_page",
-    "hom_space_dimension",
     "lagrangian_e2_table",
-    "lci_e2_table",
     "oracle_report",
     "page_direct",
     "pairing_rank",
-    "primitive_subspaces",
     "serre_sign_check",
     "split_differential",
     "tensor_model",

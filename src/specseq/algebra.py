@@ -317,7 +317,7 @@ class BigradedAlgebra:
         }
 
     @staticmethod
-    def from_json(data: dict, check: bool = True) -> "BigradedAlgebra":
+    def from_json(data: dict) -> "BigradedAlgebra":
         try:
             n = json_int(data["n"])
         except (KeyError, TypeError) as exc:
@@ -350,7 +350,7 @@ class BigradedAlgebra:
                 raise ParseError(f"{what} must be an object", location="products")
             i, j = (_basis_index(s, len(basis), what, "products") for s in parts)
             products[(i, j)] = coeffs_from_json(tab, len(basis), what, "products")
-        return BigradedAlgebra(n, basis, unit, products, check=check)
+        return BigradedAlgebra(n, basis, unit, products)
 
 
 class Derivation:
@@ -496,7 +496,7 @@ class Derivation:
         }
 
     @staticmethod
-    def from_json(alg: BigradedAlgebra, data: dict, check: bool = True) -> "Derivation":
+    def from_json(alg: BigradedAlgebra, data: dict) -> "Derivation":
         if not isinstance(data, dict):
             raise ParseError("derivation must be an object", location="derivation")
         bid_raw = data.get("bidegree")
@@ -516,7 +516,7 @@ class Derivation:
             if not isinstance(tab, dict):
                 raise ParseError(f"{what} must be an object", location="values")
             values[i] = alg.from_coeffs(coeffs_from_json(tab, alg.dim(), what, "values"))
-        return Derivation(alg, (int(bid_raw[0]), int(bid_raw[1])), values, check=check)
+        return Derivation(alg, (int(bid_raw[0]), int(bid_raw[1])), values)
 
 
 def _basis_index(key: str, dim: int, what: str, location: str) -> int:

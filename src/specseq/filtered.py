@@ -14,8 +14,6 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    _pairs,
-    _zassenhaus,
     image,
     json_int,
     kernel,
@@ -212,7 +210,6 @@ class FilteredComplex:
     def __init__(self, cx: CochainComplex, filtration: Filtration):
         self.cx = cx
         self.filtration = filtration
-        self._pre_cache: dict[tuple[int, int], Subspace] = {}
         self._cycles: dict[tuple[int, int, int], Subspace] = {}
         self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
         self.bars = None  # the spectral.Barcode, once barcode(self) has run
@@ -315,34 +312,18 @@ class FilteredComplex:
         return min(max(p, f.p_lo), f.p_top)
 
     def d_preimage(self, p: int, n: int) -> Subspace:
-        """{x in K^n : d(x) in F^p K^{n+1}}, computed once per clamped level.
-
-        Where F^p K^{n+1} is the whole space, it is the stored full level
-        F^{p_lo} K^n. The pages do not need it: cycles reduces F^a and F^b
-        together.
-        """
-        key = (self.clamp(p), n)
-        hit = self._pre_cache.get(key)
-        if hit is None:
-            target = self.F(p, n + 1)
-            if target.is_full():
-                hit = self.F(self.p_lo, n)
-            else:
-                hit = preimage(self.cx.diff(n), target)
-            self._pre_cache[key] = hit
-        return hit
+        """{x in K^n : d(x) in F^p K^{n+1}}: cycles from the full level F^{p_lo}."""
+        return self.cycles(self.p_lo, p, n)
 
     def cycles(self, a: int, b: int, n: int) -> Subspace:
         """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per clamped (a, b).
 
-        It is one Zassenhaus reduction over the rows (d f | f), for the Rows
-        f of F^a, and (g | 0), for the Rows g of F^b K^{n+1}: its reduced
-        rows with a zero left block are the canonical basis of the x in F^a
-        with d x in F^b. It is the stored F^a K^n, with nothing computed,
-        where clamp(b) <= clamp(a) (F^a is d-stable, so d F^a <= F^a <=
-        F^b), where F^a and F^b have one dimension in degree n (then
-        F^b K^n = F^a K^n, as load checked F^b <= F^a, so d F^a = d F^b <=
-        F^b), and where F^b K^{n+1} is the whole space.
+        It is preimage(d, F^b K^{n+1}, F^a K^n), one Zassenhaus reduction.
+        It is the stored F^a K^n, with nothing reduced, where clamp(b) <=
+        clamp(a) (F^a is d-stable, so d F^a <= F^a <= F^b), where F^a and
+        F^b have one dimension in degree n (then F^b K^n = F^a K^n, as load
+        checked F^b <= F^a, so d F^a = d F^b <= F^b), and where F^b K^{n+1}
+        is the whole space.
         """
         a, b = self.clamp(a), self.clamp(b)
         fa = self.F(a, n)
@@ -351,24 +332,7 @@ class FilteredComplex:
         key = (a, b, n)
         hit = self._cycles.get(key)
         if hit is None:
-            target = self.F(b, n + 1)
-            if target.is_full():
-                hit = fa
-            else:
-                d = self.cx.diff(n)
-                split = d.rows
-                # den * lead times (d f | f): den scales the left block of _apply_ints
-                den = d.den
-                rows = target._rows()
-                for f in fa.tails:
-                    p, lead, tail = f
-                    row = dict(_pairs(d._apply_ints(f)))
-                    row[split + p] = den * lead
-                    for j, c in tail:
-                        row[split + j] = den * c
-                    rows.append(row)
-                hit = _zassenhaus(rows, split, d.cols)
-            self._cycles[key] = hit
+            hit = self._cycles[key] = preimage(self.cx.diff(n), self.F(b, n + 1), fa)
         return hit
 
     def to_json(self) -> dict:

@@ -214,35 +214,6 @@ def verify_hard_lefschetz(pa: PolarizedAlgebra) -> tuple[bool, int | None]:
     return bad is None, bad
 
 
-def primitive_subspaces(pa: PolarizedAlgebra) -> dict[tuple[int, int], Subspace]:
-    """H0^{p,q} for p+q <= n, in cell coordinates, plus decomposition bookkeeping.
-
-    Asserts dim H0^m = b_m - b_{m-2} and the Lefschetz decomposition
-    sum_j dim L^j H0^{m-2j} = b_m for every m.
-    """
-    n = pa.n
-    out = {(p, q): pa.primitive_cell(p, q) for (p, q) in sorted(pa.A.cells) if p + q <= n}
-    prim = [sum(sub.dim for (p, q), sub in out.items() if p + q == m) for m in range(n + 1)]
-    for m in range(0, n + 1):
-        want = pa.betti(m) - pa.betti(m - 2)
-        if prim[m] != want:
-            raise EngineError(
-                f"primitive dimension bookkeeping fails in degree {m}: {prim[m]} != {want}"
-            )
-    for m in range(0, 2 * n + 1):
-        # L^j H0^{m-2j} is nonzero only while m - 2j <= n and j <= n - (m - 2j)
-        total = sum(
-            prim[m - 2 * j]
-            for j in range(m // 2 + 1)
-            if m - 2 * j <= n and n - (m - 2 * j) >= j
-        )
-        if total != pa.betti(m):
-            raise EngineError(
-                f"Lefschetz decomposition fails in degree {m}: {total} != {pa.betti(m)}"
-            )
-    return out
-
-
 def _commutator_violation(pa: PolarizedAlgebra, d: Derivation) -> str | None:
     """First basis element x with d(omega*x) != omega*d(x), else None."""
     for i in range(pa.A.dim()):
@@ -334,13 +305,6 @@ def deligne_vanishing(pa: PolarizedAlgebra, k: int = -1) -> int:
                 for z, coeff in pa._lefschetz[y].items():
                     eqs.setdefault((m, pos[z], c), {})[key] = -coeff
     return len(unknown_id) - sparse_rank(list(eqs.values()))
-
-
-def hom_space_dimension(pa: PolarizedAlgebra, k: int = -1) -> int:
-    """Dimension of ALL degree-k graded maps (no commutation imposed)."""
-    return sum(
-        pa.betti(m) * pa.betti(m + k) for m in range(0, 2 * pa.n + 1)
-    )
 
 
 def serre_sign_check(pa: PolarizedAlgebra, d: Derivation) -> tuple[bool, list | None]:

@@ -561,9 +561,6 @@ class Matrix:
             out.append(tuple(v))
         return out
 
-    def solve(self, b: Vector) -> Vector | None:
-        return self.solve_many([b])[0]
-
     def to_json(self) -> list[list[str]]:
         return [[scalar_str(a) for a in row] for row in self.entries]
 
@@ -668,11 +665,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Residual of v after subtracting its projection onto the span."""
-        w, den = _cleared(vec(v))
-        return _fractions(w, _eliminate(w, den, self.tails)[1])
-
     def _holds(self, w: list[int]) -> bool:
         """Whether the integer vector w lies in the span; w is consumed."""
         _eliminate(w, 1, self.tails)
@@ -723,15 +715,27 @@ def image(f: Matrix, source: Subspace | None = None) -> Subspace:
     return Subspace._span_ints(f.rows, (dict(_pairs(f._apply_ints(row))) for row in source.tails))
 
 
-def preimage(f: Matrix, target: Subspace) -> Subspace:
-    """Subspace {x : f(x) in target}."""
-    if target.ambient_dim != f.rows:
-        raise InvariantError("preimage target lives in the wrong ambient space")
+def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:
+    """Subspace {x in source : f(x) in target}, source itself where target is full.
+
+    It is one Zassenhaus reduction over the rows (f s | s), for the Rows s
+    of source, and (g | 0), for the Rows g of target: den * lead times each
+    left block is f._apply_ints(s), so the right block is scaled to match.
+    """
+    if target.ambient_dim != f.rows or source.ambient_dim != f.cols:
+        raise InvariantError("preimage target or source lives in the wrong ambient space")
     if target.is_full():
-        return Subspace.full(f.cols)
+        return source
+    split, den = f.rows, f.den
     rows = target._rows()
-    rows += [dict(col + ((f.rows + j, f.den),)) for j, col in enumerate(f.columns)]
-    return _zassenhaus(rows, f.rows, f.cols)
+    for s in source.tails:
+        p, lead, tail = s
+        row = dict(_pairs(f._apply_ints(s)))
+        row[split + p] = den * lead
+        for j, c in tail:
+            row[split + j] = den * c
+        rows.append(row)
+    return _zassenhaus(rows, split, f.cols)
 
 
 def _zassenhaus(rows: list[dict[int, int]], split: int, ambient_dim: int) -> Subspace:
@@ -778,10 +782,6 @@ class Subquotient:
     def zero(ambient_dim: int) -> "Subquotient":
         z = Subspace.zero(ambient_dim)
         return Subquotient(z, z, ())
-
-    @staticmethod
-    def whole(ambient_dim: int) -> "Subquotient":
-        return Subquotient.of(Subspace.full(ambient_dim), Subspace.zero(ambient_dim))
 
     @property
     def ambient_dim(self) -> int:

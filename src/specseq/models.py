@@ -3,8 +3,8 @@
 Builders produce polarized bigraded algebras for torus models (exterior
 algebras on xi_i in (0,1) and eta_i in (1,0) with omega = sum xi_i eta_i),
 projective-space models (truncated polynomial on a (1,1) class), and Koszul
-tensor products of models. Cohomology ranks of anything else are user input:
-the lci table assembles shapes, it never computes sheaf cohomology.
+tensor products of models. Nothing here computes sheaf cohomology: the
+builders only assemble the model tables.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class VarietyModel:
         return out
 
     @staticmethod
-    def from_json(data: dict, check: bool = True) -> "VarietyModel":
-        alg = BigradedAlgebra.from_json(data, check=check)
+    def from_json(data: dict) -> "VarietyModel":
+        alg = BigradedAlgebra.from_json(data)
         name = data.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError("model needs a name", location="name")
@@ -123,7 +123,7 @@ class VarietyModel:
         if not isinstance(integral_raw, dict):
             raise ParseError("model needs an integral", location="integral")
         integral = coeffs_from_json(integral_raw, alg.dim(), "integral", "integral")
-        pa = PolarizedAlgebra(alg, omega, integral, check=check)
+        pa = PolarizedAlgebra(alg, omega, integral)
         roles_raw = data.get("roles", {})
         if not isinstance(roles_raw, dict):
             raise ParseError("roles must be an object", location="roles")
@@ -202,7 +202,7 @@ def _projective_space_model(n: int) -> VarietyModel:
     return VarietyModel(f"pn{n}", pa)
 
 
-def tensor_model(m1: VarietyModel, m2: VarietyModel, name: str | None = None) -> VarietyModel:
+def tensor_model(m1: VarietyModel, m2: VarietyModel) -> VarietyModel:
     """Graded tensor product with Koszul signs and Kuenneth bigrading."""
     a1, a2 = m1.pa.A, m2.pa.A
     n = a1.n + a2.n
@@ -239,7 +239,7 @@ def tensor_model(m1: VarietyModel, m2: VarietyModel, name: str | None = None) ->
         for j, c2 in m2.pa.integral.items():
             integral[index[(i, j)]] = c1 * c2
     pa = PolarizedAlgebra(alg, omega, integral)
-    return VarietyModel(name or f"{m1.name}x{m2.name}", pa)
+    return VarietyModel(f"{m1.name}x{m2.name}", pa)
 
 
 def build_model(kind: str, n: int | None = None,
@@ -393,44 +393,3 @@ def ext_dimensions(model: VarietyModel) -> list[int]:
     for (p, q), idx in model.pa.A.cells.items():
         out[p + q] += len(idx)
     return out
-
-
-@dataclass(frozen=True)
-class LciTable:
-    """E2 shape for an lci embedding of codimension c; q runs over [0, c]."""
-
-    codim: int
-    table: dict[tuple[int, int], int]
-    product_rule: str = "exterior"
-
-    def to_json(self) -> dict:
-        return {
-            "codim": self.codim,
-            "product_rule": self.product_rule,
-            "table": {f"{p},{q}": v for (p, q), v in sorted(self.table.items()) if v},
-        }
-
-
-def lci_e2_table(c: int, input_dims: dict[tuple[int, int], int]) -> LciTable:
-    """Assemble the lci E2 table from user-supplied cohomology ranks.
-
-    Nonzero entries with q outside [0, c] are rejected; the Yoneda product is
-    tagged as exterior multiplication in the q-index.
-    """
-    if c < 0:
-        raise InvariantError("codimension must be non-negative")
-    table = {}
-    for (p, q), v in input_dims.items():
-        if v == 0:
-            continue
-        if v < 0:
-            raise InvariantError(f"negative dimension at {(p, q)}")
-        if not (0 <= q <= c):
-            raise InvariantError(
-                f"nonzero entry at q = {q} outside the vanishing range [0, {c}]",
-                witness=[p, q],
-            )
-        if p < 0:
-            raise InvariantError(f"negative cohomological degree at {(p, q)}")
-        table[(p, q)] = int(v)
-    return LciTable(c, table)

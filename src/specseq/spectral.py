@@ -5,11 +5,13 @@ never as a quotient of quotients. The pages are reached by three routes:
 
 * page_direct: the classical cycle/boundary formula evaluated from scratch
   on the filtration for any r. E_1 is page_direct at r = 1.
-* first_page + turn_page: the first page takes its cells from page_direct
-  and adds d_1, and each later page is built from the previous one using
-  only its cells, its differentials, and the underlying d (representative
-  lifts are solved in the canonical complement bases). The turned and
-  direct routes part from r = 2.
+* first_page + turn_page: the first page takes its cells from page_direct,
+  and each later page is built from the previous one using only its
+  cells, its differentials, and the underlying d. One routine builds
+  every d_r, d_1 included, solving for representative lifts in the
+  canonical complement bases; induced_map is the independent reference
+  that compare_differentials checks them against. The turned and direct
+  routes part from r = 2.
 * barcode: one persistence reduction of d in a filtration-adapted basis,
   from which every page's dimensions are read (dimensions only, no maps).
   It is the independent check at every r, r = 1 included.
@@ -48,11 +50,13 @@ from typing import Mapping, NamedTuple
 from .errors import EngineError, InvariantError
 from .filtered import CochainComplex, FilteredComplex, Filtration
 from .linalg import (
+    Q0,
     Matrix,
     Subquotient,
     Subspace,
     _combine,
     _pairs,
+    _q,
     _solve_ints,
     induced_map,
 )
@@ -133,22 +137,11 @@ def first_page(fk: FilteredComplex) -> Page:
     At r = 1 the direct formula is E_1^{p,q} = (F^p cap d^{-1}F^{p+1}) /
     (F^{p+1} + d F^p), the classical presentation of H^{p+q}(Gr^p) inside
     K^{p+q}, and the cells are kept on fk, so page_direct at r = 1 later
-    finds them built. d_1 is induced out of every nonzero cell, so that its
-    containment checks run, and the page keeps only the nonzero ones; no
-    d_1 is built out of a zero cell.
+    finds them built. d_1 is built by _differentials, as every later d_r is.
     """
     support = _support(fk)
     cells = {(p, q): page_direct(fk, 1, p, q) for (p, q) in support}
-    diffs: dict[tuple[int, int], Matrix] = {}
-    for (p, q) in support:
-        if cells[(p, q)].dim == 0:
-            continue
-        n = p + q
-        tgt = cells.get((p + 1, q))
-        if tgt is None:
-            tgt = Subquotient.zero(fk.cx.dim(n + 1))
-        diffs[(p, q)] = induced_map(fk.cx.diff(n), cells[(p, q)], tgt)
-    return Page(1, fk.cx, support, cells, diffs)
+    return Page(1, fk.cx, support, cells, _differentials(fk.cx, 1, cells))
 
 
 def turn_page(page: Page) -> Page:
@@ -161,17 +154,9 @@ def turn_page(page: Page) -> Page:
     unique, so recomputing it would give an equal cell. By the same
     argument a cell whose d_r out is zero keeps its Z as Z_{r+1}, and one
     whose d_r in is zero keeps its B as B_{r+1}; Subquotient.of still checks
-    the new pair. The next differential is induced by d on representative
-    lifts: for a class [w] the representative w - b, b in the new
-    denominator, is chosen so that d(w - b) lands in the new numerator of
-    the target cell. d w is computed first, and only the nonzero ones are
-    solved for: a zero right-hand side always has the solution 0 (free
-    variables are pinned to 0, and it is never inconsistent), so its column
-    is zero, and the lift error is raised exactly where it was.
+    the new pair. The next differential is built by _differentials.
     """
     r = page.r
-    r2 = r + 1
-    cx = page.cx
     cells: dict[tuple[int, int], Subquotient] = {}
     for (p, q) in page.support:
         cell = page.cell(p, q)
@@ -193,50 +178,57 @@ def turn_page(page: Page) -> Page:
             brows += [cell._lift_ints(col)[0] for col in din.columns]
             b = Subspace._span_ints(amb, brows)
         cells[(p, q)] = Subquotient.of(z, b)
+    return Page(r + 1, page.cx, page.support, cells, _differentials(page.cx, r + 1, cells))
+
+
+def _differentials(
+    cx: CochainComplex, r: int, cells: dict[tuple[int, int], Subquotient]
+) -> dict[tuple[int, int], Matrix]:
+    """The nonzero d_r out of the cells of page r, induced by d on representative lifts.
+
+    For a class [w] of a cell Z/B the representative w - b, b in B, is
+    chosen so that d(w - b) lands in the numerator Z' = B' + C' of the
+    target cell, C' its complement: one integer solve of [d(B) | B' | C'] x
+    = d w, shared by the cell's complement rows w. d(B) <= B', so the C'
+    part of x is unique; it is the coset coordinates of [d w]. d w is
+    computed first, and only the nonzero ones are solved for: a zero
+    right-hand side always has the solution 0 (free variables are pinned to
+    0, and it is never inconsistent), so its column is zero, and a cell
+    with no nonzero image (a zero cell among them) gets no matrix: the
+    page's diff() reads its zero matrix.
+    """
     diffs: dict[tuple[int, int], Matrix] = {}
-    for (p, q) in page.support:
-        src = cells[(p, q)]
+    for (p, q), src in cells.items():
         n = p + q
         d = cx.diff(n)
-        # solve [d(B) | Z'] x = d w for each complement row w, in integers:
-        # a Row's _apply_ints is den * lead times d of its rational row. A
-        # zero d w has the solution x = 0 and the zero column, so only the
-        # nonzero images are solved, and a cell with none (a zero cell among
-        # them) gets no matrix: the new page's diff() reads its zero matrix.
+        # a Row's _apply_ints is den * lead times d of its rational row
         images = [_pairs(d._apply_ints(w)) for w in src.tails]
         nonzero = [dw for dw in images if dw]
         if not nonzero:
             continue
         height = cx.dim(n + 1)
-        tgt = cells.get((p + r2, q - r2 + 1))
+        tgt = cells.get((p + r, q - r + 1))
         if tgt is None:
             tgt = Subquotient.zero(height)
         den = d.den
-        nb = src.B.dim
+        skip = src.B.dim + tgt.B.dim
         system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
-        system += [((c, lead),) + tail for c, lead, tail in tgt.Z.tails]
+        system += [((c, lead),) + tail for c, lead, tail in tgt.B.tails + tgt.tails]
         solved = iter(_solve_ints(system, height, nonzero))
-        sols = [next(solved) if dw else [] for dw in images]
         cols = []
-        for (_, lead_w, _), x in zip(src.tails, sols):
+        for (_, lead_w, _), dw in zip(src.tails, images):
+            x = next(solved) if dw else []
             if x is None:
-                raise EngineError(
-                    f"representative lift failed at cell {(p, q)} on page {page.r}"
-                )
-            # d(w - sum x_i b_i) is the Z' part of system x: m times it is
-            # sum (a m / lead) z_k over its solved Z' columns z_k = lead_k z'_k
-            zpart = [(c - nb, a, lead) for c, a, lead in x if c >= nb]
-            m = lcm(*[lead for _, _, lead in zpart])
-            v = [0] * height
-            for k, a, lead in zpart:
-                pk, lead_k, tail = tgt.Z.tails[k]
-                s = a * (m // lead)
-                v[pk] += s * lead_k
-                for i, b in tail:
-                    v[i] += s * b
-            cols.append(tgt._coords(v, m * den * lead_w))
+                raise EngineError(f"representative lift failed at cell {(p, q)} for d_{r}")
+            # x_c = a / lead on the column lead_k c'_k of C'; d w is den * lead_w
+            # times d of the rational row w
+            col = [Q0] * tgt.dim
+            for c, a, lead in x:
+                if c >= skip:
+                    col[c - skip] = _q(a * tgt.tails[c - skip][1], lead * den * lead_w)
+            cols.append(col)
         diffs[(p, q)] = Matrix._of_cols(cols, tgt.dim)
-    return Page(r2, cx, page.support, cells, diffs)
+    return diffs
 
 
 def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:

@@ -157,7 +157,7 @@ def test_each_subspace_operation_reduces_once(monkeypatch):
     calls = count_calls(monkeypatch, la, "_echelon")
     meet = u.intersect(v)
     assert len(calls) == 1 and meet.dim == 1
-    pre = la.preimage(f, target)
+    pre = la.preimage(f, target, Subspace.full(3))
     assert len(calls) == 2 and pre.dim == 2
     assert la.sparse_rank(eqs) == 2
     assert len(calls) == 3
@@ -183,6 +183,20 @@ def test_induced_map_applies_f_once_per_basis_vector(monkeypatch):
         seen += src.dim
     # the complement vectors are applied only as rows of Z
     assert seen > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_first_page_builds_d_1_as_the_turns_build_d_r(monkeypatch, seed):
+    import random
+
+    from specseq.fuzz import random_filtered_complex
+
+    fk = random_filtered_complex(random.Random(seed))
+    induced = count_calls(monkeypatch, sp, "induced_map")
+    sp.first_page(fk)
+    assert induced == []
+    # induced_map stays the independent reference, and it agrees on d_1
+    assert sp.compare_differentials(fk, 1)
 
 
 def test_loading_pages_and_barcode_cross_no_fraction_entry_point(monkeypatch):
@@ -251,15 +265,22 @@ def test_oracle_runs_one_cycles_reduction_per_clamped_levels_and_degree(monkeypa
             keys.append(open_keys[-1])
         return real_echelon(rows)
 
+    real_preimage = filtered.preimage
+    inside = []
+
+    def preimage(f, target, source):
+        inside.append(bool(open_keys))
+        return real_preimage(f, target, source)
+
     monkeypatch.setattr(filtered.FilteredComplex, "cycles", cycles)
     monkeypatch.setattr(la, "_echelon", echelon)
-    preimages = count_calls(monkeypatch, filtered, "preimage")
+    monkeypatch.setattr(filtered, "preimage", preimage)
     assert sp.oracle_report(fk)["ok"]
     sp.decalage(fk)
     assert keys
     assert max(Counter(keys).values()) == 1
-    # no preimage over all of K^n on the way
-    assert preimages == []
+    # every preimage is the reduction of an open cycles call
+    assert inside and all(inside)
 
 
 def test_a_turn_keeps_the_numerator_or_denominator_d_r_leaves_alone():
@@ -390,7 +411,6 @@ def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
         PolarizedAlgebra,
         degeneration_certify,
         deligne_vanishing,
-        primitive_subspaces,
     )
 
     alg, omega = torus3.pa.A, torus3.pa.omega
@@ -400,7 +420,9 @@ def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
     pa = PolarizedAlgebra(alg, omega, torus3.pa.integral)
     # hard Lefschetz applies L one sparse step at a time
     assert matmuls == []
-    primitive_subspaces(pa)
+    for p, q in pa.A.cells:
+        if p + q <= pa.n:
+            pa.primitive_cell(p, q)
     assert deligne_vanishing(pa) == 0
     assert degeneration_certify(pa, d).certified()
     assert 0 < len([args for args in products if args[0] is omega]) <= alg.dim()
@@ -422,7 +444,7 @@ def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
     assert len(empty) == 19
     asked, computed = [], []
     real_cycles = filtered.FilteredComplex.cycles
-    reductions = count_calls(monkeypatch, filtered, "_zassenhaus")
+    reductions = count_calls(monkeypatch, filtered, "preimage")
 
     def cycles(self, a, b, n):
         asked.append((a, b, n))

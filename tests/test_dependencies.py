@@ -3,15 +3,18 @@
 Every module under src/specseq imports only standard-library modules,
 itself, or its own modules by relative import. The package also holds
 nothing that nothing reads: every private function has a caller in the
-package, and no module but __init__.py imports a name it does not use.
-The multiplicative layer (algebra.py) sits on errors and linalg alone.
+package, every exported name is read by the package, the benchmark, the
+scripts or the acceptance criteria, and no module but __init__.py imports a
+name it does not use. The multiplicative layer (algebra.py) sits on errors
+and linalg alone.
 """
 
 import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "specseq"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "specseq"
 
 
 def imported_top_levels(tree: ast.AST) -> set[str]:
@@ -98,3 +101,44 @@ def test_no_module_imports_a_name_it_does_not_use():
         if missing:
             unused[path.name] = missing
     assert unused == {}
+
+
+def names_read_outside_their_definitions(tree: ast.AST) -> set[str]:
+    """referenced_names, less the reads of a name inside a def or class of that name."""
+    names = set()
+
+    def visit(node: ast.AST, defining: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return names
+
+
+def tracer_target_names() -> set[str]:
+    """Every part of every attribute path in the TARGETS list of bench/tracer.py."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    return {part for _, _, path in ast.literal_eval(targets) for part in path.split(".")}
+
+
+def test_every_exported_name_has_a_reader_besides_the_tests():
+    import specseq
+
+    files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    read = tracer_target_names().union(
+        *(names_read_outside_their_definitions(ast.parse(f.read_text(), str(f))) for f in files)
+    )
+    assert sorted(set(specseq.__all__) - read) == []

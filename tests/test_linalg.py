@@ -82,7 +82,7 @@ def test_nullspace_matches_oracle_span(rows):
 def test_solve_matches_oracle(rows, target):
     m = Matrix.from_rows(rows)
     b = tuple(target[: m.rows])
-    ours = m.solve(b)
+    ours = m.solve_many([b])[0]
     theirs = naive_solve(rows, list(b))
     if theirs is None:
         assert ours is None
@@ -149,9 +149,9 @@ def test_kernel_image_preimage_consistency():
     im = image(d)
     assert k.dim == 2 and im.dim == 1
     w = Subspace.span(2, [vec([1, 0])])
-    pre = preimage(d, w)
+    pre = preimage(d, w, Subspace.full(3))
     assert pre.is_full()
-    assert preimage(d, Subspace.zero(2)).basis_rows == k.basis_rows
+    assert preimage(d, Subspace.zero(2), Subspace.full(3)).basis_rows == k.basis_rows
 
 
 def test_induced_map_identity_and_frozen_value():
@@ -166,8 +166,8 @@ def test_induced_map_identity_and_frozen_value():
 @settings(max_examples=60, deadline=None)
 def test_induced_map_on_whole_spaces_is_the_matrix(rows):
     m = Matrix.from_rows(rows)
-    src = Subquotient.whole(m.cols)
-    tgt = Subquotient.whole(m.rows)
+    src = Subquotient.of(Subspace.full(m.cols), Subspace.zero(m.cols))
+    tgt = Subquotient.of(Subspace.full(m.rows), Subspace.zero(m.rows))
     assert induced_map(m, src, tgt).entries == m.entries
 
 
@@ -211,8 +211,34 @@ def test_intersection_basis_matches_oracle(u, v):
 def test_preimage_basis_matches_oracle(rows, target):
     f = Matrix.from_rows(rows)
     target = [t[: f.rows] for t in target]
-    pre = preimage(f, Subspace.span(f.rows, [vec(t) for t in target]))
+    pre = preimage(f, Subspace.span(f.rows, [vec(t) for t in target]), Subspace.full(f.cols))
     assert [list(r) for r in pre.basis_rows] == naive_rref(preimage_basis(rows, target, f.cols))
+
+
+def spec_vectors(spec, n: int) -> list[list[Fraction]]:
+    """The vectors a drawn spec names in Q^n: "full", "zero" or a list cut to length n."""
+    if spec == "full":
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if spec == "zero":
+        return []
+    return [v[:n] for v in spec]
+
+
+subspace_specs = st.one_of(
+    st.just("full"),
+    st.just("zero"),
+    st.lists(st.lists(entries, min_size=4, max_size=4), min_size=1, max_size=3),
+)
+
+
+@given(rows=matrices(max_rows=4, max_cols=4), source=subspace_specs, target=subspace_specs)
+@settings(max_examples=150, deadline=None)
+def test_preimage_in_a_source_is_the_source_meet_the_oracle(rows, source, target):
+    f = Matrix.from_rows(rows)
+    src, tgt = spec_vectors(source, f.cols), spec_vectors(target, f.rows)
+    pre = preimage(f, Subspace.span(f.rows, tgt), Subspace.span(f.cols, src))
+    oracle = preimage_basis(rows, tgt, f.cols)
+    assert [list(r) for r in pre.basis_rows] == naive_rref(meet_spanning_set(src, oracle, f.cols))
 
 
 @given(
@@ -286,26 +312,6 @@ def test_sparse_matmul_matches_dense_oracle(data):
     assert (prod.rows, prod.cols) == (r, c)
     assert [list(row) for row in prod.entries] == naive_matmul(a, b, c)
     assert all(exact(row) for row in prod.entries)
-
-
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_sparse_reduce_matches_dense_oracle(data):
-    n = data.draw(st.integers(0, 5))
-    vectors = data.draw(blocks(data.draw(st.integers(0, 4)), n))
-    v = combination(data.draw(st.lists(mixed, min_size=len(vectors), max_size=len(vectors))),
-                    vectors, n)
-    if data.draw(st.booleans()):
-        v = [a + Fraction(b) for a, b in zip(v, data.draw(blocks(1, n))[0])]
-    s = Subspace.span(n, vectors)
-    res = s.reduce(v)
-    assert exact(res)
-    # the residual is the one vector that is zero at every pivot and differs
-    # from v by an element of the span
-    assert all(res[p] == 0 for p in s.pivots)
-    assert naive_rank(vectors + [[a - b for a, b in zip(v, res)]]) == naive_rank(vectors)
-    inside = naive_rank(vectors + [v]) == naive_rank(vectors)
-    assert s.contains_vector(v) == inside == (not any(res))
 
 
 @given(data=st.data())

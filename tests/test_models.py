@@ -1,4 +1,4 @@
-"""Model builders, Hodge tables, obstruction data, lci shapes."""
+"""Model builders, Hodge tables, obstruction data."""
 
 import json
 import random
@@ -18,7 +18,6 @@ from specseq import (
     degeneration_certify,
     ext_dimensions,
     lagrangian_e2_table,
-    lci_e2_table,
     tensor_model,
 )
 from specseq.fuzz import random_obstruction_datum
@@ -108,39 +107,6 @@ class TestExtDimensions:
 
     def test_total_dimension_is_preserved(self, torus3):
         assert sum(ext_dimensions(torus3)) == torus3.pa.A.dim()
-
-
-class TestLciTable:
-    def test_lagrangian_specialization_is_the_model_table(self, torus2):
-        table = lagrangian_e2_table(torus2)
-        lci = lci_e2_table(torus2.n, table)
-        assert lci.table == table
-        assert lci.codim == 2
-        assert lci.product_rule == "exterior"
-
-    def test_q_range_is_clipped_to_the_codimension(self):
-        with pytest.raises(InvariantError, match="vanishing range"):
-            lci_e2_table(1, {(0, 0): 1, (0, 2): 3})
-
-    def test_zero_entries_are_dropped(self):
-        lci = lci_e2_table(2, {(0, 0): 1, (5, 1): 0})
-        assert (5, 1) not in lci.table
-
-    def test_negative_inputs_are_rejected(self):
-        with pytest.raises(InvariantError, match="negative dimension"):
-            lci_e2_table(2, {(0, 0): -1})
-        with pytest.raises(InvariantError, match="negative cohomological"):
-            lci_e2_table(2, {(-1, 0): 1})
-        with pytest.raises(InvariantError, match="codimension"):
-            lci_e2_table(-1, {})
-
-    def test_json_shape(self):
-        blob = lci_e2_table(1, {(0, 0): 1, (2, 1): 4}).to_json()
-        assert blob == {
-            "codim": 1,
-            "product_rule": "exterior",
-            "table": {"0,0": 1, "2,1": 4},
-        }
 
 
 class TestObstructionDatum:

@@ -248,11 +248,8 @@ def test_page_rejects_non_composing_differentials(acyclic_fk):
     from specseq import InvariantError, Page, Subquotient
 
     cx = acyclic_fk.cx
-    cells = {
-        (0, 0): Subquotient.whole(1),
-        (1, 0): Subquotient.whole(1),
-        (2, -1): Subquotient.whole(1),
-    }
+    whole = Subquotient.of(Subspace.full(1), Subspace.zero(1))
+    cells = {(0, 0): whole, (1, 0): whole, (2, -1): whole}
     one = Matrix.from_rows([[1]])
     diffs = {(0, 0): one, (1, 0): one}
     # d_1 out of (1, 0) also has no target cell, but the composite is named first
@@ -263,7 +260,8 @@ def test_page_rejects_non_composing_differentials(acyclic_fk):
 def test_page_checks_shapes_when_a_differential_is_zero(acyclic_fk):
     from specseq import InvariantError, Page, Subquotient
 
-    cells = {(0, 0): Subquotient.whole(1), (1, 0): Subquotient.whole(1)}
+    whole = Subquotient.of(Subspace.full(1), Subspace.zero(1))
+    cells = {(0, 0): whole, (1, 0): whole}
     # d_1 into (1, 0) is zero, but the map out of it takes two columns
     diffs = {(0, 0): Matrix.zeros(1, 1), (1, 0): Matrix.zeros(0, 2)}
     with pytest.raises(InvariantError, match=r"shapes disagree at cell \(0, 0\)"):
@@ -300,7 +298,8 @@ def test_abutment_mismatch_is_an_engine_error(acyclic_fk, monkeypatch):
 
 def _formula_cycles(fk: FilteredComplex, a: int, b: int, n: int) -> Subspace:
     """F^a K^n cap d^{-1} F^b K^{n+1} by the full formula, past FilteredComplex.cycles."""
-    return fk.F(a, n).intersect(preimage(fk.cx.diff(n), fk.F(b, n + 1)))
+    full = Subspace.full(fk.cx.dim(n))
+    return fk.F(a, n).intersect(preimage(fk.cx.diff(n), fk.F(b, n + 1), full))
 
 
 def shortcut_inputs() -> list[FilteredComplex]:
