@@ -22,6 +22,10 @@ from .linalg import (
     scalar_str,
 )
 
+# caps on a complex read from JSON, checked before anything of that size is
+# built: hi - lo, the span of the filtration level keys, and each dims value
+MAX_DEGREE_SPAN, MAX_LEVEL_SPAN, MAX_DIM = 1_000, 1_000, 10_000
+
 
 def _parsed_at(location: str, parse, *args):
     """parse(*args), with a parse error reported at the given input key."""
@@ -105,6 +109,8 @@ class CochainComplex:
             raise ParseError("degrees must be a [lo, hi] pair", location="degrees") from exc
         if lo > hi:
             raise ParseError(f"degrees [{lo}, {hi}] have lo > hi", location="degrees")
+        if hi - lo > MAX_DEGREE_SPAN:
+            raise ParseError(f"span of [{lo}, {hi}] exceeds {MAX_DEGREE_SPAN}", location="degrees")
         dims_raw = data.get("dims", {})
         if not isinstance(dims_raw, dict):
             raise ParseError("dims must be an object", location="dims")
@@ -119,6 +125,8 @@ class CochainComplex:
                 raise ParseError(
                     f"dimension must not be negative, found {v}", location=f"dims.{k}"
                 )
+            if v > MAX_DIM:
+                raise ParseError(f"dimension {v} exceeds {MAX_DIM}", location=f"dims.{k}")
         d = {}
         d_raw = data.get("d", {})
         if not isinstance(d_raw, dict):
@@ -382,5 +390,10 @@ class FilteredComplex:
                 if sub is None:
                     sub = read[key] = _parsed_at(where, Subspace._from_json, basis, amb, memo)
                 levels[p][n] = sub
+        lo, hi = min(levels), max(levels)
+        if hi - lo > MAX_LEVEL_SPAN:
+            raise ParseError(
+                f"span of [{lo}, {hi}] exceeds {MAX_LEVEL_SPAN}", location="filtration"
+            )
         filtration = Filtration.from_sparse(cx, levels)
         return FilteredComplex(cx, filtration)

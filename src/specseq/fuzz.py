@@ -129,18 +129,19 @@ def planted_filtered_complex(
     return fk, Barcode(tuple(sorted(pairs)), tuple(sorted(essential)))
 
 
-_CONSTRAINT_CACHE: dict[str, tuple] = {}
+_CONSTRAINT_CACHE: dict[object, tuple] = {}
 
 
 def _omega_constraint(model) -> tuple:
     """Linear system expressing d(omega) = 0 over the (0,1)-generator images.
 
     Unknowns are the coefficients of each generator image in the (2,0) cell;
-    columns are d_alpha(omega) for the elementary data. Cached per model name.
+    columns are d_alpha(omega) for the elementary data. Cached per model.pa,
+    hashed by identity: two models of one name may hold different algebras.
     """
     from .models import ObstructionDatum, d2_from_alpha
 
-    hit = _CONSTRAINT_CACHE.get(model.name)
+    hit = _CONSTRAINT_CACHE.get(model.pa)
     if hit is not None:
         return hit
     alg = model.pa.A
@@ -155,7 +156,7 @@ def _omega_constraint(model) -> tuple:
         cols.append(alg.cell_vector(d.apply(model.pa.omega), tgt_p, tgt_q))
     system = Matrix.from_cols(cols, rows=alg.cell_dim(tgt_p, tgt_q))
     out = (unknowns, system.nullspace())
-    _CONSTRAINT_CACHE[model.name] = out
+    _CONSTRAINT_CACHE[model.pa] = out
     return out
 
 

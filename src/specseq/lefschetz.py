@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import BigradedAlgebra, Derivation, Element, _accumulate, verify_leibniz
-from .errors import ContainmentError, EngineError, InvariantError
+from .errors import EngineError, InvariantError
 from .linalg import (
     Matrix,
     Subspace,
@@ -226,10 +226,12 @@ def split_differential(pa: PolarizedAlgebra, d: Derivation) -> Split:
     """Decompose d on each primitive cell as d = d0 + L d'.
 
     For alpha primitive in (p, q) with shift (A, B) = d.bidegree, d(alpha)
-    must lie in H0^{p+A,q+B} + omega*H0^{p+A-1,q+B-1}; returns per cell the
+    lies in H0^{p+A,q+B} + omega*H0^{p+A-1,q+B-1}; returns per cell the
     lists (d0(alpha_t), d'(alpha_t)) over the primitive basis. Requires d to
-    commute with L_omega; containment failure raises with a witness.
+    have total degree A + B <= 1 and to commute with L_omega, else raises.
     """
+    if sum(d.bidegree) > 1:
+        raise InvariantError("split needs total degree at most 1", witness=list(d.bidegree))
     bad = _commutator_violation(pa, d)
     if bad is not None:
         raise InvariantError(
@@ -239,7 +241,16 @@ def split_differential(pa: PolarizedAlgebra, d: Derivation) -> Split:
 
 
 def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
-    """split_differential for a d already known to commute with L_omega."""
+    """split_differential for a d of total degree s <= 1 known to commute with L_omega.
+
+    The containment holds on a validated polarization, so a failure raises
+    EngineError. Let alpha be primitive of degree k and write d(alpha) =
+    sum_j L^j beta_j, beta_j primitive of degree k+s-2j (Griffiths & Harris,
+    Ch. 0 §7). The sum of the L^{n-k+1+j} beta_j, each in its own Lefschetz
+    component, is d(L^{n-k+1} alpha) = 0, so each is 0. L^{n-k+1+j} is
+    injective on primitives of degree k+s-2j iff j > s, so beta_j = 0 for
+    j > s, hence for j >= 2, and d(alpha) = beta_0 + L beta_1.
+    """
     A, B = d.bidegree
     n = pa.n
     out: Split = {}
@@ -261,9 +272,8 @@ def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
         d0s, d1s = [], []
         for alpha, x in zip(prim, sols):
             if x is None:
-                raise ContainmentError(
-                    "d(alpha) escapes the primitive-plus-L-primitive kernel",
-                    witness=str(alpha),
+                raise EngineError(
+                    f"d(alpha) escapes H0 + L*H0 at cell {(p, q)} despite validated hard Lefschetz"
                 )
             d0s.append(sum((g.scaled(c) for c, g in zip(x, prim_t)), pa.A.zero()))
             d1s.append(sum((g.scaled(c) for c, g in zip(x[len(prim_t):], prim_s)), pa.A.zero()))
@@ -379,7 +389,8 @@ def degeneration_certify(
       square-zero (only with require_square_zero): d o d = 0;
       omega-killed: d kills omega;
       lefschetz-commutes: d commutes with L_omega = omega * (-);
-      primitive-containment: d(H0^{p,q}) inside H0 + L*H0 of the target;
+      primitive-containment: d(H0^{p,q}) inside H0 + L*H0 of the target,
+        which holds once lefschetz-commutes has passed (see _primitive_split);
       primitive-component-only: d = d0 + L d' with d' = 0 on every primitive cell;
       middle-degree-vanishing: d = 0 in total degree n;
       twisted-pairing-induction: downward from degree n-1, pairing d(alpha)
@@ -400,11 +411,9 @@ def degeneration_certify(
     split: Split = {}
 
     def containment():
-        # the lefschetz-commutes step has already checked the commutator
-        try:
-            split.update(_primitive_split(pa, d))
-        except ContainmentError as exc:
-            return exc.witness
+        # the lefschetz-commutes step has already checked the commutator, and
+        # _primitive_split proves that the containment then holds
+        split.update(_primitive_split(pa, d))
         return None
 
     def component_only():

@@ -706,13 +706,8 @@ def kernel(f: Matrix) -> Subspace:
     return Subspace._span_ints(f.cols, f._null_rows()[0])
 
 
-def image(f: Matrix, source: Subspace | None = None) -> Subspace:
-    if source is None:
-        return Subspace._span_ints(f.rows, (dict(c) for c in f.columns))
-    if source.ambient_dim != f.cols:
-        raise InvariantError("image source lives in the wrong ambient space")
-    # f applied to each integer basis row; scaling a row does not change the span
-    return Subspace._span_ints(f.rows, (dict(_pairs(f._apply_ints(row))) for row in source.tails))
+def image(f: Matrix) -> Subspace:
+    return Subspace._span_ints(f.rows, (dict(c) for c in f.columns))
 
 
 def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:

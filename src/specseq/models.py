@@ -55,15 +55,6 @@ class HodgeDiamond:
     def at(self, p: int, q: int) -> int:
         return self.h.get((p, q), 0)
 
-    def betti(self, m: int) -> int:
-        return sum(v for (p, q), v in self.h.items() if p + q == m)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "h": {f"{p},{q}": v for (p, q), v in sorted(self.h.items()) if v},
-        }
-
 
 @dataclass
 class VarietyModel:

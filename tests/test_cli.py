@@ -741,6 +741,88 @@ def test_degree_range_and_dims_keys_exit_3_at_their_key(
     assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
 
 
+# each one is rejected before anything of its size is allocated
+@pytest.mark.parametrize(
+    "patch, location, message",
+    [
+        ({"degrees": [0, 10**9]}, "degrees", "span of [0, 1000000000] exceeds 1000"),
+        ({"degrees": [0, 1001]}, "degrees", "span of [0, 1001] exceeds 1000"),
+        ({"dims": {"0": 1, "1": 10**9}}, "dims.1", "dimension 1000000000 exceeds 10000"),
+        ({"dims": {"0": 1, "1": 10001}}, "dims.1", "dimension 10001 exceeds 10000"),
+        ({"filtration": {**ONE_BY_ONE["filtration"], "1000000000": {}}}, "filtration",
+         "span of [0, 1000000000] exceeds 1000"),
+        ({"filtration": {**ONE_BY_ONE["filtration"], "-1001": {}}}, "filtration",
+         "span of [-1001, 1] exceeds 1000"),
+    ],
+    ids=["degrees-huge", "degrees-over", "dims-huge", "dims-over", "levels-huge", "levels-over"],
+)
+def test_oversized_complex_exits_3_at_its_key(capsys, tmp_path, patch, location, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({**ONE_BY_ONE, **patch}))
+    code, out = run_json(capsys, ["compute", "--input", str(path)])
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
+def _without(blob, key):
+    return {k: v for k, v in blob.items() if k != key}
+
+
+# the documented exit-3 locations of malformed containers, one input each
+@pytest.mark.parametrize(
+    "command, patch, location, message",
+    [
+        ("complex", lambda b: {**b, "dims": []}, "dims", "dims must be an object"),
+        ("complex", lambda b: {**b, "d": []}, "d", "d must be an object"),
+        ("complex", lambda b: {**b, "filtration": {}}, "filtration",
+         "filtration must be a non-empty object"),
+        ("complex", lambda b: {**b, "filtration": {"0": []}}, "filtration",
+         "level 0 must be an object"),
+        ("model", lambda b: {**b, "basis": []}, "basis", "basis must be a non-empty list"),
+        ("model", lambda b: {**b, "products": []}, "products", "products must be an object"),
+        ("model", lambda b: {**b, "products": {"0,0": []}}, "products",
+         "product '0,0' must be an object"),
+        ("model", lambda b: _without(b, "integral"), "integral", "model needs an integral"),
+        ("model", lambda b: {**b, "roles": []}, "roles", "roles must be an object"),
+        ("derivation", lambda b: {**b, "values": []}, "values", "values must be an object"),
+        ("derivation", lambda b: {**b, "values": {"0": []}}, "values",
+         "value of '0' must be an object"),
+        ("datum", lambda b: {**b, "images": {"xi1": []}}, "images",
+         "image of 'xi1' must be an object"),
+        ("datum", lambda b: {**b, "images": {"xi1": {"eta1eta2": "x/0"}}}, "images",
+         "bad coefficients for 'xi1'"),
+    ],
+    ids=[
+        "dims-list", "d-list", "filtration-empty", "level-list", "basis-empty", "products-list",
+        "product-list", "no-integral", "roles-list", "values-list", "value-list", "image-list",
+        "image-literal",
+    ],
+)
+def test_malformed_container_exits_3_at_its_location(
+    capsys, tmp_path, torus2, command, patch, location, message
+):
+    docs = {
+        "complex": ONE_BY_ONE,
+        "model": torus2.to_json(),
+        "derivation": {"bidegree": [2, -1], "values": {}},
+        "datum": alpha_blob(),
+    }
+    docs[command] = patch(docs[command])
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = {
+        "complex": ["compute", "--input", paths["complex"]],
+        "model": ["ext-dims", "--model", paths["model"]],
+        "derivation": ["certify", "--algebra", paths["model"], "--derivation", paths["derivation"]],
+        "datum": ["d2", "--model", paths["model"], "--alpha", paths["datum"]],
+    }[command]
+    code, out = run_json(capsys, [str(a) for a in argv])
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
 def test_complex_json_writes_only_its_degrees():
     from specseq import CochainComplex
 

@@ -134,6 +134,13 @@ class TestSplitDifferential:
         for d0s, d1s in split.values():
             assert all(v.is_zero() for v in d0s + d1s)
 
+    def test_total_degree_above_one_is_rejected(self, torus2):
+        alg = torus2.pa.A
+        zero = Derivation(alg, (1, 1), [alg.zero()] * alg.dim())
+        with pytest.raises(InvariantError, match="total degree at most 1") as err:
+            split_differential(torus2.pa, zero)
+        assert err.value.witness == [1, 1]
+
     def test_noncommuting_derivation_is_rejected(self, torus3):
         alg = torus3.pa.A
         d = alpha_derivation(torus3, {"xi1": alg.el("eta2") * alg.el("eta3")})

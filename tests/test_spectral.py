@@ -323,7 +323,7 @@ def test_cells_of_empty_graded_pieces_equal_the_full_formula():
                 zr = _formula_cycles(fk, p, p + r, n)
                 below = _formula_cycles(fk, p - r + 1, p, n - 1)
                 br = _formula_cycles(fk, p + 1, p + r, n).sum_with(
-                    image(fk.cx.diff(n - 1), below)
+                    image(fk.cx.diff(n - 1) @ below.basis())
                 )
                 want = Subquotient.of(zr, br)
                 got = page_direct(fk, r, p, q)
