@@ -38,7 +38,8 @@ class PolarizedAlgebra:
     as the sparse images omega * e_i of the basis elements; every use of L
     and of powers of omega reads them. check=True validates hard Lefschetz
     for L and Poincare duality in complementary bidegrees, which make the
-    twisted primitive pairings nondegenerate (see validate).
+    twisted primitive pairings nondegenerate (see validate). checked
+    records whether validate has passed, as BigradedAlgebra.checked does.
     """
 
     def __init__(
@@ -69,6 +70,7 @@ class PolarizedAlgebra:
         # _lefschetz[i] holds the coefficients of omega * e_i
         self._lefschetz = tuple((omega * A.basis_element(i)).coeffs for i in range(A.dim()))
         self._prim_elements: dict[tuple[int, int], tuple[Element, ...]] = {}
+        self.checked = False
         if check:
             self.validate()
 
@@ -114,9 +116,12 @@ class PolarizedAlgebra:
     # -- primitive pieces
 
     def primitive_cell(self, p: int, q: int) -> Subspace:
-        """H0^{p,q} = ker L^{n-p-q+1} on the cell (p, q), in cell coordinates."""
-        if not self.A.cell_dim(p, q):
-            return Subspace.zero(0)
+        """H0^{p,q} = ker L^{n-p-q+1} on the cell (p, q), in cell coordinates.
+
+        Above the middle degree it is zero, since P^k = 0 for k > n.
+        """
+        if p + q > self.n or not self.A.cell_dim(p, q):
+            return Subspace.zero(self.A.cell_dim(p, q))
         i = self.n - p - q + 1
         cols = [
             self.A.cell_vector(self.L(self.A.basis_element(idx), i), p + i, q + i)
@@ -152,7 +157,8 @@ class PolarizedAlgebra:
         checked on the first cell of each complementary pair in iteration
         order; the dimensions are checked on every cell. A skipped mirror
         comes after the case it mirrors in the full check's order, so the
-        first failure and its witness are the full check's.
+        first failure and its witness are the full check's. Sets checked on
+        success.
 
         The twisted primitive pairings integral(omega^{n-a-b} gamma beta) on
         H0^{a,b} x H0^{b,a}, which the degeneration argument needs
@@ -191,6 +197,7 @@ class PolarizedAlgebra:
                 raise InvariantError(
                     f"Poincare pairing degenerates on cell {(p, q)}", witness=[p, q]
                 )
+        self.checked = True
 
     def poincare_gram(self, p: int, q: int) -> Matrix:
         """Gram of (e_i, e_j) -> integral(e_i e_j) on the cells (p, q) x (n-p, n-q).

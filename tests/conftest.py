@@ -58,6 +58,15 @@ def with_degree_filtration(cx: CochainComplex) -> FilteredComplex:
 COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"
 
 
+def unchecked_copy(pa, integral=None):
+    """pa's algebra and polarization rebuilt with check=False, with pa's integral unless given."""
+    from specseq import BigradedAlgebra, PolarizedAlgebra
+
+    alg = BigradedAlgebra(pa.A.n, pa.A.basis, pa.A.unit, pa.A.products, check=False)
+    omega = alg.from_coeffs(dict(pa.omega.coeffs))
+    return PolarizedAlgebra(alg, omega, pa.integral if integral is None else integral, check=False)
+
+
 def scaled_complex_and_key(*args) -> tuple[dict, dict]:
     """bench/complexes.py scaled_complex, loaded by path: JSON input and answer key."""
     spec = importlib.util.spec_from_file_location("bench_complexes", COMPLEXES)

@@ -9,8 +9,10 @@ numerator or denominator that d_r leaves alone, no solve for a zero image,
 no matrix built for a cell with none and no zero differential stored,
 one product omega * e_i per basis element of a polarized algebra, and each
 algebra and polarization fact checked once: no unit, mirror or
-self-mirrored cases in algebra validation, and no twisted pairing, which
-hard Lefschetz and Poincare duality already make nondegenerate."""
+self-mirrored cases in algebra validation, no twisted pairing, which
+hard Lefschetz and Poincare duality already make nondegenerate, no second
+check of a product of checked factors, and no model built by a certify
+call that names no derivation."""
 
 import json
 from fractions import Fraction
@@ -22,7 +24,7 @@ import specseq.spectral as sp
 from specseq import Derivation, ObstructionDatum, SpectralSequence, build_model, d2_from_alpha
 from specseq.cli import _fuzz_complex_case, main
 
-from conftest import acyclic_two_term
+from conftest import acyclic_two_term, unchecked_copy
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -598,3 +600,45 @@ def test_polarization_validates_an_unchecked_algebra_first(torus2):
         PolarizedAlgebra(bad, omega, torus2.pa.integral)
     assert (str(exc.value), exc.value.witness) == (str(own.value), own.value.witness)
     assert not bad.checked
+
+
+def test_a_product_of_checked_factors_is_not_validated_again(monkeypatch, torus1, pn2):
+    from specseq import BigradedAlgebra, PolarizedAlgebra
+
+    algebras = count_calls(monkeypatch, BigradedAlgebra, "validate")
+    polarizations = count_calls(monkeypatch, PolarizedAlgebra, "validate")
+    prod = build_model("product", a=torus1, b=pn2)
+    square = build_model("product", a=prod, b=pn2)
+    # the Koszul sign rule and the sl2 argument check them (see tensor_model)
+    assert algebras == [] and polarizations == []
+    assert prod.pa.checked and square.pa.checked
+
+
+def test_a_product_with_an_unchecked_factor_runs_the_full_check(torus1, pn2):
+    from specseq import InvariantError, PolarizedAlgebra, VarietyModel, tensor_model
+
+    # pn2 with a zero integral, built unchecked: its Poincare pairing degenerates
+    broken = VarietyModel("pn2", PolarizedAlgebra(pn2.pa.A, pn2.pa.omega, {}, check=False))
+    assert not broken.pa.checked
+    for (a, b), good in (((torus1, broken), (torus1, pn2)), ((broken, torus1), (pn2, torus1))):
+        # the full check of the same product, on unchecked copies with a zero integral
+        with pytest.raises(InvariantError) as own:
+            unchecked_copy(tensor_model(*good).pa, {}).validate()
+        with pytest.raises(InvariantError) as exc:
+            build_model("product", a=a, b=b)
+        assert (str(exc.value), exc.value.witness) == (str(own.value), own.value.witness)
+
+
+def test_certify_without_a_derivation_builds_no_model(monkeypatch, capsys, tmp_path, torus2):
+    from specseq import BigradedAlgebra
+
+    path = tmp_path / "torus2.json"
+    path.write_text(json.dumps(torus2.to_json()))
+    validations = count_calls(monkeypatch, BigradedAlgebra, "validate")
+    assert main(["certify", "--algebra", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["location"] == "derivation"
+    assert validations == []
+    # a document that is not an object still fails where the model is read
+    path.write_text(json.dumps([torus2.to_json()]))
+    assert main(["certify", "--algebra", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["location"] == "n"

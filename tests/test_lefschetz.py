@@ -99,11 +99,17 @@ class TestPrimitive:
             (0, 0): 1, (0, 1): 2, (1, 0): 2, (0, 2): 1, (1, 1): 3, (2, 0): 1,
         }
 
-    def test_primitive_degree_dims_match_betti_differences(self, torus2, torus3, pn2):
-        for model in (torus2, torus3, pn2):
-            pa = model.pa
-            for m in range(0, pa.n + 1):
-                assert pa.primitive_degree_dim(m) == pa.betti(m) - pa.betti(m - 2)
+    def test_primitive_degree_dims_match_betti_differences(self, torus1, torus2, torus3, pn2):
+        from specseq import tensor_model
+
+        models = (torus2, torus3, pn2, build_model("pn", 4), tensor_model(torus1, pn2))
+        for pa in (model.pa for model in models):
+            # P^m = 0 above the middle degree, where b_m <= b_{m-2}
+            for m in range(0, 2 * pa.n + 1):
+                assert pa.primitive_degree_dim(m) == max(0, pa.betti(m) - pa.betti(m - 2))
+        # the zero subspace of the cell
+        top = torus2.pa.primitive_cell(2, 2)
+        assert (top.ambient_dim, top.dim) == (1, 0)
 
     def test_projective_space_has_only_the_unit_primitive(self, pn2):
         assert primitive_dims(pn2.pa) == {(0, 0): 1}

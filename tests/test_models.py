@@ -22,6 +22,7 @@ from specseq import (
 )
 from specseq.fuzz import random_obstruction_datum
 
+from conftest import unchecked_copy
 from oracles import binomial, twisted_primitive_gram
 
 
@@ -64,6 +65,17 @@ class TestBuilders:
     def test_product_respects_hard_lefschetz(self, torus1, pn2):
         prod = build_model("product", a=torus1, b=pn2)
         assert prod.pa.validate() is None
+
+    def test_product_follows_the_koszul_sign_rule(self, torus1):
+        # (a | b)(c | d) = (-1)^{|b||c|} ac | bd, so the sign falls only when
+        # an odd right-hand class passes an odd left-hand one
+        alg = tensor_model(torus1, torus1).pa.A
+        xi_1, one_xi = alg.el("xi1|1"), alg.el("1|xi1")
+        assert xi_1 * one_xi == alg.el("xi1|xi1")
+        assert one_xi * xi_1 == alg.el("xi1|xi1").scaled(-1)
+        # eta1 | xi1 is even: xi1 passes xi1 (-1) and eta1 xi1 = -xi1eta1
+        eta_xi = alg.el("eta1|xi1")
+        assert eta_xi * xi_1 == xi_1 * eta_xi == alg.el("xi1eta1|xi1")
 
     def test_torus_roles_list_the_one_forms(self, torus2):
         assert torus2.roles["h0_omega1"] == ["xi1", "xi2"]
@@ -245,3 +257,33 @@ class TestExactness:
         assert isinstance(blob["scale"], str)
         assert_emitted_as_strings(blob["images"])
         assert_emitted_as_strings(d.to_json()["values"])
+
+
+def _product(*kinds):
+    """The left-nested tensor product of the models build_model(kind, n) for (kind, n)."""
+    model = build_model(*kinds[0])
+    for kind in kinds[1:]:
+        model = tensor_model(model, build_model(*kind))
+    return model
+
+
+BUILT = {
+    **{f"torus{n}": (("torus", n),) for n in range(1, 5)},
+    **{f"pn{n}": (("pn", n),) for n in range(1, 9)},
+    "torus1xpn2": (("torus", 1), ("pn", 2)),
+    "torus2xtorus1": (("torus", 2), ("torus", 1)),
+    "pn2xpn3": (("pn", 2), ("pn", 3)),
+    "torus1xpn2xpn2": (("torus", 1), ("pn", 2), ("pn", 2)),
+}
+
+
+@pytest.mark.parametrize("kinds", BUILT.values(), ids=BUILT.keys())
+def test_built_models_pass_the_full_check(kinds):
+    """Exterior algebras and products of checked factors are built unchecked;
+    the full check on an unchecked copy is the oracle for their proofs."""
+    pa = _product(*kinds).pa
+    assert pa.checked and pa.A.checked
+    copy = unchecked_copy(pa)
+    assert not copy.checked and not copy.A.checked
+    copy.validate()
+    assert copy.checked and copy.A.checked
