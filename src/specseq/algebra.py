@@ -12,17 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import InvariantError, ParseError
-from .linalg import (
-    Matrix,
-    Q0,
-    coefficient,
-    json_int,
-    key_int,
-    scalar_str,
-    vec,
-)
+from .linalg import Matrix, coefficient, json_int, key_int
 
 
 class Element:
@@ -84,20 +77,21 @@ class Element:
         for i in sorted(self.coeffs):
             c = self.coeffs[i]
             name = self.alg.basis[i][0]
-            parts.append(name if c == 1 else f"({scalar_str(c)})*{name}")
+            parts.append(name if c == 1 else f"({c})*{name}")
         return " + ".join(parts)
 
     def to_json(self) -> dict[str, str]:
-        return {str(i): scalar_str(c) for i, c in sorted(self.coeffs.items())}
+        return {str(i): str(c) for i, c in sorted(self.coeffs.items())}
 
 
 class BigradedAlgebra:
     """Finite bigraded graded-commutative unital algebra over Q.
 
     basis: list of (name, p, q); products: sparse structure constants
-    (i, j) -> {k: coefficient}, absent pairs multiply to zero. Integral
-    structure constants are stored as ints. checked records whether
-    validate has passed, which check=True runs at construction.
+    (i, j) -> {k: coefficient}, absent pairs multiply to zero. Structure
+    constants are ints or Fractions and are stored as given, less zero
+    entries and empty tables. checked records whether validate has passed,
+    which check=True runs at construction.
     """
 
     def __init__(
@@ -112,10 +106,10 @@ class BigradedAlgebra:
         self.basis = [(str(nm), int(p), int(q)) for (nm, p, q) in basis]
         self.unit = unit
         self.products = {
-            ij: {k: coefficient(c) for k, c in tab.items() if c != 0}
+            ij: nonzero
             for ij, tab in products.items()
+            if (nonzero := {k: c for k, c in tab.items() if c})
         }
-        self.products = {ij: tab for ij, tab in self.products.items() if tab}
         self._by_name: dict[str, int] = {}
         for i, (nm, _, _) in enumerate(self.basis):
             if nm in self._by_name:
@@ -190,21 +184,23 @@ class BigradedAlgebra:
             raise InvariantError(f"cell {(p, q)} has dimension {len(idx)}, got {len(coords)}")
         return Element(self, dict(zip(idx, coords)))
 
-    def coordinates(self, x: Element, idx: list[int]) -> tuple[Fraction, ...]:
-        """Coordinates of x in the basis elements idx; errors if x has support elsewhere."""
-        pos = {k: t for t, k in enumerate(idx)}
-        out = [Q0] * len(idx)
-        for i, c in x.coeffs.items():
-            if i not in pos:
-                raise InvariantError(
-                    f"element has support outside the expected basis: {self.basis[i][0]}"
-                )
-            out[pos[i]] = c
-        return tuple(out)
+    def matrix(self, tabs: Iterable[Mapping[int, int | Fraction]], idx: list[int]) -> Matrix:
+        """The matrix whose columns are the coefficient maps tabs in the basis elements idx.
 
-    def cell_vector(self, x: Element, p: int, q: int) -> tuple[Fraction, ...]:
-        """Coordinates of x in the cell (p, q) basis; errors if x lies elsewhere."""
-        return self.coordinates(x, self.cell_indices(p, q))
+        Errors if a map has support outside idx.
+        """
+        pos = {k: t for t, k in enumerate(idx)}
+        cols = []
+        for tab in tabs:
+            col = [0] * len(idx)
+            for i, c in tab.items():
+                if i not in pos:
+                    raise InvariantError(
+                        f"element has support outside the expected basis: {self.basis[i][0]}"
+                    )
+                col[pos[i]] = c
+            cols.append(col)
+        return Matrix._of_cols(cols, len(idx))
 
     # -- validation
 
@@ -301,7 +297,7 @@ class BigradedAlgebra:
             ],
             "unit": self.unit,
             "products": {
-                f"{i},{j}": {str(k): scalar_str(c) for k, c in sorted(tab.items())}
+                f"{i},{j}": {str(k): str(c) for k, c in sorted(tab.items())}
                 for (i, j), tab in sorted(self.products.items())
             },
         }
@@ -442,11 +438,10 @@ class Derivation:
     def cell_matrix(self, p: int, q: int) -> Matrix:
         """Matrix of the restriction cell (p,q) -> cell (p+a, q+b)."""
         a, b = self.bidegree
-        src = self.alg.cell_indices(p, q)
-        cols = [
-            self.alg.cell_vector(self.values[i], p + a, q + b) for i in src
-        ]
-        return Matrix.from_cols(cols, rows=self.alg.cell_dim(p + a, q + b))
+        alg = self.alg
+        return alg.matrix(
+            [self.values[i].coeffs for i in alg.cell_indices(p, q)], alg.cell_indices(p + a, q + b)
+        )
 
     def cohomology_dims(self) -> dict[tuple[int, int], int]:
         """Cellwise dim ker/im of the derivation viewed as a page differential.
@@ -590,15 +585,8 @@ def derivation_extend(
         if not targets:
             continue
         lower = alg.degree_indices(m - 1)
-        pos = {k: t for t, k in enumerate(targets)}
         pairs = [(g, y) for g in gens for y in lower]
-        cols = []
-        for (g, y) in pairs:
-            col = [Q0] * len(targets)
-            for k, c in alg.product_indices(g, y).items():
-                col[pos[k]] = c
-            cols.append(vec(col))
-        mult = Matrix.from_cols(cols, rows=len(targets))
+        mult = alg.matrix([alg.product_indices(g, y) for (g, y) in pairs], targets)
         sols = mult.solve_many(Matrix.identity(len(targets)).column_vectors())
         for w, x in zip(targets, sols):
             if x is None:

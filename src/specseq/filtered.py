@@ -3,8 +3,8 @@
 A CochainComplex stores one space per degree in a bounded range and the
 differentials between them; d compose to zero by construction. A
 FilteredComplex adds a decreasing, exhaustive, bounded filtration compatible
-with d. Cohomology and the cycle spaces F^a cap d^{-1}F^b are returned in
-explicit bases so downstream code never sees abstract quotients.
+with d. The cycle spaces F^a cap d^{-1}F^b are returned in explicit bases,
+and dim H^n is read off the ranks of the differentials (betti).
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    image,
     json_int,
-    kernel,
     key_int,
     preimage,
-    scalar_str,
 )
 
 # caps on a complex read from JSON, checked before anything of that size is
@@ -71,12 +68,6 @@ class CochainComplex:
         if hit is not None:
             return hit
         return Matrix.zeros(self.dim(n + 1), self.dim(n))
-
-    def cohomology(self, n: int) -> Subquotient:
-        """H^n(K) = ker d^n / im d^{n-1} as a subquotient of K^n."""
-        if n < self.lo or n > self.hi:
-            return Subquotient.zero(0)
-        return Subquotient.of(kernel(self.diff(n)), image(self.diff(n - 1)))
 
     def betti(self, n: int) -> int:
         """dim H^n(K) by rank-nullity: dim K^n - rank d^n - rank d^{n-1}.
@@ -261,7 +252,7 @@ class FilteredComplex:
                 if p > f.p_lo and sub != above and not above.contains(sub):
                     # the first basis vector of F^p outside F^{p-1}
                     v = next(v for v in sub.basis_rows if not above.contains_vector(v))
-                    at["vector"] = [scalar_str(a) for a in v]
+                    at["vector"] = [str(a) for a in v]
                     raise InvariantError(
                         f"filtration is not decreasing at level {p}, degree {n}", witness=at
                     )
@@ -285,7 +276,7 @@ class FilteredComplex:
                     if not tgt._holds(d._apply_ints(row)):
                         raise InvariantError(
                             f"differential leaves level {p} between degrees {n} and {n + 1}",
-                            witness=[scalar_str(a) for a in v],
+                            witness=[str(a) for a in v],
                         )
 
     @property

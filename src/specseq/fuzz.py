@@ -148,13 +148,12 @@ def _omega_constraint(model) -> tuple:
     gens = alg.cell_indices(0, 1)
     cell20 = alg.cell_indices(2, 0)
     unknowns = [(g, k) for g in gens for k in cell20]
-    cols = []
-    tgt_p, tgt_q = 3, 0
-    for (g, k) in unknowns:
-        od = ObstructionDatum(model, {g: alg.basis_element(k)})
-        d = d2_from_alpha(od)
-        cols.append(alg.cell_vector(d.apply(model.pa.omega), tgt_p, tgt_q))
-    system = Matrix.from_cols(cols, rows=alg.cell_dim(tgt_p, tgt_q))
+    omega = model.pa.omega
+    images = [
+        d2_from_alpha(ObstructionDatum(model, {g: alg.basis_element(k)})).apply(omega).coeffs
+        for (g, k) in unknowns
+    ]
+    system = alg.matrix(images, alg.cell_indices(3, 0))
     out = (unknowns, system.nullspace())
     _CONSTRAINT_CACHE[model.pa] = out
     return out

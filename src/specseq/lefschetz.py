@@ -23,7 +23,6 @@ from .linalg import (
     coefficient,
     kernel,
     pairing_rank,
-    scalar_str,
     sparse_rank,
 )
 
@@ -92,11 +91,8 @@ class PolarizedAlgebra:
             x = Element(self.A, out)
         return x
 
-    def degree_indices(self, m: int) -> list[int]:
-        return self.A.degree_indices(m)
-
     def betti(self, m: int) -> int:
-        return len(self.degree_indices(m))
+        return len(self.A.degree_indices(m))
 
     def hard_lefschetz_failure(self) -> int | None:
         """Smallest i >= 1 with L^i : H^{n-i} -> H^{n+i} not bijective, else None.
@@ -105,7 +101,7 @@ class PolarizedAlgebra:
         images of L, and the coefficient maps of the images are ranked once.
         """
         for i in range(1, self.n + 1):
-            src = self.degree_indices(self.n - i)
+            src = self.A.degree_indices(self.n - i)
             if len(src) != self.betti(self.n + i):
                 return i
             images = [self.L(self.A.basis_element(k), i).coeffs for k in src]
@@ -123,11 +119,8 @@ class PolarizedAlgebra:
         if p + q > self.n or not self.A.cell_dim(p, q):
             return Subspace.zero(self.A.cell_dim(p, q))
         i = self.n - p - q + 1
-        cols = [
-            self.A.cell_vector(self.L(self.A.basis_element(idx), i), p + i, q + i)
-            for idx in self.A.cell_indices(p, q)
-        ]
-        return kernel(Matrix.from_cols(cols, rows=self.A.cell_dim(p + i, q + i)))
+        images = [self.L(self.A.basis_element(k), i).coeffs for k in self.A.cell_indices(p, q)]
+        return kernel(self.A.matrix(images, self.A.cell_indices(p + i, q + i)))
 
     def primitive_elements(self, p: int, q: int) -> tuple[Element, ...]:
         """The basis of H0^{p,q} as elements, built once per cell."""
@@ -271,11 +264,10 @@ def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
         tp, tq = p + A, q + B
         prim_t = pa.primitive_elements(tp, tq)
         prim_s = pa.primitive_elements(tp - 1, tq - 1)
-        cols = [pa.A.cell_vector(g, tp, tq) for g in prim_t]
-        cols += [pa.A.cell_vector(pa.L(g), tp, tq) for g in prim_s]
-        system = Matrix.from_cols(cols, rows=pa.A.cell_dim(tp, tq))
-        targets = [pa.A.cell_vector(d.apply(alpha), tp, tq) for alpha in prim]
-        sols = system.solve_many(targets)
+        idx = pa.A.cell_indices(tp, tq)
+        system = pa.A.matrix([g.coeffs for g in prim_t] + [pa.L(g).coeffs for g in prim_s], idx)
+        targets = pa.A.matrix([d.apply(alpha).coeffs for alpha in prim], idx)
+        sols = system.solve_many(targets.column_vectors())
         d0s, d1s = [], []
         for alpha, x in zip(prim, sols):
             if x is None:
@@ -298,7 +290,7 @@ def deligne_vanishing(pa: PolarizedAlgebra, k: int = -1) -> int:
     L_{m+k} adds to the rows r where it is nonzero.
     """
     top = 2 * pa.n
-    degree = {m: pa.degree_indices(m) for m in range(-abs(k), top + abs(k) + 3)}
+    degree = {m: pa.A.degree_indices(m) for m in range(-abs(k), top + abs(k) + 3)}
     pos = {i: t for idx in degree.values() for t, i in enumerate(idx)}
     unknown_id: dict[tuple[int, int, int], int] = {}
     for m in range(0, top + 1):
@@ -379,7 +371,7 @@ class Certificate:
 
 
 def _element_witness(x: Element) -> dict:
-    return {x.alg.basis[i][0]: scalar_str(c) for i, c in sorted(x.coeffs.items())}
+    return {x.alg.basis[i][0]: str(c) for i, c in sorted(x.coeffs.items())}
 
 
 # what a passing step adds to its statement
@@ -454,7 +446,7 @@ def degeneration_certify(
                             return {
                                 "alpha": _element_witness(alpha),
                                 "beta": _element_witness(beta),
-                                "pairing": scalar_str(val),
+                                "pairing": str(val),
                             }
                     if not dalpha.is_zero():
                         raise EngineError(

@@ -129,10 +129,6 @@ def _scalars(data, memo: dict[str, Fraction]) -> tuple[tuple[Fraction, ...], ...
     return tuple(out)
 
 
-def scalar_str(value: Fraction) -> str:
-    return str(value)
-
-
 def vec(values: Iterable) -> Vector:
     return tuple(map(scalar, values))
 
@@ -411,11 +407,12 @@ class Matrix:
         return Matrix._of_cols(data, height)
 
     @staticmethod
-    def _of_cols(cols: Iterable[Sequence[Fraction]], rows: int) -> "Matrix":
-        """The matrix with these columns, each a sequence of `rows` Fractions, as they are.
+    def _of_cols(cols: Iterable[Sequence[int | Fraction]], rows: int) -> "Matrix":
+        """The matrix with these columns, each a sequence of `rows` Fractions or ints, as they are.
 
-        For columns the engine built itself (coset coordinates, basis rows);
-        from_cols is the checked constructor for any other columns.
+        For columns the engine built itself (coset coordinates, basis rows,
+        algebra coefficient maps); from_cols is the checked constructor for
+        any other columns.
         """
         nonzeros = [_pairs(c) for c in cols]
         den = lcm(*[a.denominator for col in nonzeros for _, a in col])
@@ -562,7 +559,7 @@ class Matrix:
         return out
 
     def to_json(self) -> list[list[str]]:
-        return [[scalar_str(a) for a in row] for row in self.entries]
+        return [[str(a) for a in row] for row in self.entries]
 
     @staticmethod
     def from_json(
@@ -676,25 +673,9 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         return all(self._holds(_row_ints(row, self.ambient_dim)) for row in other.tails)
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise InvariantError("subspace sum across different ambient spaces")
-        return Subspace._span_ints(self.ambient_dim, self._rows() + other._rows())
-
     def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise InvariantError("subspace intersection across different ambient spaces")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
-        if self.is_full():
-            return other
-        if other.is_full():
-            return self
-        n = self.ambient_dim
-        rows = other._rows()
-        for u in self._rows():
-            rows.append({**u, **{n + j: a for j, a in u.items()}})
-        return _zassenhaus(rows, n, n)
+        """self cap other: the preimage of other under the identity on self."""
+        return preimage(Matrix.identity(self.ambient_dim), other, self)
 
     def to_json(self) -> list[list[str]]:
         return self.basis().to_json()
@@ -713,9 +694,12 @@ def image(f: Matrix) -> Subspace:
 def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:
     """Subspace {x in source : f(x) in target}, source itself where target is full.
 
-    It is one Zassenhaus reduction over the rows (f s | s), for the Rows s
-    of source, and (g | 0), for the Rows g of target: den * lead times each
-    left block is f._apply_ints(s), so the right block is scaled to match.
+    It is the Zassenhaus construction, one reduction over the rows (f s | s),
+    for the Rows s of source, and (g | 0), for the Rows g of target: den *
+    lead times each left block is f._apply_ints(s), so the right block is
+    scaled to match. The reduced rows whose pivots lie past the left block
+    have a zero left block, and their right blocks are already the canonical
+    basis of the preimage.
     """
     if target.ambient_dim != f.rows or source.ambient_dim != f.cols:
         raise InvariantError("preimage target or source lives in the wrong ambient space")
@@ -730,18 +714,7 @@ def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:
         for j, c in tail:
             row[split + j] = den * c
         rows.append(row)
-    return _zassenhaus(rows, split, f.cols)
-
-
-def _zassenhaus(rows: list[dict[int, int]], split: int, ambient_dim: int) -> Subspace:
-    """{x : (0, x) in the row span}, for sparse rows over split + ambient_dim columns.
-
-    This is the Zassenhaus construction: the reduced echelon rows whose
-    pivots lie past split have a zero left block, and their right blocks are
-    already the canonical basis of that subspace.
-    """
-    low = [row for row in _echelon(rows) if row[0] >= split]
-    return Subspace._of(ambient_dim, low, shift=split)
+    return Subspace._of(f.cols, [row for row in _echelon(rows) if row[0] >= split], shift=split)
 
 
 @dataclass(frozen=True)
@@ -808,7 +781,7 @@ class Subquotient:
         if cs is None:
             raise ContainmentError(
                 "vector outside the subquotient numerator",
-                witness=[scalar_str(a) for a in w],
+                witness=[str(a) for a in w],
             )
         return cs
 
@@ -862,13 +835,13 @@ def induced_map(f: Matrix, source: Subquotient, target: Subquotient) -> Matrix:
         if coords[z[0]] is None:
             raise ContainmentError(
                 f"image of numerator basis vector {i} leaves the target numerator",
-                witness=[scalar_str(a) for a in source.Z.basis_rows[i]],
+                witness=[str(a) for a in source.Z.basis_rows[i]],
             )
     for i, b in enumerate(source.B.tails):
         if not target.B._holds(f._apply_ints(b)):
             raise ContainmentError(
                 f"image of denominator basis vector {i} leaves the target denominator",
-                witness=[scalar_str(a) for a in source.B.basis_rows[i]],
+                witness=[str(a) for a in source.B.basis_rows[i]],
             )
     return Matrix._of_cols([coords[p] for p, _, _ in source.tails], target.dim)
 

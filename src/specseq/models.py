@@ -22,7 +22,11 @@ from .algebra import (
 )
 from .errors import InvariantError, ParseError
 from .lefschetz import PolarizedAlgebra
-from .linalg import coefficient, scalar, scalar_str
+from .linalg import coefficient, scalar
+
+# caps on the n of a built model, checked before anything is built: torus n
+# has 4^n basis elements and 9^n products, pn n has about n^2 / 2 products
+MAX_TORUS_N, MAX_PN_N = 6, 200
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class VarietyModel:
         out["name"] = self.name
         out["omega"] = self.pa.omega.to_json()
         out["integral"] = {
-            str(i): scalar_str(c) for i, c in sorted(self.pa.integral.items())
+            str(i): str(c) for i, c in sorted(self.pa.integral.items())
         }
         out["roles"] = {k: list(v) for k, v in sorted(self.roles.items())}
         return out
@@ -187,6 +191,8 @@ def _bits(mask: int) -> tuple[int, ...]:
 def _torus_model(n: int) -> VarietyModel:
     if n < 1:
         raise InvariantError("torus model needs n >= 1", witness={"n": n})
+    if n > MAX_TORUS_N:
+        raise InvariantError(f"torus model needs n <= {MAX_TORUS_N}", witness={"n": n})
     gens = [(f"xi{i}", 0, 1) for i in range(1, n + 1)]
     gens += [(f"eta{i}", 1, 0) for i in range(1, n + 1)]
     alg = _exterior_algebra(n, gens)
@@ -207,6 +213,8 @@ def _torus_model(n: int) -> VarietyModel:
 def _projective_space_model(n: int) -> VarietyModel:
     if n < 1:
         raise InvariantError("projective-space model needs n >= 1", witness={"n": n})
+    if n > MAX_PN_N:
+        raise InvariantError(f"projective-space model needs n <= {MAX_PN_N}", witness={"n": n})
     basis = [("1", 0, 0), ("w", 1, 1)]
     basis += [(f"w^{k}", k, k) for k in range(2, n + 1)]
     products: dict[tuple[int, int], dict[int, int]] = {}
@@ -286,13 +294,12 @@ def tensor_model(m1: VarietyModel, m2: VarietyModel) -> VarietyModel:
 
 def build_model(kind: str, n: int | None = None,
                 a: VarietyModel | None = None, b: VarietyModel | None = None) -> VarietyModel:
-    """torus(n), projective_space(n), or product(a, b)."""
-    kind = kind.lower()
+    """torus(n), pn(n), or product(a, b)."""
     if kind == "torus":
         if n is None:
             raise InvariantError("torus model needs n")
         return _torus_model(n)
-    if kind in ("pn", "projective_space"):
+    if kind == "pn":
         if n is None:
             raise InvariantError("projective-space model needs n")
         return _projective_space_model(n)
@@ -345,10 +352,10 @@ class ObstructionDatum:
     def to_json(self) -> dict:
         alg = self.model.pa.A
         return {
-            "scale": scalar_str(self.scale),
+            "scale": str(self.scale),
             "images": {
                 alg.basis[i][0]: {
-                    alg.basis[k][0]: scalar_str(c) for k, c in sorted(v.coeffs.items())
+                    alg.basis[k][0]: str(c) for k, c in sorted(v.coeffs.items())
                 }
                 for i, v in sorted(self.alpha.items())
             },

@@ -1,5 +1,7 @@
 """Bigraded algebras and derivations vs the monomial oracle."""
 
+import functools
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from specseq import (
     derivation_extend,
     verify_leibniz,
 )
-from specseq.linalg import Q1
+from specseq.linalg import Q1, Matrix
 
 
 def torus_words(n):
@@ -636,3 +638,49 @@ def test_torus4_validates_on_the_candidate_triples_only(monkeypatch):
     alg.validate()
     # 4^8 pairwise disjoint triples with one product term per side, not 256^3
     assert calls[0] <= 2 * 4 ** 8
+
+
+BRIDGE_MODELS = {
+    "torus2": lambda: build_model("torus", 2),
+    "pn4": lambda: build_model("pn", 4),
+    "torus1xpn2": lambda: build_model(
+        "product", a=build_model("torus", 1), b=build_model("pn", 2)
+    ),
+}
+
+
+@functools.cache
+def bridge_algebra(name):
+    return BRIDGE_MODELS[name]().pa.A
+
+
+# nonzero int and Fraction coefficients, as the algebra layer keeps them
+bridge_coeffs = st.one_of(
+    st.integers(-9, 9), st.fractions(-3, 3, max_denominator=7).filter(lambda c: c.denominator > 1)
+).filter(bool)
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE_MODELS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_matrix_columns_are_the_dense_coordinates_of_the_maps(name, data):
+    alg = bridge_algebra(name)
+    idx = alg.cell_indices(*data.draw(st.sampled_from(sorted(alg.cells))))
+    tabs = data.draw(st.lists(st.dictionaries(st.sampled_from(idx), bridge_coeffs), max_size=5))
+    dense = [[tab.get(k, 0) for k in idx] for tab in tabs]
+    assert alg.matrix(tabs, idx) == Matrix.from_cols(dense, rows=len(idx))
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE_MODELS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_matrix_names_the_basis_element_outside_the_cell(name, data):
+    alg = bridge_algebra(name)
+    idx = alg.cell_indices(*data.draw(st.sampled_from(sorted(alg.cells))))
+    outside = data.draw(st.sampled_from([k for k in range(alg.dim()) if k not in idx]))
+    tab = data.draw(st.dictionaries(st.sampled_from(idx), bridge_coeffs))
+    tab[outside] = data.draw(bridge_coeffs)
+    tabs = data.draw(st.lists(st.dictionaries(st.sampled_from(idx), bridge_coeffs), max_size=2))
+    message = f"support outside the expected basis: {re.escape(alg.basis[outside][0])}$"
+    with pytest.raises(InvariantError, match=message):
+        alg.matrix(tabs + [tab], idx)

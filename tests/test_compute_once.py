@@ -11,8 +11,8 @@ one product omega * e_i per basis element of a polarized algebra, and each
 algebra and polarization fact checked once: no unit, mirror or
 self-mirrored cases in algebra validation, no twisted pairing, which
 hard Lefschetz and Poincare duality already make nondegenerate, no second
-check of a product of checked factors, and no model built by a certify
-call that names no derivation."""
+check of a product of checked factors, no model built by a certify
+call that names no derivation, and none built for an n past its cap."""
 
 import json
 from fractions import Fraction
@@ -642,3 +642,17 @@ def test_certify_without_a_derivation_builds_no_model(monkeypatch, capsys, tmp_p
     path.write_text(json.dumps([torus2.to_json()]))
     assert main(["certify", "--algebra", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["location"] == "n"
+
+
+@pytest.mark.parametrize("kind", ["torus", "pn"])
+def test_a_model_past_its_cap_is_refused_before_anything_is_built(monkeypatch, capsys, kind):
+    from specseq import BigradedAlgebra
+    from specseq.models import MAX_PN_N, MAX_TORUS_N
+
+    # one above the cap only: were the cap missing, a larger n would ask for gigabytes
+    n = {"torus": MAX_TORUS_N, "pn": MAX_PN_N}[kind] + 1
+    built = count_calls(monkeypatch, BigradedAlgebra, "__init__")
+    assert main(["model", kind, "--n", str(n)]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "invariant" and out["witness"] == {"n": n}
+    assert built == []

@@ -122,7 +122,8 @@ def test_span_invariant_under_permutation_and_scaling(vectors, scale):
 def test_sum_and_intersection_dimension_formula(u, v):
     su = Subspace.span(4, [vec(x) for x in u])
     sv = Subspace.span(4, [vec(x) for x in v])
-    both = su.sum_with(sv)
+    # a sum is one span of both bases
+    both = Subspace.span(4, su.basis_rows + sv.basis_rows)
     meet = su.intersect(sv)
     assert both.dim + meet.dim == su.dim + sv.dim
     if u or v:
@@ -473,7 +474,7 @@ def test_wide_subspace_equality_and_hash_follow_basis_rows(data):
     total = [sum((Fraction(a) for a in col), Fraction(0)) for col in zip(*rows)]
     same = [
         Subspace.span(n, [total] + scaled[::-1]),
-        s.sum_with(Subspace.span(n, scaled[:1])),
+        Subspace.span(n, [*s.basis_rows, *scaled[:1]]),
         # already reduced rows, which no cancellation reorders
         Subspace.span(n, s.basis_rows),
     ]
