@@ -446,7 +446,8 @@ class Derivation:
     def cohomology_dims(self) -> dict[tuple[int, int], int]:
         """Cellwise dim ker/im of the derivation viewed as a page differential.
 
-        Requires the composite with itself to vanish.
+        Requires the composite with itself to vanish. Each cell's outgoing map is
+        ranked once; a cell's incoming rank is its source cell's (0 off the table).
         """
         sq, witness = self.squares_to_zero()
         if not sq:
@@ -454,12 +455,12 @@ class Derivation:
                 "derivation does not square to zero", witness=witness
             )
         a, b = self.bidegree
-        out = {}
-        for (p, q), idx in self.alg.cells.items():
-            dout = self.cell_matrix(p, q)
-            din = self.cell_matrix(p - a, q - b)
-            out[(p, q)] = (len(idx) - dout.rank()) - din.rank()
-        return out
+        cells = self.alg.cells
+        ranks = {pq: self.cell_matrix(*pq).rank() for pq in cells}
+        return {
+            (p, q): len(idx) - ranks[(p, q)] - ranks.get((p - a, q - b), 0)
+            for (p, q), idx in cells.items()
+        }
 
     def to_json(self) -> dict:
         return {

@@ -48,21 +48,24 @@ def _ascii_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
-def _literal(text: str) -> int | Fraction:
-    """The rational a string spells, as Fraction(text) reads it.
+def _literal(text: str) -> tuple[int, int]:
+    """The rational a string spells, as Fraction(text) reads it: its reduced (num, den), den > 0.
 
-    An ASCII "-?[0-9]+" literal is read by int() alone and comes back as an
-    int, and an ASCII "-?[0-9]+/[0-9]+" one by int() on both sides; any
-    other string goes through Fraction(text).
+    An ASCII "-?[0-9]+" literal is read by one int(), and an ASCII
+    "-?[0-9]+/[0-9]+" one by two int() calls and one gcd; any other string
+    (and a zero denominator, to raise) goes through Fraction(text).
     """
     num, slash, den = text.partition("/")
     try:
         if _ascii_digits(num[1:] if num[:1] == "-" else num):
             if not slash:
-                return int(num)
-            if _ascii_digits(den):
-                return Fraction(int(num), int(den))
-        return Fraction(text)
+                return int(num), 1
+            if _ascii_digits(den) and (b := int(den)):
+                a = int(num)
+                g = gcd(a, b)
+                return a // g, b // g
+        q = Fraction(text)
+        return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
 
@@ -74,8 +77,7 @@ def scalar(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        c = _literal(value)
-        return Fraction(c) if type(c) is int else c
+        return Fraction(*_literal(value))
     raise ParseError(f"cannot interpret {value!r} as a rational")
 
 
@@ -88,8 +90,11 @@ def coefficient(value) -> int | Fraction:
     """
     if type(value) is int:
         return value
-    c = _literal(value) if isinstance(value, str) else scalar(value)
-    return c if type(c) is int or c.denominator != 1 else c.numerator
+    if isinstance(value, str):
+        a, b = _literal(value)
+        return a if b == 1 else Fraction(a, b)
+    c = scalar(value)
+    return c if c.denominator != 1 else c.numerator
 
 
 def json_int(value) -> int:
@@ -106,13 +111,13 @@ def key_int(key: str) -> int:
     return value
 
 
-def _scalars(data, memo: dict[str, Fraction]) -> tuple[tuple[Fraction, ...], ...]:
-    """scalar() of each entry of a list of JSON rows, row by row.
+def _scalars(data, memo: dict[str, tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The reduced (num, den) of each entry of JSON rows, read row by row, without a Fraction.
 
-    Each distinct string is parsed once and kept in memo, which the reads of
-    one load share. Only strings are kept: JSON 1, 1.0 and true compare equal
-    as dict keys, but only 1 is a rational. A bad literal is never kept, so
-    it raises wherever it appears.
+    A string is read by _literal, once per distinct string and load: memo
+    keeps it for the other reads of the load. Only strings are kept: JSON
+    1, 1.0 and true compare equal as dict keys, but only 1 is a rational. A
+    bad literal is never kept, so the first bad entry in row-major order raises.
     """
     out = []
     for r in data:
@@ -121,12 +126,15 @@ def _scalars(data, memo: dict[str, Fraction]) -> tuple[tuple[Fraction, ...], ...
             if type(a) is str:
                 q = memo.get(a)
                 if q is None:
-                    q = memo[a] = scalar(a)
+                    q = memo[a] = _literal(a)
+            elif type(a) is int:
+                q = (a, 1)
             else:
                 q = scalar(a)
+                q = (q.numerator, q.denominator)
             row.append(q)
-        out.append(tuple(row))
-    return tuple(out)
+        out.append(row)
+    return out
 
 
 def vec(values: Iterable) -> Vector:
@@ -252,14 +260,13 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, int, dict[int, i
     Each row is reduced by the pivot rows kept so far as
     row := (lead / g) * row - (x / g) * kept, x its entry at the kept pivot
     and g = gcd(lead, x), divided by its content and sign at its leading
-    column, and then cancelled the same way from the kept rows that are
-    nonzero in that column, which `touching` finds without scanning the
-    other kept rows; no step does arithmetic on a zero entry. The reduced
-    form is unique, so the order of the rows changes nothing.
+    column, and then cancelled the same way from each kept row that holds
+    that column, popped from every kept row: no index of kept pivots by
+    column is kept, as its upkeep costs more than the scan on small systems.
+    No step does arithmetic on a zero entry. The reduced form is unique, so
+    the order of the rows changes nothing.
     """
     kept: dict[int, list] = {}  # pivot -> [lead, tail]
-    # column -> pivots of the kept rows nonzero there (or that were, before a cancellation)
-    touching: dict[int, set[int]] = {}
     for row in rows:
         for p in [c for c in row if c in kept]:
             lead, tail = kept[p]
@@ -281,8 +288,7 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, int, dict[int, i
                 lead //= g
                 for j in row:
                     row[j] //= g
-        for k in touching.pop(c, ()):
-            entry = kept[k]
+        for entry in kept.values():
             other = entry[1]
             y = other.pop(c, 0)
             if y:
@@ -296,11 +302,7 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, int, dict[int, i
                     for j in other:
                         other[j] //= g
                 entry[0] = klead
-                for j in row:
-                    touching.setdefault(j, set()).add(k)
         kept[c] = [lead, row]
-        for j in row:
-            touching.setdefault(j, set()).add(c)
     return [(c, lead, tail) for c, (lead, tail) in sorted(kept.items())]
 
 
@@ -336,8 +338,8 @@ def _solve_ints(
     return out
 
 
-def _json_shape(data, rows: int | None, cols: int | None) -> None:
-    """Check that JSON matrix data is a list of `rows` lists of `cols` entries each.
+def _json_shape(data, rows: int | None, cols: int | None) -> int:
+    """Check that JSON matrix data is a list of `rows` lists of `cols` entries each; return cols.
 
     cols defaults to the length of the first row; a ParseError names the
     first mismatch.
@@ -346,10 +348,11 @@ def _json_shape(data, rows: int | None, cols: int | None) -> None:
         raise ParseError("matrix must be a list of rows")
     if rows is not None and len(data) != rows:
         raise ParseError(f"expected {rows} rows, found {len(data)}")
-    width = len(data[0]) if cols is None and data else cols
+    width = (len(data[0]) if data else 0) if cols is None else cols
     for r in data:
         if len(r) != width:
             raise ParseError(f"expected {width} columns, found {len(r)}")
+    return width
 
 
 @dataclass(frozen=True)
@@ -566,11 +569,15 @@ class Matrix:
         data, rows: int | None = None, cols: int | None = None, memo: dict | None = None
     ) -> "Matrix":
         """The matrix of JSON rows; memo is shared by the reads of one load (see _scalars)."""
-        _json_shape(data, rows, cols)
-        entries = _scalars(data, {} if memo is None else memo)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        return Matrix._of_cols(zip(*entries) if entries else [()] * cols, len(entries))
+        cols = _json_shape(data, rows, cols)
+        read = _scalars(data, {} if memo is None else memo)
+        den = lcm(*[b for row in read for _, b in row])
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+        for i, row in enumerate(read):
+            for col, (a, b) in zip(columns, row):
+                if a:
+                    col.append((i, a * (den // b)))
+        return Matrix(len(read), cols, den, tuple(map(tuple, columns)))
 
 
 @dataclass(frozen=True)
@@ -628,17 +635,18 @@ class Subspace:
         return Subspace._span_ints(ambient_dim, rows)
 
     @staticmethod
-    def _from_json(data, ambient_dim: int, memo: dict[str, Fraction]) -> "Subspace":
+    def _from_json(data, ambient_dim: int, memo: dict[str, tuple[int, int]]) -> "Subspace":
         """The span of the columns of a JSON basis matrix with ambient_dim rows.
 
         It raises the ParseErrors of Matrix.from_json, at the same entries,
         and reads each column straight to integers; memo is as there.
         """
         _json_shape(data, ambient_dim, None)
-        read = _scalars(data, memo)
-        return Subspace._span_ints(
-            ambient_dim, [_int_row(_pairs(col)) for col in zip(*read)]
-        )
+        rows = []
+        for col in zip(*_scalars(data, memo)):
+            den = lcm(*[b for _, b in col])
+            rows.append({i: a * (den // b) for i, (a, b) in enumerate(col) if a})
+        return Subspace._span_ints(ambient_dim, rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

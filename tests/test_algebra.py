@@ -1,6 +1,7 @@
 """Bigraded algebras and derivations vs the monomial oracle."""
 
 import functools
+import random
 import re
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from specseq import (
     derivation_extend,
     verify_leibniz,
 )
+from specseq.fuzz import random_obstruction_datum
 from specseq.linalg import Q1, Matrix
 
 
@@ -275,6 +277,20 @@ class TestDerivation:
         k = derivation_extend(alg, (1, -1), images)
         with pytest.raises(InvariantError):
             k.cohomology_dims()
+
+    def test_cohomology_dims_build_each_cell_map_once(self, torus3, monkeypatch):
+        # 16 cells; ranking both maps of each cell asks for 32, of 26 distinct cells
+        d = self.alpha_derivation(torus3)
+        calls = []
+        cell_matrix = Derivation.cell_matrix
+
+        def counting(self, p, q):
+            calls.append((p, q))
+            return cell_matrix(self, p, q)
+
+        monkeypatch.setattr(Derivation, "cell_matrix", counting)
+        d.cohomology_dims()
+        assert sorted(calls) == sorted(torus3.pa.A.cells)
 
     def test_scaling_and_composition(self, torus2):
         d1 = self.alpha_derivation(torus2)
@@ -652,6 +668,21 @@ BRIDGE_MODELS = {
 @functools.cache
 def bridge_algebra(name):
     return BRIDGE_MODELS[name]().pa.A
+
+
+@pytest.mark.parametrize("name", [*BRIDGE_MODELS, "torus1", "torus3", "pn2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_cohomology_dims_rank_both_maps_of_each_cell(name, seed):
+    n = {"torus1": 1, "torus3": 3, "pn2": 2}.get(name)
+    model = build_model(name[:-1], n) if n else BRIDGE_MODELS[name]()
+    d = d2_from_alpha(random_obstruction_datum(random.Random(seed), model, seed % 2 == 0))
+    a, b = d.bidegree
+    # each cell's outgoing and incoming map ranked on its own, as two matrices
+    expect = {
+        (p, q): len(idx) - d.cell_matrix(p, q).rank() - d.cell_matrix(p - a, q - b).rank()
+        for (p, q), idx in model.pa.A.cells.items()
+    }
+    assert d.cohomology_dims() == expect
 
 
 # nonzero int and Fraction coefficients, as the algebra layer keeps them

@@ -225,6 +225,30 @@ def test_loading_pages_and_barcode_cross_no_fraction_entry_point(monkeypatch):
     assert not ss.page(2).all_differentials_zero()
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_loading_a_complex_builds_no_fraction(monkeypatch, seed):
+    import random
+
+    from specseq import FilteredComplex
+    from specseq.fuzz import random_filtered_complex
+
+    # the acyclic fixture, then random complexes whose literals include fractions
+    fk = acyclic_two_term() if seed is None else random_filtered_complex(random.Random(seed))
+    data = json.loads(json.dumps(fk.to_json()))
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    loaded = FilteredComplex.from_json(data)
+    monkeypatch.undo()
+    assert built == []
+    assert loaded.to_json() == data
+
+
 def test_a_turn_carries_the_cells_d_r_leaves_alone():
     import random
 

@@ -375,7 +375,28 @@ def canonical_rows(s: Subspace) -> bool:
     return True
 
 
-@given(rows=wide_matrix(max_rows=5, max_cols=5))
+@st.composite
+def permutation_like(draw):
+    """Up to n / 2 very sparse rows of n = 60-120 columns, like a partial permutation matrix.
+
+    Each row is nonzero at its own column and at most one more. A seeded
+    Random draws them, since they are too large to draw entry by entry.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(60, 120))
+    pool = [1, -1, 2, -3, Fraction(1, 2), BIG + 1]
+    rows = []
+    for p in rng.sample(range(n), rng.randint(1, n // 2)):
+        row = [0] * n
+        row[p] = rng.choice(pool)
+        if rng.random() < 0.5:
+            row[rng.randrange(n)] = rng.choice(pool)
+        rows.append(row)
+    return rows
+
+
+# the permutation-like rows are where each new pivot scans the most kept rows
+@given(rows=st.one_of(wide_matrix(max_rows=5, max_cols=5), permutation_like()))
 @settings(max_examples=150, deadline=None)
 def test_wide_span_matches_oracle(rows):
     s = Subspace.span(len(rows[0]), rows)
@@ -544,3 +565,71 @@ def test_zero_denominator_is_a_parse_error(text):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert str(exc.value) == f"bad rational literal {text!r}"
+
+
+# JSON matrix entries: integers past 64 bits, fractions not in lowest terms,
+# spellings of zero, JSON integers, and strings that only Fraction's grammar reads
+grid_entry = st.one_of(
+    st.integers(-(2**80), 2**80).map(str),
+    st.builds(
+        lambda a, b, k: f"{a * k}/{b * k}",
+        st.integers(-(2**70), 2**70), st.integers(1, 2**70), st.integers(1, 6),
+    ),
+    st.sampled_from(["0", "-0", "0/9", "-0/4", "2/4", "-7/21", "+3", " 3", "1.5", "1e2", "\u0663"]),
+    st.integers(-(2**70), 2**70),
+)
+bad_entry = st.sampled_from(["3/0", "-6/-3", "x", True, 1.5])
+
+
+def literal_grids():
+    return st.integers(1, 4).flatmap(
+        lambda r: st.integers(1, 4).flatmap(
+            lambda c: st.lists(
+                st.lists(grid_entry, min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        )
+    )
+
+
+@given(grid=literal_grids())
+@settings(max_examples=200, deadline=None)
+def test_json_grids_read_as_the_fractions_they_spell(grid):
+    q = [[Fraction(a) for a in row] for row in grid]
+    memo: dict = {}
+    assert Matrix.from_json(grid, memo=memo) == Matrix.from_rows(q)
+    # the columns span the subspace, read with the memo the matrix filled
+    assert Subspace._from_json(grid, len(grid), memo) == Subspace.span(len(grid), zip(*q))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_first_bad_entry_of_a_json_grid_raises_at_its_location(data):
+    from specseq import FilteredComplex
+
+    grid = data.draw(literal_grids())
+    r, c = len(grid), len(grid[0])
+    spots = data.draw(st.lists(
+        st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)), min_size=1, max_size=3, unique=True
+    ))
+    bads = [data.draw(bad_entry) for _ in spots]
+    for (i, j), bad in zip(spots, bads):
+        grid[i][j] = bad
+    first = bads[spots.index(min(spots))]
+    if type(first) is str:
+        message = f"bad rational literal {first!r}"
+    else:
+        message = f"cannot interpret {first!r} as a rational"
+    for read in (lambda: Matrix.from_json(grid), lambda: Subspace._from_json(grid, r, {})):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert str(exc.value) == message
+    # the grid as d^0 : K^0 -> K^1, and as a basis of F^0 K^1
+    dims = {"0": c, "1": r}
+    for where, blob in [
+        ("d.0", {"d": {"0": grid}, "filtration": {"0": {}}}),
+        ("filtration.0.1", {"filtration": {"0": {"1": grid}}}),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            FilteredComplex.from_json({"degrees": [0, 1], "dims": dims, **blob})
+        assert exc.value.location == where
+        assert str(exc.value) == f"{where}: {message}"
