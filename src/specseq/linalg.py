@@ -16,14 +16,15 @@ cols; it holds one integer form, the lcm `den` of its denominators and
 den times each column as the (row, entry) pairs of its nonzero entries
 (`columns`). A Subspace and a Subquotient hold only Rows (`tails`). Each
 Fraction form (`Matrix.entries`, `basis_rows`, `complement`) is a view
-built when first read.
+built when first read. A JSON read is integer from the text: _literal reads
+each literal to its reduced (num, den), which go straight into integer rows.
 The one elimination routine, _echelon, works on sparse {column: integer}
 rows, and products, reductions, solves, coset coordinates and lifts have
 integer entry points (`Matrix._apply_ints`, `_solve_ints`,
 `Subspace._span_ints`, `Subquotient._lift_ints`) that the other layers
-call, so a page is built without a Fraction in between. The public
-methods taking or returning Fraction vectors are thin wrappers over them:
-a rational vector is scaled to integers once, by the lcm of its
+call, so a page is built with no Fraction in between. The public methods
+taking or returning Fraction vectors are thin wrappers over them: a
+rational vector is scaled to integers once, by the lcm of its
 denominators, and a Fraction is made only for an entry that is returned.
 """
 
