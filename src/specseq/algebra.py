@@ -303,7 +303,12 @@ class BigradedAlgebra:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "BigradedAlgebra":
+    def from_json(data: dict, read: "_Reader | None" = None) -> "BigradedAlgebra":
+        """The algebra of a JSON object; malformed input raises a ParseError at its key.
+
+        read, if given, is sized to the basis here and then serves the
+        caller's further reads of the same document (see _Reader).
+        """
         try:
             n = json_int(data["n"])
         except (KeyError, TypeError) as exc:
@@ -327,6 +332,8 @@ class BigradedAlgebra:
         prod_raw = data.get("products", {})
         if not isinstance(prod_raw, dict):
             raise ParseError("products must be an object", location="products")
+        read = (_Reader() if read is None else read).sized(len(basis))
+        keys = read.keys
         for key, tab in prod_raw.items():
             what = f"product {key!r}"
             parts = key.split(",")
@@ -334,8 +341,10 @@ class BigradedAlgebra:
                 raise ParseError(f"bad product key {key!r}", location="products")
             if not isinstance(tab, dict):
                 raise ParseError(f"{what} must be an object", location="products")
-            i, j = (_basis_index(s, len(basis), what, "products") for s in parts)
-            products[(i, j)] = coeffs_from_json(tab, len(basis), what, "products")
+            i, j = keys.get(parts[0]), keys.get(parts[1])
+            if i is None or j is None:
+                i, j = (read.index(s, what, "products") for s in parts)
+            products[(i, j)] = read.coeffs(tab, what, "products")
         return BigradedAlgebra(n, basis, unit, products)
 
 
@@ -485,12 +494,13 @@ class Derivation:
         vals_raw = data.get("values", {})
         if not isinstance(vals_raw, dict):
             raise ParseError("values must be an object", location="values")
+        read = _Reader().sized(alg.dim())
         for key, tab in vals_raw.items():
             what = f"value of {key!r}"
-            i = _basis_index(key, alg.dim(), "values", "values")
+            i = read.index(key, "values", "values")
             if not isinstance(tab, dict):
                 raise ParseError(f"{what} must be an object", location="values")
-            values[i] = alg.from_coeffs(coeffs_from_json(tab, alg.dim(), what, "values"))
+            values[i] = alg.from_coeffs(read.coeffs(tab, what, "values"))
         return Derivation(alg, (int(bid_raw[0]), int(bid_raw[1])), values)
 
 
@@ -505,21 +515,53 @@ def _basis_index(key: str, dim: int, what: str, location: str) -> int:
     return i
 
 
-def coeffs_from_json(
-    tab: dict, dim: int, what: str, location: str
-) -> dict[int, int | Fraction]:
-    """{basis index: rational} read from a JSON object, every index in [0, dim).
+class _Reader:
+    """The basis indices and coefficients of one model document, each spelling read once.
 
-    Integral values come back as ints, as the algebra layer keeps them.
+    keys maps str(i) to i for i in [0, dim): a JSON key is a canonical basis
+    index in range exactly when it is in keys, so one lookup replaces
+    key_int and the range check. memo keeps the value of each coefficient
+    string read, so each distinct literal goes through coefficient once per
+    document. Only strings are kept: JSON 1, 1.0 and true compare equal as
+    dict keys, but only 1 is a rational. A bad literal raises before it is
+    kept. A key missing from keys goes through _basis_index, and a value
+    that is no string through coefficient: the one reading, whose ParseError
+    they raise.
     """
-    out = {}
-    for key, value in tab.items():
-        k = _basis_index(key, dim, what, location)
-        try:
-            out[k] = coefficient(value)
-        except ParseError as exc:
-            raise ParseError(f"bad coefficients in {what}", location=location) from exc
-    return out
+
+    __slots__ = ("dim", "keys", "memo")
+
+    def __init__(self) -> None:
+        self.memo: dict[str, int | Fraction] = {}
+
+    def sized(self, dim: int) -> "_Reader":
+        """This reader, for a basis of dim elements."""
+        self.dim = dim
+        self.keys = {str(i): i for i in range(dim)}
+        return self
+
+    def index(self, key: str, what: str, location: str) -> int:
+        i = self.keys.get(key)
+        return _basis_index(key, self.dim, what, location) if i is None else i
+
+    def coeffs(self, tab: dict, what: str, location: str) -> dict[int, int | Fraction]:
+        """{basis index: rational} read from a JSON object; integral values come back as ints."""
+        keys, memo = self.keys, self.memo
+        out = {}
+        for key, value in tab.items():
+            k = keys.get(key)
+            if k is None:
+                k = _basis_index(key, self.dim, what, location)
+            c = memo.get(value) if type(value) is str else None
+            if c is None:
+                try:
+                    c = coefficient(value)
+                except ParseError as exc:
+                    raise ParseError(f"bad coefficients in {what}", location=location) from exc
+                if type(value) is str:
+                    memo[value] = c
+            out[k] = c
+        return out
 
 
 def _accumulate(acc: dict[int, int | Fraction], c: int | Fraction, tab) -> None:

@@ -18,6 +18,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import Derivation
 from .errors import EngineError, InvariantError, ParseError, SpecSeqError
@@ -66,13 +67,67 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"invalid JSON: {exc}", location=path) from exc
 
 
+def _key(k: str | int) -> str:
+    """A dict key as json writes it: a str quoted, an int's digits quoted."""
+    if type(k) is str:
+        return _quote(k)
+    if type(k) is int:
+        return f'"{k}"'
+    raise TypeError(f"keys must be str or int, not {type(k).__name__}")
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for what the commands emit.
+
+    That is dicts with str or int keys, sorted as json sorts them (so int
+    keys numerically) and then written as strings; lists and tuples; str,
+    int, bool and None. Any other type raises TypeError, as json.dumps does
+    for a Fraction. json uses its C encoder only without an indent, so this
+    writer replaces its pure-Python generators: each container is one
+    join of its items, and a str or int item is written in place. pad is
+    the newline and indent of the container's own line.
+    """
+    t = type(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for k in sorted(obj):
+            v = obj[k]
+            tv = type(v)
+            items.append(_key(k) + ": " + (
+                _quote(v) if tv is str else repr(v) if tv is int else _dumps(v, inner)
+            ))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else repr(v) if type(v) is int else _dumps(v, inner)
+            for v in obj
+        ]) + pad + "]"
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(obj: dict, out: str | None) -> None:
     """Write obj to the --out file, if any, and then to stdout.
 
     A failed write raises a ParseError at `out` before stdout is touched,
     so stdout then holds only the error object.
     """
-    blob = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    blob = _dumps(obj) + "\n"
     if out:
         try:
             with open(out, "w") as fh:

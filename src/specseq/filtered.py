@@ -9,6 +9,8 @@ and dim H^n is read off the ranks of the differentials (betti).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InvariantError, ParseError
 from .linalg import (
     Matrix,
@@ -30,6 +32,24 @@ def _parsed_at(location: str, parse, *args):
         return parse(*args)
     except ParseError as exc:
         raise ParseError(str(exc), location=location) from exc
+
+
+def _basis_key(n: int, basis) -> tuple | None:
+    """(n, the rows of basis as tuples of its raw entries) for a list of lists, else None.
+
+    Only a basis of strings is kept under its key, so a later basis hits it
+    only with the same literal strings: JSON 1, 1.0 and true compare equal,
+    but none of them equals a string. A basis with no key, an unhashable
+    entry included, is read afresh, and the read rejects it.
+    """
+    if type(basis) is not list or set(map(type, basis)) != {list}:
+        return None
+    key = (n, tuple(map(tuple, basis)))
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 class CochainComplex:
@@ -353,9 +373,8 @@ class FilteredComplex:
         if not isinstance(filt_raw, dict) or not filt_raw:
             raise ParseError("filtration must be a non-empty object", location="filtration")
         levels: dict[int, dict[int, Subspace]] = {}
-        # each distinct basis is reduced once per degree; the key is its repr,
-        # since JSON 1.0 and true compare equal to 1 but are no rational literals
-        read: dict[tuple[int, str], Subspace] = {}
+        # each distinct basis of literal strings is reduced once per degree
+        read: dict[tuple, Subspace] = {}
         for pk, by_degree in filt_raw.items():
             try:
                 p = key_int(pk)
@@ -376,10 +395,12 @@ class FilteredComplex:
                 if basis == []:
                     levels[p][n] = Subspace.zero(amb)
                     continue
-                key = (n, repr(basis))
+                key = _basis_key(n, basis)
                 sub = read.get(key)
                 if sub is None:
-                    sub = read[key] = _parsed_at(where, Subspace._from_json, basis, amb, memo)
+                    sub = _parsed_at(where, Subspace._from_json, basis, amb, memo)
+                    if key and set(map(type, chain.from_iterable(basis))) == {str}:
+                        read[key] = sub
                 levels[p][n] = sub
         lo, hi = min(levels), max(levels)
         if hi - lo > MAX_LEVEL_SPAN:

@@ -195,17 +195,20 @@ class PolarizedAlgebra:
     def poincare_gram(self, p: int, q: int) -> Matrix:
         """Gram of (e_i, e_j) -> integral(e_i e_j) on the cells (p, q) x (n-p, n-q).
 
-        Each entry is read from the products row (i, j) and the integral.
+        Each entry is read from the products row (i, j) and the integral,
+        as the int or Fraction the algebra keeps, and the columns go to
+        Matrix._of_cols as they are.
         """
-        jdx = self.A.cell_indices(self.n - p, self.n - q)
-        rows = [
+        idx = self.A.cell_indices(p, q)
+        prods, integral = self.A.products, self.integral
+        cols = [
             [
-                sum(c * self.integral.get(k, 0) for k, c in self.A.product_indices(i, j).items())
-                for j in jdx
+                sum(c * integral.get(k, 0) for k, c in prods.get((i, j), {}).items())
+                for i in idx
             ]
-            for i in self.A.cell_indices(p, q)
+            for j in self.A.cell_indices(self.n - p, self.n - q)
         ]
-        return Matrix.from_rows(rows, cols=len(jdx))
+        return Matrix._of_cols(cols, len(idx))
 
 
 def verify_hard_lefschetz(pa: PolarizedAlgebra) -> tuple[bool, int | None]:

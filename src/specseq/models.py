@@ -17,7 +17,7 @@ from .algebra import (
     BigradedAlgebra,
     Derivation,
     Element,
-    coeffs_from_json,
+    _Reader,
     derivation_extend,
 )
 from .errors import InvariantError, ParseError
@@ -27,6 +27,9 @@ from .linalg import coefficient, scalar
 # caps on the n of a built model, checked before anything is built: torus n
 # has 4^n basis elements and 9^n products, pn n has about n^2 / 2 products
 MAX_TORUS_N, MAX_PN_N = 6, 200
+# cap on the n of a model read from JSON, checked before anything is built:
+# the hard Lefschetz check and the Hodge diamond loop over n and n^2
+MAX_MODEL_N = 1000
 
 
 @dataclass(frozen=True)
@@ -106,18 +109,23 @@ class VarietyModel:
 
     @staticmethod
     def from_json(data: dict) -> "VarietyModel":
-        alg = BigradedAlgebra.from_json(data)
+        """The model of a JSON object; one _Reader serves its algebra, omega and integral."""
+        n = data.get("n") if isinstance(data, dict) else None
+        if type(n) is int and n > MAX_MODEL_N:
+            raise ParseError(f"top half-degree {n} exceeds {MAX_MODEL_N}", location="n")
+        read = _Reader()
+        alg = BigradedAlgebra.from_json(data, read)
         name = data.get("name")
         if not isinstance(name, str) or not name:
             raise ParseError("model needs a name", location="name")
         omega_raw = data.get("omega")
         if not isinstance(omega_raw, dict):
             raise ParseError("model needs an omega element", location="omega")
-        omega = alg.from_coeffs(coeffs_from_json(omega_raw, alg.dim(), "omega", "omega"))
+        omega = alg.from_coeffs(read.coeffs(omega_raw, "omega", "omega"))
         integral_raw = data.get("integral")
         if not isinstance(integral_raw, dict):
             raise ParseError("model needs an integral", location="integral")
-        integral = coeffs_from_json(integral_raw, alg.dim(), "integral", "integral")
+        integral = read.coeffs(integral_raw, "integral", "integral")
         pa = PolarizedAlgebra(alg, omega, integral)
         roles_raw = data.get("roles", {})
         if not isinstance(roles_raw, dict):
@@ -125,6 +133,9 @@ class VarietyModel:
         if not all(isinstance(v, list) for v in roles_raw.values()):
             raise ParseError("each role must be a list of basis names", location="roles")
         roles = {str(k): [str(x) for x in v] for k, v in roles_raw.items()}
+        for names in roles.values():
+            for x in names:
+                _name_index(alg, x, "roles")
         return VarietyModel(name, pa, roles)
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -852,11 +853,12 @@ def _first_coeff_key(blob):
         (lambda b: b.update(roles={"a": 5}), "roles"),
         (lambda b: b["derivation"].update(values={"1": {"99": "1"}}), "values"),
         (lambda b: b["derivation"].update(bidegree=["a", 1]), "bidegree"),
+        (lambda b: b.update(roles={"h0_omega1": ["nope"], "h1_O": []}), "roles"),
     ],
     ids=[
         "product-index", "coefficient-index", "negative-index", "coefficient-object",
         "bool-unit", "omega-index", "integral-index", "roles-not-list",
-        "derivation-index", "bidegree-not-int",
+        "derivation-index", "bidegree-not-int", "role-name-unknown",
     ],
 )
 def test_malformed_model_exits_3_at_its_key(capsys, tmp_path, torus2, mutate, location):
@@ -930,6 +932,143 @@ def test_non_canonical_model_key_or_name_exits_3(
     code, out = run_json(capsys, ["certify", "--algebra", str(path)])
     assert code == 3
     assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
+# each spelling a canonical in-range key is not, or str(dim); torus2 has 16 basis elements
+KEY_SPELLINGS = ["01", "+1", " 1", "-0", "16"]
+
+# (mutate(blob, key), location, what the message calls the table, the bad key)
+KEY_POSITIONS = {
+    "product-left": (lambda b, k: _rekey(b["products"], "1,2", f"{k},2"), "products",
+                     lambda k: f"product {k + ',2'!r}"),
+    "product-right": (lambda b, k: _rekey(b["products"], "1,2", f"1,{k}"), "products",
+                      lambda k: f"product {'1,' + k!r}"),
+    "coefficient": (lambda b, k: _rekey(b["products"]["1,2"], "5", k), "products",
+                    lambda k: "product '1,2'"),
+    "omega": (lambda b, k: _rekey(b["omega"], "9", k), "omega", lambda k: "omega"),
+    "integral": (lambda b, k: _rekey(b["integral"], "15", k), "integral", lambda k: "integral"),
+    "derivation": (lambda b, k: b["derivation"].update(values={k: {}}), "values",
+                   lambda k: "values"),
+    "derivation-coefficient": (lambda b, k: b["derivation"].update(values={"1": {k: "1"}}),
+                               "values", lambda k: "value of '1'"),
+}
+
+
+def _certify_blob(capsys, tmp_path, blob):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    return run_json(capsys, ["certify", "--algebra", str(path)])
+
+
+# the messages are those the loader gave when each key went through int()
+@pytest.mark.parametrize("key", KEY_SPELLINGS)
+@pytest.mark.parametrize("position", list(KEY_POSITIONS))
+def test_model_key_spellings_exit_3_with_their_message(
+    capsys, tmp_path, torus2, position, key
+):
+    mutate, location, what = KEY_POSITIONS[position]
+    blob = torus2.to_json()
+    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
+    mutate(blob, key)
+    if key == "16":
+        message = f"basis index 16 in {what(key)} is outside [0, 16)"
+    else:
+        message = f"bad basis index {key!r} in {what(key)}"
+    code, out = _certify_blob(capsys, tmp_path, blob)
+    assert code == 3
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+
+
+def _coefficient_at(table, key, value):
+    return lambda b: _table(b, table).update({key: value})
+
+
+def _table(blob, table):
+    return blob["derivation"]["values"].setdefault("1", {}) if table == "values" else (
+        blob[table] if table in ("omega", "integral") else blob["products"][table]
+    )
+
+
+# each literal read before it is a good one, so a kept literal must not stand in for it
+@pytest.mark.parametrize(
+    "mutate, location, what",
+    [
+        (_coefficient_at("1,2", "5", "1/0"), "products", "product '1,2'"),
+        (lambda b: (b["products"]["1,2"].update({"5": "1/0"}),
+                    b["products"]["1,3"].update({"6": "1/0"})), "products", "product '1,2'"),
+        (_coefficient_at("4,3", "10", "1/0"), "products", "product '4,3'"),
+        (_coefficient_at("omega", "9", "1/0"), "omega", "omega"),
+        (_coefficient_at("integral", "15", "1/0"), "integral", "integral"),
+        (_coefficient_at("1,2", "5", True), "products", "product '1,2'"),
+        (_coefficient_at("1,2", "5", 1.0), "products", "product '1,2'"),
+        (_coefficient_at("omega", "9", True), "omega", "omega"),
+        (_coefficient_at("integral", "15", 1.0), "integral", "integral"),
+        (lambda b: b["derivation"].update(values={"1": {"10": "1", "13": True}}), "values",
+         "value of '1'"),
+        (lambda b: b["derivation"].update(values={"1": {"10": "1", "13": 1.0}}), "values",
+         "value of '1'"),
+    ],
+    ids=[
+        "zero-denominator", "zero-denominator-twice", "zero-denominator-late",
+        "omega-zero-denominator", "integral-zero-denominator", "true", "float",
+        "omega-true", "integral-float", "derivation-true", "derivation-float",
+    ],
+)
+def test_bad_model_coefficient_exits_3_with_its_message(
+    capsys, tmp_path, torus2, mutate, location, what
+):
+    blob = torus2.to_json()
+    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
+    mutate(blob)
+    code, out = _certify_blob(capsys, tmp_path, blob)
+    assert code == 3
+    assert out == {
+        "error": "parse", "location": location, "message": f"{location}: bad coefficients in {what}",
+    }
+
+
+@pytest.mark.parametrize("command", ["ext-dims", "product"])
+def test_unknown_role_name_exits_3_at_roles(capsys, tmp_path, torus1, command):
+    blob = {**torus1.to_json(), "roles": {"h0_omega1": ["nope"], "h1_O": []}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    argv = (["ext-dims", "--model", str(path)] if command == "ext-dims"
+            else ["model", "product", "--a", str(path), "--b", str(path)])
+    code, out = run_json(capsys, argv)
+    assert code == 3
+    assert out == {
+        "error": "parse", "location": "roles", "message": "roles: no basis element named 'nope'",
+    }
+
+
+def test_model_n_past_its_cap_exits_3_before_anything_is_built(
+    capsys, tmp_path, torus1, monkeypatch
+):
+    from specseq.lefschetz import PolarizedAlgebra
+    from specseq.models import MAX_MODEL_N
+
+    def spin(self):
+        raise AssertionError("the hard Lefschetz check ran")
+
+    monkeypatch.setattr(PolarizedAlgebra, "hard_lefschetz_failure", spin)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**torus1.to_json(), "n": 10**12, "integral": {}}))
+    code, out = run_json(capsys, ["ext-dims", "--model", str(path)])
+    assert code == 3
+    assert out == {
+        "error": "parse", "location": "n",
+        "message": f"n: top half-degree {10**12} exceeds {MAX_MODEL_N}",
+    }
+
+
+def test_model_n_at_its_cap_is_read(capsys, tmp_path, torus1):
+    from specseq.models import MAX_MODEL_N
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**torus1.to_json(), "n": MAX_MODEL_N, "integral": {}}))
+    code, out = run_json(capsys, ["ext-dims", "--model", str(path)])
+    assert code == 4
+    assert out["message"].startswith("hard Lefschetz fails at power")
 
 
 def _one_cell_of_a_complementary_pair(blob):
@@ -1112,3 +1251,45 @@ def malformed_complex(tmp_path_factory):
 def test_malformed_complex_json_exits_with_one_json_object(malformed_complex, data):
     root, docs = malformed_complex
     run_mutated(root, docs, {}, MALFORMED_COMPLEX_COMMANDS, data)
+
+
+# the stdout writer against json.dumps(obj, sort_keys=True, indent=2)
+
+WRITER_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", '\\"', "\n\t\r\b\f", "\x00\x1f\x7f", "é ξ 😀", " \ud800"]),
+)
+WRITER_INT = st.one_of(
+    st.integers(),
+    st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+WRITER_TREE = st.recursive(
+    st.one_of(st.none(), st.booleans(), WRITER_INT, WRITER_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(WRITER_TEXT, inner, max_size=4),
+        st.dictionaries(WRITER_INT, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@given(WRITER_TREE)
+@settings(max_examples=300, deadline=None)
+def test_writer_is_json_dumps_sorted_and_indented(obj):
+    from specseq.cli import _dumps
+
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"a": [Fraction(1, 2)]}, [{1, 2}], {"a": None, 1: 2}, {(1, 2): 3}, {"a": [0.5]}],
+    ids=["fraction", "set", "mixed-keys", "tuple-key", "float"],
+)
+def test_writer_refuses_what_the_commands_never_emit(obj):
+    from specseq.cli import _dumps
+
+    with pytest.raises(TypeError):
+        _dumps(obj)

@@ -12,7 +12,10 @@ algebra and polarization fact checked once: no unit, mirror or
 self-mirrored cases in algebra validation, no twisted pairing, which
 hard Lefschetz and Poincare duality already make nondegenerate, no second
 check of a product of checked factors, no model built by a certify
-call that names no derivation, and none built for an n past its cap."""
+call that names no derivation, and none built for an n past its cap.
+A read reduces each distinct filtration basis of strings once per degree,
+and reads each distinct coefficient literal of a model document once, with
+no Fraction for a model whose literals are integers."""
 
 import json
 from fractions import Fraction
@@ -247,6 +250,70 @@ def test_loading_a_complex_builds_no_fraction(monkeypatch, seed):
     monkeypatch.undo()
     assert built == []
     assert loaded.to_json() == data
+
+
+def test_a_repeated_filtration_basis_of_strings_is_reduced_once(monkeypatch):
+    import random
+
+    from specseq import FilteredComplex
+    from specseq.linalg import Subspace
+
+    from conftest import scaled_complex
+
+    # 19 of the 45 filtration bases repeat a basis given at another level of the same degree
+    data = json.loads(json.dumps(scaled_complex(random.Random(0), 48, 5, 8)))
+    bases = [
+        (n, json.dumps(basis))
+        for level in data["filtration"].values()
+        for n, basis in level.items()
+        if basis != []
+    ]
+    reads = count_calls(monkeypatch, Subspace, "_from_json")
+    FilteredComplex.from_json(data)
+    assert len(reads) == len(set(bases)) < len(bases)
+    # with JSON integers for the integral literals, a basis holding one is read at each level
+    for level in data["filtration"].values():
+        for n, basis in level.items():
+            level[n] = [[int(a) if a.lstrip("-").isdigit() else a for a in row] for row in basis]
+    holds_int = [
+        any(type(a) is int for row in basis for a in row)
+        for level in data["filtration"].values()
+        for basis in level.values()
+        if basis != []
+    ]
+    strings_only = {b for b, ints in zip(bases, holds_int) if not ints}
+    reads.clear()
+    FilteredComplex.from_json(data)
+    assert any(holds_int)
+    assert len(reads) == sum(holds_int) + len(strings_only)
+
+
+@pytest.mark.parametrize("kind, n", [("torus", 2), ("pn", 4), ("torus", 3)])
+def test_a_model_read_parses_each_literal_once_and_builds_no_fraction(monkeypatch, kind, n):
+    import specseq.algebra as algebra
+    from specseq.models import VarietyModel
+
+    data = json.loads(json.dumps(build_model(kind, n).to_json()))
+    literals = [
+        c for tab in [*data["products"].values(), data["omega"], data["integral"]]
+        for c in tab.values()
+    ]
+    parsed = count_calls(monkeypatch, algebra, "coefficient")
+    spelled = count_calls(monkeypatch, algebra, "key_int")
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    model = VarietyModel.from_json(data)
+    monkeypatch.undo()
+    assert built == []
+    assert sorted(c for c, in parsed if type(c) is str) == sorted(set(literals))
+    assert spelled == []
+    assert model.to_json() == data
 
 
 def test_a_turn_carries_the_cells_d_r_leaves_alone():

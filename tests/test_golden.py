@@ -5,8 +5,9 @@ and d2 digests at commit 01b8d75, the page-route digests of the seeded
 random complex at commit 64fa149, the eight-page digests at commit
 3674f0b, the model and ext-dims digests at commit 8fda67e, the
 dims-only compute digests at commit bc5f6c4, the scaled-63 page-route
-digests at commit 67135fa, and the wide-filtration page-route digests at
-commit eaf6292.
+digests at commit 67135fa, the wide-filtration page-route digests at
+commit eaf6292, and the error-object digests at commit cfdb87b, while
+stdout was still written by json.dumps.
 """
 
 import hashlib
@@ -54,6 +55,8 @@ GOLDEN = {
     "oracle-wide-39": "8f23b987ec1eae756ffe6b233e7f11672be8d1f994573e211e6a0a53fb5d7b16",
     "decalage-wide-39": "518dafe854140e02bb2b37073116def739b4b9a54faa939de181febb29acf520",
     "compute-with-maps-wide-39": "0c1e9bf245e2f8c205c2b00adc12e6b53a379ef78c785a2bbf07cc34aaed5fd5",
+    "error-parse-non-ascii-key": "7bf9a3c5bb196039c981d03fda592a56bf382e9c9183355867e36d18a7f9967a",
+    "error-invariant-dict-witness": "27a90cb0d06452058e7ffc81b9b1e4c32396440ff7f751dc42be4215ad862e0a",
 }
 
 def stdout_digest(capsys, argv, code=0) -> str:
@@ -177,6 +180,21 @@ def test_ext_dims_of_a_product(capsys, tmp_path):
     model = tensor_model(build_model("torus", 1), build_model("pn", 2))
     argv = ["ext-dims", "--model", write_json(tmp_path / "m.json", model.to_json())]
     assert stdout_digest(capsys, argv) == GOLDEN["ext-dims-torus1xpn2"]
+
+
+def test_parse_error_object_with_a_non_ascii_key(capsys, tmp_path):
+    # the key holds a quote, a backslash, a tab and two non-ASCII letters,
+    # all escaped in the message
+    blob = build_model("torus", 2).to_json()
+    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
+    blob["products"]['\u03be"\\\t\u00e9,2'] = blob["products"].pop("1,2")
+    argv = ["certify", "--algebra", write_json(tmp_path / "m.json", blob)]
+    assert stdout_digest(capsys, argv, code=3) == GOLDEN["error-parse-non-ascii-key"]
+
+
+def test_invariant_error_object_with_a_dict_witness(capsys):
+    argv = ["model", "torus", "--n", "7"]
+    assert stdout_digest(capsys, argv, code=4) == GOLDEN["error-invariant-dict-witness"]
 
 
 XI1_TORUS2 = {"images": {"xi1": {"eta1eta2": "1"}}}

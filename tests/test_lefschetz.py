@@ -93,6 +93,28 @@ def primitive_dims(pa: PolarizedAlgebra) -> dict[tuple[int, int], int]:
     return {c: d for c, d in dims.items() if d}
 
 
+@pytest.mark.parametrize("scale", [1, Fraction(3, 2)])
+@pytest.mark.parametrize("name", ["torus2", "pn2", "torus1xpn2"])
+def test_poincare_gram_is_the_matrix_of_the_integrals(name, scale):
+    from specseq import tensor_model
+    from specseq.linalg import Matrix
+
+    model = (
+        tensor_model(build_model("torus", 1), build_model("pn", 2))
+        if name == "torus1xpn2" else build_model(name[:-1], int(name[-1]))
+    )
+    # a rational integral gives the Gram Fraction entries
+    A = model.pa.A
+    pa = PolarizedAlgebra(A, model.pa.omega, {i: scale * c for i, c in model.pa.integral.items()})
+    n = pa.n
+    for (p, q), idx in A.cells.items():
+        jdx = A.cell_indices(n - p, n - q)
+        rows = [
+            [pa.integral_of(A.basis_element(i) * A.basis_element(j)) for j in jdx] for i in idx
+        ]
+        assert pa.poincare_gram(p, q) == Matrix.from_rows(rows, cols=len(jdx))
+
+
 class TestPrimitive:
     def test_torus2_primitive_cells_frozen(self, torus2):
         assert primitive_dims(torus2.pa) == {
