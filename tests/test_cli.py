@@ -900,44 +900,7 @@ def test_non_canonical_complex_key_exits_3(capsys, tmp_path, patch, location, me
     assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
 
 
-@pytest.mark.parametrize(
-    "mutate, location, message",
-    [
-        (lambda b: _rekey(b["products"], "3,0", "3_0,0"), "products",
-         "bad basis index '3_0' in product '3_0,0'"),
-        (lambda b: _rekey(b["products"]["1,2"], _first_coeff_key(b), "+5"), "products",
-         "bad basis index '+5' in product '1,2'"),
-        (lambda b: _rekey(b["omega"], "6", "06"), "omega", "bad basis index '06' in omega"),
-        (lambda b: _rekey(b["integral"], "15", " 15"), "integral",
-         "bad basis index ' 15' in integral"),
-        (lambda b: b["derivation"].update(values={"+1": {}}), "values",
-         "bad basis index '+1' in values"),
-        (lambda b: b["basis"][1].update(name=5), "basis", "basis name at index 1 must be a string"),
-        (lambda b: b["basis"][1].update(name={"a": 1}), "basis",
-         "basis name at index 1 must be a string"),
-    ],
-    ids=[
-        "product-key", "coefficient-key", "omega-key", "integral-key", "derivation-key",
-        "name-int", "name-object",
-    ],
-)
-def test_non_canonical_model_key_or_name_exits_3(
-    capsys, tmp_path, torus2, mutate, location, message
-):
-    blob = torus2.to_json()
-    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
-    mutate(blob)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(blob))
-    code, out = run_json(capsys, ["certify", "--algebra", str(path)])
-    assert code == 3
-    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
-
-
-# each spelling a canonical in-range key is not, or str(dim); torus2 has 16 basis elements
-KEY_SPELLINGS = ["01", "+1", " 1", "-0", "16"]
-
-# (mutate(blob, key), location, what the message calls the table, the bad key)
+# (mutate(blob, key), location, what the message calls the table the key is in)
 KEY_POSITIONS = {
     "product-left": (lambda b, k: _rekey(b["products"], "1,2", f"{k},2"), "products",
                      lambda k: f"product {k + ',2'!r}"),
@@ -954,77 +917,90 @@ KEY_POSITIONS = {
 }
 
 
-def _certify_blob(capsys, tmp_path, blob):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(blob))
-    return run_json(capsys, ["certify", "--algebra", str(path)])
+def _spelled_key_cases():
+    """Each spelling a canonical in-range key is not, and str(dim), at each position.
+
+    torus2 has 16 basis elements. The messages are those the loader gave
+    when each key went through int() and str().
+    """
+    for position, (mutate, location, what) in KEY_POSITIONS.items():
+        for k, name in [("01", "zero"), ("+1", "plus"), (" 1", "space"), ("-0", "minus-zero"),
+                        ("16", "dim")]:
+            if k == "16":
+                message = f"basis index 16 in {what(k)} is outside [0, 16)"
+            else:
+                message = f"bad basis index {k!r} in {what(k)}"
+            yield pytest.param(
+                lambda b, mutate=mutate, k=k: mutate(b, k), location, message,
+                id=f"{position}-{name}",
+            )
 
 
-# the messages are those the loader gave when each key went through int()
-@pytest.mark.parametrize("key", KEY_SPELLINGS)
-@pytest.mark.parametrize("position", list(KEY_POSITIONS))
-def test_model_key_spellings_exit_3_with_their_message(
-    capsys, tmp_path, torus2, position, key
-):
-    mutate, location, what = KEY_POSITIONS[position]
-    blob = torus2.to_json()
-    blob["derivation"] = {"bidegree": [2, -1], "values": {}}
-    mutate(blob, key)
-    if key == "16":
-        message = f"basis index 16 in {what(key)} is outside [0, 16)"
-    else:
-        message = f"bad basis index {key!r} in {what(key)}"
-    code, out = _certify_blob(capsys, tmp_path, blob)
-    assert code == 3
-    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
+def _set_coefficient(b, table, key, value):
+    (b[table] if table in ("omega", "integral") else b["products"][table])[key] = value
 
 
-def _coefficient_at(table, key, value):
-    return lambda b: _table(b, table).update({key: value})
+# a bad literal or a JSON true or 1.0 read after good literals, which the
+# reader keeps: none of them may stand in for it
+BAD_COEFFICIENTS = [
+    pytest.param(lambda b: _set_coefficient(b, "1,2", "5", "1/0"), "products",
+                 "bad coefficients in product '1,2'", id="zero-denominator"),
+    pytest.param(lambda b: (_set_coefficient(b, "1,2", "5", "1/0"),
+                            _set_coefficient(b, "1,3", "6", "1/0")), "products",
+                 "bad coefficients in product '1,2'", id="zero-denominator-twice"),
+    pytest.param(lambda b: _set_coefficient(b, "4,3", "10", "1/0"), "products",
+                 "bad coefficients in product '4,3'", id="zero-denominator-late"),
+    pytest.param(lambda b: _set_coefficient(b, "omega", "9", "1/0"), "omega",
+                 "bad coefficients in omega", id="omega-zero-denominator"),
+    pytest.param(lambda b: _set_coefficient(b, "integral", "15", "1/0"), "integral",
+                 "bad coefficients in integral", id="integral-zero-denominator"),
+    pytest.param(lambda b: _set_coefficient(b, "1,2", "5", True), "products",
+                 "bad coefficients in product '1,2'", id="true"),
+    pytest.param(lambda b: _set_coefficient(b, "1,2", "5", 1.0), "products",
+                 "bad coefficients in product '1,2'", id="float"),
+    pytest.param(lambda b: _set_coefficient(b, "omega", "9", True), "omega",
+                 "bad coefficients in omega", id="omega-true"),
+    pytest.param(lambda b: _set_coefficient(b, "integral", "15", 1.0), "integral",
+                 "bad coefficients in integral", id="integral-float"),
+    pytest.param(lambda b: b["derivation"].update(values={"1": {"10": "1", "13": True}}),
+                 "values", "bad coefficients in value of '1'", id="derivation-true"),
+    pytest.param(lambda b: b["derivation"].update(values={"1": {"10": "1", "13": 1.0}}),
+                 "values", "bad coefficients in value of '1'", id="derivation-float"),
+]
 
 
-def _table(blob, table):
-    return blob["derivation"]["values"].setdefault("1", {}) if table == "values" else (
-        blob[table] if table in ("omega", "integral") else blob["products"][table]
-    )
-
-
-# each literal read before it is a good one, so a kept literal must not stand in for it
 @pytest.mark.parametrize(
-    "mutate, location, what",
+    "mutate, location, message",
     [
-        (_coefficient_at("1,2", "5", "1/0"), "products", "product '1,2'"),
-        (lambda b: (b["products"]["1,2"].update({"5": "1/0"}),
-                    b["products"]["1,3"].update({"6": "1/0"})), "products", "product '1,2'"),
-        (_coefficient_at("4,3", "10", "1/0"), "products", "product '4,3'"),
-        (_coefficient_at("omega", "9", "1/0"), "omega", "omega"),
-        (_coefficient_at("integral", "15", "1/0"), "integral", "integral"),
-        (_coefficient_at("1,2", "5", True), "products", "product '1,2'"),
-        (_coefficient_at("1,2", "5", 1.0), "products", "product '1,2'"),
-        (_coefficient_at("omega", "9", True), "omega", "omega"),
-        (_coefficient_at("integral", "15", 1.0), "integral", "integral"),
-        (lambda b: b["derivation"].update(values={"1": {"10": "1", "13": True}}), "values",
-         "value of '1'"),
-        (lambda b: b["derivation"].update(values={"1": {"10": "1", "13": 1.0}}), "values",
-         "value of '1'"),
-    ],
-    ids=[
-        "zero-denominator", "zero-denominator-twice", "zero-denominator-late",
-        "omega-zero-denominator", "integral-zero-denominator", "true", "float",
-        "omega-true", "integral-float", "derivation-true", "derivation-float",
+        pytest.param(lambda b: _rekey(b["products"], "3,0", "3_0,0"), "products",
+                     "bad basis index '3_0' in product '3_0,0'", id="product-key"),
+        pytest.param(lambda b: _rekey(b["products"]["1,2"], _first_coeff_key(b), "+5"),
+                     "products", "bad basis index '+5' in product '1,2'", id="coefficient-key"),
+        pytest.param(lambda b: _rekey(b["omega"], "6", "06"), "omega",
+                     "bad basis index '06' in omega", id="omega-key"),
+        pytest.param(lambda b: _rekey(b["integral"], "15", " 15"), "integral",
+                     "bad basis index ' 15' in integral", id="integral-key"),
+        pytest.param(lambda b: b["derivation"].update(values={"+1": {}}), "values",
+                     "bad basis index '+1' in values", id="derivation-key"),
+        pytest.param(lambda b: b["basis"][1].update(name=5), "basis",
+                     "basis name at index 1 must be a string", id="name-int"),
+        pytest.param(lambda b: b["basis"][1].update(name={"a": 1}), "basis",
+                     "basis name at index 1 must be a string", id="name-object"),
+        *_spelled_key_cases(),
+        *BAD_COEFFICIENTS,
     ],
 )
-def test_bad_model_coefficient_exits_3_with_its_message(
-    capsys, tmp_path, torus2, mutate, location, what
+def test_non_canonical_model_key_or_name_exits_3(
+    capsys, tmp_path, torus2, mutate, location, message
 ):
     blob = torus2.to_json()
     blob["derivation"] = {"bidegree": [2, -1], "values": {}}
     mutate(blob)
-    code, out = _certify_blob(capsys, tmp_path, blob)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_json(capsys, ["certify", "--algebra", str(path)])
     assert code == 3
-    assert out == {
-        "error": "parse", "location": location, "message": f"{location}: bad coefficients in {what}",
-    }
+    assert out == {"error": "parse", "location": location, "message": f"{location}: {message}"}
 
 
 @pytest.mark.parametrize("command", ["ext-dims", "product"])
