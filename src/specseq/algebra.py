@@ -525,8 +525,8 @@ class _Reader:
     document. Only strings are kept: JSON 1, 1.0 and true compare equal as
     dict keys, but only 1 is a rational. A bad literal raises before it is
     kept. A key missing from keys goes through _basis_index, and a value
-    that is no string through coefficient: the one reading, whose ParseError
-    they raise.
+    not kept in memo through coefficient: they are the one reading, and
+    raise its ParseError.
     """
 
     __slots__ = ("dim", "keys", "memo")
