@@ -4,9 +4,10 @@ Commands: compute, oracle, decalage, certify, model, ext-dims, d2, fuzz.
 Each cmd_* function reads the parsed argparse namespace, the one copy of
 the flags. Before dispatch, main reads SS_THREADS (the bound on fuzz
 parallelism) into it and rejects a non-positive --pages, --cases or
-SS_THREADS, whatever the command. Exit codes: 0 success / certified;
-2 certificate failed; 3 parse error (with location); 4 invariant violation
-in the input (with witness); 5 internal oracle mismatch or engine bug.
+SS_THREADS, and a --pages past MAX_PAGES, whatever the command. Exit
+codes: 0 success / certified; 2 certificate failed; 3 parse error (with
+location); 4 invariant violation in the input (with witness); 5 internal
+oracle mismatch or engine bug.
 Identical inputs and seeds give byte-identical output.
 """
 
@@ -22,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import Derivation
 from .errors import EngineError, InvariantError, ParseError, SpecSeqError
-from .filtered import FilteredComplex
+from .filtered import MAX_LEVEL_SPAN, FilteredComplex
 from .fuzz import planted_filtered_complex, random_obstruction_datum
 from .lefschetz import degeneration_certify, serre_sign_check
 from .models import (
@@ -37,6 +38,7 @@ from .spectral import (
     SpectralSequence,
     abutment_report,
     barcode,
+    compare_differentials,
     decalage_renumbering_report,
     e_infinity_compare,
     oracle_report,
@@ -256,6 +258,9 @@ def _fuzz_complex_case(seed: int, index: int) -> dict:
         rep = oracle_report(fk, max_page=6)
         if not rep["ok"]:
             raise EngineError(f"oracle mismatch: {rep['mismatches']}")
+        # the turned maps, which no dimension count sees, against induced_map
+        for r in range(1, 7):
+            compare_differentials(fk, r)
         if barcode(fk) != planted:
             raise EngineError(f"barcode {barcode(fk)} != planted bars {planted}")
         ss = SpectralSequence(fk)
@@ -414,11 +419,19 @@ _POSITIVE = (
 )
 
 
+# the largest stabilization page of an admissible complex: its filtration
+# width is at most MAX_LEVEL_SPAN, so every distinct page is reachable
+MAX_PAGES = MAX_LEVEL_SPAN + 1
+
+
 def _check_positive(args: argparse.Namespace) -> None:
     for attr, message, key in _POSITIVE:
         value = getattr(args, attr, 1)
         if value < 1:
             raise InvariantError(message, witness={key: value})
+    pages = getattr(args, "pages", 1)
+    if pages > MAX_PAGES:
+        raise InvariantError(f"page bound exceeds {MAX_PAGES}", witness={"pages": pages})
 
 
 _DISPATCH = {

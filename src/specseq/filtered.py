@@ -169,7 +169,9 @@ class Filtration:
 
     Storage is complete over the rectangle of levels and degrees. F^{p_lo} is
     the whole space and F^{p_top} is zero in every degree; FilteredComplex.F
-    clamps outside the range.
+    clamps outside the range. The FilteredComplex load, which checks that
+    each level contains the next, stores one Subspace object for each run of
+    equal levels in a degree.
     """
 
     def __init__(self, p_lo: int, p_top: int, table: dict[tuple[int, int], Subspace]):
@@ -229,11 +231,13 @@ class FilteredComplex:
     def __init__(self, cx: CochainComplex, filtration: Filtration):
         self.cx = cx
         self.filtration = filtration
+        # cycles, keyed by the rungs of the subspaces they read
         self._cycles: dict[tuple[int, int, int], Subspace] = {}
+        self._rungs: dict[tuple[int, int], int] | None = None  # built by rung
         self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
         self.bars = None  # the spectral.Barcode, once barcode(self) has run
-        # page_direct cells, keyed by the clamped levels they read
-        self.direct_cells: dict[tuple[int, int, int, int], Subquotient] = {}
+        # page_direct cells, keyed by the rungs of the subspaces they read
+        self.direct_cells: dict[tuple[int, int, int, int, int], Subquotient] = {}
         self._validate()
 
     def _validate(self):
@@ -267,9 +271,15 @@ class FilteredComplex:
                     raise InvariantError(
                         f"filtration level {p} has wrong ambient at degree {n}", witness=at
                     )
-                above = f.table.get((p - 1, n))
-                # F^p equal to F^{p-1} is contained in it, with nothing to reduce
-                if p > f.p_lo and sub != above and not above.contains(sub):
+                if p == f.p_lo:
+                    continue
+                above = f.table[(p - 1, n)]
+                # F^p equal to F^{p-1} is contained in it, with nothing to
+                # reduce, and becomes the same object: each run of equal
+                # levels holds one, so that identity follows equality
+                if sub == above:
+                    f.table[(p, n)] = above
+                elif not above.contains(sub):
                     # the first basis vector of F^p outside F^{p-1}
                     v = next(v for v in sub.basis_rows if not above.contains_vector(v))
                     at["vector"] = [str(a) for a in v]
@@ -330,25 +340,48 @@ class FilteredComplex:
         f = self.filtration
         return min(max(p, f.p_lo), f.p_top)
 
+    def rung(self, p: int, n: int) -> int:
+        """The lowest stored level whose F K^n is F^p K^n; p_lo outside the degrees.
+
+        Equal levels of one degree form a run and share one Subspace object
+        (see Filtration), so a key made of rungs names the subspaces read,
+        whichever levels asked for them. The table is built on the first call.
+        """
+        rungs = self._rungs
+        if rungs is None:
+            table = self.filtration.table
+            rungs = self._rungs = {}
+            for deg in self.cx.degrees():
+                low = self.p_lo
+                for level in range(self.p_lo, self.p_top + 1):
+                    if table[(level, deg)] is not table[(low, deg)]:
+                        low = level
+                    rungs[(level, deg)] = low
+        hit = rungs.get((p, n))
+        if hit is None:
+            hit = rungs.get((self.clamp(p), n), self.p_lo)
+        return hit
+
     def d_preimage(self, p: int, n: int) -> Subspace:
         """{x in K^n : d(x) in F^p K^{n+1}}: cycles from the full level F^{p_lo}."""
         return self.cycles(self.p_lo, p, n)
 
     def cycles(self, a: int, b: int, n: int) -> Subspace:
-        """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per clamped (a, b).
+        """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per distinct pair of subspaces.
 
         It is preimage(d, F^b K^{n+1}, F^a K^n), one Zassenhaus reduction.
         It is the stored F^a K^n, with nothing reduced, where clamp(b) <=
         clamp(a) (F^a is d-stable, so d F^a <= F^a <= F^b), where F^a and
         F^b have one dimension in degree n (then F^b K^n = F^a K^n, as load
         checked F^b <= F^a, so d F^a = d F^b <= F^b), and where F^b K^{n+1}
-        is the whole space.
+        is the whole space. The cap is kept under the rungs of F^a K^n and
+        F^b K^{n+1}, so levels that name the same two subspaces share it.
         """
         a, b = self.clamp(a), self.clamp(b)
         fa = self.F(a, n)
         if b <= a or fa.dim == self.F(b, n).dim:
             return fa
-        key = (a, b, n)
+        key = (self.rung(a, n), self.rung(b, n + 1), n)
         hit = self._cycles.get(key)
         if hit is None:
             hit = self._cycles[key] = preimage(self.cx.diff(n), self.F(b, n + 1), fa)

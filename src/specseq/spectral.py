@@ -31,14 +31,15 @@ in zero) and recomputes only the other. The next differential solves only
 for the complement rows whose image under d is nonzero; a zero image has the
 solution 0 and the zero column, and a cell with no nonzero image gets no
 matrix at all. The filtered complex computes each F^a cap d^{-1}F^b in one
-reduction and each page_direct cell once per clamped level, with B_r spanned
-in one reduction, and returns F^a itself where clamp(b) <= clamp(a) or where
-F^a and F^b have one dimension. Where a graded piece is empty, F^p = F^{p+1}
-in degree p+q and the direct cell, E_1 included, is Z_r/Z_r, read off the
-filtration with no elimination; load has checked that it is nested and
-d-stable, and reduced bases are canonical, so these equal the cells the
-formulas build. page_direct reads only the filtration and never a turned
-page, and turn_page reads only the previous page.
+reduction and each page_direct cell, with B_r spanned in one reduction, once
+per distinct filtration subspace read, not once per level that names it; it
+returns F^a itself where clamp(b) <= clamp(a) or where F^a and F^b have one
+dimension. Where a graded piece is empty, F^p = F^{p+1} in degree p+q and
+the direct cell, E_1 included, is Z_r/Z_r, read off the filtration with no
+elimination; load has checked that it is nested and d-stable, and reduced
+bases are canonical, so these equal the cells the formulas build.
+page_direct reads only the filtration and never a turned page, and
+turn_page reads only the previous page.
 """
 
 from __future__ import annotations
@@ -237,20 +238,22 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     Z_r = F^p K^{p+q} cap d^{-1}(F^{p+r} K^{p+q+1})
     B_r = (F^{p+1} cap Z_r) + d(F^{p-r+1} K^{p+q-1} cap d^{-1} F^p)
 
-    Both read F only at clamped levels, so the cell is computed once per
-    (clamped p+r, clamped p-r+1, p, n) and kept on fk. F^{p+1} cap Z_r is
-    F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p. Each cap is one
-    reduction (FilteredComplex.cycles), and B_r is one span of the rows of
-    that cap and the images under d of the rows of the other. Where F^p =
-    F^{p+1} the cap is Z_r itself, so the cell is Z_r/Z_r and B_r is not
-    computed.
+    F^{p+1} cap Z_r is F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p.
+    So the cell reads four subspaces, F^p K^n, F^{p+1} K^n, F^{p+r} K^{n+1}
+    and F^{p-r+1} K^{n-1}, and it is computed once per distinct four and
+    kept on fk under their rungs (FilteredComplex.rung), whichever p and r
+    asked for it. Each cap is one reduction (FilteredComplex.cycles), and B_r
+    is one span of the rows of that cap and the images under d of the rows
+    of the other. Where F^p = F^{p+1} the cap is Z_r itself, so the cell is
+    Z_r/Z_r and B_r is not computed.
     """
     if r < 1:
         raise InvariantError("pages are indexed from r = 1")
     n = p + q
     if n < fk.cx.lo or n > fk.cx.hi:
         return Subquotient.zero(0)
-    key = (fk.clamp(p + r), fk.clamp(p - r + 1), p, n)
+    rung = fk.rung
+    key = (rung(p, n), rung(p + 1, n), rung(p + r, n + 1), rung(p - r + 1, n - 1), n)
     hit = fk.direct_cells.get(key)
     if hit is None:
         zr = fk.cycles(p, p + r, n)

@@ -382,6 +382,33 @@ class TestErrors:
         flag, value = argv[-2:]
         assert out["witness"] == {flag.lstrip("-"): int(value)}
 
+    @pytest.mark.parametrize("command", ["compute", "oracle", "decalage"])
+    def test_page_bound_past_its_cap_exits_4_before_the_input_is_read(
+        self, capsys, monkeypatch, command
+    ):
+        from specseq import FilteredComplex
+        from specseq.cli import MAX_PAGES
+
+        def unread(data):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(FilteredComplex, "from_json", staticmethod(unread))
+        code, out = run_json(capsys, [command, "--input", "x", "--pages", str(10**12)])
+        assert code == 4
+        assert out["error"] == "invariant"
+        assert out["message"] == f"page bound exceeds {MAX_PAGES}"
+        assert out["witness"] == {"pages": 10**12}
+
+    def test_page_bound_at_its_cap_is_accepted(self, capsys, acyclic_path):
+        from specseq.cli import MAX_PAGES
+        from specseq.filtered import MAX_LEVEL_SPAN
+
+        assert MAX_PAGES == MAX_LEVEL_SPAN + 1
+        argv = ["compute", "--input", acyclic_path, "--pages", str(MAX_PAGES)]
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert len(out["pages"]) == MAX_PAGES
+
     def test_zero_threads_exits_4_with_its_value(self, capsys, monkeypatch):
         monkeypatch.setenv("SS_THREADS", "0")
         code, out = run_json(capsys, ["fuzz", "--cases", "1"])
@@ -407,6 +434,32 @@ class TestFuzz:
         blob = json.loads(out1)
         assert blob["counterexamples"] == 0
         assert blob["failures"] == []
+
+    def test_doubled_turned_maps_fail_the_fuzz(self, capsys, monkeypatch):
+        import specseq.spectral as sp
+        from specseq import Matrix
+
+        real = sp._differentials
+
+        def doubled(cx, r, cells):
+            # every d_r of a turned page times 2: the same ranks, so the same pages
+            diffs = real(cx, r, cells)
+            if r < 2:
+                return diffs
+            return {
+                pq: Matrix.from_cols([[2 * a for a in col] for col in m.column_vectors()], m.rows)
+                for pq, m in diffs.items()
+            }
+
+        monkeypatch.delenv("SS_THREADS", raising=False)
+        monkeypatch.setattr(sp, "_differentials", doubled)
+        code, out = run_json(capsys, ["fuzz", "--cases", "200"])
+        assert code == 5
+        assert out["counterexamples"] > 0
+        for failure in out["failures"]:
+            assert failure["kind"] == "complex"
+            assert "differentials disagree" in failure["error"]
+            assert failure["instance"]["filtration"]
 
     def test_threads_do_not_change_the_bytes(self, capsys, monkeypatch):
         argv = ["fuzz", "--cases", "6", "--seed", "11"]

@@ -3,7 +3,8 @@ one barcode per filtered complex, and no page for page dimensions alone
 (dims-only compute and the decalage check read barcodes),
 one Leibniz check per derivation, one elimination per subspace operation,
 one application of a map per basis vector of an induced map's source, one
-cycles reduction per clamped pair of levels and degree, no cycles computed
+cycles reduction and one direct cell per distinct set of filtration
+subspaces read, whichever levels name them, no cycles computed
 where the filtration already gives them, no recomputation of a page cell,
 numerator or denominator that d_r leaves alone, no solve for a zero image,
 no matrix built for a cell with none and no zero differential stored,
@@ -374,6 +375,92 @@ def test_oracle_runs_one_cycles_reduction_per_clamped_levels_and_degree(monkeypa
     assert max(Counter(keys).values()) == 1
     # every preimage is the reduction of an open cycles call
     assert inside and all(inside)
+
+
+def seed0_pages_scaled() -> list:
+    """The 10 complexes of the seed-0 pages-scaled corpus, on bench/corpus.py's schedule."""
+    import random
+
+    from specseq import FilteredComplex
+
+    from conftest import scaled_complex
+
+    rng = random.Random("pages-scaled:0")
+    return [
+        FilteredComplex.from_json(
+            scaled_complex(rng, (14, 16, 18, 20, 22)[i % 5], 4 + i % 2, (3, 4, 5, 6)[i % 4])
+        )
+        for i in range(10)
+    ]
+
+
+def test_each_run_of_equal_levels_is_one_object_named_by_its_rung():
+    from test_spectral import shortcut_inputs
+
+    runs = 0
+    for fk in seed0_pages_scaled() + shortcut_inputs():
+        for n in fk.cx.degrees():
+            for p in range(fk.p_lo - 2, fk.p_top + 3):
+                low = fk.rung(p, n)
+                # the lowest stored level holding F^p K^n, as one object
+                assert fk.F(p, n) is fk.F(low, n), (p, n)
+                assert low == fk.p_lo or fk.F(low - 1, n) != fk.F(low, n), (p, n)
+                assert fk.p_lo <= low <= fk.p_top
+                runs += low < fk.clamp(p)
+        # outside the degrees every level is the one zero space
+        assert fk.rung(fk.p_top, fk.cx.hi + 1) == fk.rung(fk.p_lo, fk.cx.lo - 1) == fk.p_lo
+    assert runs > 0
+
+
+def test_oracle_and_decalage_reduce_once_per_distinct_subspaces(monkeypatch):
+    from collections import Counter
+
+    import specseq.filtered as filtered
+    import specseq.linalg as la
+
+    from test_spectral import shortcut_inputs
+
+    # each elimination is charged to the complex and the subspaces, by value,
+    # that the innermost open cycles or page_direct call reads: F^a K^n and
+    # F^b K^{n+1} for cycles, and the four of Z_r, F^{p+1} cap Z_r and the
+    # B_r source for a direct cell
+    open_keys, charged = [], Counter()
+    real_cycles, real_direct, real_echelon = (
+        filtered.FilteredComplex.cycles, sp.page_direct, la._echelon
+    )
+
+    def cycles(self, a, b, n):
+        open_keys.append((id(self), "cycles", self.F(a, n), self.F(b, n + 1), n))
+        try:
+            return real_cycles(self, a, b, n)
+        finally:
+            open_keys.pop()
+
+    def page_direct(fk, r, p, q):
+        n = p + q
+        read = (fk.F(p, n), fk.F(p + 1, n), fk.F(p + r, n + 1), fk.F(p - r + 1, n - 1))
+        open_keys.append((id(fk), "direct", *read, n))
+        try:
+            return real_direct(fk, r, p, q)
+        finally:
+            open_keys.pop()
+
+    def echelon(rows):
+        if open_keys:
+            charged[open_keys[-1]] += 1
+        return real_echelon(rows)
+
+    monkeypatch.setattr(filtered.FilteredComplex, "cycles", cycles)
+    monkeypatch.setattr(sp, "page_direct", page_direct)
+    monkeypatch.setattr(la, "_echelon", echelon)
+    inputs = seed0_pages_scaled() + shortcut_inputs()
+    for fk in inputs:
+        assert sp.oracle_report(fk)["ok"]
+        sp.decalage(fk)
+    kinds = Counter(key[1] for key in charged)
+    assert kinds["cycles"] > 0 and kinds["direct"] > 0
+    repeated = [key[1:] for key, count in charged.items() if count > 1]
+    assert repeated == []
 
 
 def test_a_turn_keeps_the_numerator_or_denominator_d_r_leaves_alone():

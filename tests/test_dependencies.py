@@ -154,8 +154,6 @@ def test_every_exported_name_has_a_reader_besides_the_tests():
 TEST_ONLY_FUNCTIONS = {
     # ROADMAP item 1's `ss barcode` will read it
     "is_degenerate_at",
-    # the reference that the tests check the turned d_r against
-    "compare_differentials",
 }
 
 
