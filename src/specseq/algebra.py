@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvariantError, ParseError
-from .linalg import Matrix, coefficient, json_int, key_int
+from .linalg import Matrix, _solve_ints, coefficient, json_int, key_int
 
 
 class Element:
@@ -175,14 +175,6 @@ class BigradedAlgebra:
 
     def from_coeffs(self, coeffs: dict[int, int | Fraction]) -> Element:
         return Element(self, {i: coefficient(c) for i, c in coeffs.items()})
-
-    def element_from_cell(self, p: int, q: int, coords) -> Element:
-        """Element with the given coordinates in the cell (p, q) basis."""
-        idx = self.cell_indices(p, q)
-        coords = [coefficient(c) for c in coords]
-        if len(coords) != len(idx):
-            raise InvariantError(f"cell {(p, q)} has dimension {len(idx)}, got {len(coords)}")
-        return Element(self, dict(zip(idx, coords)))
 
     def matrix(self, tabs: Iterable[Mapping[int, int | Fraction]], idx: list[int]) -> Matrix:
         """The matrix whose columns are the coefficient maps tabs in the basis elements idx.
@@ -398,15 +390,18 @@ class Derivation:
     def leibniz_violations(self, stop_at_first: bool = False) -> list[tuple[int, int]]:
         """Basis pairs (i, j) where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), sorted.
 
-        Visits only the pairs where a side can be nonzero: (i, j) in
-        products, some l in D(e_i) with (l, j) in products, or some m in
-        D(e_j) with (i, m) in products. On every other pair e_i e_j,
-        D(e_i) e_j and e_i D(e_j) all vanish.
+        Visits only the pairs where a term can be nonzero: (i, j) in
+        products with some basis element of e_i e_j that D moves, some l in
+        D(e_i) with (l, j) in products, or some m in D(e_j) with (i, m) in
+        products. On every other pair D(e_i e_j), D(e_i) e_j and e_i D(e_j)
+        all vanish, so the violations and their order are those of a check
+        over all basis pairs.
         """
         alg = self.alg
         prods = alg.products
         right, left = alg._factor_index()
-        pairs = set(prods)
+        moved = {t for t, v in enumerate(self.values) if v.coeffs}
+        pairs = {ij for ij, tab in prods.items() if not moved.isdisjoint(tab)}
         for i, v in enumerate(self.values):
             for l in v.coeffs:
                 pairs.update((i, j) for j in right.get(l, ()))
@@ -570,6 +565,11 @@ def _accumulate(acc: dict[int, int | Fraction], c: int | Fraction, tab) -> None:
         acc[k] = acc[k] + c * a if k in acc else c * a
 
 
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num / den for den > 0, an int when it is integral, as the algebra keeps coefficients."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def _frozen(x: Element) -> Element:
     """A copy of x whose coefficient mapping is read-only."""
     out = Element(x.alg, x.coeffs)
@@ -597,6 +597,10 @@ def derivation_extend(
     degreewise surjectivity of multiplication. Each w of degree m >= 2 is
     solved as sum_t x_t g_t y_t over pairs of a generator g_t and a y_t of
     degree m - 1, and D(w) = sum_t x_t (D(g_t) y_t + (-1)^|D| g_t D(y_t)).
+    The solve is one _solve_ints of the integer columns of multiplication
+    against den * e_w, den their denominator, and each D(w) is summed as a
+    coefficient map from the structure constants: D(g_t) y_t is
+    sum_l D(g_t)_l e_l y_t and g_t D(y_t) is sum_m D(y_t)_m g_t e_m.
 
     The result is built with check=True, whose checks decide the rest. The
     homogeneity check rejects a generator image of the wrong bidegree, stored
@@ -613,7 +617,8 @@ def derivation_extend(
             )
     a, b = int(bidegree[0]), int(bidegree[1])
     sign = -1 if (a + b) % 2 else 1
-    values = [alg.zero() for _ in range(alg.dim())]
+    prods = alg.products
+    values = [{} for _ in range(alg.dim())]
     # degree 0: the unit maps to 0; any other degree-0 element is ungenerated
     for i in alg.degree_indices(0):
         if i != alg.unit:
@@ -621,7 +626,7 @@ def derivation_extend(
                 f"degree-0 basis element {alg.basis[i][0]} is not generated in degree one"
             )
     for g in gens:
-        values[g] = generator_images[g]
+        values[g] = generator_images[g].coeffs
     top = alg.top_degree()
     for m in range(2, top + 1):
         targets = alg.degree_indices(m)
@@ -630,18 +635,20 @@ def derivation_extend(
         lower = alg.degree_indices(m - 1)
         pairs = [(g, y) for g in gens for y in lower]
         mult = alg.matrix([alg.product_indices(g, y) for (g, y) in pairs], targets)
-        sols = mult.solve_many(Matrix.identity(len(targets)).column_vectors())
+        units = [((t, mult.den),) for t in range(len(targets))]
+        sols = _solve_ints(mult.columns, len(targets), units)
         for w, x in zip(targets, sols):
             if x is None:
                 raise InvariantError(
                     f"basis element {alg.basis[w][0]} is not generated in degree one"
                 )
             acc: dict[int, int | Fraction] = {}
-            for (g, y), c in zip(pairs, x):
-                if c:
-                    term = values[g] * alg.basis_element(y) + (
-                        alg.basis_element(g) * values[y]
-                    ).scaled(sign)
-                    _accumulate(acc, coefficient(c), term.coeffs)
-            values[w] = Element(alg, acc)
-    return Derivation(alg, (a, b), values, check=True)
+            for c, num, lead in x:
+                g, y = pairs[c]
+                xc = _ratio(num, lead)
+                for l, v in values[g].items():
+                    _accumulate(acc, xc * v, prods.get((l, y), {}))
+                for k, v in values[y].items():
+                    _accumulate(acc, sign * xc * v, prods.get((g, k), {}))
+            values[w] = acc
+    return Derivation(alg, (a, b), [Element(alg, v) for v in values], check=True)

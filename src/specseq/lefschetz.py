@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BigradedAlgebra, Derivation, Element, _accumulate, verify_leibniz
+from .algebra import BigradedAlgebra, Derivation, Element, _accumulate, _ratio, verify_leibniz
 from .errors import EngineError, InvariantError
 from .linalg import (
     Matrix,
     Subspace,
+    _solve_ints,
     coefficient,
     kernel,
     pairing_rank,
@@ -84,12 +85,16 @@ class PolarizedAlgebra:
 
     def L(self, x: Element, k: int = 1) -> Element:
         """omega^k * x, through the sparse images of the basis elements."""
+        return Element(self.A, self._power(x.coeffs, k))
+
+    def _power(self, coeffs, k: int) -> dict[int, int | Fraction]:
+        """The coefficient map of omega^k times the coefficient map coeffs, less zero entries."""
         for _ in range(k):
             out: dict[int, int | Fraction] = {}
-            for i, c in x.coeffs.items():
+            for i, c in coeffs.items():
                 _accumulate(out, c, self._lefschetz[i])
-            x = Element(self.A, out)
-        return x
+            coeffs = out
+        return {i: c for i, c in coeffs.items() if c}
 
     def betti(self, m: int) -> int:
         return len(self.A.degree_indices(m))
@@ -104,7 +109,7 @@ class PolarizedAlgebra:
             src = self.A.degree_indices(self.n - i)
             if len(src) != self.betti(self.n + i):
                 return i
-            images = [self.L(self.A.basis_element(k), i).coeffs for k in src]
+            images = [self._power({k: 1}, i) for k in src]
             if sparse_rank(images) != len(src):
                 return i
         return None
@@ -119,16 +124,21 @@ class PolarizedAlgebra:
         if p + q > self.n or not self.A.cell_dim(p, q):
             return Subspace.zero(self.A.cell_dim(p, q))
         i = self.n - p - q + 1
-        images = [self.L(self.A.basis_element(k), i).coeffs for k in self.A.cell_indices(p, q)]
+        images = [self._power({k: 1}, i) for k in self.A.cell_indices(p, q)]
         return kernel(self.A.matrix(images, self.A.cell_indices(p + i, q + i)))
 
     def primitive_elements(self, p: int, q: int) -> tuple[Element, ...]:
-        """The basis of H0^{p,q} as elements, built once per cell."""
+        """The canonical basis of H0^{p,q} as elements, built once per cell.
+
+        Each is read off a kernel Row of primitive_cell: 1 at the basis
+        element of its pivot and a / lead at each (j, a) of its tail.
+        """
         hit = self._prim_elements.get((p, q))
         if hit is None:
+            idx = self.A.cell_indices(p, q)
             hit = self._prim_elements[(p, q)] = tuple(
-                self.A.element_from_cell(p, q, v)
-                for v in self.primitive_cell(p, q).basis_rows
+                Element(self.A, {idx[piv]: 1, **{idx[j]: _ratio(a, lead) for j, a in tail}})
+                for piv, lead, tail in self.primitive_cell(p, q).tails
             )
         return hit
 
@@ -246,6 +256,12 @@ def split_differential(pa: PolarizedAlgebra, d: Derivation) -> Split:
 def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
     """split_differential for a d of total degree s <= 1 known to commute with L_omega.
 
+    Per cell, the columns of system are the primitive basis of the target
+    cell, then L of that of the cell below it, and those of targets the
+    d(alpha). One _solve_ints of system.columns * y = system.den *
+    targets.columns gives y = targets.den * x for the rational solutions x,
+    and d0 and d' are summed from x as coefficient maps, one Element each.
+
     The containment holds on a validated polarization, so a failure raises
     EngineError. Let alpha be primitive of degree k and write d(alpha) =
     sum_j L^j beta_j, beta_j primitive of degree k+s-2j (Griffiths & Harris,
@@ -268,17 +284,22 @@ def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
         prim_t = pa.primitive_elements(tp, tq)
         prim_s = pa.primitive_elements(tp - 1, tq - 1)
         idx = pa.A.cell_indices(tp, tq)
-        system = pa.A.matrix([g.coeffs for g in prim_t] + [pa.L(g).coeffs for g in prim_s], idx)
+        gens = prim_t + prim_s
+        cols = [g.coeffs for g in prim_t] + [pa._power(g.coeffs, 1) for g in prim_s]
+        system = pa.A.matrix(cols, idx)
         targets = pa.A.matrix([d.apply(alpha).coeffs for alpha in prim], idx)
-        sols = system.solve_many(targets.column_vectors())
+        rhs = [[(i, a * system.den) for i, a in col] for col in targets.columns]
         d0s, d1s = [], []
-        for alpha, x in zip(prim, sols):
-            if x is None:
+        for y in _solve_ints(system.columns, len(idx), rhs):
+            if y is None:
                 raise EngineError(
                     f"d(alpha) escapes H0 + L*H0 at cell {(p, q)} despite validated hard Lefschetz"
                 )
-            d0s.append(sum((g.scaled(c) for c, g in zip(x, prim_t)), pa.A.zero()))
-            d1s.append(sum((g.scaled(c) for c, g in zip(x[len(prim_t):], prim_s)), pa.A.zero()))
+            parts = ({}, {})
+            for c, num, lead in y:
+                _accumulate(parts[c >= len(prim_t)], _ratio(num, lead * targets.den), gens[c].coeffs)
+            d0s.append(Element(pa.A, parts[0]))
+            d1s.append(Element(pa.A, parts[1]))
         out[(p, q)] = (d0s, d1s)
     return out
 

@@ -617,6 +617,25 @@ def test_sparse_leibniz_matches_dense_oracle(small_models, data):
     )
 
 
+def test_leibniz_sees_a_derivation_that_moves_only_a_product(torus2):
+    # zero on the generators: (xi1, xi2) and (xi2, xi1) fail only through
+    # D(e_i e_j), so a check that skipped the product pairs would miss them
+    alg = torus2.pa.A
+    values = [alg.zero()] * alg.dim()
+    values[alg.index("xi1xi2")] = alg.el("xi1eta1eta2").scaled(Fraction(1, 2))
+    d = Derivation(alg, (2, -1), values, check=False)
+    dense = dense_leibniz_violations(d)
+    assert [(alg.basis[i][0], alg.basis[j][0]) for i, j in dense] == [
+        ("xi1", "xi2"),
+        ("xi2", "xi1"),
+        ("xi2", "xi1xi2"),
+        ("xi1xi2", "xi2"),
+    ]
+    assert d.leibniz_violations() == dense
+    assert d.leibniz_violations(stop_at_first=True) == dense[:1]
+    assert verify_leibniz(alg, d) == (False, ["xi1", "xi2"])
+
+
 def exterior_algebra_unchecked(n):
     """torus(n)'s algebra from the monomial oracle, built with check=False.
 

@@ -16,7 +16,9 @@ check of a product of checked factors, no model built by a certify
 call that names no derivation, and none built for an n past its cap.
 A read reduces each distinct filtration basis of strings once per degree,
 and reads each distinct coefficient literal of a model document once, with
-no Fraction for a model whose literals are integers."""
+no Fraction for a model whose literals are integers. `ss d2`, `ss certify`
+and a derivation fuzz case solve on integer columns: none of them reads a
+matrix as Fraction vectors (`Matrix.solve_many`, `Matrix.column_vectors`)."""
 
 import json
 from fractions import Fraction
@@ -227,6 +229,32 @@ def test_loading_pages_and_barcode_cross_no_fraction_entry_point(monkeypatch):
     sp.barcode(fk)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
     assert not ss.page(2).all_differentials_zero()
+
+
+def test_d2_certify_and_derivation_fuzz_cross_no_fraction_solve(
+    monkeypatch, capsys, tmp_path, torus2
+):
+    from specseq import Matrix
+
+    paths = {name: tmp_path / f"{name}.json" for name in ("model", "alpha", "d")}
+    paths["model"].write_text(json.dumps(torus2.to_json()))
+    paths["alpha"].write_text(json.dumps({"images": {"xi1": {"eta1eta2": "1/2"}}}))
+    monkeypatch.setenv("SS_THREADS", "1")
+    names = ("solve_many", "column_vectors")
+    calls = {name: count_calls(monkeypatch, Matrix, name) for name in names}
+    assert main(["d2", "--model", str(paths["model"]), "--alpha", str(paths["alpha"])]) == 0
+    d2 = json.loads(capsys.readouterr().out)
+    assert not d2["is_zero"]
+    paths["d"].write_text(json.dumps(d2["derivation"]))
+    # the datum kills omega, so the certificate gets past the split
+    assert main(["certify", "--algebra", str(paths["model"]), "--derivation", str(paths["d"])]) == 2
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    assert [s["passed"] for s in steps[:3]] == [True, True, True]
+    assert steps[2]["id"] == "primitive-containment"
+    assert main(["fuzz", "--kind", "derivations", "--cases", "4"]) == 0
+    fuzz = json.loads(capsys.readouterr().out)
+    assert fuzz["counterexamples"] == 0 and set(fuzz["verdicts"]) - {"certified"}
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])

@@ -7,7 +7,9 @@ package, every exported name and every public function is read by the
 package, the benchmark, the scripts or the acceptance criteria (two
 public functions are allowed, for the reasons given with them), and no
 module but __init__.py imports a name it does not use. The multiplicative
-layer (algebra.py) sits on errors and linalg alone.
+layer (algebra.py) sits on errors and linalg alone, and the algebra,
+Lefschetz and model layers name none of linalg's Fraction entry points:
+they solve and read bases through its integer forms.
 """
 
 import ast
@@ -58,6 +60,30 @@ def package_imports(tree: ast.AST) -> set[str]:
 def test_algebra_imports_only_errors_and_linalg():
     path = SRC / "algebra.py"
     assert package_imports(ast.parse(path.read_text(), str(path))) - {"errors", "linalg"} == set()
+
+
+# linalg's Fraction-vector solves and views, and the cell-coordinate
+# constructor that read them
+FRACTION_ROUTE = {
+    "solve_many",
+    "column_vectors",
+    "entries",
+    "basis_rows",
+    "nullspace",
+    "element_from_cell",
+}
+
+
+def test_algebra_layers_name_no_fraction_route():
+    named = {}
+    for name in ("algebra.py", "lefschetz.py", "models.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), str(path))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        defs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if hits := sorted((attrs | defs) & FRACTION_ROUTE):
+            named[name] = hits
+    assert named == {}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:

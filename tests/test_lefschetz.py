@@ -177,6 +177,37 @@ class TestSplitDifferential:
             split_differential(torus3.pa, d)
 
 
+def is_primitive_in(pa, x, p, q) -> bool:
+    """x lies in H0^{p,q}: in the cell (p, q), and killed by L^{n-p-q+1} (zero above n)."""
+    if p + q > pa.n:
+        return x.is_zero()
+    return set(x.coeffs) <= set(pa.A.cell_indices(p, q)) and pa.L(x, pa.n - p - q + 1).is_zero()
+
+
+@pytest.mark.parametrize("name", ["torus2", "torus3"])
+def test_split_recomposes_d_on_every_primitive(name, torus2, torus3):
+    from specseq.fuzz import random_obstruction_datum
+
+    from conftest import seeded
+
+    model = {"torus2": torus2, "torus3": torus3}[name]
+    pa = model.pa
+    moved = 0
+    for i in range(20):
+        # constrained data kill omega, so d commutes with L
+        d = d2_from_alpha(random_obstruction_datum(seeded(f"split:{name}", i), model, True))
+        A, B = d.bidegree
+        for (p, q), (d0s, d1s) in split_differential(pa, d).items():
+            prim = pa.primitive_elements(p, q)
+            assert len(d0s) == len(d1s) == len(prim)
+            for alpha, d0, d1 in zip(prim, d0s, d1s):
+                assert d.apply(alpha) == d0 + pa.L(d1)
+                assert is_primitive_in(pa, d0, p + A, q + B)
+                assert is_primitive_in(pa, d1, p + A - 1, q + B - 1)
+                moved += not d.apply(alpha).is_zero()
+    assert moved
+
+
 class TestDeligne:
     def test_lowering_commutant_vanishes(self, torus1, torus2, pn2):
         for model in (torus1, torus2, pn2):
