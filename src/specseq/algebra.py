@@ -89,9 +89,12 @@ class BigradedAlgebra:
 
     basis: list of (name, p, q); products: sparse structure constants
     (i, j) -> {k: coefficient}, absent pairs multiply to zero. Structure
-    constants are ints or Fractions and are stored as given, less zero
-    entries and empty tables. checked records whether validate has passed,
-    which check=True runs at construction.
+    constants are ints or Fractions. The algebra owns its products table,
+    which is fixed after construction: a table with no zero coefficient and
+    no empty entry is stored as given, not copied, so the caller must not
+    change it afterwards; any other is stored less its zero coefficients and
+    empty entries. checked records whether validate has passed, which
+    check=True runs at construction.
     """
 
     def __init__(
@@ -105,11 +108,15 @@ class BigradedAlgebra:
         self.n = n
         self.basis = [(str(nm), int(p), int(q)) for (nm, p, q) in basis]
         self.unit = unit
-        self.products = {
-            ij: nonzero
-            for ij, tab in products.items()
-            if (nonzero := {k: c for k, c in tab.items() if c})
-        }
+        if all(tab and all(tab.values()) for tab in products.values()):
+            self.products = products
+        else:
+            self.products = {
+                ij: nonzero
+                for ij, tab in products.items()
+                if (nonzero := {k: c for k, c in tab.items() if c})
+            }
+        self._factors: tuple[dict[int, list[int]], dict[int, list[int]]] | None = None
         self._by_name: dict[str, int] = {}
         for i, (nm, _, _) in enumerate(self.basis):
             if nm in self._by_name:
@@ -197,13 +204,18 @@ class BigradedAlgebra:
     # -- validation
 
     def _factor_index(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """(right, left): right[a] lists the b and left[b] the a with (a, b) in products."""
-        right: dict[int, list[int]] = {}
-        left: dict[int, list[int]] = {}
-        for (a, b) in self.products:
-            right.setdefault(a, []).append(b)
-            left.setdefault(b, []).append(a)
-        return right, left
+        """(right, left): right[a] lists the b and left[b] the a with (a, b) in products.
+
+        Built on the first call and kept, as the products table is fixed.
+        """
+        if self._factors is None:
+            right: dict[int, list[int]] = {}
+            left: dict[int, list[int]] = {}
+            for (a, b) in self.products:
+                right.setdefault(a, []).append(b)
+                left.setdefault(b, []).append(a)
+            self._factors = (right, left)
+        return self._factors
 
     def validate(self):
         """Check homogeneity, the unit law, graded commutativity, associativity.

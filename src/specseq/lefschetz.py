@@ -35,11 +35,12 @@ class PolarizedAlgebra:
     """Bigraded algebra with omega in (1,1) and an integral on the top cell.
 
     The Lefschetz operator L = omega * (-) is built once, at construction,
-    as the sparse images omega * e_i of the basis elements; every use of L
-    and of powers of omega reads them. check=True validates hard Lefschetz
-    for L and Poincare duality in complementary bidegrees, which make the
-    twisted primitive pairings nondegenerate (see validate). checked
-    records whether validate has passed, as BigradedAlgebra.checked does.
+    as the coefficient maps of the images omega * e_i of the basis elements,
+    summed from the products rows; every use of L and of powers of omega
+    reads them. check=True validates hard Lefschetz for L and Poincare
+    duality in complementary bidegrees, which make the twisted primitive
+    pairings nondegenerate (see validate). checked records whether validate
+    has passed, as BigradedAlgebra.checked does.
     """
 
     def __init__(
@@ -67,8 +68,15 @@ class PolarizedAlgebra:
                 "omega must be homogeneous of bidegree (1, 1)",
                 witness=[A.basis[i][0] for i in sorted(omega.coeffs)],
             )
-        # _lefschetz[i] holds the coefficients of omega * e_i
-        self._lefschetz = tuple((omega * A.basis_element(i)).coeffs for i in range(A.dim()))
+        # _lefschetz[i] holds the coefficients of omega * e_i, the sum of the
+        # rows products[(k, i)] times omega_k, less zero entries
+        prods, lefschetz = A.products, []
+        for i in range(A.dim()):
+            image: dict[int, int | Fraction] = {}
+            for k, c in omega.coeffs.items():
+                _accumulate(image, c, prods.get((k, i), {}))
+            lefschetz.append({j: c for j, c in image.items() if c})
+        self._lefschetz = tuple(lefschetz)
         self._prim_elements: dict[tuple[int, int], tuple[Element, ...]] = {}
         self.checked = False
         if check:
@@ -228,9 +236,18 @@ def verify_hard_lefschetz(pa: PolarizedAlgebra) -> tuple[bool, int | None]:
 
 
 def _commutator_violation(pa: PolarizedAlgebra, d: Derivation) -> str | None:
-    """First basis element x with d(omega*x) != omega*d(x), else None."""
-    for i in range(pa.A.dim()):
-        if not (d.apply(pa.L(pa.A.basis_element(i))) - pa.L(d.values[i])).is_zero():
+    """First basis element x with d(omega*x) != omega*d(x), else None.
+
+    For x = e_i, d(omega*x) is summed as sum_l L(e_i)_l d(e_l) and compared,
+    less the entries that cancel to zero, with the coefficient map of
+    omega*d(e_i).
+    """
+    values = d.values
+    for i, image in enumerate(pa._lefschetz):
+        lhs: dict[int, int | Fraction] = {}
+        for l, c in image.items():
+            _accumulate(lhs, c, values[l].coeffs)
+        if {k: c for k, c in lhs.items() if c} != pa._power(values[i].coeffs, 1):
             return pa.A.basis[i][0]
     return None
 
@@ -344,23 +361,29 @@ def serre_sign_check(pa: PolarizedAlgebra, d: Derivation) -> tuple[bool, list | 
     """Verify integral(d(x) y) = -(-1)^{|x|} integral(x d(y)) on complementary pairs.
 
     Checks first that d kills the top cell (automatic for bidegree (r, 1-r)
-    by the grading bound, but verified). Returns (flag, witness pair).
+    by the grading bound, but verified). Returns (flag, witness pair). On
+    basis elements x = e_i, y = e_j both sides are sums over the coefficient
+    maps d(e_i) and d(e_j) of integral(e_a e_b), read from the products row
+    (a, b) and the integral.
     """
     A, B = d.bidegree
     n = pa.n
-    for i in pa.A.cell_indices(n, n):
-        if not d.values[i].is_zero():
-            return False, [pa.A.basis[i][0], None]
-    for i in range(pa.A.dim()):
-        _, p, q = pa.A.basis[i]
-        jdx = pa.A.cell_indices(n - p - A, n - q - B)
-        x = pa.A.basis_element(i)
+    alg, values = pa.A, d.values
+    prods, integral = alg.products, pa.integral
+
+    def pairing(a: int, b: int) -> int | Fraction:
+        return sum(c * integral.get(k, 0) for k, c in prods.get((a, b), {}).items())
+
+    for i in alg.cell_indices(n, n):
+        if values[i].coeffs:
+            return False, [alg.basis[i][0], None]
+    for i, (name, p, q) in enumerate(alg.basis):
         s = -1 if (p + q) % 2 == 0 else 1  # -(-1)^{|x|}
-        for j in jdx:
-            lhs = pa.integral_of(d.values[i] * pa.A.basis_element(j))
-            rhs = s * pa.integral_of(x * d.values[j])
+        for j in alg.cell_indices(n - p - A, n - q - B):
+            lhs = sum(c * pairing(l, j) for l, c in values[i].coeffs.items())
+            rhs = s * sum(c * pairing(i, m) for m, c in values[j].coeffs.items())
             if lhs != rhs:
-                return False, [pa.A.basis[i][0], pa.A.basis[j][0]]
+                return False, [name, alg.basis[j][0]]
     return True, None
 
 

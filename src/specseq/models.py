@@ -48,6 +48,12 @@ class HodgeDiamond:
                 raise InvariantError(f"negative Hodge number at {(p, q)}")
         if self.at(0, 0) != 1 or self.at(n, n) != 1:
             raise InvariantError("corner Hodge numbers must be 1")
+        # both symmetries are involutions, so an unstored (zero) entry that
+        # breaks one is the mirror of a stored entry that breaks it too; only
+        # on a failure is the square scanned in order, for the first (p, q)
+        at = self.at
+        if all(v == at(q, p) == at(n - p, n - q) for (p, q), v in self.h.items()):
+            return
         for p in range(n + 1):
             for q in range(n + 1):
                 if self.at(p, q) != self.at(q, p):

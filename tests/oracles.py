@@ -220,6 +220,42 @@ def twisted_primitive_gram(pa, a: int, b: int) -> tuple[list[list], int]:
     return rows, len(betas)
 
 
+def commutator_violations(pa, d) -> list[str]:
+    """The names of the basis elements x with d(omega x) != omega d(x), in basis order.
+
+    Built from Element products with omega itself, not from the sparse
+    images of L that PolarizedAlgebra keeps.
+    """
+    alg = pa.A
+    return [
+        alg.basis[i][0]
+        for i in range(alg.dim())
+        if not (d.apply(pa.omega * alg.basis_element(i)) - pa.omega * d.values[i]).is_zero()
+    ]
+
+
+def serre_sign_violations(pa, d) -> list[list]:
+    """The failures of serre_sign_check's two tests, each as its witness, in its order.
+
+    First [x, None] for each x of the top cell with d(x) != 0, then the
+    pairs [x, y] of basis elements with x in (p, q), y in the complementary
+    cell (n-p-a, n-q-b) for the bidegree (a, b) of d, and
+    integral(d(x) y) != -(-1)^{|x|} integral(x d(y)), each side the integral
+    of an Element product.
+    """
+    alg, n = pa.A, pa.n
+    a, b = d.bidegree
+    out = [[alg.basis[i][0], None] for i in alg.cell_indices(n, n) if not d.values[i].is_zero()]
+    for i, (name, p, q) in enumerate(alg.basis):
+        x = alg.basis_element(i)
+        s = -1 if (p + q) % 2 == 0 else 1
+        for j in alg.cell_indices(n - p - a, n - q - b):
+            y = alg.basis_element(j)
+            if pa.integral_of(d.values[i] * y) != s * pa.integral_of(x * d.values[j]):
+                out.append([name, alg.basis[j][0]])
+    return out
+
+
 # brute-force graded-commutative monomial calculus
 
 

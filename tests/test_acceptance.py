@@ -174,8 +174,8 @@ def test_scaling_linearity():
         assert degeneration_certify(model.pa, d).certified()
 
 
-@criterion(10, "Serre-sign compatibility holds for 60 seeded induced derivations")
-def test_serre_sign_suite():
+def sign_suite():
+    """Criterion 10's seeded (model, induced derivation) pairs."""
     models = [
         build_model("torus", 2),
         build_model("torus", 3),
@@ -188,7 +188,13 @@ def test_serre_sign_suite():
             od = random_obstruction_datum(rng, model, rng.random() < 0.5)
         else:
             od = canonical_power_datum(model, rng.randint(1, 5), rng.randint(1, 3))
-        ok, witness = serre_sign_check(model.pa, d2_from_alpha(od))
+        yield model, d2_from_alpha(od)
+
+
+@criterion(10, "Serre-sign compatibility holds for 60 seeded induced derivations")
+def test_serre_sign_suite():
+    for model, d in sign_suite():
+        ok, witness = serre_sign_check(model.pa, d)
         assert ok, f"sign mismatch at {witness} on {model.name}"
 
 

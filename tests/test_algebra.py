@@ -1,6 +1,7 @@
 """Bigraded algebras and derivations vs the monomial oracle."""
 
 import functools
+import json
 import random
 import re
 from fractions import Fraction
@@ -16,6 +17,7 @@ from specseq import (
     Derivation,
     InvariantError,
     ObstructionDatum,
+    VarietyModel,
     build_model,
     d2_from_alpha,
     derivation_extend,
@@ -99,6 +101,33 @@ def test_algebra_json_round_trip(torus2):
     alg2 = BigradedAlgebra.from_json(blob)
     assert alg2.to_json() == blob
     assert alg2.basis == alg.basis
+
+
+def test_a_table_with_no_zero_entry_is_stored_as_given(torus2):
+    alg = torus2.pa.A
+    products = {ij: dict(tab) for ij, tab in alg.products.items()}
+    assert BigradedAlgebra(alg.n, alg.basis, alg.unit, products).products is products
+    # a zero coefficient or an empty entry is dropped from a copy, the argument left alone
+    zeros = {**products, (1, 1): {}, (1, 2): {**products[(1, 2)], 0: 0}}
+    stored = BigradedAlgebra(alg.n, alg.basis, alg.unit, zeros).products
+    assert stored == products and stored is not zeros
+    assert zeros[(1, 1)] == {} and zeros[(1, 2)][0] == 0
+
+
+def model_bytes(model) -> bytes:
+    return json.dumps(model.to_json(), sort_keys=True, indent=2).encode()
+
+
+def test_a_model_document_with_zero_entries_loads_as_without_them(torus2):
+    blob = torus2.to_json()
+    padded = json.loads(json.dumps(blob))
+    first = next(iter(padded["products"]))
+    padded["products"][first]["5"] = "0"
+    padded["products"]["1,1"] = {}
+    assert "1,1" not in blob["products"]
+    clean, loaded = VarietyModel.from_json(blob), VarietyModel.from_json(padded)
+    assert loaded.pa.A.products == clean.pa.A.products == torus2.pa.A.products
+    assert model_bytes(loaded) == model_bytes(clean) == model_bytes(torus2)
 
 
 small_coeff = st.sampled_from(

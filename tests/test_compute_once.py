@@ -8,7 +8,8 @@ subspaces read, whichever levels name them, no cycles computed
 where the filtration already gives them, no recomputation of a page cell,
 numerator or denominator that d_r leaves alone, no solve for a zero image,
 no matrix built for a cell with none and no zero differential stored,
-one product omega * e_i per basis element of a polarized algebra, and each
+the Lefschetz operator of a polarized algebra summed once from its products
+rows, with no Element built, one factor index per algebra, and each
 algebra and polarization fact checked once: no unit, mirror or
 self-mirrored cases in algebra validation, no twisted pairing, which
 hard Lefschetz and Poincare duality already make nondegenerate, no second
@@ -134,6 +135,32 @@ def test_unchecked_derivation_is_checked_by_the_certifier(monkeypatch, torus2):
     checks = count_calls(monkeypatch, Derivation, "leibniz_violations")
     assert degeneration_certify(torus2.pa, d).certified()
     assert len(checks) == 1
+
+
+def test_one_factor_index_per_algebra(monkeypatch, torus2):
+    from specseq import BigradedAlgebra
+
+    alg = torus2.pa.A
+    fresh = BigradedAlgebra(alg.n, alg.basis, alg.unit, alg.products, check=False)
+    d = d2_from_alpha(ObstructionDatum.from_json(torus2, {"images": {"xi1": {"eta1eta2": "1"}}}))
+    values = [fresh.from_coeffs(dict(v.coeffs)) for v in d.values]
+    d = Derivation(fresh, d.bidegree, values, check=False)
+    real, indexes = BigradedAlgebra._factor_index, []
+
+    def kept(self):
+        indexes.append(real(self))
+        return indexes[-1]
+
+    monkeypatch.setattr(BigradedAlgebra, "_factor_index", kept)
+    fresh.validate()
+    for _ in range(5):
+        assert d.leibniz_violations() == []
+    assert len(indexes) == 6
+    assert all(index is indexes[0] for index in indexes)
+    right, left = indexes[0]
+    pairs = sorted(alg.products)
+    assert sorted((a, b) for a, bs in right.items() for b in bs) == pairs
+    assert sorted((a, b) for b, firsts in left.items() for a in firsts) == pairs
 
 
 @pytest.mark.parametrize("datum", [{"images": {}}, {"images": {"xi1": {"eta1eta2": "1"}}}])
@@ -624,16 +651,22 @@ def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
     alg, omega = torus3.pa.A, torus3.pa.omega
     d = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
     matmuls = count_calls(monkeypatch, Matrix, "__matmul__")
-    products = count_calls(monkeypatch, Element, "__mul__")
+    elements = count_calls(monkeypatch, Element, "__init__")
     pa = PolarizedAlgebra(alg, omega, torus3.pa.integral)
-    # hard Lefschetz applies L one sparse step at a time
-    assert matmuls == []
+    # L is summed from the products rows, and hard Lefschetz applies it one
+    # sparse step at a time: no Element and no matrix product is built
+    assert matmuls == [] and elements == []
+    monkeypatch.undo()
+    reference = [(omega * alg.basis_element(i)).coeffs for i in range(alg.dim())]
+    assert list(pa._lefschetz) == reference
+    assert any(reference) and not any(0 in image.values() for image in pa._lefschetz)
+    products = count_calls(monkeypatch, Element, "__mul__")
     for p, q in pa.A.cells:
         if p + q <= pa.n:
             pa.primitive_cell(p, q)
     assert deligne_vanishing(pa) == 0
     assert degeneration_certify(pa, d).certified()
-    assert 0 < len([args for args in products if args[0] is omega]) <= alg.dim()
+    assert [args for args in products if omega in args] == []
 
 
 def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):

@@ -9,7 +9,9 @@ public functions are allowed, for the reasons given with them), and no
 module but __init__.py imports a name it does not use. The multiplicative
 layer (algebra.py) sits on errors and linalg alone, and the algebra,
 Lefschetz and model layers name none of linalg's Fraction entry points:
-they solve and read bases through its integer forms.
+they solve and read bases through its integer forms. The Lefschetz
+operator's build, the commutator check and the Serre-sign check name no
+Element route: they run on coefficient maps and the products rows.
 """
 
 import ast
@@ -84,6 +86,38 @@ def test_algebra_layers_name_no_fraction_route():
         if hits := sorted((attrs | defs) & FRACTION_ROUTE):
             named[name] = hits
     assert named == {}
+
+
+# the Element routes of the Lefschetz operator, the integral and the basis
+ELEMENT_ROUTE = {"basis_element", "integral_of", "L", "Element"}
+
+
+def names_run(node: ast.AST) -> set[str]:
+    """The names a node reads, bare or as an attribute, leaving out annotations,
+    which build nothing."""
+    names = set()
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    names |= names_run(child)
+    return names
+
+
+def test_lefschetz_build_and_per_basis_checks_name_no_element_route():
+    path = SRC / "lefschetz.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    functions = {name: defs[name] for name in ("_commutator_violation", "serre_sign_check")}
+    functions["PolarizedAlgebra.__init__"] = next(
+        node for node in defs["PolarizedAlgebra"].body if getattr(node, "name", "") == "__init__"
+    )
+    named = {name: sorted(names_run(node) & ELEMENT_ROUTE) for name, node in functions.items()}
+    assert {name: hits for name, hits in named.items() if hits} == {}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:

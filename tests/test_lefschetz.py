@@ -21,8 +21,16 @@ from specseq import (
     split_differential,
     verify_hard_lefschetz,
 )
+from specseq.algebra import _accumulate
+from specseq.lefschetz import _commutator_violation
 from specseq.linalg import Q1, pairing_rank
-from oracles import naive_rank, twisted_primitive_gram
+from oracles import (
+    commutator_violations,
+    naive_rank,
+    serre_sign_violations,
+    twisted_primitive_gram,
+)
+from test_acceptance import sign_suite
 from test_algebra import (
     COMMUTATIVE_MUTATIONS,
     dense_validate,
@@ -235,6 +243,63 @@ class TestSerreSign:
         ok, witness = serre_sign_check(torus2.pa, bad)
         assert not ok
         assert witness is not None
+
+
+def assert_matches_the_element_references(pa, d):
+    """The coefficient-map checks give the verdicts and witnesses of the Element ones."""
+    bad = commutator_violations(pa, d)
+    assert _commutator_violation(pa, d) == (bad[0] if bad else None)
+    bad = serre_sign_violations(pa, d)
+    assert serre_sign_check(pa, d) == ((False, bad[0]) if bad else (True, None))
+
+
+def test_commutator_and_serre_checks_match_the_element_references_on_the_sign_suite():
+    commuting = 0
+    for model, d in sign_suite():
+        assert_matches_the_element_references(model.pa, d)
+        assert serre_sign_violations(model.pa, d) == []
+        commuting += commutator_violations(model.pa, d) == []
+    # both verdicts of the commutator check are reached
+    assert 0 < commuting < 60
+
+
+def planted(model, images):
+    """The unchecked bidegree-(2, -1) map with the given images by basis name, 0 elsewhere."""
+    alg = model.pa.A
+    values = [alg.zero()] * alg.dim()
+    for x, y in images.items():
+        values[alg.index(x)] = alg.el(y)
+    return Derivation(alg, (2, -1), values, check=False)
+
+
+def test_a_map_off_commutation_at_one_basis_element_is_named(torus3):
+    d = planted(torus3, {"xi1": "eta1eta2"})
+    assert commutator_violations(torus3.pa, d) == ["xi1"]
+    assert_matches_the_element_references(torus3.pa, d)
+
+
+def test_a_map_off_the_serre_sign_on_one_pair_is_named(torus2):
+    d = planted(torus2, {"xi1": "eta1eta2"})
+    # the pair and its mirror state one equation
+    assert serre_sign_violations(torus2.pa, d) == [["xi1", "xi1xi2"], ["xi1xi2", "xi1"]]
+    assert commutator_violations(torus2.pa, d) == []
+    assert_matches_the_element_references(torus2.pa, d)
+
+
+def test_l_images_that_cancel_to_an_explicit_zero_commute(torus3):
+    alg, pa = torus3.pa.A, torus3.pa
+    d = alpha_derivation(
+        torus3,
+        {"xi1": alg.el("eta2") * alg.el("eta3"), "xi2": alg.el("eta1") * alg.el("eta3")},
+    )
+    # d(omega * 1) sums d(xi1 eta1) = -d(xi2 eta2) != 0 to an entry 0
+    lhs = {}
+    for l, c in pa._lefschetz[alg.unit].items():
+        _accumulate(lhs, c, d.values[l].coeffs)
+    assert list(lhs.values()) == [0]
+    assert d.apply(pa.omega).is_zero()
+    assert commutator_violations(pa, d) == []
+    assert_matches_the_element_references(pa, d)
 
 
 class TestCertifier:

@@ -50,6 +50,30 @@ class TestHodgeDiamond:
         with pytest.raises(InvariantError, match="Serre symmetry"):
             HodgeDiamond(2, {(0, 0): 1, (2, 2): 1, (1, 1): 1, (0, 1): 1, (1, 0): 1})
 
+    # each diamond breaks a symmetry at two cells, stored after the rest with
+    # the later cell of the scan first: the witness is still the first (p, q)
+    @pytest.mark.parametrize(
+        "n, h, message, witness",
+        [
+            (2, {(2, 0): 2, (0, 2): 1}, "Hodge symmetry fails at (0, 2)", [0, 2]),
+            (3, {(2, 2): 2, (1, 1): 1}, "Serre symmetry fails at (1, 1)", [1, 1]),
+        ],
+    )
+    def test_the_witness_is_the_first_failing_cell_of_the_scan(self, n, h, message, witness):
+        table = {(0, 0): 1, (n, n): 1, **h}
+        failing = [
+            (p, q)
+            for p in range(n + 1)
+            for q in range(n + 1)
+            if table.get((p, q), 0) != table.get((q, p), 0)
+            or table.get((p, q), 0) != table.get((n - p, n - q), 0)
+        ]
+        assert failing == sorted(h)
+        with pytest.raises(InvariantError) as err:
+            HodgeDiamond(n, table)
+        assert str(err.value) == message
+        assert err.value.witness == witness
+
     def test_indices_stay_in_the_square(self):
         with pytest.raises(InvariantError, match="outside"):
             HodgeDiamond(1, {(0, 0): 1, (1, 1): 1, (2, 0): 1})
