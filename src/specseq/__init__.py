@@ -9,7 +9,6 @@ model builders (models).
 from .algebra import (
     BigradedAlgebra,
     Derivation,
-    Element,
     derivation_extend,
     verify_leibniz,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "CochainComplex",
     "ContainmentError",
     "Derivation",
-    "Element",
     "EngineError",
     "FilteredComplex",
     "Filtration",

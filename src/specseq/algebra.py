@@ -2,10 +2,12 @@
 
 Algebras are finite dimensional over Q, given by structure constants on a
 named basis of bigraded cells (p, q) with 0 <= p+q <= 2n. The Koszul sign
-lives on the total degree p+q. Derivations carry a fixed bidegree and are
-verified against the Leibniz rule; derivation_extend builds the unique
-Leibniz extension of generator images, and the Derivation constructor's
-checks reject images that admit none, with the failing pair as witness.
+lives on the total degree p+q. An element of an algebra is a coefficient
+map {basis index: coefficient}, int or Fraction, with no zero coefficient.
+Derivations carry a fixed bidegree and are verified against the Leibniz
+rule; derivation_extend builds the unique Leibniz extension of generator
+images, and the Derivation constructor's checks reject images that admit
+none, with the failing pair as witness.
 """
 
 from __future__ import annotations
@@ -16,72 +18,6 @@ from typing import Iterable, Mapping
 
 from .errors import InvariantError, ParseError
 from .linalg import Matrix, _solve_ints, coefficient, json_int, key_int
-
-
-class Element:
-    """Sparse algebra element: {basis index: coefficient}.
-
-    Coefficients are exact rationals, kept as ints while they are integral.
-    """
-
-    __slots__ = ("alg", "coeffs")
-
-    def __init__(self, alg: "BigradedAlgebra", coeffs: dict[int, int | Fraction]):
-        self.alg = alg
-        self.coeffs = {i: c for i, c in coeffs.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """Common (p, q) of the support, None for 0 or inhomogeneous elements."""
-        degs = {self.alg.bidegree_of(i) for i in self.coeffs}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return Element(self.alg, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) - c
-        return Element(self.alg, out)
-
-    def scaled(self, c) -> "Element":
-        c = coefficient(c)
-        return Element(self.alg, {i: c * a for i, a in self.coeffs.items()})
-
-    def __mul__(self, other: "Element") -> "Element":
-        out: dict[int, int | Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                _accumulate(out, a * b, self.alg.product_indices(i, j))
-        return Element(self.alg, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.alg is other.alg
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            name = self.alg.basis[i][0]
-            parts.append(name if c == 1 else f"({c})*{name}")
-        return " + ".join(parts)
-
-    def to_json(self) -> dict[str, str]:
-        return {str(i): str(c) for i, c in sorted(self.coeffs.items())}
 
 
 class BigradedAlgebra:
@@ -170,18 +106,6 @@ class BigradedAlgebra:
         if name not in self._by_name:
             raise InvariantError(f"no basis element named {name!r}")
         return self._by_name[name]
-
-    def el(self, name: str) -> Element:
-        return Element(self, {self.index(name): 1})
-
-    def basis_element(self, i: int) -> Element:
-        return Element(self, {i: 1})
-
-    def zero(self) -> Element:
-        return Element(self, {})
-
-    def from_coeffs(self, coeffs: dict[int, int | Fraction]) -> Element:
-        return Element(self, {i: coefficient(c) for i, c in coeffs.items()})
 
     def matrix(self, tabs: Iterable[Mapping[int, int | Fraction]], idx: list[int]) -> Matrix:
         """The matrix whose columns are the coefficient maps tabs in the basis elements idx.
@@ -301,7 +225,7 @@ class BigradedAlgebra:
             ],
             "unit": self.unit,
             "products": {
-                f"{i},{j}": {str(k): str(c) for k, c in sorted(tab.items())}
+                f"{i},{j}": _coeffs_json(tab)
                 for (i, j), tab in sorted(self.products.items())
             },
         }
@@ -355,29 +279,30 @@ class BigradedAlgebra:
 class Derivation:
     """Linear map of fixed bidegree given on every basis element.
 
-    values[i] is the image of basis element i; values is a tuple of private
-    copies with read-only coefficients, fixed at construction, so a checked
-    derivation stays checked. The Leibniz rule
-    D(xy) = D(x)y + (-1)^{|D||x|} x D(y) (signs on total degrees) is verified
-    on all basis pairs unless check=False; leibniz_checked records whether it was.
+    values[i] is the coefficient map of the image of basis element i; values
+    is a tuple of private read-only copies less their zero coefficients,
+    fixed at construction, so a checked derivation stays checked. The
+    Leibniz rule D(xy) = D(x)y + (-1)^{|D||x|} x D(y) (signs on total
+    degrees) is verified on all basis pairs unless check=False;
+    leibniz_checked records whether it was.
     """
 
     def __init__(
         self,
         alg: BigradedAlgebra,
         bidegree: tuple[int, int],
-        values: list[Element],
+        values: list[Mapping[int, int | Fraction]],
         check: bool = True,
     ):
         if len(values) != alg.dim():
             raise InvariantError("derivation needs one image per basis element")
         self.alg = alg
         self.bidegree = (int(bidegree[0]), int(bidegree[1]))
-        self.values = tuple(_frozen(v) for v in values)
+        self.values = tuple(MappingProxyType({k: c for k, c in v.items() if c}) for v in values)
         self.leibniz_checked = check
         a, b = self.bidegree
-        for i, v in enumerate(values):
-            for k in v.coeffs:
+        for i, v in enumerate(self.values):
+            for k in v:
                 _, pk, qk = alg.basis[k]
                 _, pi, qi = alg.basis[i]
                 if (pk, qk) != (pi + a, qi + b):
@@ -393,11 +318,12 @@ class Derivation:
     def total_degree(self) -> int:
         return self.bidegree[0] + self.bidegree[1]
 
-    def apply(self, x: Element) -> Element:
+    def apply(self, x: Mapping[int, int | Fraction]) -> dict[int, int | Fraction]:
+        """The coefficient map of D(x), less zero entries."""
         out: dict[int, int | Fraction] = {}
-        for i, c in x.coeffs.items():
-            _accumulate(out, c, self.values[i].coeffs)
-        return Element(self.alg, out)
+        for i, c in x.items():
+            _accumulate(out, c, self.values[i])
+        return {k: c for k, c in out.items() if c}
 
     def leibniz_violations(self, stop_at_first: bool = False) -> list[tuple[int, int]]:
         """Basis pairs (i, j) where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), sorted.
@@ -412,10 +338,10 @@ class Derivation:
         alg = self.alg
         prods = alg.products
         right, left = alg._factor_index()
-        moved = {t for t, v in enumerate(self.values) if v.coeffs}
+        moved = {t for t, v in enumerate(self.values) if v}
         pairs = {ij for ij, tab in prods.items() if not moved.isdisjoint(tab)}
         for i, v in enumerate(self.values):
-            for l in v.coeffs:
+            for l in v:
                 pairs.update((i, j) for j in right.get(l, ()))
                 pairs.update((h, i) for h in left.get(l, ()))
         sign_d = self.total_degree() % 2
@@ -424,10 +350,10 @@ class Derivation:
             s = -1 if (sign_d * alg.total_degree_of(i)) % 2 else 1
             diff: dict[int, Fraction] = {}
             for t, c in prods.get((i, j), {}).items():
-                _accumulate(diff, c, self.values[t].coeffs)
-            for l, c in self.values[i].coeffs.items():
+                _accumulate(diff, c, self.values[t])
+            for l, c in self.values[i].items():
                 _accumulate(diff, -c, prods.get((l, j), {}))
-            for m, c in self.values[j].coeffs.items():
+            for m, c in self.values[j].items():
                 _accumulate(diff, -s * c, prods.get((i, m), {}))
             if any(diff.values()):
                 bad.append((i, j))
@@ -436,18 +362,17 @@ class Derivation:
         return bad
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not any(self.values)
 
     def scaled(self, c) -> "Derivation":
         c = coefficient(c)
-        return Derivation(
-            self.alg, self.bidegree, [v.scaled(c) for v in self.values], check=False
-        )
+        values = [{i: c * a for i, a in v.items()} for v in self.values]
+        return Derivation(self.alg, self.bidegree, values, check=False)
 
     def squares_to_zero(self) -> tuple[bool, str | None]:
         """(True, None) iff D(D(e_i)) = 0 for every i, else the first such e_i's name."""
         for i, v in enumerate(self.values):
-            if not self.apply(v).is_zero():
+            if self.apply(v):
                 return False, self.alg.basis[i][0]
         return True, None
 
@@ -456,7 +381,7 @@ class Derivation:
         a, b = self.bidegree
         alg = self.alg
         return alg.matrix(
-            [self.values[i].coeffs for i in alg.cell_indices(p, q)], alg.cell_indices(p + a, q + b)
+            [self.values[i] for i in alg.cell_indices(p, q)], alg.cell_indices(p + a, q + b)
         )
 
     def cohomology_dims(self) -> dict[tuple[int, int], int]:
@@ -482,7 +407,7 @@ class Derivation:
         return {
             "bidegree": list(self.bidegree),
             "values": {
-                str(i): v.to_json() for i, v in enumerate(self.values) if not v.is_zero()
+                str(i): _coeffs_json(v) for i, v in enumerate(self.values) if v
             },
         }
 
@@ -497,7 +422,7 @@ class Derivation:
             and all(isinstance(x, int) and not isinstance(x, bool) for x in bid_raw)
         ):
             raise ParseError("derivation needs a [a, b] bidegree", location="bidegree")
-        values = [alg.zero() for _ in range(alg.dim())]
+        values = [{} for _ in range(alg.dim())]
         vals_raw = data.get("values", {})
         if not isinstance(vals_raw, dict):
             raise ParseError("values must be an object", location="values")
@@ -507,7 +432,7 @@ class Derivation:
             i = read.index(key, "values", "values")
             if not isinstance(tab, dict):
                 raise ParseError(f"{what} must be an object", location="values")
-            values[i] = alg.from_coeffs(read.coeffs(tab, what, "values"))
+            values[i] = read.coeffs(tab, what, "values")
         return Derivation(alg, (int(bid_raw[0]), int(bid_raw[1])), values)
 
 
@@ -577,16 +502,14 @@ def _accumulate(acc: dict[int, int | Fraction], c: int | Fraction, tab) -> None:
         acc[k] = acc[k] + c * a if k in acc else c * a
 
 
+def _coeffs_json(tab: Mapping[int, int | Fraction]) -> dict[str, str]:
+    """A coefficient map as JSON: {str(basis index): str(coefficient)}, sorted by index."""
+    return {str(i): str(c) for i, c in sorted(tab.items())}
+
+
 def _ratio(num: int, den: int) -> int | Fraction:
     """num / den for den > 0, an int when it is integral, as the algebra keeps coefficients."""
     return num // den if num % den == 0 else Fraction(num, den)
-
-
-def _frozen(x: Element) -> Element:
-    """A copy of x whose coefficient mapping is read-only."""
-    out = Element(x.alg, x.coeffs)
-    out.coeffs = MappingProxyType(out.coeffs)
-    return out
 
 
 def verify_leibniz(alg: BigradedAlgebra, d: Derivation) -> tuple[bool, list[str] | None]:
@@ -601,9 +524,10 @@ def verify_leibniz(alg: BigradedAlgebra, d: Derivation) -> tuple[bool, list[str]
 def derivation_extend(
     alg: BigradedAlgebra,
     bidegree: tuple[int, int],
-    generator_images: dict[int, Element],
+    generator_images: dict[int, Mapping[int, int | Fraction]],
 ) -> Derivation:
-    """Unique Leibniz extension of images of the total-degree-1 basis elements.
+    """Unique Leibniz extension of the coefficient maps generator_images of the
+    total-degree-1 basis elements.
 
     Requires the algebra to be generated in total degree 1, checked by the
     degreewise surjectivity of multiplication. Each w of degree m >= 2 is
@@ -638,7 +562,7 @@ def derivation_extend(
                 f"degree-0 basis element {alg.basis[i][0]} is not generated in degree one"
             )
     for g in gens:
-        values[g] = generator_images[g].coeffs
+        values[g] = generator_images[g]
     top = alg.top_degree()
     for m in range(2, top + 1):
         targets = alg.degree_indices(m)
@@ -663,4 +587,4 @@ def derivation_extend(
                 for k, v in values[y].items():
                     _accumulate(acc, sign * xc * v, prods.get((g, k), {}))
             values[w] = acc
-    return Derivation(alg, (a, b), [Element(alg, v) for v in values], check=True)
+    return Derivation(alg, (a, b), values, check=True)

@@ -150,7 +150,7 @@ def _omega_constraint(model) -> tuple:
     unknowns = [(g, k) for g in gens for k in cell20]
     omega = model.pa.omega
     images = [
-        d2_from_alpha(ObstructionDatum(model, {g: alg.basis_element(k)})).apply(omega).coeffs
+        d2_from_alpha(ObstructionDatum(model, {g: {k: 1}})).apply(omega)
         for (g, k) in unknowns
     ]
     system = alg.matrix(images, alg.cell_indices(3, 0))
@@ -188,7 +188,6 @@ def random_obstruction_datum(rng: random.Random, model, constrained: bool):
         }
     alpha = {}
     for g in gens:
-        tab = {k: coeffs.get((g, k), Q0) for k in cell20}
-        alpha[g] = alg.from_coeffs(tab)
+        alpha[g] = {k: coeffs.get((g, k), Q0) for k in cell20}
     scale = scalar(rng.choice([1, 1, -1, 2, scalar("2/3")]))
     return ObstructionDatum(model, alpha, scale)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
-from .algebra import BigradedAlgebra, Derivation, Element, _accumulate, _ratio, verify_leibniz
+from .algebra import BigradedAlgebra, Derivation, _accumulate, _ratio, verify_leibniz
 from .errors import EngineError, InvariantError
 from .linalg import (
     Matrix,
@@ -27,31 +29,33 @@ from .linalg import (
     sparse_rank,
 )
 
-# per primitive cell (p, q), the lists (d0(alpha_t), d'(alpha_t)) of d = d0 + L d'
-Split = dict[tuple[int, int], tuple[list[Element], list[Element]]]
+# per primitive cell (p, q), the coefficient maps (d0(alpha_t), d'(alpha_t)) of d = d0 + L d'
+Split = dict[tuple[int, int], tuple[list[dict], list[dict]]]
 
 
 class PolarizedAlgebra:
     """Bigraded algebra with omega in (1,1) and an integral on the top cell.
 
-    The Lefschetz operator L = omega * (-) is built once, at construction,
-    as the coefficient maps of the images omega * e_i of the basis elements,
-    summed from the products rows; every use of L and of powers of omega
-    reads them. check=True validates hard Lefschetz for L and Poincare
-    duality in complementary bidegrees, which make the twisted primitive
-    pairings nondegenerate (see validate). checked records whether validate
-    has passed, as BigradedAlgebra.checked does.
+    omega is kept as a private read-only copy of the coefficient map given,
+    less its zero coefficients. The Lefschetz operator L = omega * (-) is
+    built once, at construction, as the coefficient maps of the images
+    omega * e_i of the basis elements, summed from the products rows; every
+    use of L and of powers of omega reads them. check=True validates hard
+    Lefschetz for L and Poincare duality in complementary bidegrees, which
+    make the twisted primitive pairings nondegenerate (see validate).
+    checked records whether validate has passed, as BigradedAlgebra.checked
+    does.
     """
 
     def __init__(
         self,
         A: BigradedAlgebra,
-        omega: Element,
+        omega: Mapping[int, int | Fraction],
         integral: dict[int, int | Fraction],
         check: bool = True,
     ):
         self.A = A
-        self.omega = omega
+        self.omega = omega = MappingProxyType({i: c for i, c in omega.items() if c})
         self.n = A.n
         top = set(A.cell_indices(self.n, self.n))
         self.integral = {int(i): coefficient(c) for i, c in integral.items() if c != 0}
@@ -61,39 +65,31 @@ class PolarizedAlgebra:
                     f"integral is supported outside the top cell: {A.basis[i][0]}",
                     witness=A.basis[i][0],
                 )
-        if omega.bidegree() not in ((1, 1), None) or (
-            omega.bidegree() is None and not omega.is_zero()
-        ):
+        if any(A.bidegree_of(i) != (1, 1) for i in omega):
             raise InvariantError(
                 "omega must be homogeneous of bidegree (1, 1)",
-                witness=[A.basis[i][0] for i in sorted(omega.coeffs)],
+                witness=[A.basis[i][0] for i in sorted(omega)],
             )
         # _lefschetz[i] holds the coefficients of omega * e_i, the sum of the
         # rows products[(k, i)] times omega_k, less zero entries
         prods, lefschetz = A.products, []
         for i in range(A.dim()):
             image: dict[int, int | Fraction] = {}
-            for k, c in omega.coeffs.items():
+            for k, c in omega.items():
                 _accumulate(image, c, prods.get((k, i), {}))
             lefschetz.append({j: c for j, c in image.items() if c})
         self._lefschetz = tuple(lefschetz)
-        self._prim_elements: dict[tuple[int, int], tuple[Element, ...]] = {}
+        self._prim_elements: dict[tuple[int, int], tuple[MappingProxyType, ...]] = {}
         self.checked = False
         if check:
             self.validate()
 
     # -- basic pairings and operators
 
-    def integral_of(self, x: Element) -> int | Fraction:
-        """The functional on A^{n,n}, extended by zero off the top cell."""
-        total = 0
-        for i, c in x.coeffs.items():
-            total += c * self.integral.get(i, 0)
-        return total
-
-    def L(self, x: Element, k: int = 1) -> Element:
-        """omega^k * x, through the sparse images of the basis elements."""
-        return Element(self.A, self._power(x.coeffs, k))
+    def _pair(self, i: int, j: int) -> int | Fraction:
+        """integral(e_i e_j), from the products row (i, j) and the integral."""
+        integral = self.integral
+        return sum(c * integral.get(k, 0) for k, c in self.A.products.get((i, j), {}).items())
 
     def _power(self, coeffs, k: int) -> dict[int, int | Fraction]:
         """The coefficient map of omega^k times the coefficient map coeffs, less zero entries."""
@@ -135,8 +131,8 @@ class PolarizedAlgebra:
         images = [self._power({k: 1}, i) for k in self.A.cell_indices(p, q)]
         return kernel(self.A.matrix(images, self.A.cell_indices(p + i, q + i)))
 
-    def primitive_elements(self, p: int, q: int) -> tuple[Element, ...]:
-        """The canonical basis of H0^{p,q} as elements, built once per cell.
+    def primitive_elements(self, p: int, q: int) -> tuple[MappingProxyType, ...]:
+        """The canonical basis of H0^{p,q} as read-only coefficient maps, built once per cell.
 
         Each is read off a kernel Row of primitive_cell: 1 at the basis
         element of its pivot and a / lead at each (j, a) of its tail.
@@ -145,7 +141,7 @@ class PolarizedAlgebra:
         if hit is None:
             idx = self.A.cell_indices(p, q)
             hit = self._prim_elements[(p, q)] = tuple(
-                Element(self.A, {idx[piv]: 1, **{idx[j]: _ratio(a, lead) for j, a in tail}})
+                MappingProxyType({idx[piv]: 1, **{idx[j]: _ratio(a, lead) for j, a in tail}})
                 for piv, lead, tail in self.primitive_cell(p, q).tails
             )
         return hit
@@ -213,17 +209,12 @@ class PolarizedAlgebra:
     def poincare_gram(self, p: int, q: int) -> Matrix:
         """Gram of (e_i, e_j) -> integral(e_i e_j) on the cells (p, q) x (n-p, n-q).
 
-        Each entry is read from the products row (i, j) and the integral,
-        as the int or Fraction the algebra keeps, and the columns go to
-        Matrix._of_cols as they are.
+        Each entry is _pair(i, j), the int or Fraction the algebra keeps,
+        and the columns go to Matrix._of_cols as they are.
         """
         idx = self.A.cell_indices(p, q)
-        prods, integral = self.A.products, self.integral
         cols = [
-            [
-                sum(c * integral.get(k, 0) for k, c in prods.get((i, j), {}).items())
-                for i in idx
-            ]
+            [self._pair(i, j) for i in idx]
             for j in self.A.cell_indices(self.n - p, self.n - q)
         ]
         return Matrix._of_cols(cols, len(idx))
@@ -246,8 +237,8 @@ def _commutator_violation(pa: PolarizedAlgebra, d: Derivation) -> str | None:
     for i, image in enumerate(pa._lefschetz):
         lhs: dict[int, int | Fraction] = {}
         for l, c in image.items():
-            _accumulate(lhs, c, values[l].coeffs)
-        if {k: c for k, c in lhs.items() if c} != pa._power(values[i].coeffs, 1):
+            _accumulate(lhs, c, values[l])
+        if {k: c for k, c in lhs.items() if c} != pa._power(values[i], 1):
             return pa.A.basis[i][0]
     return None
 
@@ -257,8 +248,9 @@ def split_differential(pa: PolarizedAlgebra, d: Derivation) -> Split:
 
     For alpha primitive in (p, q) with shift (A, B) = d.bidegree, d(alpha)
     lies in H0^{p+A,q+B} + omega*H0^{p+A-1,q+B-1}; returns per cell the
-    lists (d0(alpha_t), d'(alpha_t)) over the primitive basis. Requires d to
-    have total degree A + B <= 1 and to commute with L_omega, else raises.
+    lists of coefficient maps (d0(alpha_t), d'(alpha_t)) over the primitive
+    basis. Requires d to have total degree A + B <= 1 and to commute with
+    L_omega, else raises.
     """
     if sum(d.bidegree) > 1:
         raise InvariantError("split needs total degree at most 1", witness=list(d.bidegree))
@@ -277,7 +269,7 @@ def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
     cell, then L of that of the cell below it, and those of targets the
     d(alpha). One _solve_ints of system.columns * y = system.den *
     targets.columns gives y = targets.den * x for the rational solutions x,
-    and d0 and d' are summed from x as coefficient maps, one Element each.
+    and d0 and d' are summed from x as coefficient maps, less zero entries.
 
     The containment holds on a validated polarization, so a failure raises
     EngineError. Let alpha be primitive of degree k and write d(alpha) =
@@ -302,9 +294,9 @@ def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
         prim_s = pa.primitive_elements(tp - 1, tq - 1)
         idx = pa.A.cell_indices(tp, tq)
         gens = prim_t + prim_s
-        cols = [g.coeffs for g in prim_t] + [pa._power(g.coeffs, 1) for g in prim_s]
+        cols = list(prim_t) + [pa._power(g, 1) for g in prim_s]
         system = pa.A.matrix(cols, idx)
-        targets = pa.A.matrix([d.apply(alpha).coeffs for alpha in prim], idx)
+        targets = pa.A.matrix([d.apply(alpha) for alpha in prim], idx)
         rhs = [[(i, a * system.den) for i, a in col] for col in targets.columns]
         d0s, d1s = [], []
         for y in _solve_ints(system.columns, len(idx), rhs):
@@ -314,9 +306,9 @@ def _primitive_split(pa: PolarizedAlgebra, d: Derivation) -> Split:
                 )
             parts = ({}, {})
             for c, num, lead in y:
-                _accumulate(parts[c >= len(prim_t)], _ratio(num, lead * targets.den), gens[c].coeffs)
-            d0s.append(Element(pa.A, parts[0]))
-            d1s.append(Element(pa.A, parts[1]))
+                _accumulate(parts[c >= len(prim_t)], _ratio(num, lead * targets.den), gens[c])
+            d0s.append({k: v for k, v in parts[0].items() if v})
+            d1s.append({k: v for k, v in parts[1].items() if v})
         out[(p, q)] = (d0s, d1s)
     return out
 
@@ -363,25 +355,19 @@ def serre_sign_check(pa: PolarizedAlgebra, d: Derivation) -> tuple[bool, list | 
     Checks first that d kills the top cell (automatic for bidegree (r, 1-r)
     by the grading bound, but verified). Returns (flag, witness pair). On
     basis elements x = e_i, y = e_j both sides are sums over the coefficient
-    maps d(e_i) and d(e_j) of integral(e_a e_b), read from the products row
-    (a, b) and the integral.
+    maps d(e_i) and d(e_j) of integral(e_a e_b), pa._pair(a, b).
     """
     A, B = d.bidegree
     n = pa.n
-    alg, values = pa.A, d.values
-    prods, integral = alg.products, pa.integral
-
-    def pairing(a: int, b: int) -> int | Fraction:
-        return sum(c * integral.get(k, 0) for k, c in prods.get((a, b), {}).items())
-
+    alg, values, pairing = pa.A, d.values, pa._pair
     for i in alg.cell_indices(n, n):
-        if values[i].coeffs:
+        if values[i]:
             return False, [alg.basis[i][0], None]
     for i, (name, p, q) in enumerate(alg.basis):
         s = -1 if (p + q) % 2 == 0 else 1  # -(-1)^{|x|}
         for j in alg.cell_indices(n - p - A, n - q - B):
-            lhs = sum(c * pairing(l, j) for l, c in values[i].coeffs.items())
-            rhs = s * sum(c * pairing(i, m) for m, c in values[j].coeffs.items())
+            lhs = sum(c * pairing(l, j) for l, c in values[i].items())
+            rhs = s * sum(c * pairing(i, m) for m, c in values[j].items())
             if lhs != rhs:
                 return False, [name, alg.basis[j][0]]
     return True, None
@@ -415,10 +401,6 @@ class Certificate:
         if self.failed_step is not None:
             out["failed_step"] = self.failed_step
         return out
-
-
-def _element_witness(x: Element) -> dict:
-    return {x.alg.basis[i][0]: str(c) for i, c in sorted(x.coeffs.items())}
 
 
 # what a passing step adds to its statement
@@ -456,6 +438,9 @@ def degeneration_certify(
     n = pa.n
     split: Split = {}
 
+    def by_name(x: Mapping[int, int | Fraction]) -> dict:
+        return {pa.A.basis[i][0]: str(c) for i, c in sorted(x.items())}
+
     def containment():
         # the lefschetz-commutes step has already checked the commutator, and
         # _primitive_split proves that the containment then holds
@@ -465,14 +450,14 @@ def degeneration_certify(
     def component_only():
         for (p, q) in sorted(split):
             for alpha, d1 in zip(pa.primitive_elements(p, q), split[(p, q)][1]):
-                if not d1.is_zero():
-                    return {"alpha": _element_witness(alpha), "d_prime": _element_witness(d1)}
+                if d1:
+                    return {"alpha": by_name(alpha), "d_prime": by_name(d1)}
         return None
 
     def nonzero_image(indices):
         for i in indices:
-            if not d.values[i].is_zero():
-                return {"x": pa.A.basis[i][0], "d(x)": _element_witness(d.values[i])}
+            if d.values[i]:
+                return {"x": pa.A.basis[i][0], "d(x)": by_name(d.values[i])}
         return None
 
     def twisted_pairings():
@@ -486,16 +471,20 @@ def degeneration_certify(
                 betas = pa.primitive_elements(q + B, p + A)
                 for alpha in prim:
                     dalpha = d.apply(alpha)
-                    wdalpha = pa.L(dalpha, n - k - 1)
+                    wdalpha = pa._power(dalpha, n - k - 1)
                     for beta in betas:
-                        val = pa.integral_of(wdalpha * beta)
+                        val = sum(
+                            a * b * pa._pair(i, j)
+                            for i, a in wdalpha.items()
+                            for j, b in beta.items()
+                        )
                         if val != 0:
                             return {
-                                "alpha": _element_witness(alpha),
-                                "beta": _element_witness(beta),
+                                "alpha": by_name(alpha),
+                                "beta": by_name(beta),
                                 "pairing": str(val),
                             }
-                    if not dalpha.is_zero():
+                    if dalpha:
                         raise EngineError(
                             "twisted pairing vanished but d(alpha) != 0 despite validated non-degeneracy"
                         )
@@ -504,7 +493,7 @@ def degeneration_certify(
     steps = [
         ("square-zero", "d composed with itself vanishes", lambda: d.squares_to_zero()[1]),
         # the witness of a zero element is empty
-        ("omega-killed", "d(omega) = 0", lambda: _element_witness(d.apply(pa.omega)) or None),
+        ("omega-killed", "d(omega) = 0", lambda: by_name(d.apply(pa.omega)) or None),
         ("lefschetz-commutes", "[d, L_omega] = 0", lambda: _commutator_violation(pa, d)),
         ("primitive-containment", "d maps primitives into primitive + L*primitive", containment),
         (

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .algebra import (
     BigradedAlgebra,
     Derivation,
-    Element,
+    _accumulate,
+    _coeffs_json,
     _Reader,
     derivation_extend,
 )
@@ -106,10 +107,8 @@ class VarietyModel:
     def to_json(self) -> dict:
         out = self.pa.A.to_json()
         out["name"] = self.name
-        out["omega"] = self.pa.omega.to_json()
-        out["integral"] = {
-            str(i): str(c) for i, c in sorted(self.pa.integral.items())
-        }
+        out["omega"] = _coeffs_json(self.pa.omega)
+        out["integral"] = _coeffs_json(self.pa.integral)
         out["roles"] = {k: list(v) for k, v in sorted(self.roles.items())}
         return out
 
@@ -127,7 +126,7 @@ class VarietyModel:
         omega_raw = data.get("omega")
         if not isinstance(omega_raw, dict):
             raise ParseError("model needs an omega element", location="omega")
-        omega = alg.from_coeffs(read.coeffs(omega_raw, "omega", "omega"))
+        omega = read.coeffs(omega_raw, "omega", "omega")
         integral_raw = data.get("integral")
         if not isinstance(integral_raw, dict):
             raise ParseError("model needs an integral", location="integral")
@@ -213,9 +212,9 @@ def _torus_model(n: int) -> VarietyModel:
     gens = [(f"xi{i}", 0, 1) for i in range(1, n + 1)]
     gens += [(f"eta{i}", 1, 0) for i in range(1, n + 1)]
     alg = _exterior_algebra(n, gens)
-    omega = alg.zero()
+    omega: dict[int, int] = {}
     for i in range(1, n + 1):
-        omega = omega + alg.el(f"xi{i}") * alg.el(f"eta{i}")
+        _accumulate(omega, 1, alg.product_indices(alg.index(f"xi{i}"), alg.index(f"eta{i}")))
     top_name = "".join(f"xi{i}" for i in range(1, n + 1)) + "".join(
         f"eta{i}" for i in range(1, n + 1)
     )
@@ -240,7 +239,7 @@ def _projective_space_model(n: int) -> VarietyModel:
             if a + b <= n:
                 products[(a, b)] = {a + b: 1}
     alg = BigradedAlgebra(n, basis, 0, products)
-    pa = PolarizedAlgebra(alg, alg.el("w"), {n: 1})
+    pa = PolarizedAlgebra(alg, {alg.index("w"): 1}, {n: 1})
     return VarietyModel(f"pn{n}", pa)
 
 
@@ -294,11 +293,8 @@ def tensor_model(m1: VarietyModel, m2: VarietyModel) -> VarietyModel:
             }
     checked = m1.pa.checked and m2.pa.checked
     alg = BigradedAlgebra(n, basis, a1.unit * dim2 + a2.unit, products, check=not checked)
-    omega = alg.zero()
-    for i, c in m1.pa.omega.coeffs.items():
-        omega = omega + alg.basis_element(i * dim2 + a2.unit).scaled(c)
-    for j, c in m2.pa.omega.coeffs.items():
-        omega = omega + alg.basis_element(a1.unit * dim2 + j).scaled(c)
+    omega = {i * dim2 + a2.unit: c for i, c in m1.pa.omega.items()}
+    omega.update((a1.unit * dim2 + j, c) for j, c in m2.pa.omega.items())
     integral = {}
     for i, c1 in m1.pa.integral.items():
         for j, c2 in m2.pa.integral.items():
@@ -338,25 +334,30 @@ def lagrangian_e2_table(model: VarietyModel) -> dict[tuple[int, int], int]:
 class ObstructionDatum:
     """Images of the (0,1)-generators plus a rational scale.
 
-    alpha maps basis indices of cell (0,1) to elements of cell (2,0); the
-    induced bidegree-(2,-1) derivation is the Leibniz extension of
-    scale * alpha on those generators and zero on the (1,0) generators.
+    alpha maps basis indices of cell (0,1) to coefficient maps of elements
+    of cell (2,0), stored with their coefficients as exact rationals, ints
+    where integral, and without zero entries; the induced bidegree-(2,-1)
+    derivation is the Leibniz extension of scale * alpha on those
+    generators and zero on the (1,0) generators.
     """
 
     model: VarietyModel
-    alpha: dict[int, Element]
+    alpha: dict[int, dict[int, int | Fraction]]
     scale: int | Fraction = 1
 
     def __post_init__(self):
         self.scale = _scale(self.scale)
         alg = self.model.pa.A
         gen01 = set(alg.cell_indices(0, 1))
+        self.alpha = {
+            i: {k: coefficient(c) for k, c in img.items() if c} for i, img in self.alpha.items()
+        }
         for i, img in self.alpha.items():
             if i not in gen01:
                 raise InvariantError(
                     f"alpha keyed by {alg.basis[i][0]}, which is not a (0,1) generator"
                 )
-            for k in img.coeffs:
+            for k in img:
                 if alg.bidegree_of(k) != (2, 0):
                     raise InvariantError(
                         f"alpha image of {alg.basis[i][0]} must lie in cell (2, 0)",
@@ -364,7 +365,7 @@ class ObstructionDatum:
                     )
 
     def is_zero(self) -> bool:
-        return self.scale == 0 or all(v.is_zero() for v in self.alpha.values())
+        return self.scale == 0 or not any(self.alpha.values())
 
     def to_json(self) -> dict:
         alg = self.model.pa.A
@@ -372,7 +373,7 @@ class ObstructionDatum:
             "scale": str(self.scale),
             "images": {
                 alg.basis[i][0]: {
-                    alg.basis[k][0]: str(c) for k, c in sorted(v.coeffs.items())
+                    alg.basis[k][0]: str(c) for k, c in sorted(v.items())
                 }
                 for i, v in sorted(self.alpha.items())
             },
@@ -398,7 +399,7 @@ class ObstructionDatum:
                 coeffs = {keys[k]: scalar(v) for k, v in tab.items()}
             except (TypeError, ValueError, ParseError) as exc:
                 raise ParseError(f"bad coefficients for {gname!r}", location="images") from exc
-            alpha[i] = alg.from_coeffs(coeffs)
+            alpha[i] = coeffs
         return ObstructionDatum(model, alpha, scale)
 
 
@@ -426,15 +427,15 @@ def d2_from_alpha(od: ObstructionDatum) -> Derivation:
     """
     alg = od.model.pa.A
     if od.is_zero():
-        return Derivation(alg, (2, -1), [alg.zero()] * alg.dim(), check=True)
-    images: dict[int, Element] = {}
+        return Derivation(alg, (2, -1), [{}] * alg.dim(), check=True)
+    images: dict[int, dict[int, int | Fraction]] = {}
     for i in range(alg.dim()):
         if alg.total_degree_of(i) != 1:
             continue
         if alg.bidegree_of(i) == (0, 1):
-            images[i] = od.alpha.get(i, alg.zero()).scaled(od.scale)
+            images[i] = {k: od.scale * c for k, c in od.alpha.get(i, {}).items()}
         else:
-            images[i] = alg.zero()
+            images[i] = {}
     return derivation_extend(alg, (2, -1), images)
 
 

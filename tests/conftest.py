@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import map_product
 from specseq import CochainComplex, FilteredComplex, Filtration, build_model
 from specseq.linalg import Matrix, Subspace
 
@@ -63,8 +64,45 @@ def unchecked_copy(pa, integral=None):
     from specseq import BigradedAlgebra, PolarizedAlgebra
 
     alg = BigradedAlgebra(pa.A.n, pa.A.basis, pa.A.unit, pa.A.products, check=False)
-    omega = alg.from_coeffs(dict(pa.omega.coeffs))
-    return PolarizedAlgebra(alg, omega, pa.integral if integral is None else integral, check=False)
+    return PolarizedAlgebra(alg, pa.omega, pa.integral if integral is None else integral, check=False)
+
+
+# algebra elements as the package keeps them: coefficient maps {basis index:
+# coefficient} with no zero entry, so two equal elements are equal maps
+
+
+def el(alg, *names) -> dict:
+    """The product of the named basis elements, in order; the unit for no names."""
+    return mul(alg, *({alg.index(name): 1} for name in names))
+
+
+def mul(alg, *factors) -> dict:
+    """The product of coefficient maps, in order."""
+    out = {alg.unit: 1}
+    for x in factors:
+        out = map_product(alg, out, x)
+    return out
+
+
+def add(*terms) -> dict:
+    """The sum of coefficient maps, less zero entries."""
+    out: dict = {}
+    for x in terms:
+        for i, c in x.items():
+            out[i] = out.get(i, 0) + c
+    return {i: c for i, c in out.items() if c}
+
+
+def scaled(x, c) -> dict:
+    """c * x for a coefficient map x, less zero entries."""
+    return {i: c * a for i, a in x.items() if c * a}
+
+
+def omega_power(pa, x, k: int = 1) -> dict:
+    """omega^k x, by k products with pa.omega, not through the images of L that pa keeps."""
+    for _ in range(k):
+        x = map_product(pa.A, pa.omega, x)
+    return dict(x)
 
 
 def scaled_complex_and_key(*args) -> tuple[dict, dict]:

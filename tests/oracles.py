@@ -203,34 +203,55 @@ def naive_turn_cells(page) -> dict:
     return out
 
 
+def map_product(alg, x: dict, y: dict) -> dict:
+    """The product of two coefficient maps {basis index: coefficient}, less zero entries.
+
+    Summed term by term from the structure constants alg.products, the one
+    thing read from alg.
+    """
+    out: dict = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in alg.products.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: c for k, c in out.items() if c}
+
+
+def integrate(pa, x: dict):
+    """integral(x) for a coefficient map x, from pa.integral."""
+    return sum(c * pa.integral.get(i, 0) for i, c in x.items())
+
+
 def twisted_primitive_gram(pa, a: int, b: int) -> tuple[list[list], int]:
     """The Gram of (gamma, beta) -> integral(omega^{n-a-b} gamma beta) on
     H0^{a,b} x H0^{b,a}: its rows, one per primitive basis element of
     (a, b), and its column count, dim H0^{b,a}.
 
-    `pa` is read only through its primitive bases, omega powers, products
-    and integral. PolarizedAlgebra.validate proves these pairings
-    nondegenerate instead of building them; the tests build them here.
+    `pa` is read only through its primitive bases, omega, products and
+    integral; the omega powers are map_products. PolarizedAlgebra.validate
+    proves these pairings nondegenerate instead of building them; the tests
+    build them here.
     """
-    betas = pa.primitive_elements(b, a)
-    rows = [
-        [pa.integral_of(pa.L(g, pa.n - a - b) * beta) for beta in betas]
-        for g in pa.primitive_elements(a, b)
-    ]
+    alg, betas = pa.A, pa.primitive_elements(b, a)
+    rows = []
+    for g in pa.primitive_elements(a, b):
+        for _ in range(pa.n - a - b):
+            g = map_product(alg, pa.omega, g)
+        rows.append([integrate(pa, map_product(alg, g, beta)) for beta in betas])
     return rows, len(betas)
 
 
 def commutator_violations(pa, d) -> list[str]:
     """The names of the basis elements x with d(omega x) != omega d(x), in basis order.
 
-    Built from Element products with omega itself, not from the sparse
-    images of L that PolarizedAlgebra keeps.
+    Built from map_products with omega itself, not from the sparse images
+    of L that PolarizedAlgebra keeps.
     """
     alg = pa.A
     return [
         alg.basis[i][0]
         for i in range(alg.dim())
-        if not (d.apply(pa.omega * alg.basis_element(i)) - pa.omega * d.values[i]).is_zero()
+        if d.apply(map_product(alg, pa.omega, {i: 1})) != map_product(alg, pa.omega, d.values[i])
     ]
 
 
@@ -241,17 +262,16 @@ def serre_sign_violations(pa, d) -> list[list]:
     pairs [x, y] of basis elements with x in (p, q), y in the complementary
     cell (n-p-a, n-q-b) for the bidegree (a, b) of d, and
     integral(d(x) y) != -(-1)^{|x|} integral(x d(y)), each side the integral
-    of an Element product.
+    of a map_product.
     """
     alg, n = pa.A, pa.n
     a, b = d.bidegree
-    out = [[alg.basis[i][0], None] for i in alg.cell_indices(n, n) if not d.values[i].is_zero()]
+    out = [[alg.basis[i][0], None] for i in alg.cell_indices(n, n) if d.values[i]]
     for i, (name, p, q) in enumerate(alg.basis):
-        x = alg.basis_element(i)
         s = -1 if (p + q) % 2 == 0 else 1
         for j in alg.cell_indices(n - p - a, n - q - b):
-            y = alg.basis_element(j)
-            if pa.integral_of(d.values[i] * y) != s * pa.integral_of(x * d.values[j]):
+            lhs = integrate(pa, map_product(alg, d.values[i], {j: 1}))
+            if lhs != s * integrate(pa, map_product(alg, {i: 1}, d.values[j])):
                 out.append([name, alg.basis[j][0]])
     return out
 

@@ -29,6 +29,8 @@ from specseq import (
 from specseq.fuzz import random_filtered_complex, random_obstruction_datum
 from specseq.spectral import decalage_renumbering_report, oracle_report
 
+from conftest import el
+
 CORPUS_SIZE = 200
 CERT_PAIRS = 120
 SIGN_INSTANCES = 60
@@ -143,12 +145,12 @@ def test_certifier_soundness():
 def test_certifier_witness_quality():
     model = build_model("torus", 2)
     alg = model.pa.A
-    img = alg.el("eta1") * alg.el("eta2")
+    img = el(alg, "eta1", "eta2")
     d = d2_from_alpha(ObstructionDatum(model, {alg.index("xi1"): img}))
-    assert d.apply(model.pa.omega).is_zero()
+    assert d.apply(model.pa.omega) == {}
     # d(xi1 xi2) = eta1 eta2 xi2 = xi2 eta1 eta2 after sorting, nonzero
-    value = d.apply(alg.el("xi1") * alg.el("xi2"))
-    assert value.coeffs == {alg.index("xi2eta1eta2"): Fraction(1)}
+    value = d.apply(el(alg, "xi1", "xi2"))
+    assert value == {alg.index("xi2eta1eta2"): Fraction(1)}
     cert = degeneration_certify(model.pa, d)
     assert cert.verdict == "failed(primitive-component-only)"
     last = cert.steps[-1]
@@ -160,8 +162,8 @@ def test_certifier_witness_quality():
 def test_scaling_linearity():
     model = build_model("torus", 2)
     alg = model.pa.A
-    img = alg.el("eta1") * alg.el("eta2")
-    alpha = {alg.index("xi1"): img, alg.index("xi2"): img.scaled(Fraction(-2))}
+    img = el(alg, "eta1", "eta2")
+    alpha = {alg.index("xi1"): img, alg.index("xi2"): {k: Fraction(-2) * c for k, c in img.items()}}
     base = d2_from_alpha(ObstructionDatum(model, alpha, Fraction(1)))
     rng = random.Random("acceptance:scaling")
     for _ in range(5):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import el_add, el_mul, el_scale, monomial_derivative, sort_monomial
+from conftest import add, el, mul, scaled
+from oracles import el_add, el_mul, el_scale, map_product, monomial_derivative, sort_monomial
 from specseq import algebra as algebra_module
 from specseq import (
     BigradedAlgebra,
@@ -124,9 +125,14 @@ def test_a_model_document_with_zero_entries_loads_as_without_them(torus2):
     first = next(iter(padded["products"]))
     padded["products"][first]["5"] = "0"
     padded["products"]["1,1"] = {}
+    # omega gets a zero at xi1eta2, in its (1, 1) cell, and at xi1, outside it:
+    # a zero entry is dropped before the bidegree check
+    padded["omega"].update({"7": "0", "1": "0"})
     assert "1,1" not in blob["products"]
     clean, loaded = VarietyModel.from_json(blob), VarietyModel.from_json(padded)
     assert loaded.pa.A.products == clean.pa.A.products == torus2.pa.A.products
+    assert loaded.pa.omega == clean.pa.omega == torus2.pa.omega
+    assert loaded.to_json()["omega"] == {"6": "1", "9": "1"}
     assert model_bytes(loaded) == model_bytes(clean) == model_bytes(torus2)
 
 
@@ -145,22 +151,22 @@ def test_element_products_are_bilinear_and_graded_commutative(torus2, data):
     c1 = data.draw(st.sampled_from(cells))
     c2 = data.draw(st.sampled_from(cells))
     idx1, idx2 = alg.cell_indices(*c1), alg.cell_indices(*c2)
-    x = alg.from_coeffs({i: data.draw(small_coeff) for i in idx1})
-    y = alg.from_coeffs({j: data.draw(small_coeff) for j in idx2})
-    z = alg.from_coeffs({j: data.draw(small_coeff) for j in idx2})
-    assert x * (y + z) == x * y + x * z
+    x = add({i: data.draw(small_coeff) for i in idx1})
+    y = add({j: data.draw(small_coeff) for j in idx2})
+    z = add({j: data.draw(small_coeff) for j in idx2})
+    assert mul(alg, x, add(y, z)) == add(mul(alg, x, y), mul(alg, x, z))
     sign = -1 if (sum(c1) * sum(c2)) % 2 else 1
-    assert x * y == (y * x).scaled(sign)
+    assert mul(alg, x, y) == scaled(mul(alg, y, x), sign)
 
 
 class TestDerivationExtend:
     def images(self, alg, c1, c2):
-        eta = alg.el("eta1") * alg.el("eta2")
+        eta = el(alg, "eta1", "eta2")
         return {
-            alg.index("xi1"): eta.scaled(c1),
-            alg.index("xi2"): eta.scaled(c2),
-            alg.index("eta1"): alg.zero(),
-            alg.index("eta2"): alg.zero(),
+            alg.index("xi1"): scaled(eta, c1),
+            alg.index("xi2"): scaled(eta, c2),
+            alg.index("eta1"): {},
+            alg.index("eta2"): {},
         }
 
     @pytest.mark.parametrize(
@@ -180,7 +186,7 @@ class TestDerivationExtend:
             names.index("xi2"): {eta_word: c2} if c2 else {},
         }
         for i in range(alg.dim()):
-            ours = {alg.basis[k][0]: c for k, c in d.apply(alg.basis_element(i)).coeffs.items()}
+            ours = {alg.basis[k][0]: c for k, c in d.apply({i: 1}).items()}
             theirs = monomial_derivative(words[i], oracle_images, degree_of, 1)
             theirs = {name_of[w]: c for w, c in theirs.items() if c}
             assert ours == theirs, alg.basis[i][0]
@@ -189,30 +195,49 @@ class TestDerivationExtend:
         # d(xi1) = eta1 eta2, d(xi2) = 0 forces d(xi1 xi2) = xi2 eta1 eta2
         alg = torus2.pa.A
         d = derivation_extend(alg, (2, -1), self.images(alg, Q1, Fraction(0)))
-        img = d.apply(alg.el("xi1") * alg.el("xi2"))
-        assert img == alg.el("xi2") * alg.el("eta1") * alg.el("eta2")
+        img = d.apply(el(alg, "xi1", "xi2"))
+        assert img == el(alg, "xi2", "eta1", "eta2")
         ok, witness = verify_leibniz(alg, d)
         assert ok and witness is None
 
     def test_missing_generator_image_is_rejected(self, torus2):
         alg = torus2.pa.A
         with pytest.raises(InvariantError):
-            derivation_extend(alg, (2, -1), {alg.index("xi1"): alg.zero()})
+            derivation_extend(alg, (2, -1), {alg.index("xi1"): {}})
 
     def test_wrong_bidegree_image_is_rejected(self, torus2):
         alg = torus2.pa.A
         images = self.images(alg, Q1, Q1)
-        images[alg.index("xi1")] = alg.el("eta1")
+        images[alg.index("xi1")] = el(alg, "eta1")
         with pytest.raises(InvariantError):
             derivation_extend(alg, (2, -1), images)
 
     def test_wrong_bidegree_image_fails_the_homogeneity_check(self, torus2):
         alg = torus2.pa.A
         images = self.images(alg, Q1, Q1)
-        images[alg.index("xi1")] = alg.el("eta1")
+        images[alg.index("xi1")] = el(alg, "eta1")
         with pytest.raises(InvariantError, match="image of xi1 is not homogeneous") as err:
             derivation_extend(alg, (2, -1), images)
         assert err.value.witness == "eta1"
+
+    def test_a_sum_that_cancels_leaves_no_zero_entry(self, torus2):
+        # D(xi1) = xi1 and D(xi2) = -xi2 scale each basis element by its xi1 count
+        # less its xi2 count: D(xi1 xi2) = xi1 xi2 - xi1 xi2 sums to an entry 0
+        alg = torus2.pa.A
+        images = {alg.index(g): {} for g in ("eta1", "eta2")}
+        images[alg.index("xi1")] = el(alg, "xi1")
+        images[alg.index("xi2")] = scaled(el(alg, "xi2"), -1)
+        d = derivation_extend(alg, (0, 0), images)
+        assert d.values[alg.index("xi1xi2")] == {}
+        assert not any(0 in v.values() for v in d.values)
+        assert not d.is_zero()
+        assert d.to_json() == {
+            "bidegree": [0, 0],
+            "values": {
+                "1": {"1": "1"}, "2": {"2": "-1"}, "6": {"6": "1"}, "7": {"7": "1"},
+                "8": {"8": "-1"}, "9": {"9": "-1"}, "13": {"13": "1"}, "14": {"14": "-1"},
+            },
+        }
 
     def test_ungenerated_algebra_is_rejected(self, pn2):
         with pytest.raises(InvariantError, match="not generated"):
@@ -232,7 +257,7 @@ class TestDerivationExtend:
             if i:
                 products[(i, 0)] = {i: Q1}
         alg = BigradedAlgebra(1, basis, 0, products)
-        images = {1: alg.el("x1"), 2: alg.zero(), 3: alg.zero()}
+        images = {1: el(alg, "x1"), 2: {}, 3: {}}
         # the relation -x1 y + x2 y = 0 maps to -w, so Leibniz fails on a pair of it
         with pytest.raises(InvariantError, match="Leibniz rule fails") as err:
             derivation_extend(alg, (0, 0), images)
@@ -243,7 +268,7 @@ class TestDerivation:
     def alpha_derivation(self, model, scale=Q1):
         alg = model.pa.A
         od = ObstructionDatum(
-            model, {alg.index("xi1"): alg.el("eta1") * alg.el("eta2")}, scale
+            model, {alg.index("xi1"): el(alg, "eta1", "eta2")}, scale
         )
         return d2_from_alpha(od)
 
@@ -254,10 +279,10 @@ class TestDerivation:
         # contraction-like derivation of bidegree (1, -1) does not square to zero
         alg = torus2.pa.A
         images = {
-            alg.index("xi1"): alg.el("eta1"),
-            alg.index("xi2"): alg.el("eta2"),
-            alg.index("eta1"): alg.zero(),
-            alg.index("eta2"): alg.zero(),
+            alg.index("xi1"): el(alg, "eta1"),
+            alg.index("xi2"): el(alg, "eta2"),
+            alg.index("eta1"): {},
+            alg.index("eta2"): {},
         }
         k = derivation_extend(alg, (1, -1), images)
         ok2, witness2 = k.squares_to_zero()
@@ -269,8 +294,8 @@ class TestDerivation:
         d = self.alpha_derivation(torus2)
         values = list(d.values)
         i = alg.index("xi1xi2")
-        assert not values[i].is_zero()
-        values[i] = values[i].scaled(Fraction(-1))
+        assert values[i]
+        values[i] = scaled(values[i], Fraction(-1))
         with pytest.raises(InvariantError):
             Derivation(alg, (2, -1), values, check=True)
         bad = Derivation(alg, (2, -1), values, check=False)
@@ -280,7 +305,7 @@ class TestDerivation:
 
     def test_cohomology_dims_of_zero_derivation(self, torus2):
         alg = torus2.pa.A
-        zero = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
+        zero = Derivation(alg, (2, -1), [{}] * alg.dim())
         dims = zero.cohomology_dims()
         assert dims == {c: len(ix) for c, ix in alg.cells.items()}
 
@@ -298,10 +323,10 @@ class TestDerivation:
     def test_cohomology_dims_requires_square_zero(self, torus2):
         alg = torus2.pa.A
         images = {
-            alg.index("xi1"): alg.el("eta1"),
-            alg.index("xi2"): alg.el("eta2"),
-            alg.index("eta1"): alg.zero(),
-            alg.index("eta2"): alg.zero(),
+            alg.index("xi1"): el(alg, "eta1"),
+            alg.index("xi2"): el(alg, "eta2"),
+            alg.index("eta1"): {},
+            alg.index("eta2"): {},
         }
         k = derivation_extend(alg, (1, -1), images)
         with pytest.raises(InvariantError):
@@ -326,6 +351,15 @@ class TestDerivation:
         d3 = self.alpha_derivation(torus2, Fraction(3))
         assert d1.scaled(Fraction(3)).values == d3.values
         assert d1.squares_to_zero() == (True, None)
+
+    # "3" names eta1, outside the image cell of xi1: a zero entry is dropped
+    # before the bidegree check
+    @pytest.mark.parametrize("values", [{"1": {"10": "0"}}, {"1": {"10": "0", "3": "0"}}])
+    def test_zero_coefficients_of_a_derivation_document_are_dropped(self, torus2, values):
+        d = Derivation.from_json(torus2.pa.A, {"bidegree": [2, -1], "values": values})
+        assert d.values[1] == {}
+        assert d.is_zero()
+        assert d.to_json() == {"bidegree": [2, -1], "values": {}}
 
     def test_derivation_json_round_trip(self, torus2):
         d = self.alpha_derivation(torus2, Fraction(5, 7))
@@ -468,20 +502,20 @@ def test_derivation_images_are_private_and_read_only(torus2):
 
     alg = torus2.pa.A
     xi1, eta12 = alg.index("xi1"), alg.index("eta1eta2")
-    values = [alg.zero()] * alg.dim()  # one Element aliased at every index
+    values = [{}] * alg.dim()  # one map aliased at every index
     d = Derivation(alg, (2, -1), values)
     assert d.leibniz_checked
     with pytest.raises(TypeError):
-        d.values[xi1].coeffs[eta12] = Q1
+        d.values[xi1][eta12] = Q1
     assert len({id(v) for v in d.values}) == alg.dim()
-    # changing the caller's elements afterwards leaves the checked images alone
-    values[xi1].coeffs[eta12] = Q1
+    # changing the caller's maps afterwards leaves the checked images alone
+    values[xi1][eta12] = Q1
     assert d.is_zero()
     assert degeneration_certify(torus2.pa, d).certified()
 
 
 def dense_validate(alg):
-    """The algebra check over every basis pair and triple, with Element products.
+    """The algebra check over every basis pair and triple, with map products.
 
     The route BigradedAlgebra.validate took before it visited only the cases
     whose products can be nonzero; kept here as its oracle.
@@ -496,22 +530,29 @@ def dense_validate(alg):
                     "product is not bidegree-homogeneous",
                     witness=[alg.basis[i][0], alg.basis[j][0], alg.basis[k][0]],
                 )
-    dim, e = alg.dim(), alg.basis_element
+    dim = alg.dim()
+
+    def e(i):
+        return {i: 1}
+
+    def m(x, y):
+        return map_product(alg, x, y)
+
     one = e(alg.unit)
     for i in range(dim):
-        if one * e(i) != e(i) or e(i) * one != e(i):
+        if m(one, e(i)) != e(i) or m(e(i), one) != e(i):
             raise InvariantError("unit law fails", witness=alg.basis[i][0])
     for i in range(dim):
         for j in range(dim):
             sign = -1 if (alg.total_degree_of(i) * alg.total_degree_of(j)) % 2 else 1
-            if e(i) * e(j) != (e(j) * e(i)).scaled(sign):
+            if m(e(i), e(j)) != scaled(m(e(j), e(i)), sign):
                 raise InvariantError(
                     "graded commutativity fails", witness=[alg.basis[i][0], alg.basis[j][0]]
                 )
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                if (e(i) * e(j)) * e(k) != e(i) * (e(j) * e(k)):
+                if m(m(e(i), e(j)), e(k)) != m(e(i), m(e(j), e(k))):
                     raise InvariantError(
                         "associativity fails",
                         witness=[alg.basis[i][0], alg.basis[j][0], alg.basis[k][0]],
@@ -519,13 +560,15 @@ def dense_validate(alg):
 
 
 def dense_leibniz_violations(d):
-    """Every basis pair where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), by Element products."""
-    alg, e = d.alg, d.alg.basis_element
+    """Every basis pair where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), by map products."""
+    alg = d.alg
     bad = []
     for i in range(alg.dim()):
         s = -1 if (d.total_degree() * alg.total_degree_of(i)) % 2 else 1
         for j in range(alg.dim()):
-            if d.apply(e(i) * e(j)) != d.values[i] * e(j) + (e(i) * d.values[j]).scaled(s):
+            lhs = d.apply(map_product(alg, {i: 1}, {j: 1}))
+            right = scaled(map_product(alg, {i: 1}, d.values[j]), s)
+            if lhs != add(map_product(alg, d.values[i], {j: 1}), right):
                 bad.append((i, j))
     return bad
 
@@ -626,7 +669,7 @@ def test_sparse_leibniz_matches_dense_oracle(small_models, data):
     a, b = data.draw(st.sampled_from([(2, -1), (1, -1), (1, 0), (0, 1)]))
     coeff = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
     images = [
-        alg.from_coeffs({k: data.draw(coeff) for k in alg.cell_indices(p + a, q + b)})
+        {k: data.draw(coeff) for k in alg.cell_indices(p + a, q + b)}
         for (_, p, q) in alg.basis
     ]
     if data.draw(st.booleans()):
@@ -650,8 +693,8 @@ def test_leibniz_sees_a_derivation_that_moves_only_a_product(torus2):
     # zero on the generators: (xi1, xi2) and (xi2, xi1) fail only through
     # D(e_i e_j), so a check that skipped the product pairs would miss them
     alg = torus2.pa.A
-    values = [alg.zero()] * alg.dim()
-    values[alg.index("xi1xi2")] = alg.el("xi1eta1eta2").scaled(Fraction(1, 2))
+    values = [{}] * alg.dim()
+    values[alg.index("xi1xi2")] = {alg.index("xi1eta1eta2"): Fraction(1, 2)}
     d = Derivation(alg, (2, -1), values, check=False)
     dense = dense_leibniz_violations(d)
     assert [(alg.basis[i][0], alg.basis[j][0]) for i, j in dense] == [

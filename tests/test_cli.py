@@ -158,6 +158,19 @@ class TestD2:
         assert out["is_zero"] is False
         assert out["datum"]["images"] == {"xi1": {"eta1eta2": "1"}}
 
+    def test_a_zero_coefficient_in_the_datum_is_dropped(self, capsys, tmp_path, torus2_path):
+        alpha = tmp_path / "alpha.json"
+        alpha.write_text(json.dumps({"scale": "1", "images": {"xi1": {"eta1eta2": "0"}}}))
+        code, out = run_json(capsys, ["d2", "--model", torus2_path, "--alpha", str(alpha)])
+        assert code == 0
+        assert out == {
+            "datum": {"images": {"xi1": {}}, "scale": "1"},
+            "derivation": {"bidegree": [2, -1], "values": {}},
+            "is_zero": True,
+            "model": "torus2",
+            "serre_sign": {"ok": True, "witness": None},
+        }
+
     def test_scale_zero_kills_the_derivation(self, capsys, tmp_path, torus2_path):
         alpha = tmp_path / "alpha.json"
         alpha.write_text(json.dumps(alpha_blob()))
@@ -205,7 +218,7 @@ class TestCertify:
         alg = torus2.pa.A
         from specseq import Derivation
 
-        zero = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
+        zero = Derivation(alg, (2, -1), [{}] * alg.dim())
         dpath = tmp_path / "zero.json"
         dpath.write_text(json.dumps(zero.to_json()))
         code, out = run_json(
@@ -219,7 +232,7 @@ class TestCertify:
         from specseq import Derivation
 
         alg = torus2.pa.A
-        zero = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
+        zero = Derivation(alg, (2, -1), [{}] * alg.dim())
         blob = torus2.to_json()
         blob["derivation"] = zero.to_json()
         path = tmp_path / "bundle.json"
@@ -246,7 +259,7 @@ class TestCertify:
         from specseq import Derivation
 
         alg = torus2.pa.A
-        zero = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
+        zero = Derivation(alg, (2, -1), [{}] * alg.dim())
         dpath = tmp_path / "zero.json"
         dpath.write_text(json.dumps(zero.to_json()))
         code, out = run_json(
@@ -263,7 +276,7 @@ class TestCertify:
         from specseq import Derivation
 
         alg = torus2.pa.A
-        bad = Derivation(alg, (1, 0), [alg.zero()] * alg.dim(), check=False)
+        bad = Derivation(alg, (1, 0), [{}] * alg.dim(), check=False)
         dpath = tmp_path / "bad.json"
         dpath.write_text(json.dumps(bad.to_json()))
         code, out = run_json(

@@ -9,7 +9,7 @@ where the filtration already gives them, no recomputation of a page cell,
 numerator or denominator that d_r leaves alone, no solve for a zero image,
 no matrix built for a cell with none and no zero differential stored,
 the Lefschetz operator of a polarized algebra summed once from its products
-rows, with no Element built, one factor index per algebra, and each
+rows, with no matrix product, one factor index per algebra, and each
 algebra and polarization fact checked once: no unit, mirror or
 self-mirrored cases in algebra validation, no twisted pairing, which
 hard Lefschetz and Poincare duality already make nondegenerate, no second
@@ -32,6 +32,7 @@ from specseq import Derivation, ObstructionDatum, SpectralSequence, build_model,
 from specseq.cli import _fuzz_complex_case, main
 
 from conftest import acyclic_two_term, unchecked_copy
+from oracles import map_product
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -129,7 +130,7 @@ def test_unchecked_derivation_is_checked_by_the_certifier(monkeypatch, torus2):
     from specseq import degeneration_certify
 
     alg = torus2.pa.A
-    d = Derivation(alg, (2, -1), [alg.zero()] * alg.dim(), check=False)
+    d = Derivation(alg, (2, -1), [{}] * alg.dim(), check=False)
     assert not d.leibniz_checked
     assert isinstance(d.values, tuple)
     checks = count_calls(monkeypatch, Derivation, "leibniz_violations")
@@ -143,8 +144,7 @@ def test_one_factor_index_per_algebra(monkeypatch, torus2):
     alg = torus2.pa.A
     fresh = BigradedAlgebra(alg.n, alg.basis, alg.unit, alg.products, check=False)
     d = d2_from_alpha(ObstructionDatum.from_json(torus2, {"images": {"xi1": {"eta1eta2": "1"}}}))
-    values = [fresh.from_coeffs(dict(v.coeffs)) for v in d.values]
-    d = Derivation(fresh, d.bidegree, values, check=False)
+    d = Derivation(fresh, d.bidegree, d.values, check=False)
     real, indexes = BigradedAlgebra._factor_index, []
 
     def kept(self):
@@ -640,33 +640,29 @@ def test_one_zero_matrix_per_shape():
 
 
 def test_lefschetz_operator_is_built_once(monkeypatch, torus3):
-    from specseq import (
-        Element,
-        Matrix,
-        PolarizedAlgebra,
-        degeneration_certify,
-        deligne_vanishing,
-    )
+    import specseq.lefschetz as lefschetz
+    from specseq import Matrix, PolarizedAlgebra, degeneration_certify, deligne_vanishing
 
     alg, omega = torus3.pa.A, torus3.pa.omega
-    d = Derivation(alg, (2, -1), [alg.zero()] * alg.dim())
+    d = Derivation(alg, (2, -1), [{}] * alg.dim())
     matmuls = count_calls(monkeypatch, Matrix, "__matmul__")
-    elements = count_calls(monkeypatch, Element, "__init__")
     pa = PolarizedAlgebra(alg, omega, torus3.pa.integral)
     # L is summed from the products rows, and hard Lefschetz applies it one
-    # sparse step at a time: no Element and no matrix product is built
-    assert matmuls == [] and elements == []
+    # sparse step at a time: no matrix product is built
+    assert matmuls == []
     monkeypatch.undo()
-    reference = [(omega * alg.basis_element(i)).coeffs for i in range(alg.dim())]
+    reference = [map_product(alg, omega, {i: 1}) for i in range(alg.dim())]
     assert list(pa._lefschetz) == reference
     assert any(reference) and not any(0 in image.values() for image in pa._lefschetz)
-    products = count_calls(monkeypatch, Element, "__mul__")
+    # the rows products[(k, i)] for k in omega, which summing L reads
+    rows = {id(tab) for (k, _), tab in alg.products.items() if k in omega}
+    sums = count_calls(monkeypatch, lefschetz, "_accumulate")
     for p, q in pa.A.cells:
         if p + q <= pa.n:
             pa.primitive_cell(p, q)
     assert deligne_vanishing(pa) == 0
     assert degeneration_certify(pa, d).certified()
-    assert [args for args in products if omega in args] == []
+    assert sums and [args for args in sums if id(args[2]) in rows] == []
 
 
 def test_empty_graded_pieces_and_low_cycles_compute_no_cycles(monkeypatch):
@@ -789,11 +785,15 @@ def test_polarization_builds_no_twisted_gram(monkeypatch, kind, n):
 
     pa = build_model(kind, n).pa
     cells = count_calls(monkeypatch, PolarizedAlgebra, "primitive_cell")
-    integrals = count_calls(monkeypatch, PolarizedAlgebra, "integral_of")
+    grams = count_calls(monkeypatch, PolarizedAlgebra, "poincare_gram")
+    pairs = count_calls(monkeypatch, PolarizedAlgebra, "_pair")
     validations = count_calls(monkeypatch, BigradedAlgebra, "validate")
     PolarizedAlgebra(pa.A, pa.omega, pa.integral)
-    # a twisted Gram reads the primitive cells and integrates each entry
-    assert cells == [] and integrals == []
+    # a twisted Gram reads the primitive cells and integrates each entry:
+    # every integral taken is an entry of a Poincare Gram
+    dim, n = pa.A.cell_dim, pa.n
+    assert cells == [] and grams
+    assert len(pairs) == sum(dim(p, q) * dim(n - p, n - q) for _, p, q in grams)
     # the algebra was validated when it was built
     assert validations == []
 
@@ -834,9 +834,8 @@ def test_polarization_validates_an_unchecked_algebra_first(torus2):
         bad.validate()
     assert str(own.value) == "associativity fails"
     bad = BigradedAlgebra(alg.n, alg.basis, alg.unit, prods, check=False)
-    omega = bad.from_coeffs(dict(torus2.pa.omega.coeffs))
     with pytest.raises(InvariantError) as exc:
-        PolarizedAlgebra(bad, omega, torus2.pa.integral)
+        PolarizedAlgebra(bad, torus2.pa.omega, torus2.pa.integral)
     assert (str(exc.value), exc.value.witness) == (str(own.value), own.value.witness)
     assert not bad.checked
 

@@ -9,9 +9,9 @@ public functions are allowed, for the reasons given with them), and no
 module but __init__.py imports a name it does not use. The multiplicative
 layer (algebra.py) sits on errors and linalg alone, and the algebra,
 Lefschetz and model layers name none of linalg's Fraction entry points:
-they solve and read bases through its integer forms. The Lefschetz
-operator's build, the commutator check and the Serre-sign check name no
-Element route: they run on coefficient maps and the products rows.
+they solve and read bases through its integer forms. An algebra element
+has one representation, the coefficient map: no module defines or names
+the Element wrapper or its constructors.
 """
 
 import ast
@@ -88,36 +88,32 @@ def test_algebra_layers_name_no_fraction_route():
     assert named == {}
 
 
-# the Element routes of the Lefschetz operator, the integral and the basis
-ELEMENT_ROUTE = {"basis_element", "integral_of", "L", "Element"}
+# a second representation of an algebra element beside the coefficient map:
+# a wrapper class, its constructors from a basis index or a map, and its integral
+ELEMENT_ROUTE = {"Element", "from_coeffs", "basis_element", "integral_of"}
 
 
-def names_run(node: ast.AST) -> set[str]:
-    """The names a node reads, bare or as an attribute, leaving out annotations,
-    which build nothing."""
+def defined_or_named(tree: ast.AST) -> set[str]:
+    """Every name a module defines, imports or reads, bare or as an attribute."""
     names = set()
-    if isinstance(node, ast.Name):
-        names.add(node.id)
-    elif isinstance(node, ast.Attribute):
-        names.add(node.attr)
-    for field, value in ast.iter_fields(node):
-        if field not in ("annotation", "returns"):
-            for child in value if isinstance(value, list) else [value]:
-                if isinstance(child, ast.AST):
-                    names |= names_run(child)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
 
 
-def test_lefschetz_build_and_per_basis_checks_name_no_element_route():
-    path = SRC / "lefschetz.py"
-    tree = ast.parse(path.read_text(), str(path))
-    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    functions = {name: defs[name] for name in ("_commutator_violation", "serre_sign_check")}
-    functions["PolarizedAlgebra.__init__"] = next(
-        node for node in defs["PolarizedAlgebra"].body if getattr(node, "name", "") == "__init__"
-    )
-    named = {name: sorted(names_run(node) & ELEMENT_ROUTE) for name, node in functions.items()}
-    assert {name: hits for name, hits in named.items() if hits} == {}
+def test_no_module_defines_or_names_a_second_element_representation():
+    named = {}
+    for path in sorted(SRC.glob("*.py")):
+        if hits := sorted(defined_or_named(ast.parse(path.read_text(), str(path))) & ELEMENT_ROUTE):
+            named[path.name] = hits
+    assert named == {}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:

@@ -27,7 +27,7 @@ from specseq import (
 from specseq.cli import main
 from specseq.fuzz import random_filtered_complex
 
-from conftest import acyclic_two_term, scaled_complex
+from conftest import acyclic_two_term, el, scaled_complex
 
 GOLDEN = {
     "compute-with-maps-acyclic": "2da02396eda004c9c80a3e9176dc98fef82b11f74c5bda635ce1ba3ee8edcd4f",
@@ -237,8 +237,8 @@ def test_twisted_pairing_failure_certificate(torus2):
     # xi1 -> eta1eta2 and zero elsewhere is not Leibniz; marking it checked
     # lets every step before twisted-pairing-induction pass
     alg = torus2.pa.A
-    values = [alg.zero() for _ in range(alg.dim())]
-    values[alg.index("xi1")] = alg.el("eta1") * alg.el("eta2")
+    values = [{} for _ in range(alg.dim())]
+    values[alg.index("xi1")] = el(alg, "eta1", "eta2")
     d = Derivation(alg, (2, -1), values, check=False)
     d.leibniz_checked = True
     cert = degeneration_certify(torus2.pa, d)

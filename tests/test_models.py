@@ -22,7 +22,7 @@ from specseq import (
 )
 from specseq.fuzz import random_obstruction_datum
 
-from conftest import unchecked_copy
+from conftest import el, mul, scaled, unchecked_copy
 from oracles import binomial, twisted_primitive_gram
 
 
@@ -94,12 +94,12 @@ class TestBuilders:
         # (a | b)(c | d) = (-1)^{|b||c|} ac | bd, so the sign falls only when
         # an odd right-hand class passes an odd left-hand one
         alg = tensor_model(torus1, torus1).pa.A
-        xi_1, one_xi = alg.el("xi1|1"), alg.el("1|xi1")
-        assert xi_1 * one_xi == alg.el("xi1|xi1")
-        assert one_xi * xi_1 == alg.el("xi1|xi1").scaled(-1)
+        xi_1, one_xi = el(alg, "xi1|1"), el(alg, "1|xi1")
+        assert mul(alg, xi_1, one_xi) == el(alg, "xi1|xi1")
+        assert mul(alg, one_xi, xi_1) == scaled(el(alg, "xi1|xi1"), -1)
         # eta1 | xi1 is even: xi1 passes xi1 (-1) and eta1 xi1 = -xi1eta1
-        eta_xi = alg.el("eta1|xi1")
-        assert eta_xi * xi_1 == xi_1 * eta_xi == alg.el("xi1eta1|xi1")
+        eta_xi = el(alg, "eta1|xi1")
+        assert mul(alg, eta_xi, xi_1) == mul(alg, xi_1, eta_xi) == el(alg, "xi1eta1|xi1")
 
     def test_torus_roles_list_the_one_forms(self, torus2):
         assert torus2.roles["h0_omega1"] == ["xi1", "xi2"]
@@ -144,11 +144,11 @@ class TestObstructionDatum:
     def test_images_must_sit_in_cell_2_0(self, torus2):
         alg = torus2.pa.A
         with pytest.raises(InvariantError, match="cell \\(2, 0\\)"):
-            ObstructionDatum(torus2, {alg.index("xi1"): alg.el("eta1")})
+            ObstructionDatum(torus2, {alg.index("xi1"): el(alg, "eta1")})
 
     def test_keys_must_be_one_forms(self, torus2):
         alg = torus2.pa.A
-        img = alg.el("eta1") * alg.el("eta2")
+        img = el(alg, "eta1", "eta2")
         with pytest.raises(InvariantError, match="not a \\(0,1\\) generator"):
             ObstructionDatum(torus2, {alg.index("eta1"): img})
 
@@ -156,7 +156,7 @@ class TestObstructionDatum:
         alg = torus2.pa.A
         od = ObstructionDatum(
             torus2,
-            {alg.index("xi1"): (alg.el("eta1") * alg.el("eta2")).scaled(Fraction(3, 7))},
+            {alg.index("xi1"): scaled(el(alg, "eta1", "eta2"), Fraction(3, 7))},
             Fraction(-2, 5),
         )
         blob = od.to_json()
@@ -164,13 +164,32 @@ class TestObstructionDatum:
         back = ObstructionDatum.from_json(torus2, blob)
         assert back.to_json() == blob
 
+    def test_images_are_stored_as_exact_maps_without_zero_entries(self, torus2):
+        alg = torus2.pa.A
+        xi1, xi2, eta1, eta12 = (alg.index(x) for x in ("xi1", "xi2", "eta1", "eta1eta2"))
+        # a zero at eta1, outside the cell (2, 0), is dropped before the cell check
+        od = ObstructionDatum(torus2, {xi1: {eta12: Fraction(4, 2), eta1: 0}, xi2: {eta12: 0}})
+        assert od.alpha == {xi1: {eta12: 2}, xi2: {}}
+        assert type(od.alpha[xi1][eta12]) is int
+        blob = {"images": {"xi1": {"eta1eta2": "0"}, "xi2": {"eta1eta2": "1/2"}}}
+        od = ObstructionDatum.from_json(torus2, blob)
+        assert od.alpha == {xi1: {}, xi2: {eta12: Fraction(1, 2)}}
+        assert not od.is_zero()
+        assert od.to_json() == {"scale": "1", "images": {"xi1": {}, "xi2": {"eta1eta2": "1/2"}}}
+        assert d2_from_alpha(od).to_json() == {
+            "bidegree": [2, -1], "values": {"2": {"10": "1/2"}, "5": {"13": "-1/2"}},
+        }
+        od = ObstructionDatum.from_json(torus2, {"images": {"xi1": {"eta1eta2": "0"}}})
+        assert od.is_zero()
+        assert d2_from_alpha(od).to_json() == {"bidegree": [2, -1], "values": {}}
+
     def test_from_json_rejects_bad_scale(self, torus2):
         with pytest.raises(ParseError, match="scale"):
             ObstructionDatum.from_json(torus2, {"scale": "one", "images": {}})
 
     def test_zero_detection(self, torus2):
         alg = torus2.pa.A
-        img = alg.el("eta1") * alg.el("eta2")
+        img = el(alg, "eta1", "eta2")
         assert ObstructionDatum(torus2, {}).is_zero()
         assert ObstructionDatum(torus2, {alg.index("xi1"): img}, Fraction(0)).is_zero()
         assert not ObstructionDatum(torus2, {alg.index("xi1"): img}).is_zero()
@@ -191,7 +210,7 @@ def test_constraint_cache_is_keyed_by_the_algebra_not_the_name(torus2):
 class TestD2FromAlpha:
     def test_scaling_is_linear(self, torus2):
         alg = torus2.pa.A
-        img = alg.el("eta1") * alg.el("eta2")
+        img = el(alg, "eta1", "eta2")
         base = d2_from_alpha(ObstructionDatum(torus2, {alg.index("xi1"): img}))
         for s in (Fraction(2), Fraction(-1, 3), Fraction(7, 2)):
             scaled = d2_from_alpha(ObstructionDatum(torus2, {alg.index("xi1"): img}, s))
@@ -253,7 +272,7 @@ class TestExactness:
         for pa in (model.pa, loaded.pa):
             for tab in pa.A.products.values():
                 assert_exact(tab.values())
-            assert_exact(pa.omega.coeffs.values())
+            assert_exact(pa.omega.values())
             assert_exact(pa.integral.values())
             for (p, q) in pa.A.cells:
                 assert_exact(c for row in pa.poincare_gram(p, q).entries for c in row)
@@ -274,9 +293,9 @@ class TestExactness:
         d = d2_from_alpha(od)
         assert_exact([od.scale])
         for img in od.alpha.values():
-            assert_exact(img.coeffs.values())
+            assert_exact(img.values())
         for v in d.values:
-            assert_exact(v.coeffs.values())
+            assert_exact(v.values())
         blob = od.to_json()
         assert isinstance(blob["scale"], str)
         assert_emitted_as_strings(blob["images"])

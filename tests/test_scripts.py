@@ -1,8 +1,12 @@
 """The example scripts run with their default arguments, exit 0 and print
-the same bytes: sha256 of stdout recorded at commit 5d00f35."""
+the same bytes: sha256 of stdout recorded at commit 5d00f35. The README's
+library quick start runs and prints what its comments say."""
 
+import contextlib
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +36,20 @@ def test_script_stdout(script, digest):
     )
     assert run.returncode == 0, run.stderr.decode()
     assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+def test_readme_quick_start_prints_what_it_documents():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert printed == [
+        "failed(primitive-component-only)",
+        "{'alpha': {'xi1xi2': '1'}, 'd_prime': {'eta1': '-1'}}",
+    ]
+    # each print line's comment is the line it prints
+    documented = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert documented == printed
