@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InvariantError, ParseError
-from .linalg import Matrix, _solve_ints, coefficient, json_int, key_int
+from .linalg import Matrix, _solve_ints, coefficient, json_int, key_int, sparse_rank
 
 
 class BigradedAlgebra:
@@ -98,9 +98,6 @@ class BigradedAlgebra:
 
     def top_degree(self) -> int:
         return max((p + q for (p, q) in self.cells), default=0)
-
-    def product_indices(self, i: int, j: int) -> dict[int, Fraction]:
-        return self.products.get((i, j), {})
 
     def index(self, name: str) -> int:
         if name not in self._by_name:
@@ -325,7 +322,7 @@ class Derivation:
             _accumulate(out, c, self.values[i])
         return {k: c for k, c in out.items() if c}
 
-    def leibniz_violations(self, stop_at_first: bool = False) -> list[tuple[int, int]]:
+    def leibniz_violations(self) -> list[tuple[int, int]]:
         """Basis pairs (i, j) where D(e_i e_j) != D(e_i) e_j + sign e_i D(e_j), sorted.
 
         Visits only the pairs where a term can be nonzero: (i, j) in
@@ -357,8 +354,6 @@ class Derivation:
                 _accumulate(diff, -s * c, prods.get((i, m), {}))
             if any(diff.values()):
                 bad.append((i, j))
-                if stop_at_first:
-                    return bad
         return bad
 
     def is_zero(self) -> bool:
@@ -376,14 +371,6 @@ class Derivation:
                 return False, self.alg.basis[i][0]
         return True, None
 
-    def cell_matrix(self, p: int, q: int) -> Matrix:
-        """Matrix of the restriction cell (p,q) -> cell (p+a, q+b)."""
-        a, b = self.bidegree
-        alg = self.alg
-        return alg.matrix(
-            [self.values[i] for i in alg.cell_indices(p, q)], alg.cell_indices(p + a, q + b)
-        )
-
     def cohomology_dims(self) -> dict[tuple[int, int], int]:
         """Cellwise dim ker/im of the derivation viewed as a page differential.
 
@@ -397,7 +384,7 @@ class Derivation:
             )
         a, b = self.bidegree
         cells = self.alg.cells
-        ranks = {pq: self.cell_matrix(*pq).rank() for pq in cells}
+        ranks = {pq: sparse_rank([self.values[i] for i in idx]) for pq, idx in cells.items()}
         return {
             (p, q): len(idx) - ranks[(p, q)] - ranks.get((p - a, q - b), 0)
             for (p, q), idx in cells.items()
@@ -514,7 +501,7 @@ def _ratio(num: int, den: int) -> int | Fraction:
 
 def verify_leibniz(alg: BigradedAlgebra, d: Derivation) -> tuple[bool, list[str] | None]:
     """True iff Leibniz holds on all basis pairs, else a witness pair of names."""
-    bad = d.leibniz_violations(stop_at_first=True)
+    bad = d.leibniz_violations()
     if not bad:
         return True, None
     i, j = bad[0]
@@ -570,7 +557,7 @@ def derivation_extend(
             continue
         lower = alg.degree_indices(m - 1)
         pairs = [(g, y) for g in gens for y in lower]
-        mult = alg.matrix([alg.product_indices(g, y) for (g, y) in pairs], targets)
+        mult = alg.matrix([prods.get((g, y), {}) for (g, y) in pairs], targets)
         units = [((t, mult.den),) for t in range(len(targets))]
         sols = _solve_ints(mult.columns, len(targets), units)
         for w, x in zip(targets, sols):

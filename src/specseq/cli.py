@@ -4,7 +4,7 @@ Commands: compute, oracle, decalage, certify, model, ext-dims, d2, fuzz.
 Each cmd_* function reads the parsed argparse namespace, the one copy of
 the flags. Before dispatch, main reads SS_THREADS (the bound on fuzz
 parallelism) into it and rejects a non-positive --pages, --cases or
-SS_THREADS, and a --pages past MAX_PAGES, whatever the command. Exit
+SS_THREADS, and a --pages or --cases past MAX_PAGES or MAX_CASES. Exit
 codes: 0 success / certified; 2 certificate failed; 3 parse error (with
 location); 4 invariant violation in the input (with witness); 5 internal
 oracle mismatch or engine bug.
@@ -423,6 +423,9 @@ _POSITIVE = (
 # width is at most MAX_LEVEL_SPAN, so every distinct page is reachable
 MAX_PAGES = MAX_LEVEL_SPAN + 1
 
+# fuzz makes each case's job, and its future under SS_THREADS > 1, before any case runs
+MAX_CASES = 100_000
+
 
 def _check_positive(args: argparse.Namespace) -> None:
     for attr, message, key in _POSITIVE:
@@ -432,6 +435,9 @@ def _check_positive(args: argparse.Namespace) -> None:
     pages = getattr(args, "pages", 1)
     if pages > MAX_PAGES:
         raise InvariantError(f"page bound exceeds {MAX_PAGES}", witness={"pages": pages})
+    cases = getattr(args, "cases", 1)
+    if cases > MAX_CASES:
+        raise InvariantError(f"case count exceeds {MAX_CASES}", witness={"cases": cases})
 
 
 _DISPATCH = {

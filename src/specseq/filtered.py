@@ -233,7 +233,7 @@ class FilteredComplex:
         self.filtration = filtration
         # cycles, keyed by the rungs of the subspaces they read
         self._cycles: dict[tuple[int, int, int], Subspace] = {}
-        self._rungs: dict[tuple[int, int], int] | None = None  # built by rung
+        self._rungs: dict[tuple[int, int], int] = {}  # filled by _validate
         self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
         self.bars = None  # the spectral.Barcode, once barcode(self) has run
         # page_direct cells, keyed by the rungs of the subspaces they read
@@ -271,14 +271,16 @@ class FilteredComplex:
                     raise InvariantError(
                         f"filtration level {p} has wrong ambient at degree {n}", witness=at
                     )
+                self._rungs[(p, n)] = p
                 if p == f.p_lo:
                     continue
                 above = f.table[(p - 1, n)]
                 # F^p equal to F^{p-1} is contained in it, with nothing to
-                # reduce, and becomes the same object: each run of equal
-                # levels holds one, so that identity follows equality
+                # reduce, and becomes the same object, of the same rung: each
+                # run of equal levels holds one, so that identity follows equality
                 if sub == above:
                     f.table[(p, n)] = above
+                    self._rungs[(p, n)] = self._rungs[(p - 1, n)]
                 elif not above.contains(sub):
                     # the first basis vector of F^p outside F^{p-1}
                     v = next(v for v in sub.basis_rows if not above.contains_vector(v))
@@ -345,21 +347,11 @@ class FilteredComplex:
 
         Equal levels of one degree form a run and share one Subspace object
         (see Filtration), so a key made of rungs names the subspaces read,
-        whichever levels asked for them. The table is built on the first call.
+        whichever levels asked for them. _validate records the rungs.
         """
-        rungs = self._rungs
-        if rungs is None:
-            table = self.filtration.table
-            rungs = self._rungs = {}
-            for deg in self.cx.degrees():
-                low = self.p_lo
-                for level in range(self.p_lo, self.p_top + 1):
-                    if table[(level, deg)] is not table[(low, deg)]:
-                        low = level
-                    rungs[(level, deg)] = low
-        hit = rungs.get((p, n))
+        hit = self._rungs.get((p, n))
         if hit is None:
-            hit = rungs.get((self.clamp(p), n), self.p_lo)
+            hit = self._rungs.get((self.clamp(p), n), self.p_lo)
         return hit
 
     def d_preimage(self, p: int, n: int) -> Subspace:

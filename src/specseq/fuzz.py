@@ -104,7 +104,7 @@ def planted_filtered_complex(
     inv = {}
     for n, m in base_change.items():
         cols = m.solve_many(Matrix.identity(m.rows).column_vectors())
-        inv[n] = Matrix.from_cols(cols, rows=m.rows)
+        inv[n] = Matrix.from_rows(list(zip(*cols)), cols=m.rows)
     d_new = {n: base_change[n + 1] @ cx_split.d[n] @ inv[n] for n in range(lo, hi)}
     cx = CochainComplex(lo, hi, dims, d_new)
 
@@ -112,9 +112,10 @@ def planted_filtered_complex(
     p_top = offset + width
     table = {}
     for n in range(lo, hi + 1):
+        columns = base_change[n].column_vectors()
         for p in range(p_lo, p_top + 1):
             rows = [
-                base_change[n].col(i)
+                columns[i]
                 for i in range(dims[n])
                 if level[(n, i)] >= p
             ]

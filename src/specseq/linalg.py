@@ -200,13 +200,6 @@ def _q(a: int, den: int) -> Fraction:
     return Fraction(a) if den == 1 else Fraction(a, den)
 
 
-def _fractions(w: Sequence[int], den: int) -> Vector:
-    """The rational vector w / den, for den > 0."""
-    if den == 1:
-        return tuple([Fraction(a) if a else Q0 for a in w])
-    return tuple([Fraction(a, den) if a else Q0 for a in w])
-
-
 def _eliminate(w: list[int], den: int, rows: Iterable[Row]) -> tuple[list[tuple[int, int]], int]:
     """Subtract from w / den, in place, its multiple of each row; return them and the new den.
 
@@ -398,24 +391,11 @@ class Matrix:
         return Matrix._of_cols(zip(*data) if data else [()] * width, len(data))
 
     @staticmethod
-    def from_cols(cols_data: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        data = [vec(c) for c in cols_data]
-        if data:
-            height = len(data[0])
-            if any(len(c) != height for c in data):
-                raise InvariantError("ragged matrix columns")
-            if rows is not None and height != rows:
-                raise InvariantError(f"expected {rows} rows, found {height}")
-        else:
-            height = 0 if rows is None else rows
-        return Matrix._of_cols(data, height)
-
-    @staticmethod
     def _of_cols(cols: Iterable[Sequence[int | Fraction]], rows: int) -> "Matrix":
         """The matrix with these columns, each a sequence of `rows` Fractions or ints, as they are.
 
         For columns the engine built itself (coset coordinates, basis rows,
-        algebra coefficient maps); from_cols is the checked constructor for
+        algebra coefficient maps); from_rows is the checked constructor for
         any other columns.
         """
         nonzeros = [_pairs(c) for c in cols]
@@ -435,11 +415,8 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, 1, tuple([((i, 1),) for i in range(n)]))
 
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def column_vectors(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.cols)]
+        return [tuple(r[j] for r in self.entries) for j in range(self.cols)]
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times v, through _apply_ints on v scaled to integers."""
@@ -450,7 +427,8 @@ class Matrix:
             return vzero(self.rows)
         den = lcm(*[b.denominator for _, b in pairs])
         (p, lead), *tail = [(j, b.numerator * (den // b.denominator)) for j, b in pairs]
-        return _fractions(self._apply_ints((p, lead, tail)), den * self.den)
+        den *= self.den
+        return tuple([_q(a, den) if a else Q0 for a in self._apply_ints((p, lead, tail))])
 
     def _apply_ints(self, row: Row) -> list[int]:
         """den times this matrix times the integer vector lead e_p + tail of row = (p, lead, tail).

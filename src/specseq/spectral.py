@@ -122,9 +122,6 @@ class Page:
         """Dimensions of the nonzero cells."""
         return {pq: c.dim for pq, c in self.cells.items() if c.dim > 0}
 
-    def all_differentials_zero(self) -> bool:
-        return not self.diffs
-
 
 def _support(fk: FilteredComplex) -> tuple[tuple[int, int], ...]:
     return tuple(
@@ -300,7 +297,7 @@ class SpectralSequence:
     def is_degenerate_at(self, r: int) -> bool:
         """True iff all differentials d_s with s >= r vanish."""
         r_star = self.stabilization_page()
-        return all(self.page(s).all_differentials_zero() for s in range(r, r_star))
+        return all(not self.page(s).diffs for s in range(r, r_star))
 
 
 class Barcode(NamedTuple):

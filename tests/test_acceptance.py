@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from specseq import (
-    Derivation,
     ObstructionDatum,
     SpectralSequence,
     build_model,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import add, el, mul, scaled
-from oracles import el_add, el_mul, el_scale, map_product, monomial_derivative, sort_monomial
+from oracles import el_mul, map_product, monomial_derivative
 from specseq import algebra as algebra_module
 from specseq import (
     BigradedAlgebra,
@@ -68,7 +68,7 @@ def test_torus_structure_constants_match_exterior_oracle(torus2):
     for i in range(alg.dim()):
         for j in range(alg.dim()):
             ours = {
-                alg.basis[k][0]: c for k, c in alg.product_indices(i, j).items()
+                alg.basis[k][0]: c for k, c in alg.products.get((i, j), {}).items()
             }
             theirs = el_mul({words[i]: Q1}, {words[j]: Q1}, degree_of)
             theirs = {name_of[w]: c for w, c in theirs.items()}
@@ -81,7 +81,7 @@ def test_projective_space_products_match_truncated_powers(pn2):
     words = {0: (), 1: (0,), 2: (0, 0)}
     for i in range(3):
         for j in range(3):
-            ours = dict(alg.product_indices(i, j))
+            ours = dict(alg.products.get((i, j), {}))
             theirs = el_mul({words[i]: Q1}, {words[j]: Q1}, lambda g: 2, power_cap=cap)
             expect = {len(w): c for w, c in theirs.items()}
             assert ours == expect
@@ -336,15 +336,16 @@ class TestDerivation:
         # 16 cells; ranking both maps of each cell asks for 32, of 26 distinct cells
         d = self.alpha_derivation(torus3)
         calls = []
-        cell_matrix = Derivation.cell_matrix
+        sparse_rank = algebra_module.sparse_rank
 
-        def counting(self, p, q):
-            calls.append((p, q))
-            return cell_matrix(self, p, q)
+        def counting(rows):
+            calls.append(rows)
+            return sparse_rank(rows)
 
-        monkeypatch.setattr(Derivation, "cell_matrix", counting)
+        monkeypatch.setattr(algebra_module, "sparse_rank", counting)
         d.cohomology_dims()
-        assert sorted(calls) == sorted(torus3.pa.A.cells)
+        cells = torus3.pa.A.cells.values()
+        assert calls == [[d.values[i] for i in idx] for idx in cells]
 
     def test_scaling_and_composition(self, torus2):
         d1 = self.alpha_derivation(torus2)
@@ -682,7 +683,6 @@ def test_sparse_leibniz_matches_dense_oracle(small_models, data):
     d = Derivation(alg, (a, b), images, check=False)
     dense = dense_leibniz_violations(d)
     assert d.leibniz_violations() == dense
-    assert d.leibniz_violations(stop_at_first=True) == dense[:1]
     ok, witness = verify_leibniz(alg, d)
     assert (ok, witness) == (
         (True, None) if not dense else (False, [alg.basis[i][0] for i in dense[0]])
@@ -704,7 +704,6 @@ def test_leibniz_sees_a_derivation_that_moves_only_a_product(torus2):
         ("xi1xi2", "xi2"),
     ]
     assert d.leibniz_violations() == dense
-    assert d.leibniz_violations(stop_at_first=True) == dense[:1]
     assert verify_leibniz(alg, d) == (False, ["xi1", "xi2"])
 
 
@@ -768,10 +767,17 @@ def test_cohomology_dims_rank_both_maps_of_each_cell(name, seed):
     model = build_model(name[:-1], n) if n else BRIDGE_MODELS[name]()
     d = d2_from_alpha(random_obstruction_datum(random.Random(seed), model, seed % 2 == 0))
     a, b = d.bidegree
+    alg = model.pa.A
+
+    def cell_rank(p, q):
+        # the map from cell (p, q) as a matrix on the target cell's basis
+        src, tgt = alg.cell_indices(p, q), alg.cell_indices(p + a, q + b)
+        return alg.matrix([d.values[i] for i in src], tgt).rank()
+
     # each cell's outgoing and incoming map ranked on its own, as two matrices
     expect = {
-        (p, q): len(idx) - d.cell_matrix(p, q).rank() - d.cell_matrix(p - a, q - b).rank()
-        for (p, q), idx in model.pa.A.cells.items()
+        (p, q): len(idx) - cell_rank(p, q) - cell_rank(p - a, q - b)
+        for (p, q), idx in alg.cells.items()
     }
     assert d.cohomology_dims() == expect
 
@@ -789,8 +795,8 @@ def test_matrix_columns_are_the_dense_coordinates_of_the_maps(name, data):
     alg = bridge_algebra(name)
     idx = alg.cell_indices(*data.draw(st.sampled_from(sorted(alg.cells))))
     tabs = data.draw(st.lists(st.dictionaries(st.sampled_from(idx), bridge_coeffs), max_size=5))
-    dense = [[tab.get(k, 0) for k in idx] for tab in tabs]
-    assert alg.matrix(tabs, idx) == Matrix.from_cols(dense, rows=len(idx))
+    dense = [[tab.get(k, 0) for tab in tabs] for k in idx]
+    assert alg.matrix(tabs, idx) == Matrix.from_rows(dense, cols=len(tabs))
 
 
 @pytest.mark.parametrize("name", sorted(BRIDGE_MODELS))

@@ -291,6 +291,19 @@ class TestCertify:
         assert code == 3
         assert out["location"] == "derivation"
 
+    def test_null_derivation_exits_3(self, capsys, tmp_path, torus2):
+        blob = torus2.to_json()
+        blob["derivation"] = None
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(blob))
+        code, out = run_json(capsys, ["certify", "--algebra", str(path)])
+        assert code == 3
+        assert out == {
+            "error": "parse",
+            "location": "derivation",
+            "message": "derivation: no derivation given",
+        }
+
 
 class TestErrors:
     def test_missing_file_exits_3_with_location(self, capsys):
@@ -422,6 +435,24 @@ class TestErrors:
         assert code == 0
         assert len(out["pages"]) == MAX_PAGES
 
+    def test_case_count_past_its_cap_exits_4_before_any_job_is_built(
+        self, capsys, monkeypatch
+    ):
+        from specseq import cli
+
+        def unreached(args):
+            raise AssertionError("cmd_fuzz ran")
+
+        monkeypatch.setitem(cli._DISPATCH, "fuzz", unreached)
+        cases = cli.MAX_CASES + 1
+        code, out = run_json(capsys, ["fuzz", "--cases", str(cases)])
+        assert code == 4
+        assert out == {
+            "error": "invariant",
+            "message": f"case count exceeds {cli.MAX_CASES}",
+            "witness": {"cases": cases},
+        }
+
     def test_zero_threads_exits_4_with_its_value(self, capsys, monkeypatch):
         monkeypatch.setenv("SS_THREADS", "0")
         code, out = run_json(capsys, ["fuzz", "--cases", "1"])
@@ -460,7 +491,7 @@ class TestFuzz:
             if r < 2:
                 return diffs
             return {
-                pq: Matrix.from_cols([[2 * a for a in col] for col in m.column_vectors()], m.rows)
+                pq: Matrix.from_rows([[2 * a for a in row] for row in m.entries], cols=m.cols)
                 for pq, m in diffs.items()
             }
 
@@ -473,6 +504,27 @@ class TestFuzz:
             assert failure["kind"] == "complex"
             assert "differentials disagree" in failure["error"]
             assert failure["instance"]["filtration"]
+
+    def test_a_failing_derivation_case_can_be_replayed(self, capsys, monkeypatch):
+        from specseq import ObstructionDatum, build_model, cli, d2_from_alpha
+
+        seen = []
+
+        def failing(pa, d):
+            seen.append(d.values)
+            return False, "planted"
+
+        monkeypatch.delenv("SS_THREADS", raising=False)
+        monkeypatch.setattr(cli, "serre_sign_check", failing)
+        code, out = run_json(capsys, ["fuzz", "--kind", "derivations", "--cases", "4"])
+        assert code == 5
+        assert out["counterexamples"] == len(out["failures"]) == len(seen) == 4
+        for failure in out["failures"]:
+            assert failure["error"] == "serre sign check failed at planted"
+            assert set(failure["instance"]) == {"model", "datum"}
+            model = build_model("torus", int(failure["instance"]["model"].removeprefix("torus")))
+            datum = ObstructionDatum.from_json(model, failure["instance"]["datum"])
+            assert d2_from_alpha(datum).values == seen[failure["case"]]
 
     def test_threads_do_not_change_the_bytes(self, capsys, monkeypatch):
         argv = ["fuzz", "--cases", "6", "--seed", "11"]

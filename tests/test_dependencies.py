@@ -6,8 +6,9 @@ nothing that nothing reads: every private function has a caller in the
 package, every exported name and every public function is read by the
 package, the benchmark, the scripts or the acceptance criteria (two
 public functions are allowed, for the reasons given with them), and no
-module but __init__.py imports a name it does not use. The multiplicative
-layer (algebra.py) sits on errors and linalg alone, and the algebra,
+module but __init__.py, nor any module under tests/, imports a name it
+does not use. The multiplicative layer (algebra.py) sits on errors and
+linalg alone, and the algebra,
 Lefschetz and model layers name none of linalg's Fraction entry points:
 they solve and read bases through its integer forms. An algebra element
 has one representation, the coefficient map: no module defines or names
@@ -144,8 +145,8 @@ def test_every_private_function_has_a_caller_in_src():
 
 def test_no_module_imports_a_name_it_does_not_use():
     unused = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]:
+        if path == SRC / "__init__.py":
             continue  # it imports to re-export
         tree = ast.parse(path.read_text(), str(path))
         bound = set()
@@ -156,7 +157,7 @@ def test_no_module_imports_a_name_it_does_not_use():
                 bound.update(a.asname or a.name for a in node.names)
         missing = sorted(bound - referenced_names(tree))
         if missing:
-            unused[path.name] = missing
+            unused[str(path.relative_to(ROOT))] = missing
     assert unused == {}
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from specseq import (
     BigradedAlgebra,
     Derivation,
-    EngineError,
     InvariantError,
     ObstructionDatum,
     PolarizedAlgebra,
@@ -396,6 +395,34 @@ class TestCertifier:
         assert blob["failed_step"] == "primitive-component-only"
         assert [s["passed"] for s in blob["steps"]][:-1] == [True] * (len(blob["steps"]) - 1)
         assert all(set(s) >= {"id", "statement", "passed"} for s in blob["steps"])
+
+    def test_a_muted_split_is_caught_at_the_middle_degree(self, torus3, monkeypatch):
+        # a split that reports d' = 0 lets a nonzero d past primitive-component-only;
+        # the next step names the first degree-3 element that d moves
+        import specseq.lefschetz as lefschetz_module
+        from specseq.fuzz import random_obstruction_datum
+
+        from conftest import seeded
+
+        real = lefschetz_module._primitive_split
+
+        def muted(pa, d):
+            return {pq: (d0s, [{}] * len(d1s)) for pq, (d0s, d1s) in real(pa, d).items()}
+
+        monkeypatch.setattr(lefschetz_module, "_primitive_split", muted)
+        alg = torus3.pa.A
+        for seed in range(3):
+            d = d2_from_alpha(random_obstruction_datum(seeded("muted", seed), torus3, True))
+            assert not d.is_zero()
+            cert = degeneration_certify(torus3.pa, d)
+            assert cert.verdict == "failed(middle-degree-vanishing)"
+            assert all(step.passed for step in cert.steps[:-1])
+            x = next(i for i in alg.degree_indices(3) if d.values[i])
+            assert alg.basis[x][0] == "xi1xi2xi3"
+            assert cert.steps[-1].witness == {
+                "x": "xi1xi2xi3",
+                "d(x)": {alg.basis[k][0]: str(c) for k, c in sorted(d.values[x].items())},
+            }
 
     def test_certified_verdict_matches_direct_page_computation(self, torus2):
         alg = torus2.pa.A

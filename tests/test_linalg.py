@@ -523,7 +523,7 @@ def test_matrix_holds_one_integer_form(data):
     m = Matrix.from_rows(a, cols=k)
     dense = tuple(tuple(Fraction(x) for x in row) for row in a)
     same = [
-        Matrix.from_cols([[row[j] for row in a] for j in range(k)], rows=r),
+        Matrix._of_cols([[row[j] for row in a] for j in range(k)], r),
         Matrix.from_json(m.to_json(), r, k),
         Matrix.identity(r) @ m,
         m @ Matrix.identity(k),

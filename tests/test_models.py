@@ -26,6 +26,22 @@ from conftest import el, mul, scaled, unchecked_copy
 from oracles import binomial, twisted_primitive_gram
 
 
+def row_major_scan(n, table):
+    """(message, witness) of the first (p, q) of the square, in row-major
+    order, that breaks Hodge and then Serre symmetry; None if none does."""
+
+    def at(p, q):
+        return table.get((p, q), 0)
+
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if at(p, q) != at(q, p):
+                return f"Hodge symmetry fails at {(p, q)}", [p, q]
+            if at(p, q) != at(n - p, n - q):
+                return f"Serre symmetry fails at {(p, q)}", [p, q]
+    return None
+
+
 class TestHodgeDiamond:
     def test_torus2_diamond_is_binomial(self, torus2):
         dia = torus2.diamond()
@@ -50,29 +66,57 @@ class TestHodgeDiamond:
         with pytest.raises(InvariantError, match="Serre symmetry"):
             HodgeDiamond(2, {(0, 0): 1, (2, 2): 1, (1, 1): 1, (0, 1): 1, (1, 0): 1})
 
-    # each diamond breaks a symmetry at two cells, stored after the rest with
-    # the later cell of the scan first: the witness is still the first (p, q)
+    # each diamond breaks a symmetry at two stored cells, stored after the
+    # rest with the later cell of the scan first: the witness is still the
+    # first (p, q); in the wide square the unstored (501, 500) and (500, 501)
+    # fail too, as the Serre mirrors of the two stored cells
     @pytest.mark.parametrize(
         "n, h, message, witness",
         [
             (2, {(2, 0): 2, (0, 2): 1}, "Hodge symmetry fails at (0, 2)", [0, 2]),
             (3, {(2, 2): 2, (1, 1): 1}, "Serre symmetry fails at (1, 1)", [1, 1]),
+            (1000, {(500, 499): 2, (499, 500): 1}, "Hodge symmetry fails at (499, 500)", [499, 500]),
         ],
     )
     def test_the_witness_is_the_first_failing_cell_of_the_scan(self, n, h, message, witness):
         table = {(0, 0): 1, (n, n): 1, **h}
-        failing = [
-            (p, q)
-            for p in range(n + 1)
-            for q in range(n + 1)
-            if table.get((p, q), 0) != table.get((q, p), 0)
-            or table.get((p, q), 0) != table.get((n - p, n - q), 0)
-        ]
-        assert failing == sorted(h)
+        assert all(
+            v != table.get((q, p), 0) or v != table.get((n - p, n - q), 0)
+            for (p, q), v in h.items()
+        )
+        assert row_major_scan(n, table) == (message, witness)
+        assert tuple(witness) == min(h) != next(iter(h))
         with pytest.raises(InvariantError) as err:
             HodgeDiamond(n, table)
         assert str(err.value) == message
         assert err.value.witness == witness
+
+    def test_the_witness_is_that_of_the_row_major_scan_on_random_diamonds(self):
+        # symmetric diamonds with one to three cells changed, n <= 4, with
+        # some zero entries stored and others left out
+        rng = random.Random(31)
+        failing = 0
+        while failing < 2000:
+            n = rng.randint(1, 4)
+            orbit = {}
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    mirrors = ((p, q), (q, p), (n - p, n - q), (n - q, n - p))
+                    first = min(mirrors)
+                    orbit[(p, q)] = orbit[first] if first in orbit else rng.randint(0, 3)
+            orbit[(0, 0)] = orbit[(n, n)] = 1
+            inner = [c for c in orbit if c not in ((0, 0), (n, n))]
+            for c in rng.sample(inner, min(len(inner), rng.randint(1, 3))):
+                orbit[c] = rng.randint(0, 3)
+            table = {c: v for c, v in orbit.items() if v or rng.random() < 0.5}
+            expect = row_major_scan(n, table)
+            if expect is None:
+                assert HodgeDiamond(n, table).h == table
+                continue
+            failing += 1
+            with pytest.raises(InvariantError) as err:
+                HodgeDiamond(n, table)
+            assert (str(err.value), err.value.witness) == expect
 
     def test_indices_stay_in_the_square(self):
         with pytest.raises(InvariantError, match="outside"):

@@ -97,7 +97,7 @@ def test_zero_differential_first_page_is_graded_and_degenerate():
     ss = SpectralSequence(fk)
     pg = ss.page(1)
     assert pg.dims() == {(0, 0): 2, (1, 0): 3, (2, 0): 1}
-    assert pg.all_differentials_zero()
+    assert not pg.diffs
     assert ss.is_degenerate_at(1)
     assert ss.e_infinity().dims() == pg.dims()
 
