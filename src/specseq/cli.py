@@ -190,10 +190,11 @@ def cmd_decalage(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     """Certify a derivation given by --derivation or under the model's "derivation" key.
 
-    A model object with neither is rejected before it is built.
+    A model object with neither, its "derivation" missing or null, is
+    rejected before it is built.
     """
     blob = _load_json(args.algebra)
-    if not args.derivation and isinstance(blob, dict) and "derivation" not in blob:
+    if not args.derivation and isinstance(blob, dict) and blob.get("derivation") is None:
         raise ParseError("no derivation given", location="derivation")
     model = VarietyModel.from_json(blob)
     data = _load_json(args.derivation) if args.derivation else blob.get("derivation")

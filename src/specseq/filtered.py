@@ -365,9 +365,11 @@ class FilteredComplex:
         It is the stored F^a K^n, with nothing reduced, where clamp(b) <=
         clamp(a) (F^a is d-stable, so d F^a <= F^a <= F^b), where F^a and
         F^b have one dimension in degree n (then F^b K^n = F^a K^n, as load
-        checked F^b <= F^a, so d F^a = d F^b <= F^b), and where F^b K^{n+1}
-        is the whole space. The cap is kept under the rungs of F^a K^n and
-        F^b K^{n+1}, so levels that name the same two subspaces share it.
+        checked F^b <= F^a, so d F^a = d F^b <= F^b), and where d maps each
+        basis row of F^a K^n into F^b K^{n+1}, a whole F^b K^{n+1} among
+        them (preimage tests that before it eliminates). The cap is kept
+        under the rungs of F^a K^n and F^b K^{n+1}, so levels that name the
+        same two subspaces share it.
         """
         a, b = self.clamp(a), self.clamp(b)
         fa = self.F(a, n)

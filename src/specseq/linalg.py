@@ -679,11 +679,14 @@ def image(f: Matrix) -> Subspace:
 
 
 def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:
-    """Subspace {x in source : f(x) in target}, source itself where target is full.
+    """Subspace {x in source : f(x) in target}, source itself where f(source) <= target.
 
-    It is the Zassenhaus construction, one reduction over the rows (f s | s),
-    for the Rows s of source, and (g | 0), for the Rows g of target: den *
-    lead times each left block is f._apply_ints(s), so the right block is
+    f of each Row s of source is reduced by target first; where every one
+    lies in target, source is returned with nothing eliminated (a full
+    target among them). Otherwise it is the Zassenhaus construction, one
+    reduction over the rows (f s | s), for the Rows s of source, and
+    (g | 0), for the Rows g of target: den * lead times each left block is
+    the image f._apply_ints(s) already computed, so the right block is
     scaled to match. The reduced rows whose pivots lie past the left block
     have a zero left block, and their right blocks are already the canonical
     basis of the preimage.
@@ -692,11 +695,14 @@ def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:
         raise InvariantError("preimage target or source lives in the wrong ambient space")
     if target.is_full():
         return source
+    images = [f._apply_ints(s) for s in source.tails]
+    if all(target._holds(fs[:]) for fs in images):
+        return source
     split, den = f.rows, f.den
     rows = target._rows()
-    for s in source.tails:
+    for s, fs in zip(source.tails, images):
         p, lead, tail = s
-        row = dict(_pairs(f._apply_ints(s)))
+        row = dict(_pairs(fs))
         row[split + p] = den * lead
         for j, c in tail:
             row[split + j] = den * c

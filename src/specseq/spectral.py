@@ -8,8 +8,9 @@ never as a quotient of quotients. The pages are reached by three routes:
 * first_page + turn_page: the first page takes its cells from page_direct,
   and each later page is built from the previous one using only its
   cells, its differentials, and the underlying d. One routine builds
-  every d_r, d_1 included, solving for representative lifts in the
-  canonical complement bases; induced_map is the independent reference
+  every d_r, d_1 included, in the canonical complement bases, solving for
+  representative lifts where an image leaves the target's numerator
+  (never for d_1); induced_map is the independent reference
   that compare_differentials checks them against. The turned and direct
   routes part from r = 2.
 * barcode: one persistence reduction of d in a filtration-adapted basis,
@@ -27,17 +28,22 @@ shared zero matrix of the right shape for every other cell; so a turn reads
 from the stored ones which cells d_r leaves alone. When the d_r into and out
 of a cell are both zero, page r+1 holds the same Subquotient object, and
 when only one of them is zero it keeps the cell's Z (d_r out zero) or B (d_r
-in zero) and recomputes only the other. The next differential solves only
-for the complement rows whose image under d is nonzero; a zero image has the
-solution 0 and the zero column, and a cell with no nonzero image gets no
+in zero) and recomputes only the other; a d_r out with zero kernel makes the
+old B the new Z. The next differential reads its columns off the coset
+coordinates of the images under d where they all lie in the target's
+numerator, which every d_1 does, and solves only for the other cells, and
+there only for the nonzero images; a cell with no nonzero image gets no
 matrix at all. The filtered complex computes each F^a cap d^{-1}F^b in one
 reduction and each page_direct cell, with B_r spanned in one reduction, once
 per distinct filtration subspace read, not once per level that names it; it
-returns F^a itself where clamp(b) <= clamp(a) or where F^a and F^b have one
-dimension. Where a graded piece is empty, F^p = F^{p+1} in degree p+q and
-the direct cell, E_1 included, is Z_r/Z_r, read off the filtration with no
-elimination; load has checked that it is nested and d-stable, and reduced
-bases are canonical, so these equal the cells the formulas build.
+returns F^a itself where clamp(b) <= clamp(a), where F^a and F^b have one
+dimension, or where d already maps F^a into F^b, and a direct cell's B_r is
+the cap F^{p+1} cap Z_r itself where d kills its other source. Where a
+graded piece is empty, F^p = F^{p+1} in degree p+q and the direct cell, E_1
+included, is Z_r/Z_r, read off the filtration with no elimination; load has
+checked that it is nested and d-stable, and reduced bases are canonical, so
+these equal the cells the formulas build. The barcode's column reduction
+skips every column that clearing already knows reduces to zero.
 page_direct reads only the filtration and never a turned page, and
 turn_page reads only the previous page.
 """
@@ -135,7 +141,8 @@ def first_page(fk: FilteredComplex) -> Page:
     At r = 1 the direct formula is E_1^{p,q} = (F^p cap d^{-1}F^{p+1}) /
     (F^{p+1} + d F^p), the classical presentation of H^{p+q}(Gr^p) inside
     K^{p+q}, and the cells are kept on fk, so page_direct at r = 1 later
-    finds them built. d_1 is built by _differentials, as every later d_r is.
+    finds them built. d_1 is built by _differentials, as every later d_r is,
+    and needs no solve: each d w lies in the target's numerator.
     """
     support = _support(fk)
     cells = {(p, q): page_direct(fk, 1, p, q) for (p, q) in support}
@@ -150,9 +157,10 @@ def turn_page(page: Page) -> Page:
     zero d_r in and out, a zero cell among them, is carried as the same
     object: ker d_r is all of it, im d_r is zero, and reduced bases are
     unique, so recomputing it would give an equal cell. By the same
-    argument a cell whose d_r out is zero keeps its Z as Z_{r+1}, and one
-    whose d_r in is zero keeps its B as B_{r+1}; Subquotient.of still checks
-    the new pair. The next differential is built by _differentials.
+    argument a cell whose d_r out is zero keeps its Z as Z_{r+1}, one whose
+    d_r in is zero keeps its B as B_{r+1}, and one whose d_r out has zero
+    kernel takes its old B as Z_{r+1}, with no span; Subquotient.of still
+    checks the new pair. The next differential is built by _differentials.
     """
     r = page.r
     cells: dict[tuple[int, int], Subquotient] = {}
@@ -168,9 +176,9 @@ def turn_page(page: Page) -> Page:
         amb = cell.ambient_dim
         z, b = cell.Z, cell.B
         if dout is not None:
-            zrows = b._rows()
-            zrows += [cell._lift_ints(k.items())[0] for k in dout._null_rows()[0]]
-            z = Subspace._span_ints(amb, zrows)
+            # a d_r out with zero kernel leaves Z_{r+1} = B
+            kernel = [cell._lift_ints(k.items())[0] for k in dout._null_rows()[0]]
+            z = Subspace._span_ints(amb, b._rows() + kernel) if kernel else b
         if din is not None:
             brows = b._rows()
             brows += [cell._lift_ints(col)[0] for col in din.columns]
@@ -189,26 +197,35 @@ def _differentials(
     target cell, C' its complement: one integer solve of [d(B) | B' | C'] x
     = d w, shared by the cell's complement rows w. d(B) <= B', so the C'
     part of x is unique; it is the coset coordinates of [d w]. d w is
-    computed first, and only the nonzero ones are solved for: a zero
-    right-hand side always has the solution 0 (free variables are pinned to
-    0, and it is never inconsistent), so its column is zero, and a cell
-    with no nonzero image (a zero cell among them) gets no matrix: the
-    page's diff() reads its zero matrix.
+    computed first, and a cell with no nonzero image (a zero cell among
+    them) gets no matrix: the page's diff() reads its zero matrix. Where
+    every d w already lies in Z' (b = 0 will do), the columns are the coset
+    coordinates Subquotient._coords reads off d w and no solve runs; at r =
+    1 that always holds, since d w lies in F^{p+1} and in ker d, so inside
+    Z'. Only a cell with an image outside Z' is solved, and only for its
+    nonzero images: a zero right-hand side always has the solution 0 (free
+    variables are pinned to 0, and it is never inconsistent), so its column
+    is zero.
     """
     diffs: dict[tuple[int, int], Matrix] = {}
     for (p, q), src in cells.items():
         n = p + q
         d = cx.diff(n)
         # a Row's _apply_ints is den * lead times d of its rational row
-        images = [_pairs(d._apply_ints(w)) for w in src.tails]
-        nonzero = [dw for dw in images if dw]
-        if not nonzero:
+        dense = [d._apply_ints(w) for w in src.tails]
+        if not any(map(any, dense)):
             continue
         height = cx.dim(n + 1)
         tgt = cells.get((p + r, q - r + 1))
         if tgt is None:
             tgt = Subquotient.zero(height)
         den = d.den
+        coords = [tgt._coords(dw[:], den * w[1]) for w, dw in zip(src.tails, dense)]
+        if None not in coords:
+            diffs[(p, q)] = Matrix._of_cols(coords, tgt.dim)
+            continue
+        images = [_pairs(dw) for dw in dense]
+        nonzero = [dw for dw in images if dw]
         skip = src.B.dim + tgt.B.dim
         system = [_pairs(d._apply_ints(b)) for b in src.B.tails]
         system += [((c, lead),) + tail for c, lead, tail in tgt.B.tails + tgt.tails]
@@ -241,8 +258,10 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     kept on fk under their rungs (FilteredComplex.rung), whichever p and r
     asked for it. Each cap is one reduction (FilteredComplex.cycles), and B_r
     is one span of the rows of that cap and the images under d of the rows
-    of the other. Where F^p = F^{p+1} the cap is Z_r itself, so the cell is
-    Z_r/Z_r and B_r is not computed.
+    of the other. Where no row of that other has a nonzero image, B_r is
+    the cap itself, with no span; Subquotient.of still checks it lies in
+    Z_r. Where F^p = F^{p+1} the cap is Z_r itself, so the cell is Z_r/Z_r
+    and B_r is not computed.
     """
     if r < 1:
         raise InvariantError("pages are indexed from r = 1")
@@ -257,12 +276,14 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
         if fk.F(p, n).dim == fk.F(p + 1, n).dim:
             hit = Subquotient(zr, zr, ())
         else:
-            # B_r in one span; scaling d(v) keeps its span
-            rows = fk.cycles(p + 1, p + r, n)._rows()
+            # B_r in one span, or the cap itself where d kills the source;
+            # scaling d(v) keeps its span
+            cap = fk.cycles(p + 1, p + r, n)
             dprev = fk.cx.diff(n - 1)
             src = fk.cycles(p - r + 1, p, n - 1)
-            rows += [dict(_pairs(dprev._apply_ints(v))) for v in src.tails]
-            hit = Subquotient.of(zr, Subspace._span_ints(fk.cx.dim(n), rows))
+            images = [row for v in src.tails if (row := dict(_pairs(dprev._apply_ints(v))))]
+            br = Subspace._span_ints(fk.cx.dim(n), cap._rows() + images) if images else cap
+            hit = Subquotient.of(zr, br)
         fk.direct_cells[key] = hit
     return hit
 
@@ -339,7 +360,12 @@ def barcode(fk: FilteredComplex) -> Barcode:
     pivot of a column is its shallowest-level target, the last by position,
     and a column is reduced only by the columns already processed, which
     are sources at a deeper or equal level. A column left nonzero pairs its
-    source with its pivot. The barcode is computed once and kept on fk.
+    source with its pivot. A source that is already the pivot of a reduced
+    column R of d_{n-1} is skipped, neither solved for nor reduced
+    (clearing; Chen & Kerber, "Persistent homology computation with a
+    twist", EuroCG 2011): d R = 0 and R is that source's basis vector plus
+    earlier ones, so its column is a combination of earlier columns and
+    reduces to zero. The barcode is computed once and kept on fk.
     """
     if fk.bars is not None:
         return fk.bars
@@ -360,10 +386,12 @@ def barcode(fk: FilteredComplex) -> Barcode:
     for n in range(cx.lo, cx.hi):
         adapted = [((c, lead),) + tail for c, lead, tail in basis[n + 1]]
         d = cx.diff(n)
-        images = [_pairs(d._apply_ints(v)) for v in basis[n]]
+        # clearing: a pivot of d_{n-1} is never solved for or reduced
+        todo = [j for j in range(len(basis[n])) if j not in paired[n]]
+        images = [_pairs(d._apply_ints(basis[n][j])) for j in todo]
         reduced: dict[int, dict[int, int]] = {}  # pivot -> its column
         # the adapted basis is a basis, so every image is solved
-        for j, x in enumerate(_solve_ints(adapted, cx.dim(n + 1), images)):
+        for j, x in zip(todo, _solve_ints(adapted, cx.dim(n + 1), images)):
             m = lcm(*[lead for _, _, lead in x])
             col = {c: a * (m // lead) for c, a, lead in x}
             while col:

@@ -203,6 +203,48 @@ def naive_turn_cells(page) -> dict:
     return out
 
 
+def rank_page_dims(fk, max_page: int) -> dict:
+    """Dimensions of the nonzero cells of pages 1..max_page from ranks of d alone.
+
+    This is the rank invariant. With R_n(a, b) = dim(d F^a K^n + F^b
+    K^{n+1}) - dim F^b K^{n+1}, the rank of F^a K^n -> K^{n+1} / F^b
+    K^{n+1}, and g(p, n) = dim F^p K^n - dim F^{p+1} K^n,
+
+        dim E_r^{p,n-p} = g(p, n) - [R_n(p, p+r) - R_n(p+1, p+r)]
+                                  - [R_{n-1}(p-r+1, p+1) - R_{n-1}(p-r+1, p)]:
+
+    the first bracket counts the bars of length < r that start at p in
+    degree n, the second those of degree n - 1 that end at p. `fk` is read
+    only through its levels, its degrees, the basis rows of F and the
+    entries of d; each R is one naive_rank, computed once per call. Returns
+    {r: {(p, q): dim}}.
+    """
+    ranks: dict = {}
+
+    def basis(p: int, n: int) -> list:
+        return [list(v) for v in fk.F(p, n).basis_rows]
+
+    def big_r(n: int, a: int, b: int) -> int:
+        key = (n, min(max(a, fk.p_lo), fk.p_top), min(max(b, fk.p_lo), fk.p_top))
+        if key not in ranks:
+            d = fk.cx.diff(n).entries
+            top = basis(b, n + 1)
+            ranks[key] = naive_rank([naive_matvec(d, v) for v in basis(a, n)] + top) - len(top)
+        return ranks[key]
+
+    pages = {}
+    for r in range(1, max_page + 1):
+        out = pages[r] = {}
+        for p in fk.levels():
+            for n in fk.cx.degrees():
+                g = len(basis(p, n)) - len(basis(p + 1, n))
+                dim = g - (big_r(n, p, p + r) - big_r(n, p + 1, p + r))
+                dim -= big_r(n - 1, p - r + 1, p + 1) - big_r(n - 1, p - r + 1, p)
+                if dim:
+                    out[(p, n - p)] = dim
+    return pages
+
+
 def map_product(alg, x: dict, y: dict) -> dict:
     """The product of two coefficient maps {basis index: coefficient}, less zero entries.
 

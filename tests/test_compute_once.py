@@ -22,6 +22,7 @@ and a derivation fuzz case solve on integer columns: none of them reads a
 matrix as Fraction vectors (`Matrix.solve_many`, `Matrix.column_vectors`)."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -542,33 +543,118 @@ def test_a_turn_keeps_the_numerator_or_denominator_d_r_leaves_alone():
 
 
 def test_a_turn_solves_only_for_nonzero_images(monkeypatch):
+    # and only for a cell with an image outside the target's numerator Z':
+    # where every d w lies in Z', the column is its coset coordinates
     import random
 
     from specseq import Matrix
     from specseq.fuzz import random_filtered_complex
 
-    fk = random_filtered_complex(random.Random(0))
-    ss = SpectralSequence(fk)
     solves = count_calls(monkeypatch, sp, "_solve_ints")
     built = count_calls(monkeypatch, Matrix, "_of_cols")
-    zero_images = all_zero_cells = 0
-    for r in range(1, 6):
-        page = ss.page(r)
-        del solves[:], built[:]
-        nxt = sp.turn_page(page)
-        # the cells with a complement row that d does not kill
-        hit = 0
-        for (p, q), cell in nxt.cells.items():
-            images = [any(fk.cx.diff(p + q)._apply_ints(w)) for w in cell.tails]
-            hit += any(images)
-            zero_images += images.count(False)
-            all_zero_cells += cell.dim > 0 and not any(images)
-        assert len(solves) == hit, r
-        # and a matrix is built only for them
-        assert len(built) == hit, r
-        # every right-hand side handed to a solve is nonzero
-        assert all(all(targets) for _, _, targets in solves)
+    zero_images = all_zero_cells = solved = read_off = 0
+    for seed in range(5):
+        fk = random_filtered_complex(random.Random(seed))
+        ss = SpectralSequence(fk)
+        for r in range(1, 6):
+            page = ss.page(r)
+            del solves[:], built[:]
+            nxt = sp.turn_page(page)
+            hit = outside = 0
+            for (p, q), cell in nxt.cells.items():
+                tgt = nxt.cell(p + r + 1, q - r)
+                images = [fk.cx.diff(p + q)._apply_ints(w) for w in cell.tails]
+                nonzero = [any(dw) for dw in images]
+                hit += any(nonzero)
+                zero_images += nonzero.count(False)
+                all_zero_cells += cell.dim > 0 and not any(nonzero)
+                outside += not all(tgt.Z._holds(dw) for dw in images)
+            assert len(solves) == outside, (seed, r)
+            # a matrix is built for each cell with a nonzero image
+            assert len(built) == hit, (seed, r)
+            # every right-hand side handed to a solve is nonzero
+            assert all(all(targets) for _, _, targets in solves)
+            solved += outside
+            read_off += hit - outside
     assert zero_images > 0 and all_zero_cells > 0
+    assert solved > 0 and read_off > 0
+
+
+def test_first_page_solves_for_no_d_1(monkeypatch):
+    from test_spectral import shortcut_inputs
+
+    # d w lies in F^{p+1} and in ker d, so inside the target numerator Z_1
+    inputs = shortcut_inputs()
+    solves = count_calls(monkeypatch, sp, "_solve_ints")
+    assert sum(len(sp.first_page(fk).diffs) for fk in inputs) > 0
+    assert solves == []
+
+
+def test_a_direct_boundary_is_the_cap_where_d_kills_its_source():
+    from test_spectral import shortcut_inputs
+
+    kept = 0
+    for fk in shortcut_inputs():
+        for r in range(1, 7):
+            for p in fk.levels():
+                for n in fk.cx.degrees():
+                    if fk.F(p, n).dim == fk.F(p + 1, n).dim:
+                        continue
+                    d, src = fk.cx.diff(n - 1), fk.cycles(p - r + 1, p, n - 1)
+                    if not any(any(d._apply_ints(v)) for v in src.tails):
+                        assert sp.page_direct(fk, r, p, n - p).B is fk.cycles(p + 1, p + r, n)
+                        kept += 1
+    assert kept > 0
+
+
+def test_a_turn_takes_the_old_boundary_as_cycles_where_d_r_out_is_injective():
+    from test_spectral import shortcut_inputs
+
+    kept = 0
+    for fk in shortcut_inputs():
+        ss = SpectralSequence(fk)
+        for r in range(1, 7):
+            page, nxt = ss.page(r), ss.page(r + 1)
+            for (p, q), out in page.diffs.items():
+                if out.rank() == out.cols:
+                    # d_r d_r = 0 makes the d_r in zero, so B_{r+1} is that B too
+                    assert (p - r, q + r - 1) not in page.diffs
+                    assert nxt.cell(p, q).Z is page.cell(p, q).B
+                    kept += 1
+    assert kept > 0
+
+
+def test_barcode_solves_for_no_cleared_source(monkeypatch):
+    from specseq.fuzz import planted_filtered_complex
+
+    from conftest import seeded
+
+    solves = count_calls(monkeypatch, sp, "_solve_ints")
+    cleared = 0
+    for seed in range(20):
+        fk, planted = planted_filtered_complex(seeded("planted", seed))
+        del solves[:]
+        assert sp.barcode(fk) == planted
+        # each pair of degree n - 1 has its pivot in K^n, whose column d_n
+        # would reduce to zero: one solve per d_n, for the other sources only
+        cx, ends = fk.cx, Counter(n + 1 for n, _, _ in planted.pairs)
+        sources = [cx.dim(n) - ends[n] for n in range(cx.lo, cx.hi)]
+        assert [len(targets) for _, _, targets in solves] == sources, seed
+        cleared += sum(ends[n] for n in range(cx.lo, cx.hi))
+    assert cleared > 0
+
+
+def test_oracle_and_decalage_stay_within_their_eliminations(monkeypatch):
+    import specseq.linalg as la
+
+    # the seed-0 pages-scaled complexes made 748 eliminations before the
+    # page routes skipped the reductions a membership test settles
+    inputs = seed0_pages_scaled()
+    calls = count_calls(monkeypatch, la, "_echelon")
+    for fk in inputs:
+        assert sp.oracle_report(fk)["ok"]
+        assert sp.decalage_renumbering_report(fk)["ok"]
+    assert len(calls) <= 376
 
 
 def test_a_page_keeps_no_zero_differential():
@@ -875,6 +961,12 @@ def test_certify_without_a_derivation_builds_no_model(monkeypatch, capsys, tmp_p
     assert main(["certify", "--algebra", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["location"] == "derivation"
     assert validations == []
+    # a null derivation is no derivation either
+    loads = count_calls(monkeypatch, cli.VarietyModel, "from_json")
+    path.write_text(json.dumps({**torus2.to_json(), "derivation": None}))
+    assert main(["certify", "--algebra", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["location"] == "derivation"
+    assert validations == [] and loads == []
     # a document that is not an object still fails where the model is read
     path.write_text(json.dumps([torus2.to_json()]))
     assert main(["certify", "--algebra", str(path)]) == 3

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -206,14 +206,26 @@ def test_intersection_basis_matches_oracle(u, v):
 
 @given(
     rows=matrices(max_rows=4, max_cols=5),
+    source=st.one_of(
+        st.just("full"), st.lists(st.lists(entries, min_size=5, max_size=5), max_size=3)
+    ),
     target=st.lists(st.lists(entries, min_size=4, max_size=4), min_size=0, max_size=3),
 )
+# the first source row maps into the target and the second does not
+@example(rows=[[1, 0], [0, 1]], source="full", target=[[1, 0, 0, 0]])
 @settings(max_examples=150, deadline=None)
-def test_preimage_basis_matches_oracle(rows, target):
+def test_preimage_basis_matches_oracle(rows, source, target):
     f = Matrix.from_rows(rows)
-    target = [t[: f.rows] for t in target]
-    pre = preimage(f, Subspace.span(f.rows, [vec(t) for t in target]), Subspace.full(f.cols))
-    assert [list(r) for r in pre.basis_rows] == naive_rref(preimage_basis(rows, target, f.cols))
+    src, target = spec_vectors(source, f.cols), [t[: f.rows] for t in target]
+    s = Subspace.span(f.cols, src)
+    pre = preimage(f, Subspace.span(f.rows, [vec(t) for t in target]), s)
+    want = preimage_basis(rows, target, f.cols)
+    if source != "full":
+        want = meet_spanning_set(src, want, f.cols)
+    assert [list(r) for r in pre.basis_rows] == naive_rref(want)
+    # where f(source) <= target the preimage is source itself, with nothing reduced
+    images = [naive_matvec(rows, v) for v in src]
+    assert (pre is s) == (naive_rank(target + images) == naive_rank(target))
 
 
 def spec_vectors(spec, n: int) -> list[list[Fraction]]:
