@@ -6,7 +6,8 @@ the flags. Before dispatch, main reads SS_THREADS (the bound on fuzz
 parallelism) into it and rejects a non-positive --pages, --cases or
 SS_THREADS, and a --pages or --cases past MAX_PAGES or MAX_CASES. Exit
 codes: 0 success / certified; 2 certificate failed; 3 parse error (with
-location); 4 invariant violation in the input (with witness); 5 internal
+location; a usage error, which argparse would exit 2 on, is one at argv);
+4 invariant violation in the input (with witness); 5 internal
 oracle mismatch or engine bug.
 Identical inputs and seeds give byte-identical output.
 """
@@ -17,32 +18,15 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .algebra import Derivation
+# everything else is imported by the command or fuzz case that runs it: a
+# command loads the engine (spectral) or the model half (algebra,
+# lefschetz, models), and only `fuzz --kind all` loads both, since import
+# is most of a short command's time
 from .errors import EngineError, InvariantError, ParseError, SpecSeqError
 from .filtered import MAX_LEVEL_SPAN, FilteredComplex
-from .fuzz import planted_filtered_complex, random_obstruction_datum
-from .lefschetz import degeneration_certify, serre_sign_check
-from .models import (
-    ObstructionDatum,
-    VarietyModel,
-    build_model,
-    d2_from_alpha,
-    ext_dimensions,
-    lagrangian_e2_table,
-)
-from .spectral import (
-    SpectralSequence,
-    abutment_report,
-    barcode,
-    compare_differentials,
-    decalage_renumbering_report,
-    e_infinity_compare,
-    oracle_report,
-)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -154,6 +138,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     need the turned pages. Either way the E_infinity totals are checked
     against the cohomology of K.
     """
+    from .spectral import SpectralSequence, abutment_report, barcode, e_infinity_compare
+
     fk = FilteredComplex.from_json(_load_json(args.input))
     pages = {}
     if args.with_maps:
@@ -174,6 +160,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .spectral import oracle_report
+
     fk = FilteredComplex.from_json(_load_json(args.input))
     report = oracle_report(fk, max_page=args.pages)
     _emit(report, args.out)
@@ -181,6 +169,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_decalage(args: argparse.Namespace) -> int:
+    from .spectral import decalage_renumbering_report
+
     fk = FilteredComplex.from_json(_load_json(args.input))
     report = decalage_renumbering_report(fk, max_page=min(args.pages, 3))
     _emit(report, args.out)
@@ -193,6 +183,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     A model object with neither, its "derivation" missing or null, is
     rejected before it is built.
     """
+    from .algebra import Derivation
+    from .lefschetz import degeneration_certify
+    from .models import VarietyModel
+
     blob = _load_json(args.algebra)
     if not args.derivation and isinstance(blob, dict) and blob.get("derivation") is None:
         raise ParseError("no derivation given", location="derivation")
@@ -207,6 +201,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    from .models import VarietyModel, build_model, lagrangian_e2_table
+
     if args.kind == "product":
         if not args.a or not args.b:
             raise ParseError("product model needs --a and --b", location="model")
@@ -226,12 +222,17 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_ext_dims(args: argparse.Namespace) -> int:
+    from .models import VarietyModel, ext_dimensions
+
     model = VarietyModel.from_json(_load_json(args.model))
     _emit({"model": model.name, "ext_dimensions": ext_dimensions(model)}, args.out)
     return 0
 
 
 def cmd_d2(args: argparse.Namespace) -> int:
+    from .lefschetz import serre_sign_check
+    from .models import ObstructionDatum, VarietyModel, d2_from_alpha
+
     model = VarietyModel.from_json(_load_json(args.model))
     data = _load_json(args.alpha) if args.alpha else {"images": {}}
     od = ObstructionDatum.from_json(model, data)
@@ -251,6 +252,18 @@ def cmd_d2(args: argparse.Namespace) -> int:
 
 
 def _fuzz_complex_case(seed: int, index: int) -> dict:
+    import random
+
+    from .fuzz import planted_filtered_complex
+    from .spectral import (
+        SpectralSequence,
+        barcode,
+        compare_differentials,
+        decalage_renumbering_report,
+        e_infinity_compare,
+        oracle_report,
+    )
+
     # str seeds go through sha512, so workers agree across processes
     rng = random.Random(f"{seed}:complex:{index}")
     fk, planted = planted_filtered_complex(rng)
@@ -281,6 +294,12 @@ def _fuzz_complex_case(seed: int, index: int) -> dict:
 
 
 def _fuzz_derivation_case(seed: int, index: int) -> dict:
+    import random
+
+    from .fuzz import random_obstruction_datum
+    from .lefschetz import degeneration_certify, serre_sign_check
+    from .models import ObstructionDatum, build_model, d2_from_alpha
+
     rng = random.Random(f"{seed}:derivation:{index}")
     model = build_model("torus", rng.choice([2, 2, 3]))
     constrained = rng.random() < 0.5
@@ -347,6 +366,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if not bad else 5
 
 
+def _usage_error(message: str):
+    """The error hook of every parser here: a usage error is a ParseError at argv, not exit 2."""
+    raise ParseError(message, location="argv")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of this process, built on the first call; parsing leaves it unchanged."""
@@ -400,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=100)
     p.add_argument("--kind", choices=["all", "complexes", "derivations"], default="all")
     p.add_argument("--out")
+    for parser in (ap, *sub.choices.values()):
+        parser.error = _usage_error
     return ap
 
 
@@ -455,8 +481,8 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     """Parse, check the bounds and dispatch one command; exit codes as documented."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.threads = _read_threads()
         _check_positive(args)
         return _DISPATCH[args.command](args)

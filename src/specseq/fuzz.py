@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .filtered import CochainComplex, FilteredComplex, Filtration
 from .linalg import Matrix, Q0, Q1, Subspace, scalar
-from .spectral import Barcode
 
 
 def _random_invertible(rng: random.Random, n: int, ops: int = 3) -> Matrix:
@@ -56,6 +54,10 @@ def planted_filtered_complex(
     come from the construction: each cohomology generator is an essential
     class at its level, each acyclic pair a pair (n, start level, end level).
     """
+    # imported here, as models is below: a derivation case loads no engine
+    from .filtered import CochainComplex, FilteredComplex, Filtration
+    from .spectral import Barcode
+
     lo = rng.randint(deg_lo, deg_hi - 1)
     hi = min(deg_hi, lo + rng.randint(1, max_span))
     # counts[n] = (cohomology generators, acyclic pairs starting at n)

@@ -30,6 +30,8 @@ denominators, and a Fraction is made only for an entry that is returned.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -49,12 +51,31 @@ def _ascii_digits(s: str) -> bool:
     return s.isascii() and s.isdigit()
 
 
+# Fraction's decimal form with an exponent, as fractions spells it
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<whole>\d*|\d+(?:_\d+)*)(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?"
+    r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z",
+    re.IGNORECASE,
+)
+
+
+@cache
+def _digits_bound(limit: int) -> int:
+    """10 ** limit, the least integer that str() writes with more than limit digits."""
+    return 10**limit
+
+
 def _literal(text: str) -> tuple[int, int]:
     """The rational a string spells, as Fraction(text) reads it: its reduced (num, den), den > 0.
 
     An ASCII "-?[0-9]+" literal is read by one int(), and an ASCII
     "-?[0-9]+/[0-9]+" one by two int() calls and one gcd; any other string
-    (and a zero denominator, to raise) goes through Fraction(text).
+    (and a zero denominator, to raise) goes through Fraction(text). A value
+    whose num or den has more digits than str() writes
+    (sys.get_int_max_str_digits(), 0 for no bound) is a ParseError. An
+    exponent form is judged on its mantissa and exponent before Fraction
+    runs, so no power of ten past that bound is built: "1e100000000"
+    fails at once.
     """
     num, slash, den = text.partition("/")
     try:
@@ -65,7 +86,21 @@ def _literal(text: str) -> tuple[int, int]:
                 a = int(num)
                 g = gcd(a, b)
                 return a // g, b // g
+        limit = sys.get_int_max_str_digits()
+        if limit and (m := _EXPONENT_FORM.match(text)):
+            whole = m["whole"].replace("_", "")
+            frac = (m["frac"] or "").replace("_", "")
+            if not (int(whole or "0") or int(frac or "0")):
+                return 0, 1
+            # the value is M * 10 ** shift for an integer M >= 1 of at most
+            # len(whole + frac) digits; past these shifts num >= 10 ** limit
+            # or den > 10 ** limit, whatever M is
+            shift = int(m["exp"]) - len(frac)
+            if shift >= limit or -shift >= limit + len(whole) + len(frac):
+                raise ParseError(f"literal {text!r} has more than {limit} digits")
         q = Fraction(text)
+        if limit and max(-q.numerator, q.numerator, q.denominator) >= _digits_bound(limit):
+            raise ParseError(f"literal {text!r} has more than {limit} digits")
         return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc

@@ -181,7 +181,8 @@ class TestD2:
         assert code == 0
         assert out["is_zero"] is True
 
-    @pytest.mark.parametrize("scale", ["abc", "1/0"])
+    # 1e5000 has more digits than str() writes
+    @pytest.mark.parametrize("scale", ["abc", "1/0", "1e5000"])
     def test_bad_scale_exits_3_at_scale(self, capsys, torus2_path, scale):
         code, out = run_json(capsys, ["d2", "--model", torus2_path, "--scale", scale])
         assert code == 3
@@ -385,6 +386,29 @@ class TestErrors:
         assert out["error"] == "parse"
         assert out["location"] == location
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "--input", "x", "--pages", "x"], "argument --pages: invalid int value: 'x'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["compute"], "the following arguments are required: --input"),
+        ],
+        ids=["bad-pages", "unknown-command", "missing-input"],
+    )
+    def test_usage_error_exits_3_at_argv(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert (code, out["error"], out["location"]) == (3, "parse", "argv")
+        assert out["message"].startswith(f"argv: {message}")
+        assert captured.err == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--help"])
+        assert exc.value.code == 0
+        assert "--input" in capsys.readouterr().out
+
     def test_zero_threads_is_rejected_by_compute(self, capsys, monkeypatch):
         monkeypatch.setenv("SS_THREADS", "0")
         code, out = run_json(capsys, ["compute", "--input", "x"])
@@ -506,7 +530,8 @@ class TestFuzz:
             assert failure["instance"]["filtration"]
 
     def test_a_failing_derivation_case_can_be_replayed(self, capsys, monkeypatch):
-        from specseq import ObstructionDatum, build_model, cli, d2_from_alpha
+        import specseq.lefschetz as lefschetz
+        from specseq import ObstructionDatum, build_model, d2_from_alpha
 
         seen = []
 
@@ -515,7 +540,7 @@ class TestFuzz:
             return False, "planted"
 
         monkeypatch.delenv("SS_THREADS", raising=False)
-        monkeypatch.setattr(cli, "serre_sign_check", failing)
+        monkeypatch.setattr(lefschetz, "serre_sign_check", failing)
         code, out = run_json(capsys, ["fuzz", "--kind", "derivations", "--cases", "4"])
         assert code == 5
         assert out["counterexamples"] == len(out["failures"]) == len(seen) == 4
@@ -609,6 +634,8 @@ def square_filtration(basis):
         ({"d": {"0": [["1", "0", "0"], ["0", "1", "0"]]}}, "d.0", "expected 2 columns, found 3"),
         ({"d": {"0": [["1", "0"]]}}, "d.0", "expected 2 rows, found 1"),
         ({"d": {"0": [["x/0", "0"], ["0", "1"]]}}, "d.0", "bad rational literal 'x/0'"),
+        ({"d": {"0": [["1e5000", "0"], ["0", "1"]]}}, "d.0",
+         f"literal '1e5000' has more than {sys.get_int_max_str_digits()} digits"),
         (square_filtration([["1", "0"], ["0"]]), "filtration.0.0", "expected 2 columns, found 1"),
         ({"filtration": {"1": {"0": [["1"]]}, "2": {"0": []}}}, "filtration.1.0",
          "expected 2 rows, found 1"),
@@ -628,7 +655,7 @@ def square_filtration(basis):
          "cannot interpret 1.5 as a rational"),
     ],
     ids=[
-        "ragged", "columns", "rows", "literal", "filtration-ragged", "filtration-rows",
+        "ragged", "columns", "rows", "literal", "long-literal", "filtration-ragged", "filtration-rows",
         "d-above", "d-below", "d-top", "filtration-above", "filtration-below",
         "filtration-literal", "filtration-row-string", "filtration-true", "filtration-float",
     ],

@@ -27,7 +27,6 @@ from fractions import Fraction
 
 import pytest
 
-import specseq.cli as cli
 import specseq.spectral as sp
 from specseq import Derivation, ObstructionDatum, SpectralSequence, build_model, d2_from_alpha
 from specseq.cli import _fuzz_complex_case, main
@@ -70,7 +69,7 @@ def test_compute_builds_each_page_once(monkeypatch, capsys, tmp_path):
     path.write_text(json.dumps(acyclic_two_term().to_json()))
     firsts = count_calls(monkeypatch, sp, "first_page")
     turns = count_calls(monkeypatch, sp, "turn_page")
-    bars = count_calls(monkeypatch, cli, "barcode")
+    bars = count_calls(monkeypatch, sp, "barcode")
     argv = ["compute", "--input", str(path), "--pages", "6"]
     assert main(argv + ["--with-maps"]) == 0
     assert len(firsts) == 1
@@ -953,7 +952,7 @@ def test_a_product_with_an_unchecked_factor_runs_the_full_check(torus1, pn2):
 
 
 def test_certify_without_a_derivation_builds_no_model(monkeypatch, capsys, tmp_path, torus2):
-    from specseq import BigradedAlgebra
+    from specseq import BigradedAlgebra, VarietyModel
 
     path = tmp_path / "torus2.json"
     path.write_text(json.dumps(torus2.to_json()))
@@ -962,7 +961,7 @@ def test_certify_without_a_derivation_builds_no_model(monkeypatch, capsys, tmp_p
     assert json.loads(capsys.readouterr().out)["location"] == "derivation"
     assert validations == []
     # a null derivation is no derivation either
-    loads = count_calls(monkeypatch, cli.VarietyModel, "from_json")
+    loads = count_calls(monkeypatch, VarietyModel, "from_json")
     path.write_text(json.dumps({**torus2.to_json(), "derivation": None}))
     assert main(["certify", "--algebra", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["location"] == "derivation"

@@ -12,12 +12,19 @@ linalg alone, and the algebra,
 Lefschetz and model layers name none of linalg's Fraction entry points:
 they solve and read bases through its integer forms. An algebra element
 has one representation, the coefficient map: no module defines or names
-the Element wrapper or its constructors.
+the Element wrapper or its constructors. A command loads the half of the
+package it runs: the engine commands never load the model half (algebra,
+lefschetz, models, fuzz), and the model commands never load spectral.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "specseq"
@@ -227,3 +234,68 @@ def test_every_public_function_has_a_reader_besides_the_tests():
         )
     assert public
     assert sorted(public - names_read_besides_the_tests() - TEST_ONLY_FUNCTIONS) == []
+
+
+MODEL_HALF = {"specseq.algebra", "specseq.lefschetz", "specseq.models", "specseq.fuzz"}
+
+# print the specseq modules loaded by one ss command, after its own output
+LOADED = (
+    "import sys\n"
+    "from specseq.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('specseq')))\n"
+)
+
+
+def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
+    """The exit code of `ss argv` in a fresh interpreter, and the specseq modules it loaded."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("SS_THREADS", None)
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv], capture_output=True, env=env, timeout=120, check=True
+    )
+    code, *modules = run.stdout.decode().splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, torus2):
+    """Input files by the placeholder that stands for them in an argv."""
+    from conftest import acyclic_two_term
+    from specseq import Derivation
+
+    root = tmp_path_factory.mktemp("inputs")
+    docs = {
+        "COMPLEX": acyclic_two_term().to_json(),
+        "MODEL": torus2.to_json(),
+        "ZERO": Derivation(torus2.pa.A, (2, -1), [{}] * torus2.pa.A.dim()).to_json(),
+    }
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(root / f"{name}.json") for name in docs}
+
+
+@pytest.mark.parametrize("command", ["compute", "oracle", "decalage"])
+def test_an_engine_command_loads_no_model_half(inputs, command):
+    code, modules = loaded_by([command, "--input", inputs["COMPLEX"]])
+    assert code == 0
+    assert "specseq.spectral" in modules
+    assert modules & MODEL_HALF == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--algebra", "MODEL", "--derivation", "ZERO"],
+        ["d2", "--model", "MODEL"],
+        ["model", "product", "--a", "MODEL", "--b", "MODEL"],
+        ["ext-dims", "--model", "MODEL"],
+        ["fuzz", "--kind", "derivations", "--cases", "2"],
+    ],
+    ids=["certify", "d2", "model-product", "ext-dims", "fuzz-derivations"],
+)
+def test_a_model_command_loads_no_engine(inputs, argv):
+    code, modules = loaded_by([inputs.get(a, a) for a in argv])
+    assert code == 0
+    assert "specseq.models" in modules
+    assert "specseq.spectral" not in modules

@@ -1,5 +1,6 @@
 """Exact linear algebra against the naive oracle plus hypothesis invariants."""
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,6 +21,7 @@ from oracles import (
 )
 from specseq import InvariantError, Matrix, ParseError, Subquotient, Subspace, pairing_rank
 from specseq.linalg import (
+    _literal,
     coefficient,
     image,
     induced_map,
@@ -564,11 +566,32 @@ def test_literal_parse_matches_fraction(text):
             with pytest.raises(ParseError, match="bad rational literal"):
                 parse(text)
         return
+    # seven characters reach 1e99999, whose digits str() does not write
+    if max(abs(expected.numerator), expected.denominator) >= 10 ** sys.get_int_max_str_digits():
+        for parse in (scalar, coefficient):
+            with pytest.raises(ParseError, match="digits"):
+                parse(text)
+        return
     value = scalar(text)
     assert type(value) is Fraction and value == expected
     c = coefficient(text)
     assert c == expected
     assert type(c) is (int if expected.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "-2.5e4300", "7e-4301"])
+def test_a_literal_past_the_digit_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError) as exc:
+        _literal(text)
+    assert str(exc.value) == f"literal {text!r} has more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e3", (1000, 1)), ("2.5e-1", (1, 4)), ("-0e5000", (0, 1)), ("5e-4300", (1, 2 * 10**4299))],
+)
+def test_an_exponent_literal_within_the_digit_limit_is_read(text, value):
+    assert _literal(text) == value == (Fraction(text).numerator, Fraction(text).denominator)
 
 
 @pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
