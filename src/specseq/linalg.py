@@ -99,7 +99,7 @@ def _literal(text: str) -> tuple[int, int]:
             if shift >= limit or -shift >= limit + len(whole) + len(frac):
                 raise ParseError(f"literal {text!r} has more than {limit} digits")
         q = Fraction(text)
-        if limit and max(-q.numerator, q.numerator, q.denominator) >= _digits_bound(limit):
+        if limit and max(abs(q.numerator), q.denominator) >= _digits_bound(limit):
             raise ParseError(f"literal {text!r} has more than {limit} digits")
         return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError) as exc:

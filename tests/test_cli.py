@@ -389,7 +389,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["compute", "--input", "x", "--pages", "x"], "argument --pages: invalid int value: 'x'"),
+            (["compute", "--input", "x", "--pages", "x"],
+             "argument --pages: invalid int value: 'x'"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
             (["compute"], "the following arguments are required: --input"),
         ],
@@ -655,7 +656,8 @@ def square_filtration(basis):
          "cannot interpret 1.5 as a rational"),
     ],
     ids=[
-        "ragged", "columns", "rows", "literal", "long-literal", "filtration-ragged", "filtration-rows",
+        "ragged", "columns", "rows", "literal", "long-literal", "filtration-ragged",
+        "filtration-rows",
         "d-above", "d-below", "d-top", "filtration-above", "filtration-below",
         "filtration-literal", "filtration-row-string", "filtration-true", "filtration-float",
     ],
