@@ -11,7 +11,6 @@ import argparse
 from specseq import (
     CochainComplex,
     FilteredComplex,
-    Filtration,
     Matrix,
     SpectralSequence,
     Subspace,
@@ -29,7 +28,7 @@ def two_term_acyclic() -> FilteredComplex:
         2: {},
         3: {1: zero},
     }
-    return FilteredComplex(cx, Filtration.from_sparse(cx, levels))
+    return FilteredComplex(cx, levels)
 
 
 def main() -> int:

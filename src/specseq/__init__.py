@@ -21,7 +21,7 @@ _MODULE_OF = {
         ("ContainmentError", "EngineError", "InvariantError", "ParseError", "SpecSeqError"),
         "errors",
     ),
-    **dict.fromkeys(("CochainComplex", "FilteredComplex", "Filtration"), "filtered"),
+    **dict.fromkeys(("CochainComplex", "FilteredComplex"), "filtered"),
     **dict.fromkeys(
         (
             "CertStep",

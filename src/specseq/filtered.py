@@ -164,73 +164,22 @@ class CochainComplex:
         )
 
 
-class Filtration:
-    """Decreasing filtration: one Subspace of K^n per level p in [p_lo, p_top].
+class FilteredComplex:
+    """A cochain complex together with a compatible decreasing filtration.
 
-    Storage is complete over the rectangle of levels and degrees. F^{p_lo} is
-    the whole space and F^{p_top} is zero in every degree; FilteredComplex.F
-    clamps outside the range. The FilteredComplex load, which checks that
-    each level contains the next, stores one Subspace object for each run of
-    equal levels in a degree.
+    levels is {p: {n: Subspace}}, F^p K^n by level and degree. A degree that
+    a level does not give keeps the level below; below the first level the
+    space is whole, and the level after the last is zero. The levels are
+    checked as given, then stored complete (`table`) over the tight
+    [p_lo, p_top]: F^{p_lo} is the whole space and F^{p_top} is zero in
+    every degree, and F clamps outside that range. Each run of equal levels
+    in a degree is stored as one Subspace object.
     """
 
-    def __init__(self, p_lo: int, p_top: int, table: dict[tuple[int, int], Subspace]):
-        if p_lo >= p_top:
-            raise InvariantError("filtration needs at least the full and the zero level")
-        degrees = sorted({n for (_, n) in table})
-
-        def all_full(p: int) -> bool:
-            return all((p, n) in table and table[(p, n)].is_full() for n in degrees)
-
-        def all_zero(p: int) -> bool:
-            return all((p, n) in table and table[(p, n)].is_zero() for n in degrees)
-
-        # canonical tight bounds: drop redundant outer levels
-        while p_lo + 1 < p_top and all_full(p_lo + 1):
-            p_lo += 1
-        while p_top - 1 > p_lo and all_zero(p_top - 1):
-            p_top -= 1
-        self.p_lo = p_lo
-        self.p_top = p_top
-        self.table = {
-            (p, n): sub for (p, n), sub in table.items() if p_lo <= p <= p_top
-        }
-
-    @staticmethod
-    def from_sparse(
-        cx: CochainComplex, levels: dict[int, dict[int, Subspace]]
-    ) -> "Filtration":
-        """Complete a sparsely given filtration.
-
-        For each degree the subspace is the full space below the first
-        specified level, constant between specified levels, and zero from the
-        top sentinel level onwards.
-        """
-        if not levels:
-            p_lo, p_top = 0, 1
-        else:
-            p_lo = min(levels)
-            p_top = max(levels) + 1
-        table: dict[tuple[int, int], Subspace] = {}
-        for n in cx.degrees():
-            current = Subspace.full(cx.dim(n))
-            for p in range(p_lo, p_top + 1):
-                if p == p_top:
-                    current = Subspace.zero(cx.dim(n))
-                else:
-                    spec = levels.get(p, {})
-                    if n in spec:
-                        current = spec[n]
-                table[(p, n)] = current
-        return Filtration(p_lo, p_top, table)
-
-
-class FilteredComplex:
-    """A cochain complex together with a compatible decreasing filtration."""
-
-    def __init__(self, cx: CochainComplex, filtration: Filtration):
+    def __init__(self, cx: CochainComplex, levels: dict[int, dict[int, Subspace]]):
         self.cx = cx
-        self.filtration = filtration
+        self.p_lo, self.p_top = min(levels, default=0), max(levels, default=-1) + 1
+        self.table: dict[tuple[int, int], Subspace] = {}  # filled by _validate
         # cycles, keyed by the rungs of the subspaces they read
         self._cycles: dict[tuple[int, int, int], Subspace] = {}
         self._rungs: dict[tuple[int, int], int] = {}  # filled by _validate
@@ -238,49 +187,32 @@ class FilteredComplex:
         self.bars = None  # the spectral.Barcode, once barcode(self) has run
         # page_direct cells, keyed by the rungs of the subspaces they read
         self.direct_cells: dict[tuple[int, int, int, int, int], Subquotient] = {}
-        self._validate()
+        self._validate(levels)
 
-    def _validate(self):
-        f = self.filtration
+    def _validate(self, levels: dict[int, dict[int, Subspace]]):
+        """Complete the levels into the table, check them as given, then trim the range."""
+        p_lo, p_top, table = self.p_lo, self.p_top, self.table
         for n in self.cx.degrees():
-            top = f.table.get((f.p_lo, n))
-            at_lo = {"level": f.p_lo, "degree": n}
-            if top is None:
-                raise InvariantError(
-                    f"filtration table missing level {f.p_lo} at degree {n}", witness=at_lo
-                )
-            if not top.is_full():
-                raise InvariantError(
-                    f"lowest filtration level is not the whole space at degree {n}",
-                    witness=at_lo,
-                )
-            bottom = f.table.get((f.p_top, n))
-            if bottom is None or not bottom.is_zero():
-                raise InvariantError(
-                    f"highest filtration level is not zero at degree {n}",
-                    witness={"level": f.p_top, "degree": n},
-                )
-            for p in range(f.p_lo, f.p_top + 1):
-                sub = f.table.get((p, n))
+            amb = self.cx.dim(n)
+            above = Subspace.full(amb)  # F^{p-1}: whole below the first level
+            for p in range(p_lo, p_top + 1):
+                sub = levels.get(p, {}).get(n, above) if p < p_top else Subspace.zero(amb)
                 at = {"level": p, "degree": n}
-                if sub is None:
+                if p == p_lo and not sub.is_full():
                     raise InvariantError(
-                        f"filtration table missing level {p} at degree {n}", witness=at
+                        f"lowest filtration level is not the whole space at degree {n}",
+                        witness=at,
                     )
-                if sub.ambient_dim != self.cx.dim(n):
+                if sub.ambient_dim != amb:
                     raise InvariantError(
                         f"filtration level {p} has wrong ambient at degree {n}", witness=at
                     )
-                self._rungs[(p, n)] = p
-                if p == f.p_lo:
-                    continue
-                above = f.table[(p - 1, n)]
                 # F^p equal to F^{p-1} is contained in it, with nothing to
                 # reduce, and becomes the same object, of the same rung: each
                 # run of equal levels holds one, so that identity follows equality
                 if sub == above:
-                    f.table[(p, n)] = above
-                    self._rungs[(p, n)] = self._rungs[(p - 1, n)]
+                    sub = above
+                    self._rungs[(p, n)] = self._rungs.get((p - 1, n), p)
                 elif not above.contains(sub):
                     # the first basis vector of F^p outside F^{p-1}
                     v = next(v for v in sub.basis_rows if not above.contains_vector(v))
@@ -288,6 +220,9 @@ class FilteredComplex:
                     raise InvariantError(
                         f"filtration is not decreasing at level {p}, degree {n}", witness=at
                     )
+                else:
+                    self._rungs[(p, n)] = p
+                table[(p, n)] = above = sub
         for n in range(self.cx.lo, self.cx.hi):
             d = self.cx.diff(n)
             # every F^p is d-stable iff d maps into F^p the basis rows of F^p
@@ -295,13 +230,13 @@ class FilteredComplex:
             # after a failure are the levels scanned for the first failing one
             added = (
                 (p, row)
-                for p in range(f.p_lo, f.p_top)
+                for p in range(p_lo, p_top)
                 for row in self.F(p, n).tails
                 if row[0] not in self.F(p + 1, n).pivots
             )
             if all(self.F(p, n + 1)._holds(d._apply_ints(row)) for p, row in added):
                 continue
-            for p in range(f.p_lo, f.p_top + 1):
+            for p in range(p_lo, p_top + 1):
                 tgt = self.F(p, n + 1)
                 src = self.F(p, n)
                 for row, v in zip(src.tails, src.basis_rows):
@@ -310,14 +245,19 @@ class FilteredComplex:
                             f"differential leaves level {p} between degrees {n} and {n + 1}",
                             witness=[str(a) for a in v],
                         )
-
-    @property
-    def p_lo(self) -> int:
-        return self.filtration.p_lo
-
-    @property
-    def p_top(self) -> int:
-        return self.filtration.p_top
+        # the tight range drops the outer levels that are whole, or zero, in
+        # every degree; a run of whole levels that starts below the new p_lo
+        # starts at p_lo once the levels below are gone
+        degrees = self.cx.degrees()
+        while p_lo + 1 < p_top and all(table[(p_lo + 1, n)].is_full() for n in degrees):
+            p_lo += 1
+        while p_top - 1 > p_lo and all(table[(p_top - 1, n)].is_zero() for n in degrees):
+            p_top -= 1
+        self.p_lo, self.p_top = p_lo, p_top
+        self.table = {key: sub for key, sub in table.items() if p_lo <= key[0] <= p_top}
+        self._rungs = {
+            key: max(rung, p_lo) for key, rung in self._rungs.items() if p_lo <= key[0] <= p_top
+        }
 
     def levels(self) -> range:
         """Levels at which the filtration can be a proper nonzero subspace."""
@@ -329,24 +269,22 @@ class FilteredComplex:
     def F(self, p: int, n: int) -> Subspace:
         """F^p K^n, stored at level clamp(p); the zero space of Q^0 outside the degrees."""
         # a stored level is read straight from the table, before any clamping
-        table = self.filtration.table
-        hit = table.get((p, n))
+        hit = self.table.get((p, n))
         if hit is not None:
             return hit
         if n < self.cx.lo or n > self.cx.hi:
             return Subspace.zero(0)
-        return table[(self.clamp(p), n)]
+        return self.table[(self.clamp(p), n)]
 
     def clamp(self, p: int) -> int:
         """The stored level equal to F^p: p clamped to [p_lo, p_top]."""
-        f = self.filtration
-        return min(max(p, f.p_lo), f.p_top)
+        return min(max(p, self.p_lo), self.p_top)
 
     def rung(self, p: int, n: int) -> int:
         """The lowest stored level whose F K^n is F^p K^n; p_lo outside the degrees.
 
-        Equal levels of one degree form a run and share one Subspace object
-        (see Filtration), so a key made of rungs names the subspaces read,
+        Equal levels of one degree form a run and share one Subspace object,
+        so a key made of rungs names the subspaces read,
         whichever levels asked for them. _validate records the rungs.
         """
         hit = self._rungs.get((p, n))
@@ -434,5 +372,4 @@ class FilteredComplex:
             raise ParseError(
                 f"span of [{lo}, {hi}] exceeds {MAX_LEVEL_SPAN}", location="filtration"
             )
-        filtration = Filtration.from_sparse(cx, levels)
-        return FilteredComplex(cx, filtration)
+        return FilteredComplex(cx, levels)

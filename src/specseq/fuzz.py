@@ -55,7 +55,7 @@ def planted_filtered_complex(
     class at its level, each acyclic pair a pair (n, start level, end level).
     """
     # imported here, as models is below: a derivation case loads no engine
-    from .filtered import CochainComplex, FilteredComplex, Filtration
+    from .filtered import CochainComplex, FilteredComplex
     from .spectral import Barcode
 
     lo = rng.randint(deg_lo, deg_hi - 1)
@@ -110,19 +110,17 @@ def planted_filtered_complex(
     d_new = {n: base_change[n + 1] @ cx_split.d[n] @ inv[n] for n in range(lo, hi)}
     cx = CochainComplex(lo, hi, dims, d_new)
 
-    p_lo = offset
-    p_top = offset + width
-    table = {}
+    levels: dict[int, dict[int, Subspace]] = {p: {} for p in range(offset, offset + width)}
     for n in range(lo, hi + 1):
         columns = base_change[n].column_vectors()
-        for p in range(p_lo, p_top + 1):
+        for p in levels:
             rows = [
                 columns[i]
                 for i in range(dims[n])
                 if level[(n, i)] >= p
             ]
-            table[(p, n)] = Subspace.span(dims[n], rows)
-    fk = FilteredComplex(cx, Filtration(p_lo, p_top, table))
+            levels[p][n] = Subspace.span(dims[n], rows)
+    fk = FilteredComplex(cx, levels)
     essential = [(n, level[(n, i)]) for n in range(lo, hi + 1) for i in range(h[n])]
     pairs = [
         (n, level[(n, starts_offset(n) + k)], level[(n + 1, ends_offset(n + 1) + k)])

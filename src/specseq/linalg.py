@@ -75,7 +75,8 @@ def _literal(text: str) -> tuple[int, int]:
     (sys.get_int_max_str_digits(), 0 for no bound) is a ParseError. An
     exponent form is judged on its mantissa and exponent before Fraction
     runs, so no power of ten past that bound is built: "1e100000000"
-    fails at once.
+    fails at once. With no bound, an exponent form is judged against the
+    default bound, sys.int_info.default_max_str_digits.
     """
     num, slash, den = text.partition("/")
     try:
@@ -87,17 +88,18 @@ def _literal(text: str) -> tuple[int, int]:
                 g = gcd(a, b)
                 return a // g, b // g
         limit = sys.get_int_max_str_digits()
-        if limit and (m := _EXPONENT_FORM.match(text)):
+        if m := _EXPONENT_FORM.match(text):
+            bound = limit or sys.int_info.default_max_str_digits
             whole = m["whole"].replace("_", "")
             frac = (m["frac"] or "").replace("_", "")
             if not (int(whole or "0") or int(frac or "0")):
                 return 0, 1
             # the value is M * 10 ** shift for an integer M >= 1 of at most
-            # len(whole + frac) digits; past these shifts num >= 10 ** limit
-            # or den > 10 ** limit, whatever M is
+            # len(whole + frac) digits; past these shifts num >= 10 ** bound
+            # or den > 10 ** bound, whatever M is
             shift = int(m["exp"]) - len(frac)
-            if shift >= limit or -shift >= limit + len(whole) + len(frac):
-                raise ParseError(f"literal {text!r} has more than {limit} digits")
+            if shift >= bound or -shift >= bound + len(whole) + len(frac):
+                raise ParseError(f"literal {text!r} has more than {bound} digits")
         q = Fraction(text)
         if limit and max(abs(q.numerator), q.denominator) >= _digits_bound(limit):
             raise ParseError(f"literal {text!r} has more than {limit} digits")

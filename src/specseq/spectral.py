@@ -55,7 +55,7 @@ from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
 from .errors import EngineError, InvariantError
-from .filtered import CochainComplex, FilteredComplex, Filtration
+from .filtered import CochainComplex, FilteredComplex
 from .linalg import (
     Q0,
     Matrix,
@@ -446,13 +446,11 @@ def decalage(fk: FilteredComplex) -> FilteredComplex:
     renumbering (p, q) -> (2p + q, -p).
     """
     cx = fk.cx
-    p_lo = fk.p_lo - cx.hi - 1
-    p_top = fk.p_top - cx.lo
-    table: dict[tuple[int, int], Subspace] = {}
-    for n in cx.degrees():
-        for p in range(p_lo, p_top + 1):
-            table[(p, n)] = fk.cycles(p + n, p + n + 1, n)
-    return FilteredComplex(cx, Filtration(p_lo, p_top, table))
+    levels = {
+        p: {n: fk.cycles(p + n, p + n + 1, n) for n in cx.degrees()}
+        for p in range(fk.p_lo - cx.hi - 1, fk.p_top - cx.lo)
+    }
+    return FilteredComplex(cx, levels)
 
 
 def decalage_renumbering_report(fk: FilteredComplex, max_page: int = 3) -> dict:

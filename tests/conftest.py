@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import map_product
-from specseq import CochainComplex, FilteredComplex, Filtration, build_model
+from specseq import CochainComplex, FilteredComplex, build_model
 from specseq.linalg import Matrix, Subspace
 
 
@@ -35,25 +35,21 @@ def acyclic_two_term() -> FilteredComplex:
         2: {},
         3: {1: Subspace.zero(1)},
     }
-    return FilteredComplex(cx, Filtration.from_sparse(cx, levels))
+    return FilteredComplex(cx, levels)
 
 
 def with_trivial_filtration(cx: CochainComplex) -> FilteredComplex:
     """cx with F^0 = K and F^1 = 0: one graded piece, the whole complex."""
-    table = {}
-    for n in cx.degrees():
-        table[(0, n)] = Subspace.full(cx.dim(n))
-        table[(1, n)] = Subspace.zero(cx.dim(n))
-    return FilteredComplex(cx, Filtration(0, 1, table))
+    return FilteredComplex(cx, {0: {}})
 
 
 def with_degree_filtration(cx: CochainComplex) -> FilteredComplex:
-    """Filtration by degree: F^p K^n is everything for n >= p, else zero."""
-    table = {}
-    for p in range(cx.lo, cx.hi + 2):
-        for n in cx.degrees():
-            table[(p, n)] = Subspace.full(cx.dim(n)) if n >= p else Subspace.zero(cx.dim(n))
-    return FilteredComplex(cx, Filtration(cx.lo, cx.hi + 1, table))
+    """The filtration by degree: F^p K^n is everything for n >= p, else zero."""
+    levels = {
+        p: {n: (Subspace.full if n >= p else Subspace.zero)(cx.dim(n)) for n in cx.degrees()}
+        for p in range(cx.lo, cx.hi + 1)
+    }
+    return FilteredComplex(cx, levels)
 
 
 COMPLEXES = Path(__file__).resolve().parents[1] / "bench" / "complexes.py"

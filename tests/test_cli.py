@@ -672,6 +672,28 @@ def test_malformed_matrix_exits_3_at_its_key(capsys, tmp_path, patch, location, 
     assert out["message"] == f"{location}: {message}"
 
 
+def test_with_the_digit_limit_lifted_an_exponent_literal_is_judged_at_the_default(tmp_path):
+    # "1e100000000" would have Fraction build 10 ** 100000000, so each run has a timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env["PYTHONINTMAXSTRDIGITS"] = "0"
+    path = tmp_path / "complex.json"
+
+    def compute(entry):
+        path.write_text(json.dumps(square_complex(d={"0": [[entry, "0"], ["0", "1"]]})))
+        argv = [sys.executable, "-m", "specseq.cli", "compute", "--input", str(path)]
+        return subprocess.run(argv, capture_output=True, env=env, timeout=60)
+
+    run = compute("1e100000000")
+    assert run.returncode == 3, run.stderr.decode()
+    out = json.loads(run.stdout)
+    assert out["location"] == "d.0"
+    limit = sys.int_info.default_max_str_digits
+    assert out["message"] == f"d.0: literal '1e100000000' has more than {limit} digits"
+    for entry in ("1e3", "2.5e-1"):
+        run = compute(entry)
+        assert run.returncode == 0, run.stdout.decode()
+
+
 ONE_BY_ONE = {
     "degrees": [0, 1],
     "dims": {"0": 1, "1": 1},
@@ -756,8 +778,15 @@ TWO_BY_ONE = {"degrees": [0, 1], "dims": {"0": 2, "1": 1}, "d": {"0": [["0", "0"
             "filtration is not decreasing at level 2, degree 0",
             {"level": 2, "degree": 0, "vector": ["0", "1"]},
         ),
+        # the bad lowest level sits below a whole level, which trimming the
+        # range to its tight bounds would make the lowest
+        (
+            {"0": {"0": [["1"], ["0"]]}, "1": {"0": [["1", "0"], ["0", "1"]]}},
+            "lowest filtration level is not the whole space at degree 0",
+            {"level": 0, "degree": 0},
+        ),
     ],
-    ids=["lowest-level-not-full", "not-decreasing"],
+    ids=["lowest-level-not-full", "not-decreasing", "lowest-level-below-a-whole-level"],
 )
 def test_filtration_shape_errors_exit_4_with_a_witness(
     capsys, tmp_path, filtration, message, witness

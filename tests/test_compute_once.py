@@ -697,7 +697,7 @@ def test_filtration_outside_its_range_is_the_stored_level():
     from specseq.fuzz import random_filtered_complex
 
     fk = random_filtered_complex(random.Random(0))
-    table = fk.filtration.table
+    table = fk.table
     for n in fk.cx.degrees():
         assert fk.F(fk.p_lo - 2, n) is table[(fk.p_lo, n)]
         assert fk.F(fk.p_top + 2, n) is table[(fk.p_top, n)]

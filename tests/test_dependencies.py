@@ -12,7 +12,10 @@ linalg alone, and the algebra,
 Lefschetz and model layers name none of linalg's Fraction entry points:
 they solve and read bases through its integer forms. An algebra element
 has one representation, the coefficient map: no module defines or names
-the Element wrapper or its constructors. A command loads the half of the
+the Element wrapper or its constructors. A filtered complex has one
+constructor, FilteredComplex(cx, levels): no module or script defines or
+names a second filtration class, its sparse constructor, or a filtration
+attribute beside the complex's own table. A command loads the half of the
 package it runs: the engine commands never load the model half (algebra,
 lefschetz, models, fuzz), and the model commands never load spectral.
 """
@@ -120,6 +123,20 @@ def test_no_module_defines_or_names_a_second_element_representation():
     named = {}
     for path in sorted(SRC.glob("*.py")):
         if hits := sorted(defined_or_named(ast.parse(path.read_text(), str(path))) & ELEMENT_ROUTE):
+            named[path.name] = hits
+    assert named == {}
+
+
+# a second route to a filtered complex beside FilteredComplex(cx, levels): a
+# filtration class, its sparse constructor, and the attribute that held it
+FILTRATION_ROUTE = {"Filtration", "from_sparse", "filtration"}
+
+
+def test_no_module_or_script_names_a_second_filtration_route():
+    named = {}
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        if hits := sorted(defined_or_named(tree) & FILTRATION_ROUTE):
             named[path.name] = hits
     assert named == {}
 

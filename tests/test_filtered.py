@@ -1,9 +1,11 @@
 """Complexes, cohomology, filtration validation, JSON."""
 
+import random
+
 import pytest
 
 from oracles import naive_rank
-from specseq import CochainComplex, FilteredComplex, Filtration, InvariantError
+from specseq import CochainComplex, FilteredComplex, InvariantError
 from specseq.fuzz import random_filtered_complex
 from specseq.linalg import Matrix, Subquotient, Subspace, image, kernel, vec
 
@@ -65,18 +67,13 @@ def test_trivial_and_degree_filtrations():
 
 def test_filtration_must_be_decreasing():
     cx = circle_like()
-    table = {
-        (0, 0): Subspace.full(2),
-        (0, 1): Subspace.full(2),
-        (1, 0): Subspace.span(2, [vec([1, 0])]),
-        (1, 1): Subspace.full(2),
-        (2, 0): Subspace.full(2),
-        (2, 1): Subspace.zero(2),
-        (3, 0): Subspace.zero(2),
-        (3, 1): Subspace.zero(2),
+    levels = {
+        0: {0: Subspace.full(2), 1: Subspace.full(2)},
+        1: {0: Subspace.span(2, [vec([1, 0])]), 1: Subspace.full(2)},
+        2: {0: Subspace.full(2), 1: Subspace.zero(2)},
     }
     with pytest.raises(InvariantError):
-        FilteredComplex(cx, Filtration(0, 3, table))
+        FilteredComplex(cx, levels)
 
 
 def test_differential_must_preserve_filtration():
@@ -88,7 +85,7 @@ def test_differential_must_preserve_filtration():
         2: {0: Subspace.zero(2)},
     }
     with pytest.raises(InvariantError):
-        FilteredComplex(cx, Filtration.from_sparse(cx, levels))
+        FilteredComplex(cx, levels)
 
 
 def test_unstable_filtration_names_its_first_failing_level():
@@ -104,7 +101,7 @@ def test_unstable_filtration_names_its_first_failing_level():
         3: {0: Subspace.zero(2)},
     }
     with pytest.raises(InvariantError, match="differential leaves level 1 ") as exc:
-        FilteredComplex(cx, Filtration.from_sparse(cx, levels))
+        FilteredComplex(cx, levels)
     assert exc.value.witness == ["1", "0"]
 
 
@@ -113,6 +110,31 @@ def test_filtration_accessors_clamp(acyclic_fk):
     assert fk.F(fk.p_lo - 5, 0).is_full()
     assert fk.F(fk.p_top + 5, 0).is_zero()
     assert fk.F(0, 99).ambient_dim == 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_every_form_of_the_same_levels_builds_the_same_complex(seed):
+    fk = random_filtered_complex(random.Random(seed))
+    degrees, p_lo, p_top = fk.cx.degrees(), fk.p_lo, fk.p_top
+    complete = {p: {n: fk.F(p, n) for n in degrees} for p in range(p_lo, p_top)}
+    # only the degrees where a level differs from the level below it
+    sparse = {
+        p: {n: fk.F(p, n) for n in degrees if fk.F(p, n) != fk.F(p - 1, n)}
+        for p in range(p_lo, p_top)
+    }
+    whole = {n: Subspace.full(fk.cx.dim(n)) for n in degrees}
+    zero = {n: Subspace.zero(fk.cx.dim(n)) for n in degrees}
+    padded = {p_lo - 2: whole, p_lo - 1: whole, **complete, p_top: zero, p_top + 1: zero}
+    built = [FilteredComplex(fk.cx, levels) for levels in (complete, sparse, padded)]
+    span = [(p, n) for p in range(p_lo - 3, p_top + 4) for n in degrees]
+    for other in built:
+        assert other.to_json() == fk.to_json()
+        assert (other.p_lo, other.p_top) == (p_lo, p_top)
+        # each run of equal levels is one object, named by the same rung
+        assert {pn: other.rung(*pn) for pn in span} == {pn: fk.rung(*pn) for pn in span}
+        for p, n in span:
+            assert other.F(p, n) is other.F(other.rung(p, n), n)
+            assert (other.F(p, n) is other.F(p - 1, n)) == (other.F(p, n) == other.F(p - 1, n))
 
 
 @pytest.mark.parametrize("seed", range(10))
