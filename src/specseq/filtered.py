@@ -114,6 +114,8 @@ class CochainComplex:
     @staticmethod
     def from_json(data: dict, memo: dict | None = None) -> "CochainComplex":
         """The complex of a JSON object; memo is as in Matrix.from_json."""
+        if not isinstance(data, dict):
+            raise ParseError("complex must be an object", location="complex")
         try:
             lo, hi = (json_int(x) for x in data["degrees"])
         except (KeyError, TypeError, ValueError) as exc:

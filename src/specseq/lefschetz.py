@@ -12,7 +12,6 @@ per instance, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -373,12 +372,10 @@ def serre_sign_check(pa: PolarizedAlgebra, d: Derivation) -> tuple[bool, list | 
     return True, None
 
 
-@dataclass
 class CertStep:
-    step_id: str
-    statement: str
-    passed: bool
-    witness: object = None
+    def __init__(self, step_id: str, statement: str, passed: bool, witness: object = None):
+        self.step_id, self.statement = step_id, statement
+        self.passed, self.witness = passed, witness
 
     def to_json(self) -> dict:
         out = {"id": self.step_id, "statement": self.statement, "passed": self.passed}
@@ -387,11 +384,15 @@ class CertStep:
         return out
 
 
-@dataclass
 class Certificate:
-    steps: list[CertStep] = field(default_factory=list)
-    verdict: str = "certified"
-    failed_step: str | None = None
+    def __init__(
+        self,
+        steps: list[CertStep] | None = None,
+        verdict: str = "certified",
+        failed_step: str | None = None,
+    ):
+        self.steps = [] if steps is None else steps
+        self.verdict, self.failed_step = verdict, failed_step
 
     def certified(self) -> bool:
         return self.verdict == "certified"

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, compress
@@ -386,25 +385,33 @@ def _json_shape(data, rows: int | None, cols: int | None) -> int:
     return width
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable rational matrix acting on column vectors, held in one integer form.
 
     `den` is the lcm of the denominators of the entries (1 for a zero
     matrix) and `columns` holds den times the matrix, as the (row, integer)
     pairs of each column's nonzero entries, by row. This form is unique, so
-    equal matrices hold equal fields. `entries`, the Fraction rows, is a
-    view built when first read.
+    equal matrices hold equal fields and compare and hash by them.
+    `entries`, the Fraction rows, is a view built when first read. No field
+    is reassigned after construction; that is a contract, not enforced.
     """
 
-    rows: int
-    cols: int
-    den: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self):
-        if len(self.columns) != self.cols:
+    def __init__(
+        self, rows: int, cols: int, den: int, columns: tuple[tuple[tuple[int, int], ...], ...]
+    ):
+        if len(columns) != cols:
             raise InvariantError("matrix columns inconsistent with declared shape")
+        self.rows, self.cols, self.den, self.columns = rows, cols, den, columns
+
+    def __eq__(self, other):
+        if type(other) is not Matrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.columns) == (
+            other.rows, other.cols, other.den, other.columns
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.den, self.columns))
 
     @cached_property
     def entries(self) -> tuple[Vector, ...]:
@@ -596,17 +603,25 @@ class Matrix:
         return Matrix(len(read), cols, den, tuple(map(tuple, columns)))
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^ambient_dim in its canonical reduced echelon basis.
 
     It holds only the basis rows as Rows (`tails`), in pivot order, and
-    equal subspaces hold equal Rows. `basis_rows` is a Fraction view of
-    them, built when first read.
+    equal subspaces hold equal Rows, so they compare and hash by them.
+    `basis_rows` is a Fraction view of them, built when first read. Like a
+    Matrix, it is immutable by contract.
     """
 
-    ambient_dim: int
-    tails: tuple[Row, ...]
+    def __init__(self, ambient_dim: int, tails: tuple[Row, ...]):
+        self.ambient_dim, self.tails = ambient_dim, tails
+
+    def __eq__(self, other):
+        if type(other) is not Subspace:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.tails == other.tails
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.tails))
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -747,7 +762,6 @@ def preimage(f: Matrix, target: Subspace, source: Subspace) -> Subspace:
     return Subspace._of(f.cols, [row for row in _echelon(rows) if row[0] >= split], shift=split)
 
 
-@dataclass(frozen=True)
 class Subquotient:
     """A pair B <= Z <= Q^ambient with a canonical complement basis for Z/B.
 
@@ -756,12 +770,20 @@ class Subquotient:
     canonical basis of Z/B used for all induced maps. Each complement row
     is zero at every pivot of B and at the other pivots of Z. It is held
     as Rows (`tails`); `complement` is their Fraction view, built when
-    first read.
+    first read. Z and B determine the rest, so a subquotient compares and
+    hashes by them alone. It is immutable by contract.
     """
 
-    Z: Subspace
-    B: Subspace
-    tails: tuple[Row, ...] = field(compare=False, repr=False)
+    def __init__(self, Z: Subspace, B: Subspace, tails: tuple[Row, ...]):
+        self.Z, self.B, self.tails = Z, B, tails
+
+    def __eq__(self, other):
+        if type(other) is not Subquotient:
+            return NotImplemented
+        return self.Z == other.Z and self.B == other.B
+
+    def __hash__(self):
+        return hash((self.Z, self.B))
 
     @cached_property
     def complement(self) -> tuple[Vector, ...]:

@@ -10,7 +10,6 @@ builders only assemble the model tables.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -33,16 +32,12 @@ MAX_TORUS_N, MAX_PN_N = 6, 200
 MAX_MODEL_N = 1000
 
 
-@dataclass(frozen=True)
 class HodgeDiamond:
     """Dimension table h^{p,q}, 0 <= p,q <= n, with the classical symmetries."""
 
-    n: int
-    h: dict[tuple[int, int], int]
-
-    def __post_init__(self):
-        n = self.n
-        for (p, q), v in self.h.items():
+    def __init__(self, n: int, h: dict[tuple[int, int], int]):
+        self.n, self.h = n, h
+        for (p, q), v in h.items():
             if not (0 <= p <= n and 0 <= q <= n):
                 raise InvariantError(f"Hodge index {(p, q)} outside the {n}x{n} square")
             if v < 0:
@@ -53,7 +48,7 @@ class HodgeDiamond:
         # mirrors a stored one: the least failing stored or mirror cell is the
         # first failing cell of the whole square in row-major order
         at = self.at
-        mirrored = {c for p, q in self.h for c in ((p, q), (q, p), (n - p, n - q))}
+        mirrored = {c for p, q in h for c in ((p, q), (q, p), (n - p, n - q))}
         for p, q in sorted(mirrored):
             if at(p, q) != at(q, p):
                 raise InvariantError(
@@ -68,25 +63,22 @@ class HodgeDiamond:
         return self.h.get((p, q), 0)
 
 
-@dataclass
 class VarietyModel:
     """A named polarized algebra plus generator roles.
 
     roles lists the basis names modelling H^0(Omega^1) (cell (0,1)) and
-    H^1(O) (cell (1,0)).
+    H^1(O) (cell (1,0)); when none are given they are read off those cells.
     """
 
-    name: str
-    pa: PolarizedAlgebra
-    roles: dict[str, list[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.roles:
-            alg = self.pa.A
-            self.roles = {
+    def __init__(self, name: str, pa: PolarizedAlgebra, roles: dict[str, list[str]] | None = None):
+        self.name, self.pa = name, pa
+        if not roles:
+            alg = pa.A
+            roles = {
                 "h0_omega1": [alg.basis[i][0] for i in alg.cell_indices(0, 1)],
                 "h1_O": [alg.basis[i][0] for i in alg.cell_indices(1, 0)],
             }
+        self.roles = roles
         self.diamond()
 
     @property
@@ -113,7 +105,9 @@ class VarietyModel:
     @staticmethod
     def from_json(data: dict) -> "VarietyModel":
         """The model of a JSON object; one _Reader serves its algebra, omega and integral."""
-        n = data.get("n") if isinstance(data, dict) else None
+        if not isinstance(data, dict):
+            raise ParseError("model must be an object", location="model")
+        n = data.get("n")
         if type(n) is int and n > MAX_MODEL_N:
             raise ParseError(f"top half-degree {n} exceeds {MAX_MODEL_N}", location="n")
         read = _Reader()
@@ -328,7 +322,6 @@ def lagrangian_e2_table(model: VarietyModel) -> dict[tuple[int, int], int]:
     }
 
 
-@dataclass
 class ObstructionDatum:
     """Images of the (0,1)-generators plus a rational scale.
 
@@ -339,16 +332,18 @@ class ObstructionDatum:
     generators and zero on the (1,0) generators.
     """
 
-    model: VarietyModel
-    alpha: dict[int, dict[int, int | Fraction]]
-    scale: int | Fraction = 1
-
-    def __post_init__(self):
-        self.scale = _scale(self.scale)
-        alg = self.model.pa.A
+    def __init__(
+        self,
+        model: VarietyModel,
+        alpha: dict[int, dict[int, int | Fraction]],
+        scale: int | Fraction = 1,
+    ):
+        self.model = model
+        self.scale = _scale(scale)
+        alg = model.pa.A
         gen01 = set(alg.cell_indices(0, 1))
         self.alpha = {
-            i: {k: coefficient(c) for k, c in img.items() if c} for i, img in self.alpha.items()
+            i: {k: coefficient(c) for k, c in img.items() if c} for i, img in alpha.items()
         }
         for i, img in self.alpha.items():
             if i not in gen01:

@@ -949,12 +949,14 @@ def _without(blob, key):
 @pytest.mark.parametrize(
     "command, patch, location, message",
     [
+        ("complex", lambda b: [b], "complex", "complex must be an object"),
         ("complex", lambda b: {**b, "dims": []}, "dims", "dims must be an object"),
         ("complex", lambda b: {**b, "d": []}, "d", "d must be an object"),
         ("complex", lambda b: {**b, "filtration": {}}, "filtration",
          "filtration must be a non-empty object"),
         ("complex", lambda b: {**b, "filtration": {"0": []}}, "filtration",
          "level 0 must be an object"),
+        ("model", lambda b: [b], "model", "model must be an object"),
         ("model", lambda b: {**b, "basis": []}, "basis", "basis must be a non-empty list"),
         ("model", lambda b: {**b, "products": []}, "products", "products must be an object"),
         ("model", lambda b: {**b, "products": {"0,0": []}}, "products",
@@ -970,9 +972,9 @@ def _without(blob, key):
          "bad coefficients for 'xi1'"),
     ],
     ids=[
-        "dims-list", "d-list", "filtration-empty", "level-list", "basis-empty", "products-list",
-        "product-list", "no-integral", "roles-list", "values-list", "value-list", "image-list",
-        "image-literal",
+        "complex-list", "dims-list", "d-list", "filtration-empty", "level-list", "model-list",
+        "basis-empty", "products-list", "product-list", "no-integral", "roles-list",
+        "values-list", "value-list", "image-list", "image-literal",
     ],
 )
 def test_malformed_container_exits_3_at_its_location(

@@ -966,10 +966,10 @@ def test_certify_without_a_derivation_builds_no_model(monkeypatch, capsys, tmp_p
     assert main(["certify", "--algebra", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["location"] == "derivation"
     assert validations == [] and loads == []
-    # a document that is not an object still fails where the model is read
+    # a document that is not an object still fails where the model is read, at its own name
     path.write_text(json.dumps([torus2.to_json()]))
     assert main(["certify", "--algebra", str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["location"] == "n"
+    assert json.loads(capsys.readouterr().out)["location"] == "model"
 
 
 @pytest.mark.parametrize("kind", ["torus", "pn"])

@@ -18,6 +18,9 @@ names a second filtration class, its sparse constructor, or a filtration
 attribute beside the complex's own table. A command loads the half of the
 package it runs: the engine commands never load the model half (algebra,
 lefschetz, models, fuzz), and the model commands never load spectral.
+No module imports dataclasses, and no command loads it or inspect, which
+it imports: with cached bytecode the two cost about as much to import as
+the whole package.
 """
 
 import ast
@@ -56,6 +59,15 @@ def test_src_imports_only_the_standard_library():
         for path in files
     }
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def test_src_imports_no_dataclasses():
+    importers = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in imported_top_levels(ast.parse(path.read_text(), str(path)))
+    ]
+    assert importers == []
 
 
 def package_imports(tree: ast.AST) -> set[str]:
@@ -255,17 +267,22 @@ def test_every_public_function_has_a_reader_besides_the_tests():
 
 MODEL_HALF = {"specseq.algebra", "specseq.lefschetz", "specseq.models", "specseq.fuzz"}
 
-# print the specseq modules loaded by one ss command, after its own output
+# stdlib modules no command needs (see the module docstring)
+SLOW_STDLIB = {"dataclasses", "inspect"}
+
+# print the specseq and SLOW_STDLIB modules loaded by one ss command, after its own output
 LOADED = (
     "import sys\n"
     "from specseq.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('specseq')))\n"
+    f"slow = {sorted(SLOW_STDLIB)!r}\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('specseq') or m in slow))\n"
 )
 
 
 def loaded_by(argv: list[str]) -> tuple[int, set[str]]:
-    """The exit code of `ss argv` in a fresh interpreter, and the specseq modules it loaded."""
+    """The exit code of `ss argv` in a fresh interpreter, and the specseq and
+    SLOW_STDLIB modules it loaded."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("SS_THREADS", None)
     run = subprocess.run(
@@ -298,6 +315,7 @@ def test_an_engine_command_loads_no_model_half(inputs, command):
     assert code == 0
     assert "specseq.spectral" in modules
     assert modules & MODEL_HALF == set()
+    assert modules & SLOW_STDLIB == set()
 
 
 @pytest.mark.parametrize(
@@ -316,3 +334,4 @@ def test_a_model_command_loads_no_engine(inputs, argv):
     assert code == 0
     assert "specseq.models" in modules
     assert "specseq.spectral" not in modules
+    assert modules & SLOW_STDLIB == set()

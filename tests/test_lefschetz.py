@@ -21,7 +21,7 @@ from specseq import (
     verify_hard_lefschetz,
 )
 from specseq.algebra import _accumulate
-from specseq.lefschetz import _commutator_violation
+from specseq.lefschetz import CertStep, Certificate, _commutator_violation
 from specseq.linalg import Q1, pairing_rank
 from conftest import add, el, omega_power, scaled
 from oracles import (
@@ -321,6 +321,13 @@ def test_l_images_that_cancel_to_an_explicit_zero_commute(torus3):
     assert d.apply(pa.omega) == {}
     assert commutator_violations(pa, d) == []
     assert_matches_the_element_references(pa, d)
+
+
+def test_default_certificates_do_not_share_their_steps():
+    first, second = Certificate(), Certificate()
+    first.steps.append(CertStep("omega-killed", "d(omega) = 0", True))
+    assert second.steps == [] and Certificate().steps == []
+    assert (second.verdict, second.failed_step) == ("certified", None)
 
 
 class TestCertifier:

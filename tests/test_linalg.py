@@ -495,6 +495,42 @@ def test_equal_spans_hold_equal_rows():
     assert s == t and hash(s) == hash(t)
 
 
+def test_values_compare_and_hash_equal_whatever_their_construction():
+    z = Subspace.span(3, [vec([1, 0, 0]), vec([0, 1, 0])])
+    b = Subspace.span(3, [vec([0, 1, 0])])
+    same = [
+        (Matrix.zeros(2, 3), Matrix(2, 3, 1, ((),) * 3)),
+        (Matrix.from_rows([[Fraction(1, 2), 0]]), Matrix(1, 2, 2, (((0, 1),), ()))),
+        (Matrix.identity(2), Matrix.from_rows([[1, 0], [0, 1]])),
+        (z, Subspace.span(3, [vec([0, 2, 0]), vec([1, 1, 0])])),
+        (Subspace.zero(2), Subspace(2, ())),
+        (Subspace.full(2), Subspace.span(2, [vec([1, 1]), vec([1, -1])])),
+        # a subquotient is Z and B: its complement rows take no part
+        (Subquotient.of(z, b), Subquotient(z, b, ())),
+        (Subquotient.zero(3), Subquotient.of(Subspace.zero(3), Subspace(3, ()))),
+    ]
+    for x, y in same:
+        assert x == y and not x != y and hash(x) == hash(y)
+    assert Subquotient.of(z, b) != Subquotient.of(z, Subspace.zero(3))
+    assert Subspace.zero(3) != Subspace.zero(2)
+    assert Matrix.zeros(2, 3) != Matrix.zeros(3, 2)
+
+
+def test_a_value_of_another_type_compares_unequal():
+    z = Subspace.full(1)
+    values = [Matrix.identity(1), z, Subquotient.of(z, z)]
+    for x in values:
+        for other in [*values, (1, 1, 1, (((0, 1),),)), None, "x"]:
+            if other is not x:
+                assert x != other and other != x
+                assert x.__eq__(other) is NotImplemented
+
+
+def test_a_matrix_with_the_wrong_column_count_is_refused():
+    with pytest.raises(InvariantError, match="inconsistent with declared shape"):
+        Matrix(2, 3, 1, ((),) * 2)
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_wide_subspace_equality_and_hash_follow_basis_rows(data):

@@ -149,6 +149,14 @@ class TestBuilders:
         assert torus2.roles["h0_omega1"] == ["xi1", "xi2"]
         assert torus2.roles["h1_O"] == ["eta1", "eta2"]
 
+    def test_a_model_without_roles_derives_them_from_its_cells(self, torus2):
+        first, second = VarietyModel("t", torus2.pa), VarietyModel("t", torus2.pa, {})
+        derived = {"h0_omega1": ["xi1", "xi2"], "h1_O": ["eta1", "eta2"]}
+        assert first.roles == second.roles == derived
+        assert first.roles is not second.roles
+        given = {"h0_omega1": ["xi2"], "h1_O": []}
+        assert VarietyModel("t", torus2.pa, given).roles is given
+
     def test_build_model_validates_inputs(self, torus1):
         with pytest.raises(InvariantError, match="unknown model kind"):
             build_model("grassmannian")
@@ -230,6 +238,12 @@ class TestObstructionDatum:
     def test_from_json_rejects_bad_scale(self, torus2):
         with pytest.raises(ParseError, match="scale"):
             ObstructionDatum.from_json(torus2, {"scale": "one", "images": {}})
+
+    def test_the_default_scale_is_one(self, torus2):
+        alg = torus2.pa.A
+        od = ObstructionDatum(torus2, {alg.index("xi1"): el(alg, "eta1", "eta2")})
+        assert od.scale == 1 and type(od.scale) is int
+        assert od.model is torus2
 
     def test_zero_detection(self, torus2):
         alg = torus2.pa.A
