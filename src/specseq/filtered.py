@@ -9,8 +9,6 @@ and dim H^n is read off the ranks of the differentials (betti).
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import InvariantError, ParseError
 from .linalg import (
     Matrix,
@@ -35,21 +33,20 @@ def _parsed_at(location: str, parse, *args):
 
 
 def _basis_key(n: int, basis) -> tuple | None:
-    """(n, the rows of basis as tuples of its raw entries) for a list of lists, else None.
+    """(n, the rows of basis as tuples) for a list of lists of strings, else None.
 
-    Only a basis of strings is kept under its key, so a later basis hits it
-    only with the same literal strings: JSON 1, 1.0 and true compare equal,
-    but none of them equals a string. A basis with no key, an unhashable
-    entry included, is read afresh, and the read rejects it.
+    Only a basis of strings has a key, so a later basis hits it only with
+    the same literal strings: JSON 1, 1.0 and true compare equal, but none
+    of them equals a string. A basis with no key is read afresh, and the
+    read rejects a malformed one.
     """
-    if type(basis) is not list or set(map(type, basis)) != {list}:
+    if (
+        type(basis) is not list
+        or set(map(type, basis)) != {list}
+        or {type(a) for row in basis for a in row} != {str}
+    ):
         return None
-    key = (n, tuple(map(tuple, basis)))
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    return (n, tuple(map(tuple, basis)))
 
 
 class CochainComplex:
@@ -182,13 +179,12 @@ class FilteredComplex:
         self.cx = cx
         self.p_lo, self.p_top = min(levels, default=0), max(levels, default=-1) + 1
         self.table: dict[tuple[int, int], Subspace] = {}  # filled by _validate
-        # cycles, keyed by the rungs of the subspaces they read
-        self._cycles: dict[tuple[int, int, int], Subspace] = {}
-        self._rungs: dict[tuple[int, int], int] = {}  # filled by _validate
+        # cycles, keyed by the subspaces they read and the degree
+        self._cycles: dict[tuple[Subspace, Subspace, int], Subspace] = {}
         self.pages: list = []  # E_1, E_2, ... as built by any SpectralSequence(self)
         self.bars = None  # the spectral.Barcode, once barcode(self) has run
-        # page_direct cells, keyed by the rungs of the subspaces they read
-        self.direct_cells: dict[tuple[int, int, int, int, int], Subquotient] = {}
+        # page_direct cells, keyed by the subspaces they read and the degree
+        self.direct_cells: dict[tuple, Subquotient] = {}
         self._validate(levels)
 
     def _validate(self, levels: dict[int, dict[int, Subspace]]):
@@ -210,11 +206,10 @@ class FilteredComplex:
                         f"filtration level {p} has wrong ambient at degree {n}", witness=at
                     )
                 # F^p equal to F^{p-1} is contained in it, with nothing to
-                # reduce, and becomes the same object, of the same rung: each
-                # run of equal levels holds one, so that identity follows equality
+                # reduce, and becomes the same object: each run of equal
+                # levels holds one, so that identity follows equality
                 if sub == above:
                     sub = above
-                    self._rungs[(p, n)] = self._rungs.get((p - 1, n), p)
                 elif not above.contains(sub):
                     # the first basis vector of F^p outside F^{p-1}
                     v = next(v for v in sub.basis_rows if not above.contains_vector(v))
@@ -222,8 +217,6 @@ class FilteredComplex:
                     raise InvariantError(
                         f"filtration is not decreasing at level {p}, degree {n}", witness=at
                     )
-                else:
-                    self._rungs[(p, n)] = p
                 table[(p, n)] = above = sub
         for n in range(self.cx.lo, self.cx.hi):
             d = self.cx.diff(n)
@@ -248,8 +241,7 @@ class FilteredComplex:
                             witness=[str(a) for a in v],
                         )
         # the tight range drops the outer levels that are whole, or zero, in
-        # every degree; a run of whole levels that starts below the new p_lo
-        # starts at p_lo once the levels below are gone
+        # every degree
         degrees = self.cx.degrees()
         while p_lo + 1 < p_top and all(table[(p_lo + 1, n)].is_full() for n in degrees):
             p_lo += 1
@@ -257,9 +249,6 @@ class FilteredComplex:
             p_top -= 1
         self.p_lo, self.p_top = p_lo, p_top
         self.table = {key: sub for key, sub in table.items() if p_lo <= key[0] <= p_top}
-        self._rungs = {
-            key: max(rung, p_lo) for key, rung in self._rungs.items() if p_lo <= key[0] <= p_top
-        }
 
     def levels(self) -> range:
         """Levels at which the filtration can be a proper nonzero subspace."""
@@ -282,18 +271,6 @@ class FilteredComplex:
         """The stored level equal to F^p: p clamped to [p_lo, p_top]."""
         return min(max(p, self.p_lo), self.p_top)
 
-    def rung(self, p: int, n: int) -> int:
-        """The lowest stored level whose F K^n is F^p K^n; p_lo outside the degrees.
-
-        Equal levels of one degree form a run and share one Subspace object,
-        so a key made of rungs names the subspaces read,
-        whichever levels asked for them. _validate records the rungs.
-        """
-        hit = self._rungs.get((p, n))
-        if hit is None:
-            hit = self._rungs.get((self.clamp(p), n), self.p_lo)
-        return hit
-
     def d_preimage(self, p: int, n: int) -> Subspace:
         """{x in K^n : d(x) in F^p K^{n+1}}: cycles from the full level F^{p_lo}."""
         return self.cycles(self.p_lo, p, n)
@@ -302,23 +279,23 @@ class FilteredComplex:
         """F^a K^n cap d^{-1}(F^b K^{n+1}), computed once per distinct pair of subspaces.
 
         It is preimage(d, F^b K^{n+1}, F^a K^n), one Zassenhaus reduction.
-        It is the stored F^a K^n, with nothing reduced, where clamp(b) <=
-        clamp(a) (F^a is d-stable, so d F^a <= F^a <= F^b), where F^a and
-        F^b have one dimension in degree n (then F^b K^n = F^a K^n, as load
-        checked F^b <= F^a, so d F^a = d F^b <= F^b), and where d maps each
-        basis row of F^a K^n into F^b K^{n+1}, a whole F^b K^{n+1} among
-        them (preimage tests that before it eliminates). The cap is kept
-        under the rungs of F^a K^n and F^b K^{n+1}, so levels that name the
-        same two subspaces share it.
+        It is the stored F^a K^n, with nothing reduced, where b <= a (F^a is
+        d-stable, so d F^a <= F^a <= F^b), where F^a and F^b have one
+        dimension in degree n (then F^b K^n = F^a K^n, as load checked
+        F^b <= F^a, so d F^a = d F^b <= F^b; this covers every b > a that
+        clamps to the level of a), and where d maps each basis row of F^a
+        K^n into F^b K^{n+1}, a whole F^b K^{n+1} among them (preimage tests
+        that before it eliminates). The cap is kept under F^a K^n, F^b
+        K^{n+1} and n, so levels that name the same two subspaces share it.
         """
-        a, b = self.clamp(a), self.clamp(b)
         fa = self.F(a, n)
         if b <= a or fa.dim == self.F(b, n).dim:
             return fa
-        key = (self.rung(a, n), self.rung(b, n + 1), n)
+        target = self.F(b, n + 1)
+        key = (fa, target, n)
         hit = self._cycles.get(key)
         if hit is None:
-            hit = self._cycles[key] = preimage(self.cx.diff(n), self.F(b, n + 1), fa)
+            hit = self._cycles[key] = preimage(self.cx.diff(n), target, fa)
         return hit
 
     def to_json(self) -> dict:
@@ -366,7 +343,7 @@ class FilteredComplex:
                 sub = read.get(key)
                 if sub is None:
                     sub = _parsed_at(where, Subspace._from_json, basis, amb, memo)
-                    if key and set(map(type, chain.from_iterable(basis))) == {str}:
+                    if key:
                         read[key] = sub
                 levels[p][n] = sub
         lo, hi = min(levels), max(levels)

@@ -336,6 +336,15 @@ def _echelon(rows: Iterable[dict[int, int]]) -> list[tuple[int, int, dict[int, i
     return [(c, lead, tail) for c, (lead, tail) in sorted(kept.items())]
 
 
+def _rows_of(columns: Iterable[Iterable[tuple[int, int]]], height: int) -> list[dict[int, int]]:
+    """The `height` sparse rows, for _echelon, of integer columns given as (row, entry) pairs."""
+    rows: list[dict[int, int]] = [{} for _ in range(height)]
+    for j, col in enumerate(columns):
+        for i, a in col:
+            rows[i][j] = a
+    return rows
+
+
 def _solve_ints(
     columns: Sequence[Iterable[tuple[int, int]]],
     height: int,
@@ -352,11 +361,7 @@ def _solve_ints(
     as (column, a, lead) triples, x_column = a / lead.
     """
     ncols = len(columns)
-    rows: list[dict[int, int]] = [{} for _ in range(height)]
-    for j, col in enumerate(chain(columns, targets)):
-        for i, a in col:
-            rows[i][j] = a
-    reduced = _echelon(rows)
+    reduced = _echelon(_rows_of(chain(columns, targets), height))
     solved = [(c, lead, tail) for c, lead, tail in reduced if c < ncols]
     vanished = [(c, tail) for c, _, tail in reduced if c >= ncols]
     out: list[list[tuple[int, int, int]] | None] = []
@@ -512,20 +517,12 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.columns)
 
-    def _sparse_rows(self) -> list[dict[int, int]]:
-        """The rows of den times this matrix, as sparse integer rows for _echelon."""
-        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
-            for i, a in col:
-                rows[i][j] = a
-        return rows
-
     def rank(self) -> int:
         if self.is_zero():
             return 0
         if self.rows == 1 or self.cols == 1:
             return 1
-        return len(_echelon(self._sparse_rows()))
+        return len(_echelon(_rows_of(self.columns, self.rows)))
 
     def _null_rows(self) -> tuple[list[dict[int, int]], int]:
         """Canonical kernel basis, one integer row per free column, and their denominator.
@@ -534,7 +531,7 @@ class Matrix:
         pivot of each reduced row with entry a at j; its row here is that
         vector times den, the lcm of the leads.
         """
-        reduced = _echelon(self._sparse_rows())
+        reduced = _echelon(_rows_of(self.columns, self.rows))
         den = lcm(*[lead for _, lead, _ in reduced])
         free = {j: {j: den} for j in range(self.cols)}
         for c, lead, tail in reduced:
@@ -621,6 +618,11 @@ class Subspace:
         return self.ambient_dim == other.ambient_dim and self.tails == other.tails
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the filtered complex's memos hash each key subspace many times
         return hash((self.ambient_dim, self.tails))
 
     @cached_property

@@ -36,16 +36,16 @@ there only for the nonzero images; a cell with no nonzero image gets no
 matrix at all. The filtered complex computes each F^a cap d^{-1}F^b in one
 reduction and each page_direct cell, with B_r spanned in one reduction, once
 per distinct filtration subspace read, not once per level that names it; it
-returns F^a itself where clamp(b) <= clamp(a), where F^a and F^b have one
-dimension, or where d already maps F^a into F^b, and a direct cell's B_r is
-the cap F^{p+1} cap Z_r itself where d kills its other source. Where a
-graded piece is empty, F^p = F^{p+1} in degree p+q and the direct cell, E_1
-included, is Z_r/Z_r, read off the filtration with no elimination; load has
-checked that it is nested and d-stable, and reduced bases are canonical, so
-these equal the cells the formulas build. The barcode's column reduction
-skips every column that clearing already knows reduces to zero.
-page_direct reads only the filtration and never a turned page, and
-turn_page reads only the previous page.
+returns F^a itself where b <= a, where F^a and F^b have one dimension, or
+where d already maps F^a into F^b, and a direct cell's B_r is the cap
+F^{p+1} cap Z_r itself where d kills its other source. Where a graded piece
+is empty, F^p = F^{p+1} in degree p+q and the direct cell, E_1 included, is
+Z_r/Z_r, read off the filtration with no elimination; load has checked that
+it is nested and d-stable, and reduced bases are canonical, so these equal
+the cells the formulas build. The barcode's column reduction skips every
+column that clearing already knows reduces to zero. page_direct reads only
+the filtration and never a turned page, and turn_page reads only the
+previous page.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     F^{p+1} cap Z_r is F^{p+1} cap d^{-1}(F^{p+r}), since F^{p+1} <= F^p.
     So the cell reads four subspaces, F^p K^n, F^{p+1} K^n, F^{p+r} K^{n+1}
     and F^{p-r+1} K^{n-1}, and it is computed once per distinct four and
-    kept on fk under their rungs (FilteredComplex.rung), whichever p and r
-    asked for it. Each cap is one reduction (FilteredComplex.cycles), and B_r
+    kept on fk under those four subspaces and n, whichever p and r asked
+    for it. Each cap is one reduction (FilteredComplex.cycles), and B_r
     is one span of the rows of that cap and the images under d of the rows
     of the other. Where no row of that other has a nonzero image, B_r is
     the cap itself, with no span; Subquotient.of still checks it lies in
@@ -268,12 +268,12 @@ def page_direct(fk: FilteredComplex, r: int, p: int, q: int) -> Subquotient:
     n = p + q
     if n < fk.cx.lo or n > fk.cx.hi:
         return Subquotient.zero(0)
-    rung = fk.rung
-    key = (rung(p, n), rung(p + 1, n), rung(p + r, n + 1), rung(p - r + 1, n - 1), n)
+    fp, fp1 = fk.F(p, n), fk.F(p + 1, n)
+    key = (fp, fp1, fk.F(p + r, n + 1), fk.F(p - r + 1, n - 1), n)
     hit = fk.direct_cells.get(key)
     if hit is None:
         zr = fk.cycles(p, p + r, n)
-        if fk.F(p, n).dim == fk.F(p + 1, n).dim:
+        if fp.dim == fp1.dim:
             hit = Subquotient(zr, zr, ())
         else:
             # B_r in one span, or the cap itself where d kills the source;
@@ -459,33 +459,24 @@ def decalage_renumbering_report(fk: FilteredComplex, max_page: int = 3) -> dict:
     Both sides are read off barcodes, barcode(decalage(fk)).dims(r) against
     barcode(fk).dims(r + 1), and no page is built. The check stays
     independent: Dec F is built from fk.cycles, and its barcode runs its own
-    reduction in its own adapted basis. A cell the barcode does not list has
-    dimension 0, as on a page.
+    reduction in its own adapted basis. The original cells are renumbered
+    by the inverse map (p, q) -> (-q, p + 2q), and the two sides are
+    compared on every cell either of them lists, in sorted order; a cell
+    the barcode does not list has dimension 0, as on a page.
     """
-    dec = decalage(fk)
-    bars_dec = barcode(dec)
+    bars_dec = barcode(decalage(fk))
     bars_orig = barcode(fk)
-    pairs = {(p, q): (2 * p + q, -p) for (p, q) in _support(dec)}
     mismatches = []
     table: dict[int, dict[str, list[int]]] = {}
     for r in range(1, max_page + 1):
         read_dec = bars_dec.dims(r)
-        read_orig = bars_orig.dims(r + 1)
+        read_orig = {(-qq, pp + 2 * qq): b for (pp, qq), b in bars_orig.dims(r + 1).items()}
         seen: dict[str, list[int]] = {}
-        for (p, q), (pp, qq) in pairs.items():
-            a = read_dec.get((p, q), 0)
-            b = read_orig.get((pp, qq), 0)
-            if a != 0 or b != 0:
-                seen[f"{p},{q}"] = [a, b]
+        for (p, q) in sorted(read_dec.keys() | read_orig.keys()):
+            a, b = read_dec.get((p, q), 0), read_orig.get((p, q), 0)
+            seen[f"{p},{q}"] = [a, b]
             if a != b:
                 mismatches.append({"r": r, "cell": [p, q], "dims": [a, b]})
-        # cells of the original page must all be hit by the renumbering
-        for (pp, qq) in _support(fk):
-            p, q = -qq, pp + 2 * qq
-            if (p, q) not in pairs:
-                b = read_orig.get((pp, qq), 0)
-                if b != 0:
-                    mismatches.append({"r": r, "cell": [p, q], "dims": [0, b]})
         table[r] = seen
     return {"max_page": max_page, "table": table, "mismatches": mismatches, "ok": not mismatches}
 

@@ -432,38 +432,41 @@ def test_oracle_runs_one_cycles_reduction_per_clamped_levels_and_degree(monkeypa
     assert inside and all(inside)
 
 
-def seed0_pages_scaled() -> list:
-    """The 10 complexes of the seed-0 pages-scaled corpus, on bench/corpus.py's schedule."""
+def seed0_pages_scaled_documents() -> list[dict]:
+    """The JSON of the 10 seed-0 pages-scaled complexes, on bench/corpus.py's schedule."""
     import random
-
-    from specseq import FilteredComplex
 
     from conftest import scaled_complex
 
     rng = random.Random("pages-scaled:0")
     return [
-        FilteredComplex.from_json(
-            scaled_complex(rng, (14, 16, 18, 20, 22)[i % 5], 4 + i % 2, (3, 4, 5, 6)[i % 4])
-        )
+        scaled_complex(rng, (14, 16, 18, 20, 22)[i % 5], 4 + i % 2, (3, 4, 5, 6)[i % 4])
         for i in range(10)
     ]
 
 
-def test_each_run_of_equal_levels_is_one_object_named_by_its_rung():
+def seed0_pages_scaled() -> list:
+    """The 10 complexes of the seed-0 pages-scaled corpus, loaded."""
+    from specseq import FilteredComplex
+
+    return [FilteredComplex.from_json(doc) for doc in seed0_pages_scaled_documents()]
+
+
+def test_each_run_of_equal_levels_is_one_object():
+    from specseq import Subspace
+
     from test_spectral import shortcut_inputs
 
     runs = 0
     for fk in seed0_pages_scaled() + shortcut_inputs():
         for n in fk.cx.degrees():
             for p in range(fk.p_lo - 2, fk.p_top + 3):
-                low = fk.rung(p, n)
-                # the lowest stored level holding F^p K^n, as one object
-                assert fk.F(p, n) is fk.F(low, n), (p, n)
-                assert low == fk.p_lo or fk.F(low - 1, n) != fk.F(low, n), (p, n)
-                assert fk.p_lo <= low <= fk.p_top
-                runs += low < fk.clamp(p)
-        # outside the degrees every level is the one zero space
-        assert fk.rung(fk.p_top, fk.cx.hi + 1) == fk.rung(fk.p_lo, fk.cx.lo - 1) == fk.p_lo
+                # a level equal to the one below it is the same object
+                here, below = fk.F(p, n), fk.F(p - 1, n)
+                assert (here is below) == (here == below), (p, n)
+                runs += fk.p_lo < p < fk.p_top and here is below
+        # outside the degrees every level is the zero space of Q^0
+        assert fk.F(fk.p_top, fk.cx.hi + 1) == fk.F(fk.p_lo, fk.cx.lo - 1) == Subspace.zero(0)
     assert runs > 0
 
 
@@ -654,6 +657,26 @@ def test_oracle_and_decalage_stay_within_their_eliminations(monkeypatch):
         assert sp.oracle_report(fk)["ok"]
         assert sp.decalage_renumbering_report(fk)["ok"]
     assert len(calls) <= 376
+
+
+def test_the_seed0_pages_scaled_pass_stays_within_its_eliminations(monkeypatch, capsys, tmp_path):
+    import specseq.linalg as la
+
+    # the four ops of each complex in the pages-scaled corpus, each loading
+    # its complex afresh, as the bench does: 1,109 since BENCH_32.json
+    calls = count_calls(monkeypatch, la, "_echelon")
+    for i, doc in enumerate(seed0_pages_scaled_documents()):
+        path = tmp_path / f"c{i:02d}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["compute", "--pages", "6"],
+            ["compute", "--pages", "6", "--with-maps"],
+            ["oracle"],
+            ["decalage"],
+        ):
+            assert main(argv + ["--input", str(path)]) == 0, (i, argv)
+    capsys.readouterr()
+    assert len(calls) <= 1109
 
 
 def test_a_page_keeps_no_zero_differential():

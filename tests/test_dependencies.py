@@ -3,20 +3,24 @@
 Every module under src/specseq imports only standard-library modules,
 itself, or its own modules by relative import. The package also holds
 nothing that nothing reads: every private function has a caller in the
-package, every exported name and every public function is read by the
-package, the benchmark, the scripts or the acceptance criteria (two
-public functions are allowed, for the reasons given with them), and no
-module but __init__.py, nor any module under tests/, imports a name it
-does not use. The multiplicative layer (algebra.py) sits on errors and
-linalg alone, and the algebra,
-Lefschetz and model layers name none of linalg's Fraction entry points:
-they solve and read bases through its integer forms. An algebra element
-has one representation, the coefficient map: no module defines or names
-the Element wrapper or its constructors. A filtered complex has one
-constructor, FilteredComplex(cx, levels): no module or script defines or
-names a second filtration class, its sparse constructor, or a filtration
-attribute beside the complex's own table. A command loads the half of the
-package it runs: the engine commands never load the model half (algebra,
+package, and every exported name and every public function is read by
+the package, the benchmark, the scripts or the acceptance criteria. A
+tracer TARGETS entry wraps a function but is not a reader: the public
+functions that only it and the tests read are allowlisted, as is one
+that only the tests read, each for the reason given with it, and the
+tracer-only ones must still be TARGETS. No module but __init__.py, nor
+any module under tests/, imports a name it does not use. The
+multiplicative layer (algebra.py) sits on errors and linalg alone, and
+the algebra, Lefschetz and model layers name none of linalg's Fraction
+entry points: they solve and read bases through its integer forms. An
+algebra element has one representation, the coefficient map: no module
+defines or names the Element wrapper or its constructors. A filtered
+complex has one constructor, FilteredComplex(cx, levels): no module or
+script defines or names a second filtration class, its sparse
+constructor, or a filtration attribute beside the complex's own table.
+A filtration subspace has one name, its Subspace: no module or script
+names a level by its rung. A command loads the half of the package it
+runs: the engine commands never load the model half (algebra,
 lefschetz, models, fuzz), and the model commands never load spectral.
 No module imports dataclasses, and no command loads it or inspect, which
 it imports: with cached bytecode the two cost about as much to import as
@@ -144,13 +148,27 @@ def test_no_module_defines_or_names_a_second_element_representation():
 FILTRATION_ROUTE = {"Filtration", "from_sparse", "filtration"}
 
 
-def test_no_module_or_script_names_a_second_filtration_route():
+def names_in_src_and_scripts(route: set[str]) -> dict[str, list[str]]:
+    """The names of route that each module or script defines or names, where any."""
     named = {}
     for path in sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
         tree = ast.parse(path.read_text(), str(path))
-        if hits := sorted(defined_or_named(tree) & FILTRATION_ROUTE):
+        if hits := sorted(defined_or_named(tree) & route):
             named[path.name] = hits
-    assert named == {}
+    return named
+
+
+def test_no_module_or_script_names_a_second_filtration_route():
+    assert names_in_src_and_scripts(FILTRATION_ROUTE) == {}
+
+
+# a second name for a filtration subspace beside the Subspace itself: the
+# lowest level of its run of equal levels, and the table that recorded it
+RUNG_ROUTE = {"rung", "_rungs"}
+
+
+def test_no_module_or_script_names_a_filtration_level_by_its_rung():
+    assert names_in_src_and_scripts(RUNG_ROUTE) == {}
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -227,20 +245,31 @@ def tracer_target_names() -> set[str]:
 
 
 def names_read_besides_the_tests() -> set[str]:
-    """Every name read by the package modules, bench/, scripts/, the tracer
-    TARGETS or tests/test_acceptance.py."""
+    """Every name read by the package modules, bench/, scripts/ or
+    tests/test_acceptance.py. A tracer TARGETS entry wraps a function but
+    does not read it, so it does not count."""
     files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
     files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     files.append(ROOT / "tests" / "test_acceptance.py")
-    return tracer_target_names().union(
+    return set().union(
         *(names_read_outside_their_definitions(ast.parse(f.read_text(), str(f))) for f in files)
     )
+
+
+# public functions that only the tests and a tracer TARGETS entry read:
+# ROADMAP item 4 deletes them with their TARGETS entries, a benchmark change
+TRACER_ONLY_FUNCTIONS = {"d_preimage", "intersect", "lift", "split_differential"}
+
+
+def test_every_tracer_only_function_is_still_a_tracer_target():
+    assert sorted(TRACER_ONLY_FUNCTIONS - tracer_target_names()) == []
 
 
 def test_every_exported_name_has_a_reader_besides_the_tests():
     import specseq
 
-    assert sorted(set(specseq.__all__) - names_read_besides_the_tests()) == []
+    unread = set(specseq.__all__) - names_read_besides_the_tests() - TRACER_ONLY_FUNCTIONS
+    assert sorted(unread) == []
 
 
 # public functions that only the tests read, each kept for a reason
@@ -262,7 +291,8 @@ def test_every_public_function_has_a_reader_besides_the_tests():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         )
     assert public
-    assert sorted(public - names_read_besides_the_tests() - TEST_ONLY_FUNCTIONS) == []
+    unread = public - names_read_besides_the_tests() - TEST_ONLY_FUNCTIONS - TRACER_ONLY_FUNCTIONS
+    assert sorted(unread) == []
 
 
 MODEL_HALF = {"specseq.algebra", "specseq.lefschetz", "specseq.models", "specseq.fuzz"}

@@ -368,6 +368,16 @@ def test_cycles_in_one_reduction_equal_the_formula():
     assert kept > 0
 
 
+def test_equal_subspaces_of_two_degrees_meet_their_own_d():
+    # F^0 = K and F^1 = 0 in every degree, so the cycles and the direct cells
+    # of degrees 1 and 2 read equal subspaces; d^1 = 0 and d^2 = 1 tell them apart
+    cx = CochainComplex(0, 3, {n: 1 for n in range(4)}, {2: Matrix.from_rows([[1]])})
+    fk = FilteredComplex(cx, {0: {}})
+    assert [fk.cycles(0, 1, n).dim for n in range(4)] == [1, 1, 0, 1]
+    assert [page_direct(fk, 1, 0, n).dim for n in range(4)] == [1, 1, 0, 0]
+    assert oracle_report(fk)["ok"]
+
+
 def test_differentials_agree_with_the_direct_route_on_every_page():
     for fk in shortcut_inputs():
         for r in range(1, max(7, fk.width() + 3)):
